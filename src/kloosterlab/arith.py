@@ -29,6 +29,9 @@ DEFAULT_MEMORY_BYTES = 2 * 1024 ** 3
 #: table construction.  Unset means DEFAULT_MEMORY_BYTES.
 MEMORY_ENV_VAR = "KLOOSTERLAB_MAX_BYTES"
 
+#: Bytes a prime sieve charges per entry on top of its spf entry.
+_SIEVE_SCRATCH_BYTES = 1.5
+
 
 def memory_budget() -> int:
     """Byte budget for table construction; override with KLOOSTERLAB_MAX_BYTES."""
@@ -141,7 +144,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
     dtype = np.int32 if limit < 2 ** 31 else np.int64
-    _check_capacity(limit, bytes_per_entry=dtype().itemsize + 1.5, what="prime sieve")
+    _check_capacity(limit, bytes_per_entry=dtype().itemsize + _SIEVE_SCRATCH_BYTES,
+                    what="prime sieve")
 
     spf = np.zeros(limit + 1, dtype=dtype)
     small_primes = []
@@ -407,11 +411,13 @@ _shared_lock = threading.Lock()
 _shared_mult: MultiplicativeTables | None = None
 
 
-def shared_tables(min_limit: int) -> MultiplicativeTables:
+def shared_tables(min_limit: int, max_limit: int = HARD_SIEVE_CAP) -> MultiplicativeTables:
     """Process-wide multiplicative tables covering at least min_limit.
 
     Grows geometrically so repeated calls with slowly increasing limits do
-    not resieve from scratch each time.
+    not resieve from scratch each time.  The growth stops at max_limit and
+    at the largest limit the byte budget admits; min_limit itself is never
+    cut, so a request beyond either still fails in the capacity checks.
     """
     global _shared_mult
     min_limit = max(int(min_limit), 2)
@@ -420,6 +426,10 @@ def shared_tables(min_limit: int) -> MultiplicativeTables:
             target = max(min_limit, 1 << 16)
             if _shared_mult is not None:
                 target = max(target, 2 * _shared_mult.limit)
+            # the sieve costs the most per entry; its spf entries are int32 below
+            # HARD_SIEVE_CAP
+            admitted = int(memory_budget() // (4 + _SIEVE_SCRATCH_BYTES))
+            target = max(min_limit, min(target, max_limit, admitted))
             _shared_mult = build_multiplicative_tables(target)
         return _shared_mult
 

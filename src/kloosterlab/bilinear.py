@@ -97,6 +97,29 @@ def _restricted(l: int, ms: np.ndarray, beta, x: float | None):
     return ms[mask], (None if beta is None else beta[mask])
 
 
+def _pairs(q: int, ls, alpha, ms, beta, restrict):
+    """Per l, the residues inv(l*m) mod q of the pairs with (lm, q) = 1 and
+    their coefficients alpha_l * beta_m, as two aligned arrays.
+
+    Rows with alpha_l = 0 or no kept pair are skipped.
+    """
+    inv = inverse_table(q)
+    for i, l in enumerate(ls):
+        l = int(l)
+        al = 1.0 if alpha is None else alpha[i]
+        if al == 0:
+            continue
+        msub, bsub = _restricted(l, ms, beta, restrict)
+        if len(msub) == 0:
+            continue
+        iv = inv[(l % q) * (msub % q) % q]
+        good = iv > 0
+        iv = iv[good]
+        if len(iv) == 0:
+            continue
+        yield iv, al * (np.ones(len(iv)) if bsub is None else bsub[good])
+
+
 def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
     """Evaluate the bilinear form exactly as defined, term by term.
 
@@ -111,30 +134,13 @@ def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
             f"bilinear form has {len(ls) * len(ms)} candidate terms, cap is {_TERM_CAP}"
         )
     q = spec.q
-    inv = inverse_table(q)
     roots = unit_roots(q)
     a_mod = spec.a % q
 
     re_parts, im_parts, w_parts = [], [], []
     count = 0
-    for i, l in enumerate(ls):
-        l = int(l)
-        al = 1.0 if spec.alpha is None else spec.alpha[i]
-        if al == 0:
-            continue
-        msub, bsub = _restricted(l, ms, spec.beta, spec.restrict_lm)
-        if len(msub) == 0:
-            continue
-        iv = inv[(l % q) * (msub % q) % q]
-        good = iv > 0
-        if bsub is not None:
-            bsub = bsub[good]
-        iv = iv[good]
-        if len(iv) == 0:
-            continue
-        idx = (a_mod * iv) % q
-        coeff = al * (np.ones(len(iv)) if bsub is None else bsub)
-        terms = coeff * roots[idx]
+    for iv, coeff in _pairs(q, ls, spec.alpha, ms, spec.beta, spec.restrict_lm):
+        terms = coeff * roots[(a_mod * iv) % q]
         re_parts.append(terms.real)
         im_parts.append(terms.imag)
         w_parts.append(np.abs(coeff))
@@ -159,27 +165,11 @@ def _phase_histogram(q, ls, alpha, ms, beta, restrict):
     Returns (complex histogram of length q, sum of |alpha_l * beta_m| over
     the included pairs).
     """
-    inv = inverse_table(q)
     h_re = np.zeros(q)
     h_im = np.zeros(q)
     has_im = False
     weight = 0.0
-    for i, l in enumerate(ls):
-        l = int(l)
-        al = 1.0 if alpha is None else alpha[i]
-        if al == 0:
-            continue
-        msub, bsub = _restricted(l, ms, beta, restrict)
-        if len(msub) == 0:
-            continue
-        iv = inv[(l % q) * (msub % q) % q]
-        good = iv > 0
-        if bsub is not None:
-            bsub = bsub[good]
-        iv = iv[good]
-        if len(iv) == 0:
-            continue
-        coeff = al * (np.ones(len(iv)) if bsub is None else np.asarray(bsub))
+    for iv, coeff in _pairs(q, ls, alpha, ms, beta, restrict):
         coeff = np.asarray(coeff, dtype=np.complex128)
         h_re += np.bincount(iv, weights=coeff.real, minlength=q)
         if np.any(coeff.imag):

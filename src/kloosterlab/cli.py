@@ -4,6 +4,21 @@ Every subcommand prints one table in csv, json, or pretty form.  Output
 is deterministic: --workers changes wall time, never bytes, and no
 timestamps or runtimes appear in csv or json.
 
+Each subcommand is one entry of COMMANDS: its name, help, arguments and a
+function from the parsed arguments to the result columns (an ordered
+dict, or a list of them for one row each).  The params of a run are the
+command's own arguments in declaration order, and every row repeats the
+params before its result columns.  The exceptions:
+
+- jcount-avg reports method in params but not in its row;
+- theorem2-root, baker-root, compare-bounds and exponent-fit do not
+  repeat their params in the row;
+- vaughan-check reports the resolved truncation U, not the flag's None.
+
+Adding a subcommand means adding one entry.  Entries reach package
+functions through this module's globals at call time, never by holding
+the function itself, so a caller that rebinds those names sees the calls.
+
 Exit codes: 0 on success, 2 on bad parameters, 3 when a computation is
 refused because it would blow the capacity or memory budget.
 """
@@ -17,11 +32,12 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .arith import MEMORY_ENV_VAR, shared_prime_table, shared_tables
+from .arith import MEMORY_ENV_VAR, shared_tables
 from .bilinear import BilinearSpec, bilinear_sum
 from .counting import (
     count_congruence_solutions,
@@ -70,255 +86,191 @@ def _tables(args, need: float):
     need = int(math.ceil(need))
     if need > args.max_sieve:
         raise CapacityError(f"needs a sieve to {need}, over --max-sieve {args.max_sieve}")
-    return shared_tables(need)
+    return shared_tables(need, max_limit=args.max_sieve)
 
 
-def _ptable(args, need: float):
-    need = int(math.ceil(need))
-    if need > args.max_sieve:
-        raise CapacityError(f"needs a sieve to {need}, over --max-sieve {args.max_sieve}")
-    return shared_prime_table(need)
+# --- result columns -----------------------------------------------------------
+
+def _value(v) -> dict:
+    """Columns of an ExpSumValue."""
+    return {"real": v.value.real, "imag": v.value.imag, "magnitude": v.magnitude,
+            "terms": v.term_count, "error_bound": v.accumulation_error_bound}
 
 
-# --- handlers ---------------------------------------------------------------
+def _report(rep) -> dict:
+    """Columns of a BoundReport: measurement, each bound term, total, ratio."""
+    return {"lhs": rep.lhs, **rep.rhs_terms, "rhs_total": rep.rhs_total,
+            "ratio": rep.ratio, "trivial": rep.trivial_bound}
 
-def _cmd_sum(args):
+
+def _attrs(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _sum(args):
     mt = _tables(args, 2 * args.x)
-    v = prime_sum(ExpSumQuery(a=args.a, q=args.q, x=args.x), weight=args.weight, tables=mt)
-    return {
-        "params": {"a": args.a, "q": args.q, "x": args.x, "weight": args.weight},
-        "headers": ["a", "q", "x", "weight", "real", "imag", "magnitude",
-                    "terms", "error_bound"],
-        "rows": [[args.a, args.q, args.x, args.weight, v.value.real, v.value.imag,
-                  v.magnitude, v.term_count, v.accumulation_error_bound]],
-    }
+    query = ExpSumQuery(a=args.a, q=args.q, x=args.x)
+    return _value(prime_sum(query, weight=args.weight, tables=mt))
 
 
-def _cmd_max_sum(args):
-    pt = _ptable(args, 2 * args.x)
-    a_star, mag = max_prime_sum(args.q, args.x, table=pt, scan_limit=args.max_q_scan)
-    return {
-        "params": {"q": args.q, "x": args.x},
-        "headers": ["q", "x", "a_star", "magnitude"],
-        "rows": [[args.q, args.x, a_star, mag]],
-    }
-
-
-def _cmd_avg_max(args):
-    pt = _ptable(args, 2 * args.x)
-    rep = avg_max_report(args.Q, args.x, table=pt, workers=args.workers,
-                         scan_limit=args.max_q_scan)
-    keys = list(rep.rhs_terms)
-    return {
-        "params": {"Q": args.Q, "x": args.x},
-        "headers": ["Q", "x", "lhs", *keys, "rhs_total", "ratio", "trivial"],
-        "rows": [[args.Q, args.x, rep.lhs, *(rep.rhs_terms[k] for k in keys),
-                  rep.rhs_total, rep.ratio, rep.trivial_bound]],
-    }
-
-
-def _cmd_fixed_a_avg(args):
+def _fixed_a_avg(args):
     mt = _tables(args, 2 * args.x)
     rep = fixed_a_avg_report(args.a, args.Q, args.x, tables=mt, workers=args.workers)
-    keys = list(rep.rhs_terms)
-    return {
-        "params": {"a": args.a, "Q": args.Q, "x": args.x},
-        "headers": ["a", "Q", "x", "size_factor", "lhs", *keys,
-                    "rhs_total", "ratio", "trivial"],
-        "rows": [[args.a, args.Q, args.x, rep.extra["size_factor"], rep.lhs,
-                  *(rep.rhs_terms[k] for k in keys),
-                  rep.rhs_total, rep.ratio, rep.trivial_bound]],
-    }
+    return {"size_factor": rep.extra["size_factor"], **_report(rep)}
 
 
-def _cmd_kloosterman(args):
-    return {
-        "params": {"a": args.a, "b": args.b, "q": args.q},
-        "headers": ["a", "b", "q", "value"],
-        "rows": [[args.a, args.b, args.q, kloosterman(args.a, args.b, args.q)]],
-    }
-
-
-def _cmd_short_sum(args):
-    v = short_inverse_sum(args.a, args.q, args.lower, args.upper)
-    return {
-        "params": {"a": args.a, "q": args.q, "lower": args.lower, "upper": args.upper},
-        "headers": ["a", "q", "lower", "upper", "real", "imag", "magnitude",
-                    "terms", "error_bound"],
-        "rows": [[args.a, args.q, args.lower, args.upper, v.value.real, v.value.imag,
-                  v.magnitude, v.term_count, v.accumulation_error_bound]],
-    }
-
-
-def _cmd_weil_ratio(args):
-    rep = weil_ratio(args.a, args.q, args.lower, args.upper)
-    keys = list(rep.rhs_terms)
-    return {
-        "params": {"a": args.a, "q": args.q, "lower": args.lower, "upper": args.upper},
-        "headers": ["a", "q", "lower", "upper", "lhs", *keys, "rhs_total",
-                    "ratio", "trivial"],
-        "rows": [[args.a, args.q, args.lower, args.upper, rep.lhs,
-                  *(rep.rhs_terms[k] for k in keys),
-                  rep.rhs_total, rep.ratio, rep.trivial_bound]],
-    }
-
-
-def _cmd_bilinear(args):
-    spec = BilinearSpec(L=args.L, M=args.M, a=args.a, q=args.q,
-                        restrict_lm=args.restrict_lm)
-    v = bilinear_sum(spec)
-    return {
-        "params": {"L": args.L, "M": args.M, "a": args.a, "q": args.q,
-                   "restrict_lm": args.restrict_lm},
-        "headers": ["L", "M", "a", "q", "restrict_lm", "real", "imag",
-                    "magnitude", "terms", "error_bound"],
-        "rows": [[args.L, args.M, args.a, args.q, args.restrict_lm,
-                  v.value.real, v.value.imag, v.magnitude, v.term_count,
-                  v.accumulation_error_bound]],
-    }
-
-
-def _cmd_jcount(args):
-    res = count_congruence_solutions(args.k, args.M, args.q, method=args.method)
-    return {
-        "params": {"k": args.k, "M": args.M, "q": args.q, "method": args.method},
-        "headers": ["k", "M", "q", "method", "count"],
-        "rows": [[args.k, args.M, args.q, args.method, res.count]],
-    }
-
-
-def _cmd_jcount_avg(args):
+def _jcount_avg(args):
     rep = sum_congruence_counts(args.k, args.M, args.Q, method=args.method,
                                 workers=args.workers)
-    keys = list(rep.rhs_terms)
-    return {
-        "params": {"k": args.k, "M": args.M, "Q": args.Q, "method": args.method},
-        "headers": ["k", "M", "Q", "total", *keys, "rhs_total", "ratio"],
-        "rows": [[args.k, args.M, args.Q, rep.extra["total"],
-                  *(rep.rhs_terms[k] for k in keys), rep.rhs_total, rep.ratio]],
-    }
+    return {"total": rep.extra["total"], **rep.rhs_terms, "rhs_total": rep.rhs_total,
+            "ratio": rep.ratio}
 
 
-def _cmd_unitfrac(args):
-    res = count_unit_fraction_solutions(args.k, args.N, method=args.method)
-    return {
-        "params": {"k": args.k, "N": args.N, "method": args.method},
-        "headers": ["k", "N", "method", "count"],
-        "rows": [[args.k, args.N, args.method, res.count]],
-    }
-
-
-def _cmd_squarefull(args):
-    return {
-        "params": {"x": args.x},
-        "headers": ["x", "count"],
-        "rows": [[args.x, count_squarefull(args.x)]],
-    }
-
-
-def _cmd_vaughan_check(args):
-    U = args.truncation if args.truncation is not None else args.x ** (1 / 3)
+def _vaughan_check(args):
+    # the resolved truncation replaces None, so params and row both carry it
+    args.U = args.U if args.U is not None else args.x ** (1 / 3)
     mt = _tables(args, 2 * args.x)
-    chk = compare_decomposition(VaughanParams(x=args.x, U=U), args.a, args.q, tables=mt)
-    return {
-        "params": {"a": args.a, "q": args.q, "x": args.x, "U": U},
-        "headers": ["a", "q", "x", "U", "direct_real", "direct_imag",
-                    "decomposed_real", "decomposed_imag", "abs_error",
-                    "rel_error", "components"],
-        "rows": [[args.a, args.q, args.x, U, chk.direct.real, chk.direct.imag,
-                  chk.decomposed.real, chk.decomposed.imag, chk.abs_error,
-                  chk.rel_error, chk.components]],
-    }
+    chk = compare_decomposition(VaughanParams(x=args.x, U=args.U), args.a, args.q, tables=mt)
+    return {"direct_real": chk.direct.real, "direct_imag": chk.direct.imag,
+            "decomposed_real": chk.decomposed.real, "decomposed_imag": chk.decomposed.imag,
+            **_attrs(chk, "abs_error", "rel_error", "components")}
 
 
-def _cmd_prime_power_gap(args):
-    mt = _tables(args, 2 * args.x)
-    gap = prime_power_gap(args.a, args.q, args.x, tables=mt)
-    return {
-        "params": {"a": args.a, "q": args.q, "x": args.x},
-        "headers": ["a", "q", "x", "gap", "envelope", "prime_power_terms"],
-        "rows": [[args.a, args.q, args.x, gap.gap, gap.envelope,
-                  gap.prime_power_terms]],
-    }
-
-
-def _cmd_theorem2_root(args):
-    res = ternary_exponent_root(tol=args.tol)
-    return {
-        "params": {"tol": args.tol},
-        "headers": ["root", "residual", "iterations"],
-        "rows": [[res.root, res.residual, res.iterations]],
-    }
-
-
-def _cmd_baker_root(args):
+def _baker_root(args):
     alpha = float(Fraction(args.alpha))
     res = sieve_exponent_root(alpha, tol=args.tol)
-    return {
-        "params": {"alpha": args.alpha, "tol": args.tol},
-        "headers": ["alpha", "root", "residual", "iterations"],
-        "rows": [[alpha, res.root, res.residual, res.iterations]],
-    }
+    return {"alpha": alpha, **_attrs(res, "root", "residual", "iterations")}
 
 
-def _cmd_ternary(args):
-    pt = _ptable(args, 2 * args.x)
-    res = ternary_rough_count(args.x, args.theta, table=pt)
-    return {
-        "params": {"x": args.x, "theta": args.theta},
-        "headers": ["x", "theta", "threshold", "count", "total", "fraction",
-                    "scaled"],
-        "rows": [[args.x, args.theta, res.threshold, res.count, res.total,
-                  res.fraction, res.scaled]],
-    }
-
-
-def _cmd_garaev(args):
-    pt = _ptable(args, args.x + 1)
+def _garaev(args):
+    pt = _tables(args, args.x + 1).prime_table
     count = garaev_congruence_count(args.x, args.q, args.lam, table=pt)
-    return {
-        "params": {"x": args.x, "q": args.q, "lam": args.lam},
-        "headers": ["x", "q", "lam", "count", "pi_x"],
-        "rows": [[args.x, args.q, args.lam, count, pt.pi(args.x)]],
-    }
+    return {"count": count, "pi_x": pt.pi(args.x)}
 
 
-def _cmd_compare_bounds(args):
-    rows = comparison_table(args.Q)
-    return {
-        "params": {"Q": args.Q},
-        "headers": ["label", "exponent", "exponent_value", "value"],
-        "rows": [[row.label, str(row.exponent), row.exponent_value, val]
-                 for row, val in rows],
-    }
-
-
-def _cmd_exponent_fit(args):
+def _exponent_fit(args):
     series = []
     for chunk in args.points:
         scale, _, value = chunk.partition(":")
         if not _:
             raise ValueError(f"point {chunk!r} is not scale:value")
         series.append((float(scale), float(value)))
-    fit = exponent_fit(series)
-    return {
-        "params": {"points": list(args.points)},
-        "headers": ["points", "slope", "intercept", "residual_norm"],
-        "rows": [[fit.points, fit.slope, fit.intercept, fit.residual_norm]],
-    }
+    return _attrs(exponent_fit(series), "points", "slope", "intercept", "residual_norm")
 
 
-def _cmd_choose_u(args):
+def _choose_u(args):
     U = choose_U(args.theorem, args.Q, args.x)
-    return {
-        "params": {"theorem": args.theorem, "Q": args.Q, "x": args.x},
-        "headers": ["theorem", "Q", "x", "U", "x_third", "x_over_U"],
-        "rows": [[args.theorem, args.Q, args.x, U, args.x ** (1 / 3),
-                  args.x / U]],
-    }
+    return {"U": U, "x_third": args.x ** (1 / 3), "x_over_U": args.x / U}
 
 
-# --- parser -----------------------------------------------------------------
+# --- registry -----------------------------------------------------------------
+
+class Command(NamedTuple):
+    """One subcommand.
+
+    arguments holds (name or flag, spec) in declaration order; spec is a
+    type for a plain positional, else the add_argument keywords.  repeat is
+    how many leading params each row repeats (None: all of them).
+    """
+
+    name: str
+    help: str
+    arguments: tuple
+    run: Callable
+    repeat: int | None = None
+
+
+_METHOD = ("--method", {"choices": ("naive", "convolution"), "default": "convolution"})
+_TOL = ("--tol", {"type": float, "default": 1e-12})
+
+COMMANDS = (
+    Command("sum", "one prime sum S_q(a; x) over [x, 2x)",
+            (("a", int), ("q", int), ("x", float),
+             ("--weight", {"choices": ("unit", "von_mangoldt"), "default": "unit"})),
+            _sum),
+    Command("max-sum", "max over numerators a of |S_q(a; x)|",
+            (("q", int), ("x", float)),
+            lambda args: dict(zip(("a_star", "magnitude"), max_prime_sum(
+                args.q, args.x, table=_tables(args, 2 * args.x).prime_table,
+                scan_limit=args.max_q_scan)))),
+    Command("avg-max", "sum over q ~ Q of max_a |S_q(a; x)| vs envelope",
+            (("Q", int), ("x", float)),
+            lambda args: _report(avg_max_report(
+                args.Q, args.x, table=_tables(args, 2 * args.x).prime_table,
+                workers=args.workers, scan_limit=args.max_q_scan))),
+    Command("fixed-a-avg", "sum over q ~ Q of |S_q(a; x)| vs envelope",
+            (("a", int), ("Q", int), ("x", float)),
+            _fixed_a_avg),
+    Command("kloosterman", "complete sum K(a, b; q), real-valued",
+            (("a", int), ("b", int), ("q", int)),
+            lambda args: {"value": kloosterman(args.a, args.b, args.q)}),
+    Command("short-sum", "incomplete inverse sum over lower < n <= upper",
+            (("a", int), ("q", int), ("lower", float), ("upper", float)),
+            lambda args: _value(short_inverse_sum(args.a, args.q, args.lower, args.upper))),
+    Command("weil-ratio", "short sum against its completion bound",
+            (("a", int), ("q", int), ("lower", float), ("upper", float)),
+            lambda args: _report(weil_ratio(args.a, args.q, args.lower, args.upper))),
+    Command("bilinear", "unit-coefficient bilinear sum over l ~ L, m ~ M",
+            (("L", float), ("M", float), ("a", int), ("q", int),
+             ("--restrict-lm", {"type": float, "default": None, "dest": "restrict_lm",
+                                "help": "keep only pairs with x <= l*m < 2x for this x"})),
+            lambda args: _value(bilinear_sum(BilinearSpec(
+                L=args.L, M=args.M, a=args.a, q=args.q, restrict_lm=args.restrict_lm)))),
+    Command("jcount", "inverse-congruence solution count for one modulus",
+            (("k", int), ("M", int), ("q", int), _METHOD),
+            lambda args: {"count": count_congruence_solutions(
+                args.k, args.M, args.q, method=args.method).count}),
+    Command("jcount-avg", "congruence counts summed over q ~ Q vs envelope",
+            (("k", int), ("M", int), ("Q", int), _METHOD),
+            _jcount_avg, repeat=3),
+    Command("unitfrac", "unit-fraction solution count, exact rationals",
+            (("k", int), ("N", int), _METHOD),
+            lambda args: {"count": count_unit_fraction_solutions(
+                args.k, args.N, method=args.method).count}),
+    Command("squarefull", "count square-full integers up to x",
+            (("x", int),),
+            lambda args: {"count": count_squarefull(args.x)}),
+    Command("vaughan-check", "bilinear decomposition against the direct sum",
+            (("a", int), ("q", int), ("x", float),
+             ("--truncation", {"type": float, "default": None, "metavar": "U", "dest": "U",
+                               "help": "identity truncation (default x^(1/3))"})),
+            _vaughan_check),
+    Command("prime-power-gap", "Lambda-weighted vs prime-only window sums",
+            (("a", int), ("q", int), ("x", float)),
+            lambda args: _attrs(prime_power_gap(
+                args.a, args.q, args.x, tables=_tables(args, 2 * args.x)),
+                "gap", "envelope", "prime_power_terms")),
+    Command("theorem2-root", "exponent threshold root, near 1.188",
+            (_TOL,),
+            lambda args: _attrs(ternary_exponent_root(tol=args.tol),
+                                "root", "residual", "iterations"),
+            repeat=0),
+    Command("baker-root", "threshold root for a general input exponent",
+            (("alpha", {"help": "input exponent in (1, 2); fractions like 23/21 allowed"}),
+             _TOL),
+            _baker_root, repeat=0),
+    Command("ternary", "prime triples p ~ x with a rough pairwise-product sum",
+            (("x", int), ("theta", float)),
+            lambda args: _attrs(ternary_rough_count(
+                args.x, args.theta, table=_tables(args, 2 * args.x).prime_table),
+                "threshold", "count", "total", "fraction", "scaled")),
+    Command("garaev", "prime triples p <= x with p1 p2 p3 = lam (mod q)",
+            (("x", int), ("q", int), ("lam", int)),
+            _garaev),
+    Command("compare-bounds", "competing average bounds at x = Q",
+            (("Q", float),),
+            lambda args: [{"label": row.label, "exponent": str(row.exponent),
+                           "exponent_value": row.exponent_value, "value": val}
+                          for row, val in comparison_table(args.Q)],
+            repeat=0),
+    Command("exponent-fit", "fit a growth exponent to scale:value points",
+            (("points", {"nargs": "+", "metavar": "scale:value"}),),
+            _exponent_fit, repeat=0),
+    Command("choose-u", "balanced truncation for either average theorem",
+            (("theorem", {"choices": ("avg-max", "fixed-a-avg")}), ("Q", float), ("x", float)),
+            _choose_u),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -329,152 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("sum", help="one prime sum S_q(a; x) over [x, 2x)")
-    p.add_argument("a", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("x", type=float)
-    p.add_argument("--weight", choices=("unit", "von_mangoldt"), default="unit")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sum)
-
-    p = sub.add_parser("max-sum", help="max over numerators a of |S_q(a; x)|")
-    p.add_argument("q", type=int)
-    p.add_argument("x", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_max_sum)
-
-    p = sub.add_parser("avg-max", help="sum over q ~ Q of max_a |S_q(a; x)| vs envelope")
-    p.add_argument("Q", type=int)
-    p.add_argument("x", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_avg_max)
-
-    p = sub.add_parser("fixed-a-avg", help="sum over q ~ Q of |S_q(a; x)| vs envelope")
-    p.add_argument("a", type=int)
-    p.add_argument("Q", type=int)
-    p.add_argument("x", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fixed_a_avg)
-
-    p = sub.add_parser("kloosterman", help="complete sum K(a, b; q), real-valued")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("q", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_kloosterman)
-
-    p = sub.add_parser("short-sum", help="incomplete inverse sum over lower < n <= upper")
-    p.add_argument("a", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("lower", type=float)
-    p.add_argument("upper", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_short_sum)
-
-    p = sub.add_parser("weil-ratio", help="short sum against its completion bound")
-    p.add_argument("a", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("lower", type=float)
-    p.add_argument("upper", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_weil_ratio)
-
-    p = sub.add_parser("bilinear", help="unit-coefficient bilinear sum over l ~ L, m ~ M")
-    p.add_argument("L", type=float)
-    p.add_argument("M", type=float)
-    p.add_argument("a", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--restrict-lm", type=float, default=None, dest="restrict_lm",
-                   help="keep only pairs with x <= l*m < 2x for this x")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bilinear)
-
-    p = sub.add_parser("jcount", help="inverse-congruence solution count for one modulus")
-    p.add_argument("k", type=int)
-    p.add_argument("M", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--method", choices=("naive", "convolution"), default="convolution")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_jcount)
-
-    p = sub.add_parser("jcount-avg", help="congruence counts summed over q ~ Q vs envelope")
-    p.add_argument("k", type=int)
-    p.add_argument("M", type=int)
-    p.add_argument("Q", type=int)
-    p.add_argument("--method", choices=("naive", "convolution"), default="convolution")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_jcount_avg)
-
-    p = sub.add_parser("unitfrac", help="unit-fraction solution count, exact rationals")
-    p.add_argument("k", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument("--method", choices=("naive", "convolution"), default="convolution")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_unitfrac)
-
-    p = sub.add_parser("squarefull", help="count square-full integers up to x")
-    p.add_argument("x", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_squarefull)
-
-    p = sub.add_parser("vaughan-check", help="bilinear decomposition against the direct sum")
-    p.add_argument("a", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("x", type=float)
-    p.add_argument("--truncation", type=float, default=None, metavar="U",
-                   help="identity truncation (default x^(1/3))")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_vaughan_check)
-
-    p = sub.add_parser("prime-power-gap", help="Lambda-weighted vs prime-only window sums")
-    p.add_argument("a", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("x", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_prime_power_gap)
-
-    p = sub.add_parser("theorem2-root", help="exponent threshold root, near 1.188")
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_theorem2_root)
-
-    p = sub.add_parser("baker-root", help="threshold root for a general input exponent")
-    p.add_argument("alpha", help="input exponent in (1, 2); fractions like 23/21 allowed")
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_baker_root)
-
-    p = sub.add_parser("ternary", help="prime triples p ~ x with a rough pairwise-product sum")
-    p.add_argument("x", type=int)
-    p.add_argument("theta", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ternary)
-
-    p = sub.add_parser("garaev", help="prime triples p <= x with p1 p2 p3 = lam (mod q)")
-    p.add_argument("x", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("lam", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_garaev)
-
-    p = sub.add_parser("compare-bounds", help="competing average bounds at x = Q")
-    p.add_argument("Q", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_compare_bounds)
-
-    p = sub.add_parser("exponent-fit", help="fit a growth exponent to scale:value points")
-    p.add_argument("points", nargs="+", metavar="scale:value")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_exponent_fit)
-
-    p = sub.add_parser("choose-u", help="balanced truncation for either average theorem")
-    p.add_argument("theorem", choices=("avg-max", "fixed-a-avg"))
-    p.add_argument("Q", type=float)
-    p.add_argument("x", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_choose_u)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        dests = []
+        for name, spec in cmd.arguments:
+            kwargs = spec if isinstance(spec, dict) else {"type": spec}
+            dests.append(p.add_argument(name, **kwargs).dest)
+        _add_common(p)
+        p.set_defaults(entry=cmd, param_names=dests)
     return parser
 
 
@@ -500,21 +314,18 @@ def _json_value(v):
     return v
 
 
-def _render(payload: dict, args) -> str:
+def _render(params: dict, rows: list[dict], args) -> str:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(payload["headers"])
-        for row in payload["rows"]:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row.values()])
         return buf.getvalue()
     if args.format == "json":
         doc = {
-            "params": {k: _json_value(v) for k, v in payload["params"].items()},
-            "results": [
-                dict(zip(payload["headers"], (_json_value(v) for v in row)))
-                for row in payload["rows"]
-            ],
+            "params": {k: _json_value(v) for k, v in params.items()},
+            "results": [{k: _json_value(v) for k, v in row.items()} for row in rows],
             "meta": {
                 "tool": "kloosterlab",
                 "version": __version__,
@@ -522,10 +333,9 @@ def _render(payload: dict, args) -> str:
             },
         }
         return json.dumps(doc, indent=2) + "\n"
-    lines = [", ".join(f"{k} = {_fmt(v)}" for k, v in payload["params"].items())]
-    for row in payload["rows"]:
-        lines.append("  ".join(f"{h}={_fmt(v)}"
-                               for h, v in zip(payload["headers"], row)))
+    lines = [", ".join(f"{k} = {_fmt(v)}" for k, v in params.items())]
+    for row in rows:
+        lines.append("  ".join(f"{k}={_fmt(v)}" for k, v in row.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -536,14 +346,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        payload = args.handler(args)
+        result = args.entry.run(args)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KloosterlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(payload, args)
+    params = {name: getattr(args, name) for name in args.param_names}
+    shown = {name: params[name] for name in args.param_names[:args.entry.repeat]}
+    rows = [{**shown, **row} for row in (result if isinstance(result, list) else [result])]
+    text = _render(params, rows, args)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,7 +23,6 @@ from .arith import (
     PrimeTable,
     batch_inverses,
     memory_budget,
-    mod_inverse,
     shared_prime_table,
     shared_tables,
 )
@@ -69,27 +68,19 @@ class ExpSumValue:
         return abs(self.value)
 
 
-def _phase_indices(ns, a: int, q: int, use_batch: bool) -> tuple[list[int], list[int]]:
+def _phase_indices(ns, a: int, q: int) -> tuple[list[int], list[int]]:
     """Residues a*inv(n) mod q for the coprime entries of ns, with positions kept."""
     a_mod = a % q
     kept: list[int] = []
     idx: list[int] = []
-    ns = [int(n) for n in ns]
-    if use_batch:
-        invs = batch_inverses(ns, q)
-        for pos, inv in enumerate(invs):
-            if inv is not None:
-                kept.append(pos)
-                idx.append(a_mod * inv % q)
-    else:
-        for pos, n in enumerate(ns):
-            if math.gcd(n, q) == 1:
-                kept.append(pos)
-                idx.append(a_mod * mod_inverse(n, q) % q)
+    for pos, inv in enumerate(batch_inverses([int(n) for n in ns], q)):
+        if inv is not None:
+            kept.append(pos)
+            idx.append(a_mod * inv % q)
     return kept, idx
 
 
-def inverse_phase_sum(ns, a: int, q: int, weights=None, use_batch: bool = True) -> ExpSumValue:
+def inverse_phase_sum(ns, a: int, q: int, weights=None) -> ExpSumValue:
     """Sum of w_n * e(a * inv(n) / q) over the given integers.
 
     Entries sharing a factor with q are skipped.  weights is an optional
@@ -98,7 +89,7 @@ def inverse_phase_sum(ns, a: int, q: int, weights=None, use_batch: bool = True) 
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     roots = unit_roots(q)
-    kept, idx = _phase_indices(ns, a, q, use_batch)
+    kept, idx = _phase_indices(ns, a, q)
     if not kept:
         return ExpSumValue(0j, 0, 0.0, 0.0)
     terms = roots[np.asarray(idx, dtype=np.intp)]
@@ -121,7 +112,6 @@ def prime_sum(
     query: ExpSumQuery,
     weight: str = "unit",
     tables: MultiplicativeTables | None = None,
-    use_batch: bool = True,
 ) -> ExpSumValue:
     """Exponential sum over the dyadic prime window of the query.
 
@@ -130,9 +120,6 @@ def prime_sum(
         weight: "unit" sums over primes p ~ x; "von_mangoldt" sums
             Lambda(n) * e(a * inv(n) / q) over all n ~ x.
         tables: tables covering 2x; sieved on demand when omitted.
-        use_batch: switch between batched and per-element inversion
-            (both yield bitwise identical results; the flag exists so the
-            equivalence stays testable).
     """
     if weight not in _WEIGHTS:
         raise ValueError(f"weight must be one of {_WEIGHTS}, got {weight!r}")
@@ -143,14 +130,14 @@ def prime_sum(
     table.require_coverage(2 * query.x)
     if weight == "unit":
         ns = table.primes_between(query.x, 2 * query.x)
-        return inverse_phase_sum(ns, query.a, query.q, use_batch=use_batch)
+        return inverse_phase_sum(ns, query.a, query.q)
     lo, hi = int(math.ceil(query.x)), int(math.ceil(2 * query.x))
     window = np.arange(lo, hi, dtype=np.int64)
     pp = tables.vm_prime[window]
     sel = pp > 0
     ns = window[sel]
     weights = np.log(pp[sel].astype(np.float64))
-    return inverse_phase_sum(ns, query.a, query.q, weights=weights, use_batch=use_batch)
+    return inverse_phase_sum(ns, query.a, query.q, weights=weights)
 
 
 def max_prime_sum(
@@ -262,7 +249,7 @@ def short_inverse_sum(
     if upper - lower > length_limit:
         raise CapacityError(f"interval length {upper - lower} exceeds {length_limit}")
     ns = range(math.floor(lower) + 1, math.floor(upper) + 1)
-    return inverse_phase_sum(ns, a, q, use_batch=True)
+    return inverse_phase_sum(ns, a, q)
 
 
 def weil_ratio(a: int, q: int, lower: float, upper: float) -> BoundReport:

@@ -22,7 +22,6 @@ class BoundReport:
     ratio: float
     trivial_bound: float | None = None
     extra: dict = field(default_factory=dict)
-    runtime: float = 0.0
 
     @property
     def rhs_total(self) -> float:
@@ -36,7 +35,6 @@ def make_report(
     rhs_terms: dict,
     trivial_bound: float | None = None,
     extra: dict | None = None,
-    runtime: float = 0.0,
 ) -> BoundReport:
     """Build a BoundReport, validating signs and computing the ratio."""
     lhs = float(lhs)
@@ -57,5 +55,4 @@ def make_report(
         ratio=lhs / total,
         trivial_bound=None if trivial_bound is None else float(trivial_bound),
         extra=dict(extra or {}),
-        runtime=runtime,
     )

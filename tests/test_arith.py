@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kloosterlab import arith
 from kloosterlab.accumulate import accumulation_bound, fsum_complex, unit_roots
 from kloosterlab.arith import (
     MEMORY_ENV_VAR,
@@ -17,6 +18,7 @@ from kloosterlab.arith import (
     largest_prime_factor_table,
     memory_budget,
     mod_inverse,
+    shared_tables,
     sieve_primes,
 )
 from kloosterlab.errors import (
@@ -172,6 +174,15 @@ def test_memory_env_var(monkeypatch):
     monkeypatch.setenv(MEMORY_ENV_VAR, "bogus")
     with pytest.raises(ValueError):
         memory_budget()
+
+
+def test_shared_table_growth_stays_within_memory_budget(monkeypatch):
+    # 110000 bytes admit a sieve to 20000 at 5.5 bytes per entry, well under
+    # the 1 << 16 floor that a fresh table would otherwise grow to
+    monkeypatch.setenv(MEMORY_ENV_VAR, "110000")
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    assert shared_tables(100).limit == 20000
+    assert shared_tables(20000).limit == 20000
 
 
 def test_unit_roots_structure():

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from kloosterlab import arith
 from kloosterlab.cli import build_parser, main
 
 
@@ -187,3 +188,17 @@ def test_bilinear_command_with_restriction(capsys):
     row = dict(zip(*csv_rows(out)))
     assert row["restrict_lm"] == "45"
     assert int(row["terms"]) > 0
+
+
+def test_fresh_table_stops_at_max_sieve(capsys, monkeypatch):
+    # without the ceiling a fresh table grows to the 1 << 16 floor
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    assert run(capsys, "sum", "1", "7", "100", "--max-sieve", "1000")[0] == 0
+    assert arith._shared_mult.limit == 1000
+
+
+def test_table_growth_stops_at_max_sieve(capsys, monkeypatch):
+    # without the ceiling a 65,536 table doubles to 131,072
+    monkeypatch.setattr(arith, "_shared_mult", arith.build_multiplicative_tables(1 << 16))
+    assert run(capsys, "sum", "1", "7", "35000", "--max-sieve", "75000")[0] == 0
+    assert arith._shared_mult.limit == 75000

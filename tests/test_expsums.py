@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kloosterlab.accumulate import fsum_complex, unit_roots
 from kloosterlab.errors import CapacityError, CoverageError
 from kloosterlab.expsums import (
     ExpSumQuery,
@@ -57,12 +58,23 @@ def test_zero_twist_counts_units_exactly():
     assert got.value == complex(got.term_count)
 
 
-def test_batch_and_single_inversion_bitwise_equal():
-    q = ExpSumQuery(a=3, q=23, x=50)
-    fast = prime_sum(q, use_batch=True)
-    slow = prime_sum(q, use_batch=False)
-    assert fast.value == slow.value
-    assert fast.term_count == slow.term_count
+def _single_inversion_sum(ns, a, q):
+    """inverse_phase_sum with one pow(n, -1, q) per term in place of batch inversion.
+
+    Same unit-root table and the same correctly rounded sum, so the value
+    must match the batched path bit for bit.
+    """
+    kept = [int(n) for n in ns if math.gcd(int(n), q) == 1]
+    idx = np.asarray([a % q * pow(n, -1, q) % q for n in kept], dtype=np.intp)
+    terms = unit_roots(q)[idx]
+    return fsum_complex(terms.real.tolist(), terms.imag.tolist()), len(kept)
+
+
+def test_batch_and_single_inversion_bitwise_equal(prime_table):
+    fast = prime_sum(ExpSumQuery(a=3, q=23, x=50))
+    value, count = _single_inversion_sum(prime_table.primes_between(50, 100), 3, 23)
+    assert fast.value == value
+    assert fast.term_count == count
 
 
 def test_conjugate_twist_is_exact_conjugate():
@@ -112,7 +124,7 @@ def test_max_prime_sum_against_full_scan(q, prime_table):
     assert 1 <= a_star <= q // 2
     assert math.gcd(a_star, q) == 1
     mags = {
-        a: prime_sum(ExpSumQuery(a=a, q=q, x=x), tables=None, use_batch=True).magnitude
+        a: prime_sum(ExpSumQuery(a=a, q=q, x=x), tables=None).magnitude
         for a in range(1, q)
         if math.gcd(a, q) == 1
     }
