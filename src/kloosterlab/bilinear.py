@@ -21,7 +21,7 @@ import numpy as np
 from .accumulate import accumulation_bound, fsum_complex, unit_roots
 from .arith import inverse_table
 from .errors import CapacityError
-from .expsums import _CHUNK_CELLS, ExpSumValue
+from .expsums import ExpSumValue, _near_max_twists, _twist_error_bound
 from .parallel import pmap
 from .reports import BoundReport, make_report
 
@@ -181,7 +181,16 @@ def _phase_histogram(q, ls, alpha, ms, beta, restrict):
 
 
 def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
-    """max over units a of |sum_r h[r] e(a r / q)|, by chunked direct scan."""
+    """max over units a of |sum_r h[r] e(a r / q)|.
+
+    One FFT of h gives every |S(a)|; only the twists within 2E of the
+    largest (expsums._near_max_twists) are re-scored by the direct sum of
+    unit-root table entries times h, so the result is bitwise the full
+    direct scan's maximum.  E is expsums._twist_error_bound with weight
+    sum |h[r]| and, over the s support points, s - 1 additions plus one
+    complex product per term.  Cost is O(q log q) plus O(s) per re-scored
+    twist; when every twist ties it is the direct O(q * s) plus one FFT.
+    """
     support = np.flatnonzero(h)
     if len(support) == 0:
         return 0.0
@@ -189,12 +198,13 @@ def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
     roots = unit_roots(q)
     twists = np.arange(1, q, dtype=np.int64)
     twists = twists[np.gcd(twists, q) == 1]
+
+    def rescore(chunk):
+        return np.abs((roots[(chunk[:, None] * support[None, :]) % q] * vals).sum(axis=1))
+
     best = 0.0
-    rows = max(1, _CHUNK_CELLS // len(support))
-    for start in range(0, len(twists), rows):
-        chunk = twists[start : start + rows]
-        idx = (chunk[:, None] * support[None, :]) % q
-        mags = np.abs((roots[idx] * vals).sum(axis=1))
+    err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
+    for _, mags in _near_max_twists(h, twists, err, len(support), rescore):
         best = max(best, float(mags.max()))
     return best
 

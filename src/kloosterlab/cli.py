@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -83,6 +84,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _tables(args, need: float):
+    if not math.isfinite(need):
+        raise ValueError(f"sieve size {need} is not finite")
     need = int(math.ceil(need))
     if need > args.max_sieve:
         raise CapacityError(f"needs a sieve to {need}, over --max-sieve {args.max_sieve}")
@@ -137,7 +140,10 @@ def _vaughan_check(args):
 
 
 def _baker_root(args):
-    alpha = float(Fraction(args.alpha))
+    try:
+        alpha = float(Fraction(args.alpha))
+    except ZeroDivisionError:
+        raise ValueError(f"alpha {args.alpha!r} has a zero denominator") from None
     res = sieve_exponent_root(alpha, tol=args.tol)
     return {"alpha": alpha, **_attrs(res, "root", "residual", "iterations")}
 
@@ -292,6 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses; parsing leaves no state in it, and help
+    reads the terminal width when it is formatted."""
+    return build_parser()
+
+
 # --- output -----------------------------------------------------------------
 
 def _fmt(v) -> str:
@@ -340,9 +353,8 @@ def _render(params: dict, rows: list[dict], args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -7,7 +7,10 @@ sums) and short sums over an interval share the same phase machinery.
 
 Every sum reduces its phase to an exact residue class first and then
 indexes a unit-root table, so results are reproducible bit for bit, and
-conjugate symmetry in the twist parameter holds exactly.
+conjugate symmetry in the twist parameter holds exactly.  Scans over all
+twists take one FFT of the residue histogram: as a filter in
+max_prime_sum, whose values still come from the table, and as the
+result in kloosterman_grid.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import accumulation_bound, fsum_complex, unit_roots
+from .accumulate import TERM_EPS, accumulation_bound, fsum_complex, unit_roots
 from .arith import (
     MultiplicativeTables,
     PrimeTable,
@@ -35,6 +38,17 @@ DEFAULT_SCAN_LIMIT = 10 ** 6
 #: Matrix chunk size (cells) for vectorized twist scans; fixed so that
 #: chunk boundaries never depend on worker counts or available memory.
 _CHUNK_CELLS = 1 << 22
+
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: The constant c in the FFT error term c * ceil(log2 q) * u * sqrt(q) * |h|_2.
+#: numpy's pocketfft runs Bluestein at large prime factors (a padded
+#: convolution of three FFTs), whose error is a small multiple of a plain
+#: FFT's.  The largest |FFT - direct| measured over every q < 1200 and
+#: selected q up to 100,000, direct error included, was 0.40 of the c = 1
+#: term; c = 8 leaves a factor 20.
+_FFT_ERROR_C = 8.0
 
 _WEIGHTS = ("unit", "von_mangoldt")
 
@@ -140,6 +154,55 @@ def prime_sum(
     return inverse_phase_sum(ns, query.a, query.q, weights=weights)
 
 
+def _twist_error_bound(h: np.ndarray, weight: float, depth: int) -> float:
+    """Bound E on |spectrum - direct magnitude| at any twist, for the scans below.
+
+    A direct magnitude |sum of terms r_k * w_k| with unit-root table entries
+    r_k and total weight sum |w_k| = weight is off the exact one by at most
+    the table error weight * TERM_EPS, plus sqrt(2) * gamma_depth * weight
+    for any summation order with at most depth roundings per term
+    (gamma_k = k u / (1 - k u)), plus two roundings of a magnitude.  The
+    FFT of the histogram h is off by at most
+    _FFT_ERROR_C * ceil(log2 q) * u * sqrt(q) * |h|_2 at every twist.
+    """
+    q = len(h)
+    u = _UNIT_ROUNDOFF
+    gamma = depth * u / (1 - depth * u)
+    direct = weight * (TERM_EPS + math.sqrt(2) * gamma + 2 * u)
+    fft = _FFT_ERROR_C * math.ceil(math.log2(q)) * u * math.sqrt(q) * float(np.linalg.norm(h))
+    return direct + fft
+
+
+def _near_max_twists(h: np.ndarray, twists: np.ndarray, err: float, row_terms: int, rescore):
+    """Direct magnitudes of the twists whose spectrum is near the largest.
+
+    One FFT gives the spectrum |sum_r h[r] e(a r / q)| at every twist.  Each
+    direct magnitude is within err of its spectrum, so a twist more than
+    2 * err below the largest spectrum over twists cannot carry the largest
+    direct magnitude, nor tie with it.  The others keep their order and go
+    to rescore(chunk) -> direct magnitudes, at most _CHUNK_CELLS cells
+    (row_terms per twist) at a time; yields (chunk, magnitudes).
+
+    Raises ConsistencyError if a re-scored twist is more than err off its
+    spectrum.
+    """
+    q = len(h)
+    # numpy's fft has the sign e(-a r / q); index -a to get S(a)
+    spectrum = np.abs(np.fft.fft(h))[(-twists) % q]
+    keep = spectrum >= spectrum.max() - 2 * err
+    survivors, near = twists[keep], spectrum[keep]
+    rows = max(1, _CHUNK_CELLS // row_terms)
+    for start in range(0, len(survivors), rows):
+        chunk = survivors[start : start + rows]
+        mags = rescore(chunk)
+        gap = float(np.abs(mags - near[start : start + rows]).max())
+        if not gap <= err:
+            raise ConsistencyError(
+                f"twist spectrum mod {q} is {gap:.3e} off the direct scan, over its bound {err:.3e}"
+            )
+        yield chunk, mags
+
+
 def max_prime_sum(
     q: int,
     x: float,
@@ -149,8 +212,15 @@ def max_prime_sum(
     """Maximum of |prime_sum| over twists a coprime to q, with its argmax.
 
     Scans only 1 <= a <= q/2 and relies on exact conjugate symmetry for
-    the upper half; ties go to the smallest a.  Cost is O(q * pi-range),
-    so the modulus is checked against scan_limit first.
+    the upper half; ties go to the smallest a.  One FFT of the histogram
+    of inverse residues gives every |S(a)|; only the twists within 2E of
+    the largest (see _near_max_twists) are re-scored by the direct sum of
+    unit-root table entries, whose first strict maximum is returned, so
+    the result is bitwise the full direct scan's.  E is
+    _twist_error_bound with n table terms and n - 1 additions, for the n
+    primes in the window.  Cost is O(q log q) plus O(n) per re-scored
+    twist; when every twist ties it is the direct O(q * n) plus one FFT.
+    The modulus is checked against scan_limit first.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
@@ -166,20 +236,21 @@ def max_prime_sum(
 
     candidates = np.arange(1, q // 2 + 1, dtype=np.int64)
     candidates = candidates[np.gcd(candidates, q) == 1]
-    primes = [int(p) for p in table.primes_between(x, 2 * x) if q % int(p) != 0]
-    if not primes:
+    ps = table.primes_between(x, 2 * x)
+    primes = ps[q % ps != 0]
+    if len(primes) == 0:
         return int(candidates[0]), 0.0
-    invs = np.asarray(
-        [v for v in batch_inverses(primes, q)], dtype=np.int64
-    )
+    invs = np.asarray(batch_inverses(primes.tolist(), q), dtype=np.int64)
     roots = unit_roots(q)
+    h = np.bincount(invs, minlength=q)
+    n = len(invs)
+
+    def rescore(chunk):
+        return np.abs(roots[(chunk[:, None] * invs[None, :]) % q].sum(axis=1))
 
     best_a, best_mag = int(candidates[0]), -1.0
-    rows = max(1, _CHUNK_CELLS // max(1, len(invs)))
-    for start in range(0, len(candidates), rows):
-        chunk = candidates[start : start + rows]
-        idx = (chunk[:, None] * invs[None, :]) % q
-        mags = np.abs(roots[idx].sum(axis=1))
+    err = _twist_error_bound(h, n, n - 1)
+    for chunk, mags in _near_max_twists(h, candidates, err, n, rescore):
         j = int(mags.argmax())
         if mags[j] > best_mag:
             best_mag = float(mags[j])
@@ -215,13 +286,17 @@ def kloosterman(a: int, b: int, q: int) -> float:
 def kloosterman_grid(q: int) -> np.ndarray:
     """All Kloosterman sums modulo q at once: grid[a, b] for 0 <= a, b < q.
 
-    Splits each term as e(a*n/q) * e(b*inv(n)/q) and contracts over n with
-    a matrix product, which is how full-sweep checks stay fast.  Entries
-    agree with kloosterman() to well below 1e-9.
+    For a unit u, K(d*u, b) = K(d, u*b) (substitute n -> n * inv(u)), so
+    each row is a gather from the row of d = gcd(a, q).  That row is one
+    length-q FFT: K(d, b) = sum_m v[m] e(b m / q), with v[inv(n)] = e(d n / q)
+    for the units n.  Cost is O(tau(q) * q log q + q^2) time and 24 q^2
+    bytes (the grid and its gather index) plus 16 q bytes per divisor.
+    Entries agree with kloosterman() to well below 1e-9.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    need = 3 * q * q * 16
+    divisors = [d for d in range(1, q + 1) if q % d == 0]
+    need = (24 * q + 16 * len(divisors)) * q
     if need > memory_budget():
         raise CapacityError(f"Kloosterman grid for q={q} needs about {need} bytes")
     ns, invs = [], []
@@ -232,10 +307,23 @@ def kloosterman_grid(q: int) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     invs = np.asarray(invs, dtype=np.int64)
     roots = unit_roots(q)
-    twists = np.arange(q, dtype=np.int64)
-    left = roots[(twists[:, None] * ns[None, :]) % q]
-    right = roots[(twists[:, None] * invs[None, :]) % q]
-    return left @ right.T
+
+    # twist a = d*u reads spectrum row d at -u*b: numpy's fft has the sign e(-c m / q)
+    spectra = np.empty((len(divisors), q), dtype=np.complex128)
+    offset = np.empty(q, dtype=np.int64)
+    step = np.empty(q, dtype=np.int64)
+    v = np.zeros(q, dtype=np.complex128)
+    for i, d in enumerate(divisors):
+        dn = d * ns % q
+        v[invs] = roots[dn]
+        spectra[i] = np.fft.fft(v)
+        twists, first = np.unique(dn, return_index=True)
+        offset[twists] = i * q
+        step[twists] = q - ns[first]
+    idx = np.multiply.outer(step, np.arange(q, dtype=np.int64))
+    np.remainder(idx, q, out=idx)
+    idx += offset[:, None]
+    return spectra.ravel().take(idx)
 
 
 def short_inverse_sum(

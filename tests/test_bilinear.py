@@ -6,15 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from kloosterlab import bilinear
+from kloosterlab.accumulate import unit_roots
+from kloosterlab.arith import inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
+    _max_abs_over_twists,
     bilinear_sum,
     dyadic_window,
     type1_report,
     type2_avg_max_report,
     type2_fixed_a_report,
 )
-from kloosterlab.errors import CapacityError
+from kloosterlab.errors import CapacityError, ConsistencyError
+from kloosterlab.expsums import _CHUNK_CELLS
 
 
 def _oracle(L, M, a, q, alpha=None, beta=None, restrict=None):
@@ -140,3 +145,67 @@ def test_report_determinism_across_workers():
     many = type2_avg_max_report(4, 8, 8, k=2, workers=8)
     assert one.lhs == many.lhs
     assert one.rhs_terms == many.rhs_terms
+
+
+def _direct_max_abs_over_twists(h, q):
+    """_max_abs_over_twists as a full direct scan over every unit twist, in
+    chunks of _CHUNK_CELLS cells.
+
+    Same table entries and the same row expression as the re-scoring in
+    _max_abs_over_twists, so the maximum must match bit for bit.
+    """
+    support = np.flatnonzero(h)
+    if len(support) == 0:
+        return 0.0
+    vals = h[support]
+    roots = unit_roots(q)
+    twists = np.arange(1, q, dtype=np.int64)
+    twists = twists[np.gcd(twists, q) == 1]
+    best = 0.0
+    rows = max(1, _CHUNK_CELLS // len(support))
+    for start in range(0, len(twists), rows):
+        chunk = twists[start : start + rows]
+        idx = (chunk[:, None] * support[None, :]) % q
+        mags = np.abs((roots[idx] * vals).sum(axis=1))
+        best = max(best, float(mags.max()))
+    return best
+
+
+def _histograms(q, x):
+    """Residue histograms as the sweeps build them: inv(l) for l ~ x with
+    unit coefficients, and inv(l*m) for l ~ x, m ~ 4 with seeded complex
+    alpha and real beta."""
+    inv = inverse_table(q)
+    ls, ms = dyadic_window(x), dyadic_window(4)
+    rng = np.random.default_rng(q)
+    alpha = rng.uniform(-0.7, 0.7, len(ls)) + 1j * rng.uniform(-0.7, 0.7, len(ls))
+    beta = rng.uniform(-1, 1, len(ms))
+    for res, coeff in [(ls % q, np.ones(len(ls))),
+                       (np.multiply.outer(ls % q, ms % q) % q, np.multiply.outer(alpha, beta))]:
+        iv = inv[res]
+        keep = iv > 0
+        h = np.bincount(iv[keep], weights=coeff.real[keep], minlength=q).astype(np.complex128)
+        h.imag = np.bincount(iv[keep], weights=coeff.imag[keep], minlength=q)
+        yield h
+
+
+@pytest.mark.parametrize("x", [2, 10, 30, 100, 1024])
+def test_max_abs_over_twists_bitwise_equals_direct_scan(x):
+    for q in range(2, 401):
+        for h in _histograms(q, x):
+            assert _max_abs_over_twists(h, q) == _direct_max_abs_over_twists(h, q), (q, x)
+
+
+@pytest.mark.parametrize("q, x", [(3000, 2500), (100000, 2), (6, 2)])
+def test_max_abs_over_twists_edge_cases(q, x):
+    # a near tie; a single residue, where every twist ties; and an empty
+    # histogram (both l in [2, 4) share a factor with 6)
+    for h in _histograms(q, x):
+        assert _max_abs_over_twists(h, q) == _direct_max_abs_over_twists(h, q)
+
+
+def test_max_abs_consistency_check_fires_with_zero_bound(monkeypatch):
+    monkeypatch.setattr(bilinear, "_twist_error_bound", lambda *args: 0.0)
+    h = next(_histograms(3001, 2500))
+    with pytest.raises(ConsistencyError):
+        _max_abs_over_twists(h, 3001)

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from kloosterlab import arith
+from kloosterlab import cli
 from kloosterlab.cli import build_parser, main
 
 
@@ -108,6 +109,34 @@ def test_parameter_errors_exit_2(capsys):
     assert run(capsys, "exponent-fit", "2:4", "4;16", "8:64")[0] == 2
     assert run(capsys, "nonsense")[0] == 2                     # unknown command
     assert run(capsys, "sum", "1", "7")[0] == 2                # missing argument
+
+
+@pytest.mark.parametrize("argv", [("sum", "1", "7", "inf"), ("max-sum", "7", "inf")])
+def test_infinite_window_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sieve size inf is not finite\n"
+
+
+def test_baker_root_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "baker-root", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: alpha '1/0' has a zero denominator\n"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    try:
+        assert run(capsys, "kloosterman", "1", "1", "5")[0] == 0
+        assert run(capsys, "squarefull", "100")[0] == 0
+        assert run(capsys, "sum", "1", "7")[0] == 2
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_capacity_errors_exit_3(capsys):

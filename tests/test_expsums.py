@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from kloosterlab import expsums
 from kloosterlab.accumulate import fsum_complex, unit_roots
-from kloosterlab.errors import CapacityError, CoverageError
+from kloosterlab.arith import batch_inverses
+from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
 from kloosterlab.expsums import (
+    _CHUNK_CELLS,
     ExpSumQuery,
     inverse_phase_sum,
     kloosterman,
@@ -133,6 +136,70 @@ def test_max_prime_sum_against_full_scan(q, prime_table):
     assert mags[a_star] == pytest.approx(best, abs=1e-9)
 
 
+def _direct_max_prime_sum(q, x, table):
+    """max_prime_sum as a full direct scan: every twist 1 <= a <= q/2 coprime
+    to q, in chunks of _CHUNK_CELLS cells, first strict maximum.
+
+    Same table entries and the same row expression as the re-scoring in
+    max_prime_sum, so (a*, magnitude) must match bit for bit.
+    """
+    candidates = np.arange(1, q // 2 + 1, dtype=np.int64)
+    candidates = candidates[np.gcd(candidates, q) == 1]
+    primes = [int(p) for p in table.primes_between(x, 2 * x) if q % int(p) != 0]
+    if not primes:
+        return int(candidates[0]), 0.0
+    invs = np.asarray(batch_inverses(primes, q), dtype=np.int64)
+    roots = unit_roots(q)
+    best_a, best_mag = int(candidates[0]), -1.0
+    rows = max(1, _CHUNK_CELLS // len(invs))
+    for start in range(0, len(candidates), rows):
+        chunk = candidates[start : start + rows]
+        idx = (chunk[:, None] * invs[None, :]) % q
+        mags = np.abs(roots[idx].sum(axis=1))
+        j = int(mags.argmax())
+        if mags[j] > best_mag:
+            best_mag = float(mags[j])
+            best_a = int(chunk[j])
+    return best_a, best_mag
+
+
+@pytest.mark.parametrize("x", [2, 10, 30, 100, 1024])
+def test_max_prime_sum_bitwise_equals_direct_scan(x, prime_table):
+    for q in range(2, 401):
+        got = max_prime_sum(q, x, table=prime_table)
+        want = _direct_max_prime_sum(q, x, prime_table)
+        assert got == want, (q, x)
+        assert type(got[0]) is int and type(got[1]) is float
+
+
+def test_max_prime_sum_near_tie_keeps_direct_argmax(prime_table):
+    # a = 481 and a = 1019 = 481 * 1499 (1499^2 = 1 mod 3000) differ by
+    # ~2e-14; the spectrum alone would pick 1019
+    got = max_prime_sum(3000, 2500, table=prime_table)
+    assert got == _direct_max_prime_sum(3000, 2500, prime_table)
+    assert got[0] == 481
+
+
+def test_max_prime_sum_every_twist_ties(prime_table):
+    # the window [2, 4) keeps only p = 3 for q = 2^5 5^5: |S(a)| = 1 for all a
+    got = max_prime_sum(100000, 2, table=prime_table)
+    assert got == _direct_max_prime_sum(100000, 2, prime_table)
+
+
+def test_max_prime_sum_without_usable_primes(prime_table):
+    # both primes of [2, 4) divide 6
+    assert max_prime_sum(6, 2, table=prime_table) == (1, 0.0)
+    assert _direct_max_prime_sum(6, 2, prime_table) == (1, 0.0)
+
+
+def test_twist_consistency_check_fires_with_zero_bound(monkeypatch, prime_table):
+    # the spectrum and the direct sums round differently, so a zero bound
+    # must trip the check
+    monkeypatch.setattr(expsums, "_twist_error_bound", lambda *args: 0.0)
+    with pytest.raises(ConsistencyError):
+        max_prime_sum(3000, 2500, table=prime_table)
+
+
 def test_max_prime_sum_capacity():
     with pytest.raises(CapacityError):
         max_prime_sum(10 ** 6 + 1, 100.0)
@@ -155,12 +222,13 @@ def test_kloosterman_symmetry():
 
 
 def test_kloosterman_grid_matches_scalar():
-    for q in (5, 7, 12, 15):
+    # primes, prime powers, even and highly composite q: every divisor row
+    for q in (2, 4, 5, 7, 8, 9, 12, 15, 30, 36, 60, 100):
         grid = kloosterman_grid(q)
-        assert np.abs(grid.imag).max() < 1e-9
-        for a in range(q):
-            for b in range(q):
-                assert grid[a, b].real == pytest.approx(kloosterman(a, b, q), abs=1e-9)
+        assert grid.shape == (q, q)
+        assert np.abs(grid.imag).max() < 1e-12
+        scalar = np.array([[kloosterman(a, b, q) for b in range(q)] for a in range(q)])
+        assert np.abs(grid.real - scalar).max() < 1e-12
 
 
 def test_weil_bound_on_prime_sample(prime_table):
