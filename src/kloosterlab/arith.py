@@ -1,8 +1,8 @@
 """Integer and multiplicative-function infrastructure.
 
 Sieves (smallest and largest prime factor), modular inverses (single and
-Montgomery-batched), Mobius and von Mangoldt tables with the prime-power
-structure kept exact, square-full testing and counting support.
+vectorized over int64 arrays), Mobius and von Mangoldt tables with the
+prime-power structure kept exact, square-full testing and counting support.
 
 All tables are immutable after construction and safe to share between
 threads; construction itself is serialized behind a lock.  Sizes are
@@ -32,6 +32,14 @@ MEMORY_ENV_VAR = "KLOOSTERLAB_MAX_BYTES"
 #: Bytes a prime sieve charges per entry on top of its spf entry.
 _SIEVE_SCRATCH_BYTES = 1.5
 
+#: Moduli must stay below this, so that a product of two residues fits in
+#: int64.
+MODULUS_CAP = 2 ** 31
+
+#: Block length of the vectorized steps of build_multiplicative_tables, so
+#: their boolean masks stay small next to the tables.
+_TABLE_BLOCK = 1 << 16
+
 
 def memory_budget() -> int:
     """Byte budget for table construction; override with KLOOSTERLAB_MAX_BYTES."""
@@ -55,6 +63,20 @@ def _check_capacity(limit: int, bytes_per_entry: float, what: str) -> None:
     if need > budget:
         raise CapacityError(
             f"{what} to {limit} needs about {need} bytes, budget is {budget} "
+            f"(set {MEMORY_ENV_VAR} to raise it)"
+        )
+
+
+def check_modulus(q: int, bytes_per_entry: float = 0) -> None:
+    """Refuse a modulus q >= MODULUS_CAP, or one whose length-q arrays, at
+    their peak bytes_per_entry bytes per residue, would exceed the byte budget."""
+    if q >= MODULUS_CAP:
+        raise CapacityError(f"modulus {q} is not below {MODULUS_CAP}")
+    need = int(q * bytes_per_entry)
+    budget = memory_budget()
+    if need > budget:
+        raise CapacityError(
+            f"tables mod {q} need about {need} bytes, budget is {budget} "
             f"(set {MEMORY_ENV_VAR} to raise it)"
         )
 
@@ -172,30 +194,50 @@ def mod_inverse(n: int, q: int) -> int:
         raise NotInvertibleError(n, q, math.gcd(n, q)) from None
 
 
-def batch_inverses(values, q: int) -> list[int | None]:
-    """Inverses modulo q of a sequence of integers, None where not invertible.
+def _totient(q: int) -> int:
+    """Euler's phi(q), by trial division up to sqrt(q)."""
+    phi = n = q
+    d = np.arange(2, math.isqrt(q) + 1, dtype=np.int64)
+    for p in d[q % d == 0].tolist():
+        # a composite divisor no longer divides n once its primes are out
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+    if n > 1:
+        phi -= phi // n
+    return phi
 
-    Uses the prefix-product trick: one modular inversion per batch, plus
-    three multiplications per invertible entry.  Output order matches the
-    input order.
+
+def batch_inverses(values, q: int) -> np.ndarray:
+    """Inverses modulo q of a sequence of integers, as int64, 0 where not invertible.
+
+    One vectorized square-and-multiply v**(phi(q) - 1) mod q, about
+    2 * log2(q) array operations whatever the length; entries sharing a
+    factor with q are set to 0.  Values must fit in int64 and q must be
+    below MODULUS_CAP, so that every product fits in int64.  Output order
+    matches the input order.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    vals = [int(v) % q for v in values]
-    ok = [math.gcd(v, q) == 1 for v in vals]
-    prefix = []
-    acc = 1
-    for v, good in zip(vals, ok):
-        if good:
-            prefix.append(acc)
-            acc = acc * v % q
-    out: list[int | None] = [None] * len(vals)
-    if prefix:
-        inv_acc = pow(acc, -1, q)
-        for i in range(len(vals) - 1, -1, -1):
-            if ok[i]:
-                out[i] = prefix.pop() * inv_acc % q
-                inv_acc = inv_acc * vals[i] % q
+    check_modulus(q)
+    vals = np.remainder(np.asarray(values, dtype=np.int64), q)
+    base = vals.copy()
+    out = np.ones_like(vals)
+    e = _totient(q) - 1
+    while e:
+        if e & 1:
+            np.multiply(out, base, out=out)
+            np.remainder(out, q, out=out)
+        e >>= 1
+        if e:
+            np.multiply(base, base, out=base)
+            np.remainder(base, q, out=base)
+    # v * v**(phi(q) - 1) is 1 for a unit v; for any other v it shares a
+    # prime with q, so it is not 1 (and cheaper to test than a gcd)
+    np.multiply(vals, out, out=vals)
+    np.remainder(vals, q, out=vals)
+    out[vals != 1] = 0
     return out
 
 
@@ -204,9 +246,9 @@ def inverse_table(q: int) -> np.ndarray:
     """Array t with t[r] = inverse of r mod q for units, 0 elsewhere (len q)."""
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    _check_capacity(q, bytes_per_entry=8, what="inverse table")
-    invs = batch_inverses(range(q), q)
-    table = np.fromiter((v if v is not None else 0 for v in invs), dtype=np.int64, count=q)
+    # the int64 table plus four int64 work arrays and a mask
+    check_modulus(q, bytes_per_entry=33)
+    table = batch_inverses(np.arange(q, dtype=np.int64), q)
     table.setflags(write=False)
     return table
 
@@ -392,18 +434,31 @@ def build_multiplicative_tables(limit_or_table) -> MultiplicativeTables:
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
     vm_dtype = np.int32 if limit < 2 ** 31 else np.int64
-    vm_prime = np.zeros(limit + 1, dtype=vm_dtype)
-    for p in table.primes:
-        p = int(p)
+    # vm_prime first holds the cofactor of n left after dividing out every
+    # prime p <= sqrt(limit); what remains above 1 is one larger prime
+    vm_prime = np.arange(limit + 1, dtype=vm_dtype)
+    n_small = int(np.searchsorted(table.primes, math.isqrt(limit), side="right"))
+    small_powers = []
+    for p in table.primes[:n_small].tolist():
         mobius[p::p] *= -1
-        if p * p <= limit:
-            mobius[p * p :: p * p] = 0
+        mobius[p * p :: p * p] = 0
         pk = p
         while pk <= limit:
-            vm_prime[pk] = p
-            if pk > limit // p:
-                break
+            vm_prime[pk::pk] //= p
+            small_powers.append((pk, p))
             pk *= p
+    for lo in range(0, limit + 1, _TABLE_BLOCK):
+        block = slice(lo, lo + _TABLE_BLOCK)
+        # -1 where a larger prime is left, else +1
+        sign = (vm_prime[block] <= 1).view(np.int8)
+        sign *= 2
+        sign -= 1
+        mobius[block] *= sign
+    vm_prime.fill(0)
+    large = table.primes[n_small:]
+    vm_prime[large] = large
+    for pk, p in small_powers:
+        vm_prime[pk] = p
     return MultiplicativeTables(prime_table=table, mobius=mobius, vm_prime=vm_prime)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import accumulation_bound, fsum_complex, unit_roots
-from .arith import inverse_table
+from .arith import check_modulus, inverse_table
 from .errors import CapacityError
 from .expsums import ExpSumValue, _near_max_twists, _twist_error_bound
 from .parallel import pmap
@@ -31,8 +31,8 @@ _COEFF_SLACK = 1.0 + 1e-12
 
 def dyadic_window(start: float) -> np.ndarray:
     """Integers n with start <= n < 2*start, as an int64 array."""
-    if not start > 0:
-        raise ValueError(f"need a positive range start, got {start}")
+    if not 0 < start < math.inf:
+        raise ValueError(f"need a positive finite range start, got {start}")
     return np.arange(math.ceil(start), math.ceil(2 * start), dtype=np.int64)
 
 
@@ -165,6 +165,8 @@ def _phase_histogram(q, ls, alpha, ms, beta, restrict):
     Returns (complex histogram of length q, sum of |alpha_l * beta_m| over
     the included pairs).
     """
+    # two real histograms, a bincount and the complex result
+    check_modulus(q, bytes_per_entry=32)
     h_re = np.zeros(q)
     h_im = np.zeros(q)
     has_im = False

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import batch_inverses
+from .arith import batch_inverses, check_modulus
 from .errors import CapacityError, ConsistencyError
 from .parallel import pmap
 from .reports import BoundReport, make_report
@@ -123,8 +123,8 @@ def count_squarefull(x: int) -> int:
 
 
 def _coprime_inverses(M: int, q: int) -> np.ndarray:
-    invs = [v for v in batch_inverses(range(1, M + 1), q) if v is not None]
-    return np.asarray(invs, dtype=np.int64)
+    invs = batch_inverses(np.arange(1, M + 1, dtype=np.int64), q)
+    return invs[invs != 0]
 
 
 def _cyclic_convolve(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
@@ -164,6 +164,8 @@ def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolutio
 
     if len(invs) ** (2 * k) >= 2 ** 62:
         raise CapacityError(f"bucket sizes for (k={k}, M={M}) would overflow the dense path")
+    # the histogram, its running convolution and the full linear one
+    check_modulus(q, bytes_per_entry=40)
     hist = np.bincount(invs, minlength=q).astype(np.int64)
     folded = hist
     for _ in range(k - 1):

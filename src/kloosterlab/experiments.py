@@ -16,6 +16,7 @@ import numpy as np
 from .arith import (
     PrimeTable,
     MultiplicativeTables,
+    check_modulus,
     largest_prime_factor,
     largest_prime_factor_table,
     memory_budget,
@@ -307,6 +308,8 @@ def garaev_congruence_count(x: int, q: int, lam: int, table: PrimeTable | None =
     pt = table if table is not None else shared_prime_table(int(x) + 1)
     pt.require_coverage(x + 1)
     primes = pt.primes[: np.searchsorted(pt.primes, x, side="right")]
+    # the prime and pair-product histograms and their work arrays
+    check_modulus(q, bytes_per_entry=40)
     hist = np.bincount(primes % q, minlength=q).astype(np.int64)
     # distribution of p2 * p3 mod q (multiplicative, so no FFT shortcut;
     # this is O(q^2) over the occupied residues)

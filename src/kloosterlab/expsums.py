@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import TERM_EPS, accumulation_bound, fsum_complex, unit_roots
+from .accumulate import TERM_EPS, accumulation_bound, fsum_complex, unit_roots, unit_roots_at
 from .arith import (
     MultiplicativeTables,
     PrimeTable,
     batch_inverses,
+    check_modulus,
     memory_budget,
     shared_prime_table,
     shared_tables,
@@ -82,35 +83,32 @@ class ExpSumValue:
         return abs(self.value)
 
 
-def _phase_indices(ns, a: int, q: int) -> tuple[list[int], list[int]]:
+def _phase_indices(ns, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Residues a*inv(n) mod q for the coprime entries of ns, with positions kept."""
-    a_mod = a % q
-    kept: list[int] = []
-    idx: list[int] = []
-    for pos, inv in enumerate(batch_inverses([int(n) for n in ns], q)):
-        if inv is not None:
-            kept.append(pos)
-            idx.append(a_mod * inv % q)
-    return kept, idx
+    invs = batch_inverses(np.asarray(ns, dtype=np.int64), q)
+    kept = np.flatnonzero(invs)
+    return kept, (a % q) * invs[kept] % q
 
 
 def inverse_phase_sum(ns, a: int, q: int, weights=None) -> ExpSumValue:
     """Sum of w_n * e(a * inv(n) / q) over the given integers.
 
     Entries sharing a factor with q are skipped.  weights is an optional
-    sequence aligned with ns; omitted means unit weights.
+    sequence aligned with ns; omitted means unit weights.  The terms are
+    unit_roots_at the phase residues, bitwise the entries of unit_roots(q),
+    so no length-q table is built: the cost is O(len(ns) * log q) whatever
+    the modulus.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    roots = unit_roots(q)
     kept, idx = _phase_indices(ns, a, q)
-    if not kept:
+    if len(kept) == 0:
         return ExpSumValue(0j, 0, 0.0, 0.0)
-    terms = roots[np.asarray(idx, dtype=np.intp)]
+    terms = unit_roots_at(idx, q)
     if weights is None:
         weight_sum = float(len(kept))
     else:
-        w = np.asarray(weights, dtype=np.float64)[np.asarray(kept, dtype=np.intp)]
+        w = np.asarray(weights, dtype=np.float64)[kept]
         terms = terms * w
         weight_sum = math.fsum(np.abs(w).tolist())
     value = fsum_complex(terms.real.tolist(), terms.imag.tolist())
@@ -228,8 +226,8 @@ def max_prime_sum(
         raise ValueError(f"need x >= 2, got {x}")
     if q > scan_limit:
         raise CapacityError(f"modulus {q} exceeds the twist-scan limit {scan_limit}")
-    if q >= 2 ** 31:
-        raise CapacityError(f"modulus {q} too large for the vectorized twist scan")
+    # twists, histogram, unit roots and spectrum, at their peak
+    check_modulus(q, bytes_per_entry=64)
     if table is None:
         table = shared_prime_table(int(math.ceil(2 * x)))
     table.require_coverage(2 * x)
@@ -240,7 +238,7 @@ def max_prime_sum(
     primes = ps[q % ps != 0]
     if len(primes) == 0:
         return int(candidates[0]), 0.0
-    invs = np.asarray(batch_inverses(primes.tolist(), q), dtype=np.int64)
+    invs = batch_inverses(primes, q)
     roots = unit_roots(q)
     h = np.bincount(invs, minlength=q)
     n = len(invs)
@@ -258,6 +256,14 @@ def max_prime_sum(
     return best_a, best_mag
 
 
+def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units 1 <= n <= q modulo q, ascending, and their inverses."""
+    ns = np.arange(1, q + 1, dtype=np.int64)
+    invs = batch_inverses(ns, q)
+    keep = invs != 0
+    return ns[keep], invs[keep]
+
+
 def kloosterman(a: int, b: int, q: int) -> float:
     """Complete sum of e((a*n + b*inv(n)) / q) over units n modulo q.
 
@@ -266,16 +272,12 @@ def kloosterman(a: int, b: int, q: int) -> float:
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
+    # the unit arrays and terms, and the two float lists for fsum
+    check_modulus(q, bytes_per_entry=112)
     roots = unit_roots(q)
-    a_mod, b_mod = a % q, b % q
-    re, im = [], []
-    for n, inv in enumerate(batch_inverses(range(1, q + 1), q), start=1):
-        if inv is None:
-            continue
-        t = roots[(a_mod * n + b_mod * inv) % q]
-        re.append(t.real)
-        im.append(t.imag)
-    value = fsum_complex(re, im)
+    ns, invs = _units(q)
+    terms = roots[(a % q * ns % q + b % q * invs % q) % q]
+    value = fsum_complex(terms.real.tolist(), terms.imag.tolist())
     if abs(value.imag) >= 1e-9:
         raise ConsistencyError(
             f"Kloosterman sum K({a},{b};{q}) has imaginary part {value.imag:.3e}"
@@ -299,14 +301,8 @@ def kloosterman_grid(q: int) -> np.ndarray:
     need = (24 * q + 16 * len(divisors)) * q
     if need > memory_budget():
         raise CapacityError(f"Kloosterman grid for q={q} needs about {need} bytes")
-    ns, invs = [], []
-    for n, inv in enumerate(batch_inverses(range(1, q + 1), q), start=1):
-        if inv is not None:
-            ns.append(n)
-            invs.append(inv)
-    ns = np.asarray(ns, dtype=np.int64)
-    invs = np.asarray(invs, dtype=np.int64)
     roots = unit_roots(q)
+    ns, invs = _units(q)
 
     # twist a = d*u reads spectrum row d at -u*b: numpy's fft has the sign e(-c m / q)
     spectra = np.empty((len(divisors), q), dtype=np.complex128)
@@ -334,9 +330,11 @@ def short_inverse_sum(
         raise ValueError(f"need modulus >= 2, got {q}")
     if not 0 <= lower <= upper:
         raise ValueError(f"need 0 <= lower <= upper, got ({lower}, {upper})")
+    if not math.isfinite(upper):
+        raise ValueError(f"need finite bounds, got ({lower}, {upper})")
     if upper - lower > length_limit:
         raise CapacityError(f"interval length {upper - lower} exceeds {length_limit}")
-    ns = range(math.floor(lower) + 1, math.floor(upper) + 1)
+    ns = np.arange(math.floor(lower) + 1, math.floor(upper) + 1, dtype=np.int64)
     return inverse_phase_sum(ns, a, q)
 
 

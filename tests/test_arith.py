@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kloosterlab import arith
-from kloosterlab.accumulate import accumulation_bound, fsum_complex, unit_roots
+from kloosterlab.accumulate import accumulation_bound, fsum_complex, unit_roots, unit_roots_at
 from kloosterlab.arith import (
     MEMORY_ENV_VAR,
+    MODULUS_CAP,
     batch_inverses,
     build_multiplicative_tables,
     inverse_table,
@@ -28,6 +31,9 @@ from kloosterlab.errors import (
 )
 from kloosterlab.parallel import pmap
 from kloosterlab.reports import make_report
+
+#: Property tests draw the same examples on every run and stay quick.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def _brute_primes(limit):
@@ -94,11 +100,80 @@ def test_mod_inverse_failure_carries_gcd():
 def test_batch_inverses_match_single(q):
     values = list(range(0, 2 * q + 3))
     got = batch_inverses(values, q)
+    assert got.dtype == np.int64
     for v, inv in zip(values, got):
         if math.gcd(v, q) == 1:
             assert inv == pow(v, -1, q)
         else:
-            assert inv is None
+            assert inv == 0
+
+
+def _montgomery_inverses(values, q):
+    """Twin of batch_inverses: the prefix-product loop, one pow per batch,
+    with 0 where not invertible."""
+    vals = [int(v) % q for v in values]
+    ok = [math.gcd(v, q) == 1 for v in vals]
+    prefix = []
+    acc = 1
+    for v, good in zip(vals, ok):
+        if good:
+            prefix.append(acc)
+            acc = acc * v % q
+    out = [0] * len(vals)
+    if prefix:
+        inv_acc = pow(acc, -1, q)
+        for i in range(len(vals) - 1, -1, -1):
+            if ok[i]:
+                out[i] = prefix.pop() * inv_acc % q
+                inv_acc = inv_acc * vals[i] % q
+    return out
+
+
+_moduli = st.one_of(
+    st.integers(2, 1000),
+    st.integers(2, MODULUS_CAP - 1),
+    st.integers(MODULUS_CAP - 1000, MODULUS_CAP - 1),
+)
+_int64_values = st.lists(st.integers(-(2 ** 62), 2 ** 62), max_size=40)
+
+
+@_PROPERTY
+@given(q=_moduli, values=_int64_values)
+@example(q=MODULUS_CAP - 1, values=[-1, 0, 1, MODULUS_CAP - 2, MODULUS_CAP, 2 ** 62])
+@example(q=MODULUS_CAP - 2, values=[-3, 2, 3, MODULUS_CAP + 1])
+@example(q=2, values=[-1, 0, 1, 2, 3])
+def test_batch_inverses_match_pow(q, values):
+    expected = [pow(v, -1, q) if math.gcd(v, q) == 1 else 0 for v in values]
+    got = batch_inverses(values, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+@_PROPERTY
+@given(q=st.integers(2, 5000), values=st.lists(st.integers(-(10 ** 6), 10 ** 6), max_size=200))
+def test_batch_inverses_match_montgomery_twin(q, values):
+    assert batch_inverses(values, q).tolist() == _montgomery_inverses(values, q)
+
+
+def test_batch_inverses_refuse_moduli_from_2_31():
+    assert batch_inverses([3], MODULUS_CAP - 1).tolist() == [pow(3, -1, MODULUS_CAP - 1)]
+    with pytest.raises(CapacityError):
+        batch_inverses([3], MODULUS_CAP)
+    with pytest.raises(CapacityError):
+        unit_roots_at([1], MODULUS_CAP)
+
+
+def test_length_q_tables_stay_within_memory_budget(monkeypatch):
+    # an inverse table charges 33 bytes and a unit-root table 32 per residue
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(33 * 1000))
+    assert len(inverse_table.__wrapped__(1000)) == 1000
+    assert len(unit_roots(1000)) == 1000
+    with pytest.raises(CapacityError):
+        inverse_table.__wrapped__(1001)
+    with pytest.raises(CapacityError):
+        unit_roots(1032)
+    # gathered roots need no table
+    assert len(unit_roots_at([1, 5, 7], 10 ** 6)) == 3
 
 
 def test_inverse_table_contents():
@@ -159,6 +234,53 @@ def test_mobius_and_von_mangoldt(tables):
             assert tables.prime_power(n) is None
 
 
+def _per_prime_tables(table):
+    """Twin of build_multiplicative_tables: one slice pass per prime."""
+    limit = table.limit
+    mobius = np.ones(limit + 1, dtype=np.int8)
+    mobius[0] = 0
+    vm_prime = np.zeros(limit + 1, dtype=np.int32 if limit < 2 ** 31 else np.int64)
+    for p in table.primes.tolist():
+        mobius[p::p] *= -1
+        if p * p <= limit:
+            mobius[p * p :: p * p] = 0
+        pk = p
+        while pk <= limit:
+            vm_prime[pk] = p
+            pk *= p
+    return mobius, vm_prime
+
+
+def _assert_tables_match_twin(limit):
+    mt = build_multiplicative_tables(limit)
+    mobius, vm_prime = _per_prime_tables(mt.prime_table)
+    for got, want in ((mt.mobius, mobius), (mt.vm_prime, vm_prime)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+_small_primes = [p for p in range(2, 400) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@_PROPERTY
+@given(p=st.sampled_from(_small_primes), offset=st.integers(-2, 2))
+@example(p=2, offset=0)
+@example(p=2, offset=-2)
+def test_multiplicative_tables_match_twin_near_prime_squares(p, offset):
+    # the slice loop covers the primes up to sqrt(limit); one more joins at p * p
+    _assert_tables_match_twin(max(2, p * p + offset))
+
+
+@_PROPERTY
+@given(limit=st.integers(2, 20000))
+def test_multiplicative_tables_match_twin(limit):
+    _assert_tables_match_twin(limit)
+
+
+def test_multiplicative_tables_match_twin_at_10_6():
+    _assert_tables_match_twin(10 ** 6)
+
+
 def test_tau_k(tables):
     assert tables.tau_k(12, 2) == 6
     assert tables.tau_k(1, 5) == 1
@@ -195,6 +317,34 @@ def test_unit_roots_structure():
             # mirrored half must be the exact bitwise conjugate
             assert roots[q - k] == np.conj(roots[k])
         assert np.abs(np.abs(roots) - 1.0).max() < 1e-15
+
+
+def _mirrored_unit_roots(q):
+    """Twin of unit_roots: exp over the lower half, mirrored into the upper."""
+    roots = np.empty(q, dtype=np.complex128)
+    half = q // 2
+    roots[: half + 1] = np.exp((2j * math.pi / q) * np.arange(half + 1))
+    roots[0] = 1.0
+    if q % 2 == 0:
+        roots[half] = -1.0
+    idx = np.arange(1, (q - 1) // 2 + 1)
+    roots[q - idx] = np.conj(roots[idx])
+    return roots
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 12, 97, 360, 1024, 20011])
+def test_unit_roots_bitwise_equal_mirrored_twin(q):
+    assert np.array_equal(unit_roots(q).view(np.int64), _mirrored_unit_roots(q).view(np.int64))
+
+
+@_PROPERTY
+@given(data=st.data(), q=st.one_of(st.integers(1, 3000), st.integers(1, 10 ** 6)))
+def test_unit_roots_at_bitwise_equal_table(data, q):
+    # short gathers take the direct exp path, long ones (over q/2) the half table
+    idx = data.draw(st.lists(st.integers(0, q - 1), max_size=min(2 * q, 3000)))
+    got = unit_roots_at(idx, q)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got.view(np.int64), unit_roots(q)[idx].view(np.int64))
 
 
 def test_fsum_complex_and_bound():

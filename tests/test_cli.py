@@ -1,5 +1,6 @@
 """Command line surface: dispatch, formats, exit codes, determinism."""
 
+import cmath
 import csv
 import io
 import json
@@ -117,6 +118,61 @@ def test_infinite_window_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: sieve size inf is not finite\n"
+
+
+def test_infinite_bilinear_range_exits_2(capsys):
+    code, out, err = run(capsys, "bilinear", "inf", "1", "1", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need a positive finite range start, got inf\n"
+
+
+@pytest.mark.parametrize("command", ["short-sum", "weil-ratio"])
+def test_infinite_interval_exits_2(capsys, command):
+    # a parameter error, not a capacity refusal of an infinitely long interval
+    code, out, err = run(capsys, command, "1", "7", "0", "inf")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need finite bounds, got (0.0, inf)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "1", "3000000000", "1000"),
+    ("kloosterman", "1", "1", "3000000000"),
+    ("jcount", "2", "10", "3000000000"),
+    ("bilinear", "2", "2", "1", "3000000000"),
+])
+def test_modulus_at_or_above_2_31_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "capacity: modulus 3000000000 is not below 2147483648\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("kloosterman", "1", "1", "2000000000"),
+    ("jcount", "2", "10", "2000000000"),
+    ("bilinear", "2", "2", "1", "2000000000"),
+    ("garaev", "100", "2000000000", "3"),
+    ("max-sum", "2000000000", "10", "--max-q-scan", "2000000000"),
+])
+def test_length_q_tables_over_budget_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity: tables mod 2000000000 need about ")
+
+
+def test_prime_sum_below_2_31_builds_no_length_q_table(capsys):
+    # a length-q unit-root table would need 32 GB; the roots are gathered per term
+    code, out, _ = run(capsys, "sum", "1", "2000000000", "1000", "--format", "csv")
+    assert code == 0
+    row = dict(zip(*csv_rows(out)))
+    q = 2000000000
+    primes = [p for p in range(1000, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    direct = sum(cmath.exp(2j * math.pi * pow(p, -1, q) / q) for p in primes)
+    assert int(row["terms"]) == len(primes) == 135
+    assert float(row["magnitude"]) == pytest.approx(abs(direct), abs=1e-9)
 
 
 def test_baker_root_zero_denominator_exits_2(capsys):
