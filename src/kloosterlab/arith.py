@@ -473,6 +473,9 @@ def shared_tables(min_limit: int, max_limit: int = HARD_SIEVE_CAP) -> Multiplica
     not resieve from scratch each time.  The growth stops at max_limit and
     at the largest limit the byte budget admits; min_limit itself is never
     cut, so a request beyond either still fails in the capacity checks.
+    The old table is dropped before the larger one is built, so the peak
+    is the new table alone, as the capacity checks charge it; a refused
+    growth leaves no cached table.
     """
     global _shared_mult
     min_limit = max(int(min_limit), 2)
@@ -485,6 +488,8 @@ def shared_tables(min_limit: int, max_limit: int = HARD_SIEVE_CAP) -> Multiplica
             # HARD_SIEVE_CAP
             admitted = int(memory_budget() // (4 + _SIEVE_SCRATCH_BYTES))
             target = max(min_limit, min(target, max_limit, admitted))
+            # the capacity checks charge the new table alone
+            _shared_mult = None
             _shared_mult = build_multiplicative_tables(target)
         return _shared_mult
 

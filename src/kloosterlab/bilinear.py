@@ -21,7 +21,7 @@ import numpy as np
 from .accumulate import accumulation_bound, fsum_complex, unit_roots
 from .arith import check_modulus, inverse_table
 from .errors import CapacityError
-from .expsums import ExpSumValue, _near_max_twists, _twist_error_bound
+from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .parallel import pmap
 from .reports import BoundReport, make_report
 
@@ -88,36 +88,52 @@ class BilinearSpec:
         return self.beta is None
 
 
-def _restricted(l: int, ms: np.ndarray, beta, x: float | None):
-    """The m values (and aligned beta entries) with l*m inside the product window."""
-    if x is None:
-        return ms, beta
-    prod = l * ms
-    mask = (prod >= x) & (prod < 2 * x)
-    return ms[mask], (None if beta is None else beta[mask])
+def _product_window(ls: np.ndarray, ms: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """For each l in ls, the index range [start, stop) of the m in ms with
+    x <= l*m < 2x.
+
+    ms ascends, so each range is contiguous.  Each end is estimated from
+    the quotient bound / l and then moved down, then up, until the int64
+    products l*m compared against the bound agree with it: the products
+    decide, never a rounded quotient alone.
+    """
+    ends = []
+    for bound in (x, 2 * x):
+        end = np.searchsorted(ms, bound / ls)
+        if len(ms):
+            # down while the m below end still reaches the bound, then up
+            # while the m at end falls short of it
+            while (down := (end > 0) & (ls * ms[np.maximum(end - 1, 0)] >= bound)).any():
+                end -= down
+            while (up := (end < len(ms)) & (ls * ms[np.minimum(end, len(ms) - 1)] < bound)).any():
+                end += up
+        ends.append(end)
+    return ends[0], ends[1]
 
 
 def _pairs(q: int, ls, alpha, ms, beta, restrict):
-    """Per l, the residues inv(l*m) mod q of the pairs with (lm, q) = 1 and
+    """The residues inv(l*m) mod q of the kept pairs, in (l, m) order, and
     their coefficients alpha_l * beta_m, as two aligned arrays.
 
-    Rows with alpha_l = 0 or no kept pair are skipped.
+    A pair is kept when (lm, q) = 1, alpha_l != 0 and, with restrict = x,
+    x <= l*m < 2x.  Entries with beta_m = 0 are kept.
     """
-    inv = inverse_table(q)
-    for i, l in enumerate(ls):
-        l = int(l)
-        al = 1.0 if alpha is None else alpha[i]
-        if al == 0:
-            continue
-        msub, bsub = _restricted(l, ms, beta, restrict)
-        if len(msub) == 0:
-            continue
-        iv = inv[(l % q) * (msub % q) % q]
-        good = iv > 0
-        iv = iv[good]
-        if len(iv) == 0:
-            continue
-        yield iv, al * (np.ones(len(iv)) if bsub is None else bsub[good])
+    rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
+    if restrict is None:
+        start = np.zeros(len(rows), dtype=np.int64)
+        stop = np.full(len(rows), len(ms), dtype=np.int64)
+    else:
+        start, stop = _product_window(ls[rows], ms, restrict)
+    counts = stop - start
+    li = np.repeat(rows, counts)
+    # pair k of row r sits at first[r] + t and takes m index start[r] + t
+    first = np.cumsum(counts) - counts
+    mj = np.arange(len(li)) + np.repeat(start - first, counts)
+    iv = inverse_table(q)[(ls[li] % q) * (ms[mj] % q) % q]
+    good = iv > 0
+    li, mj, iv = li[good], mj[good], iv[good]
+    coeff = (1.0 if alpha is None else alpha[li]) * (np.ones(len(iv)) if beta is None else beta[mj])
+    return iv, coeff
 
 
 def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
@@ -135,25 +151,15 @@ def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
         )
     q = spec.q
     roots = unit_roots(q)
-    a_mod = spec.a % q
-
-    re_parts, im_parts, w_parts = [], [], []
-    count = 0
-    for iv, coeff in _pairs(q, ls, spec.alpha, ms, spec.beta, spec.restrict_lm):
-        terms = coeff * roots[(a_mod * iv) % q]
-        re_parts.append(terms.real)
-        im_parts.append(terms.imag)
-        w_parts.append(np.abs(coeff))
-        count += len(iv)
-    if count == 0:
+    iv, coeff = _pairs(q, ls, spec.alpha, ms, spec.beta, spec.restrict_lm)
+    if len(iv) == 0:
         return ExpSumValue(0j, 0, 0.0, 0.0)
-    value = fsum_complex(
-        np.concatenate(re_parts).tolist(), np.concatenate(im_parts).tolist()
-    )
-    weight_sum = math.fsum(np.concatenate(w_parts).tolist())
+    terms = coeff * roots[(spec.a % q * iv) % q]
+    value = fsum_complex(terms.real.tolist(), terms.imag.tolist())
+    weight_sum = math.fsum(np.abs(coeff).tolist())
     return ExpSumValue(
         value=value,
-        term_count=count,
+        term_count=len(iv),
         weight_sum=weight_sum,
         accumulation_error_bound=accumulation_bound(weight_sum, value),
     )
@@ -163,52 +169,38 @@ def _phase_histogram(q, ls, alpha, ms, beta, restrict):
     """Bucket the coefficients by the residue class of inv(l*m) modulo q.
 
     Returns (complex histogram of length q, sum of |alpha_l * beta_m| over
-    the included pairs).
+    the included pairs).  One bincount over the whole pair stream, in
+    (l, m) order, fills each part.  This is bitwise the former sum of one
+    bincount per l whenever no l puts two terms in one residue bin, which
+    always holds for integer-valued coefficients and for the Type II
+    reports (M <= Q <= q); otherwise the bins may differ in the last bits.
+    The weight is one sum over the stream, exact for integer-valued
+    coefficients.
     """
     # two real histograms, a bincount and the complex result
     check_modulus(q, bytes_per_entry=32)
-    h_re = np.zeros(q)
-    h_im = np.zeros(q)
-    has_im = False
-    weight = 0.0
-    for iv, coeff in _pairs(q, ls, alpha, ms, beta, restrict):
-        coeff = np.asarray(coeff, dtype=np.complex128)
-        h_re += np.bincount(iv, weights=coeff.real, minlength=q)
-        if np.any(coeff.imag):
-            has_im = True
-            h_im += np.bincount(iv, weights=coeff.imag, minlength=q)
-        weight += float(np.abs(coeff).sum())
-    h = h_re + 1j * h_im if has_im else h_re.astype(np.complex128)
-    return h, weight
+    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict)
+    h = np.bincount(iv, weights=coeff.real, minlength=q)
+    if np.any(coeff.imag):
+        h = h + 1j * np.bincount(iv, weights=coeff.imag, minlength=q)
+    return h.astype(np.complex128, copy=False), float(np.abs(coeff).sum())
 
 
 def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
-    """max over units a of |sum_r h[r] e(a r / q)|.
+    """max over units a of |sum_r h[r] e(a r / q)|, bitwise the full direct
+    scan's (see expsums._twist_max).
 
-    One FFT of h gives every |S(a)|; only the twists within 2E of the
-    largest (expsums._near_max_twists) are re-scored by the direct sum of
-    unit-root table entries times h, so the result is bitwise the full
-    direct scan's maximum.  E is expsums._twist_error_bound with weight
-    sum |h[r]| and, over the s support points, s - 1 additions plus one
-    complex product per term.  Cost is O(q log q) plus O(s) per re-scored
-    twist; when every twist ties it is the direct O(q * s) plus one FFT.
+    E is expsums._twist_error_bound with weight sum |h[r]| and, over the s
+    support points, s - 1 additions plus one complex product per term.
     """
     support = np.flatnonzero(h)
     if len(support) == 0:
         return 0.0
     vals = h[support]
-    roots = unit_roots(q)
     twists = np.arange(1, q, dtype=np.int64)
     twists = twists[np.gcd(twists, q) == 1]
-
-    def rescore(chunk):
-        return np.abs((roots[(chunk[:, None] * support[None, :]) % q] * vals).sum(axis=1))
-
-    best = 0.0
     err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
-    for _, mags in _near_max_twists(h, twists, err, len(support), rescore):
-        best = max(best, float(mags.max()))
-    return best
+    return _twist_max(h, twists, support, vals, err)[1]
 
 
 def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
@@ -220,9 +212,21 @@ def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
     return abs(complex((roots[idx] * h[support]).sum()))
 
 
-def _sweep(Q, per_q, workers):
-    qs = range(Q, 2 * Q)
-    return pmap(per_q, qs, workers=workers)
+def _sweep(L, M, Q, a, alpha, beta, workers) -> tuple[float, float]:
+    """(lhs, trivial) over the moduli Q <= q < 2Q: the fsums of |W| and of
+    the weight sum |alpha_l * beta_m|, where |W| is the maximum over twists
+    when a is None and the value at the twist a otherwise.
+    """
+    ls, ms = dyadic_window(L), dyadic_window(M)
+    alpha = _check_coeffs("alpha", alpha, ls)
+    beta = _check_coeffs("beta", beta, ms)
+
+    def per_q(q):
+        h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
+        return (_max_abs_over_twists(h, q) if a is None else _abs_at_twist(h, q, a)), weight
+
+    results = pmap(per_q, range(Q, 2 * Q), workers=workers)
+    return math.fsum(r[0] for r in results), math.fsum(r[1] for r in results)
 
 
 def _validate_sweep(L, M, Q, require_below_q: bool):
@@ -251,17 +255,7 @@ def type2_avg_max_report(
     if k not in (1, 2, 3):
         raise ValueError(f"need k in {{1, 2, 3}}, got {k}")
     _validate_sweep(L, M, Q, require_below_q=True)
-    ls, ms = dyadic_window(L), dyadic_window(M)
-    alpha = _check_coeffs("alpha", alpha, ls)
-    beta = _check_coeffs("beta", beta, ms)
-
-    def per_q(q):
-        h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
-        return _max_abs_over_twists(h, q), weight
-
-    results = _sweep(Q, per_q, workers)
-    lhs = math.fsum(r[0] for r in results)
-    trivial = math.fsum(r[1] for r in results)
+    lhs, trivial = _sweep(L, M, Q, None, alpha, beta, workers)
     e = (2 * k - 1) / (2 * k)
     return make_report(
         name="type2-avg-max",
@@ -292,17 +286,7 @@ def type2_fixed_a_report(
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     _validate_sweep(L, M, Q, require_below_q=True)
-    ls, ms = dyadic_window(L), dyadic_window(M)
-    alpha = _check_coeffs("alpha", alpha, ls)
-    beta = _check_coeffs("beta", beta, ms)
-
-    def per_q(q):
-        h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
-        return _abs_at_twist(h, q, a), weight
-
-    results = _sweep(Q, per_q, workers)
-    lhs = math.fsum(r[0] for r in results)
-    trivial = math.fsum(r[1] for r in results)
+    lhs, trivial = _sweep(L, M, Q, a, alpha, beta, workers)
     factor = math.sqrt(1.0 + a / (L * M * Q))
     return make_report(
         name="type2-fixed-a",
@@ -331,18 +315,7 @@ def type1_report(
     fixed twist the sum at that twist is measured against the same core.
     """
     _validate_sweep(L, M, Q, require_below_q=False)
-    ls, ms = dyadic_window(L), dyadic_window(M)
-    alpha = _check_coeffs("alpha", alpha, ls)
-
-    def per_q(q):
-        h, weight = _phase_histogram(q, ls, alpha, ms, None, None)
-        if a is None:
-            return _max_abs_over_twists(h, q), weight
-        return _abs_at_twist(h, q, a), weight
-
-    results = _sweep(Q, per_q, workers)
-    lhs = math.fsum(r[0] for r in results)
-    trivial = math.fsum(r[1] for r in results)
+    lhs, trivial = _sweep(L, M, Q, a, alpha, None, workers)
     params = {"L": L, "M": M, "Q": Q}
     if a is not None:
         params["a"] = a

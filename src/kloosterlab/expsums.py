@@ -36,6 +36,9 @@ from .reports import BoundReport, make_report
 #: Largest modulus a full twist scan (max over a) will attempt by default.
 DEFAULT_SCAN_LIMIT = 10 ** 6
 
+#: Longest interval upper - lower a short inverse sum will walk.
+_INTERVAL_CAP = 10 ** 7
+
 #: Matrix chunk size (cells) for vectorized twist scans; fixed so that
 #: chunk boundaries never depend on worker counts or available memory.
 _CHUNK_CELLS = 1 << 22
@@ -171,34 +174,44 @@ def _twist_error_bound(h: np.ndarray, weight: float, depth: int) -> float:
     return direct + fft
 
 
-def _near_max_twists(h: np.ndarray, twists: np.ndarray, err: float, row_terms: int, rescore):
-    """Direct magnitudes of the twists whose spectrum is near the largest.
+def _twist_max(h: np.ndarray, twists: np.ndarray, terms: np.ndarray, vals, err: float):
+    """The first twist a with the largest |sum_k vals[k] e(a * terms[k] / q)|,
+    and that magnitude; vals None means unit weights.
 
-    One FFT gives the spectrum |sum_r h[r] e(a r / q)| at every twist.  Each
-    direct magnitude is within err of its spectrum, so a twist more than
-    2 * err below the largest spectrum over twists cannot carry the largest
-    direct magnitude, nor tie with it.  The others keep their order and go
-    to rescore(chunk) -> direct magnitudes, at most _CHUNK_CELLS cells
-    (row_terms per twist) at a time; yields (chunk, magnitudes).
+    One FFT gives the spectrum |sum_r h[r] e(a r / q)| at every twist, where
+    h is the histogram of the terms weighted by vals.  Each direct magnitude
+    is within err of its spectrum, so a twist more than 2 * err below the
+    largest spectrum over twists cannot carry the largest direct magnitude,
+    nor tie with it.  The others keep their order and are re-scored by the
+    direct sum of unit-root table entries, at most _CHUNK_CELLS cells at a
+    time; the first strict maximum wins.  Cost is O(q log q) plus
+    O(len(terms)) per re-scored twist; when every twist ties it is the
+    direct scan plus one FFT.
 
     Raises ConsistencyError if a re-scored twist is more than err off its
     spectrum.
     """
     q = len(h)
+    roots = unit_roots(q)
     # numpy's fft has the sign e(-a r / q); index -a to get S(a)
     spectrum = np.abs(np.fft.fft(h))[(-twists) % q]
     keep = spectrum >= spectrum.max() - 2 * err
     survivors, near = twists[keep], spectrum[keep]
-    rows = max(1, _CHUNK_CELLS // row_terms)
+    rows = max(1, _CHUNK_CELLS // len(terms))
+    best_a, best_mag = int(twists[0]), -1.0
     for start in range(0, len(survivors), rows):
         chunk = survivors[start : start + rows]
-        mags = rescore(chunk)
+        table = roots[(chunk[:, None] * terms[None, :]) % q]
+        mags = np.abs((table if vals is None else table * vals).sum(axis=1))
         gap = float(np.abs(mags - near[start : start + rows]).max())
         if not gap <= err:
             raise ConsistencyError(
                 f"twist spectrum mod {q} is {gap:.3e} off the direct scan, over its bound {err:.3e}"
             )
-        yield chunk, mags
+        j = int(mags.argmax())
+        if mags[j] > best_mag:
+            best_a, best_mag = int(chunk[j]), float(mags[j])
+    return best_a, best_mag
 
 
 def max_prime_sum(
@@ -210,15 +223,12 @@ def max_prime_sum(
     """Maximum of |prime_sum| over twists a coprime to q, with its argmax.
 
     Scans only 1 <= a <= q/2 and relies on exact conjugate symmetry for
-    the upper half; ties go to the smallest a.  One FFT of the histogram
-    of inverse residues gives every |S(a)|; only the twists within 2E of
-    the largest (see _near_max_twists) are re-scored by the direct sum of
-    unit-root table entries, whose first strict maximum is returned, so
-    the result is bitwise the full direct scan's.  E is
-    _twist_error_bound with n table terms and n - 1 additions, for the n
-    primes in the window.  Cost is O(q log q) plus O(n) per re-scored
-    twist; when every twist ties it is the direct O(q * n) plus one FFT.
-    The modulus is checked against scan_limit first.
+    the upper half; ties go to the smallest a.  _twist_max filters the
+    twists by one FFT of the histogram of inverse residues and re-scores
+    the survivors by the direct sum, so the result is bitwise the full
+    direct scan's.  E is _twist_error_bound with n table terms and n - 1
+    additions, for the n primes in the window.  The modulus is checked
+    against scan_limit first.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
@@ -239,21 +249,9 @@ def max_prime_sum(
     if len(primes) == 0:
         return int(candidates[0]), 0.0
     invs = batch_inverses(primes, q)
-    roots = unit_roots(q)
     h = np.bincount(invs, minlength=q)
     n = len(invs)
-
-    def rescore(chunk):
-        return np.abs(roots[(chunk[:, None] * invs[None, :]) % q].sum(axis=1))
-
-    best_a, best_mag = int(candidates[0]), -1.0
-    err = _twist_error_bound(h, n, n - 1)
-    for chunk, mags in _near_max_twists(h, candidates, err, n, rescore):
-        j = int(mags.argmax())
-        if mags[j] > best_mag:
-            best_mag = float(mags[j])
-            best_a = int(chunk[j])
-    return best_a, best_mag
+    return _twist_max(h, candidates, invs, None, _twist_error_bound(h, n, n - 1))
 
 
 def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +320,7 @@ def kloosterman_grid(q: int) -> np.ndarray:
     return spectra.ravel().take(idx)
 
 
-def short_inverse_sum(
-    a: int, q: int, lower: float, upper: float, length_limit: int = 10 ** 7
-) -> ExpSumValue:
+def short_inverse_sum(a: int, q: int, lower: float, upper: float) -> ExpSumValue:
     """Sum of e(a * inv(n) / q) over integers lower < n <= upper coprime to q."""
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
@@ -332,8 +328,8 @@ def short_inverse_sum(
         raise ValueError(f"need 0 <= lower <= upper, got ({lower}, {upper})")
     if not math.isfinite(upper):
         raise ValueError(f"need finite bounds, got ({lower}, {upper})")
-    if upper - lower > length_limit:
-        raise CapacityError(f"interval length {upper - lower} exceeds {length_limit}")
+    if upper - lower > _INTERVAL_CAP:
+        raise CapacityError(f"interval length {upper - lower} exceeds {_INTERVAL_CAP}")
     ns = np.arange(math.floor(lower) + 1, math.floor(upper) + 1, dtype=np.int64)
     return inverse_phase_sum(ns, a, q)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .accumulate import fsum_complex
 from .arith import MultiplicativeTables, shared_tables
-from .bilinear import BilinearSpec, bilinear_sum, dyadic_window
+from .bilinear import BilinearSpec, _product_window, bilinear_sum, dyadic_window
 from .errors import ConsistencyError
 from .expsums import ExpSumQuery, inverse_phase_sum, prime_sum
 
@@ -70,8 +70,6 @@ class BilinearComponent:
     M: float
     alpha: np.ndarray | None
     beta: np.ndarray | None
-    alpha_kind: str
-    beta_kind: str
     restrict: float
 
     def to_spec(self, a: int, q: int) -> BilinearSpec:
@@ -143,14 +141,10 @@ def _mu_divisor_sums(U: float, top: int, mt: MultiplicativeTables) -> np.ndarray
 def _has_support(
     ls: np.ndarray, l_ok: np.ndarray, ms: np.ndarray, m_ok: np.ndarray, x: float
 ) -> bool:
-    if not l_ok.any() or not m_ok.any():
-        return False
-    msub = ms[m_ok]
-    for l in ls[l_ok]:
-        prod = int(l) * msub
-        if bool(((prod >= x) & (prod < 2 * x)).any()):
-            return True
-    return False
+    """Whether some l in ls[l_ok] and m in ms[m_ok] have x <= l*m < 2x."""
+    start, stop = _product_window(ls[l_ok], ms, x)
+    ok_before = np.concatenate(([0], np.cumsum(m_ok)))
+    return bool((ok_before[stop] > ok_before[start]).any())
 
 
 def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
@@ -185,8 +179,7 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
             kind = KIND_TYPE2 if L >= U else KIND_TYPE1
             comps.append(BilinearComponent(
                 kind=kind, sign=-1, scale=scale, L=L, M=M,
-                alpha=raw / scale, beta=None,
-                alpha_kind="lambda_mu_head", beta_kind="unit", restrict=x,
+                alpha=raw / scale, beta=None, restrict=x,
             ))
 
     # a3: l carries mu(d) for d <= U, m carries log h.
@@ -208,8 +201,7 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
             kind = KIND_TYPE2 if L >= U else KIND_TYPE1
             comps.append(BilinearComponent(
                 kind=kind, sign=1, scale=mscale, L=L, M=M,
-                alpha=raw, beta=logs / mscale,
-                alpha_kind="mobius", beta_kind="log", restrict=x,
+                alpha=raw, beta=logs / mscale, restrict=x,
             ))
 
     # a4: Lambda(m) for m > U against the truncated mu-divisor sum for
@@ -232,20 +224,13 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
             s_b = float(np.max(np.abs(raw_b)))
             if s_lam == 0.0 or s_b == 0.0:
                 continue
-            if Lm <= Lk:
-                lvals, lraw, lscale, lkind = ms_lam, raw_lam, s_lam, "von_mangoldt"
-                mvals, mraw, mscale, mkind = ks, raw_b, s_b, "mu_divisor_sum"
-                L, M = Lm, Lk
-            else:
-                lvals, lraw, lscale, lkind = ks, raw_b, s_b, "mu_divisor_sum"
-                mvals, mraw, mscale, mkind = ms_lam, raw_lam, s_lam, "von_mangoldt"
-                L, M = Lk, Lm
+            sides = [(Lm, ms_lam, raw_lam, s_lam), (Lk, ks, raw_b, s_b)]
+            (L, lvals, lraw, lscale), (M, mvals, mraw, mscale) = sides if Lm <= Lk else sides[::-1]
             if not _has_support(lvals, lraw != 0.0, mvals, mraw != 0.0, x):
                 continue
             comps.append(BilinearComponent(
                 kind=KIND_TYPE2, sign=-1, scale=lscale * mscale, L=L, M=M,
-                alpha=lraw / lscale, beta=mraw / mscale,
-                alpha_kind=lkind, beta_kind=mkind, restrict=x,
+                alpha=lraw / lscale, beta=mraw / mscale, restrict=x,
             ))
 
     decomp = VaughanDecomposition(params=params, components=tuple(comps))

@@ -1,6 +1,7 @@
 """Sieves, inverses, multiplicative tables, and the accumulation helpers."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -305,6 +306,31 @@ def test_shared_table_growth_stays_within_memory_budget(monkeypatch):
     monkeypatch.setattr(arith, "_shared_mult", None)
     assert shared_tables(100).limit == 20000
     assert shared_tables(20000).limit == 20000
+
+
+def test_shared_table_growth_drops_the_old_table_first(monkeypatch):
+    # the memory budget charges the new table alone, so the old one must be
+    # gone by the time the larger build starts
+    monkeypatch.setattr(arith, "_shared_mult", build_multiplicative_tables(1000))
+    old = weakref.ref(arith._shared_mult)
+    build = arith.build_multiplicative_tables
+    seen = []
+
+    def checked_build(limit):
+        seen.append(old() is None)
+        return build(limit)
+
+    monkeypatch.setattr(arith, "build_multiplicative_tables", checked_build)
+    assert shared_tables(2000).limit == 1 << 16
+    assert seen == [True]
+
+
+def test_refused_table_growth_leaves_no_cached_table(monkeypatch):
+    monkeypatch.setattr(arith, "_shared_mult", build_multiplicative_tables(1000))
+    monkeypatch.setenv(MEMORY_ENV_VAR, "110000")
+    with pytest.raises(CapacityError):
+        shared_tables(30000)
+    assert arith._shared_mult is None
 
 
 def test_unit_roots_structure():

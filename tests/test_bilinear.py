@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kloosterlab import bilinear
 from kloosterlab.accumulate import unit_roots
@@ -12,6 +14,9 @@ from kloosterlab.arith import inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
     _max_abs_over_twists,
+    _pairs,
+    _phase_histogram,
+    _product_window,
     bilinear_sum,
     dyadic_window,
     type1_report,
@@ -20,6 +25,9 @@ from kloosterlab.bilinear import (
 )
 from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.expsums import _CHUNK_CELLS
+
+#: Property tests draw the same examples on every run and stay quick.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
 def _oracle(L, M, a, q, alpha=None, beta=None, restrict=None):
@@ -209,3 +217,197 @@ def test_max_abs_consistency_check_fires_with_zero_bound(monkeypatch):
     h = next(_histograms(3001, 2500))
     with pytest.raises(ConsistencyError):
         _max_abs_over_twists(h, 3001)
+
+
+def _restricted(l, ms, beta, x):
+    """The m values (and aligned beta entries) with l*m inside the product
+    window: the mask bilinear applied per l before _product_window."""
+    if x is None:
+        return ms, beta
+    prod = l * ms
+    mask = (prod >= x) & (prod < 2 * x)
+    return ms[mask], (None if beta is None else beta[mask])
+
+
+def _per_l_pairs(q, ls, alpha, ms, beta, restrict):
+    """_pairs as the former loop over l: per l, the residues and coefficients
+    of the kept pairs, skipping rows with alpha_l = 0 or no kept pair."""
+    inv = inverse_table(q)
+    for i, l in enumerate(ls):
+        l = int(l)
+        al = 1.0 if alpha is None else alpha[i]
+        if al == 0:
+            continue
+        msub, bsub = _restricted(l, ms, beta, restrict)
+        if len(msub) == 0:
+            continue
+        iv = inv[(l % q) * (msub % q) % q]
+        good = iv > 0
+        iv = iv[good]
+        if len(iv) == 0:
+            continue
+        yield iv, al * (np.ones(len(iv)) if bsub is None else bsub[good])
+
+
+def _per_l_histogram(q, ls, alpha, ms, beta):
+    """_phase_histogram as the former sum of one bincount per l."""
+    h_re, h_im, has_im, weight = np.zeros(q), np.zeros(q), False, 0.0
+    for iv, coeff in _per_l_pairs(q, ls, alpha, ms, beta, None):
+        coeff = np.asarray(coeff, dtype=np.complex128)
+        h_re += np.bincount(iv, weights=coeff.real, minlength=q)
+        if np.any(coeff.imag):
+            has_im = True
+            h_im += np.bincount(iv, weights=coeff.imag, minlength=q)
+        weight += float(np.abs(coeff).sum())
+    h = h_re + 1j * h_im if has_im else h_re.astype(np.complex128)
+    return h, weight
+
+
+def _bits(arr):
+    return arr.dtype, arr.tobytes()
+
+
+@st.composite
+def _bounds(draw, ls, ms):
+    """A product-window start x: exactly a product l*m of the block or half
+    of one (so that 2x is), a float neighbour of either, or a non-integer."""
+    kind = draw(st.sampled_from(["product", "half", "below", "above", "float"]))
+    if kind == "float" or not (len(ls) and len(ms)):
+        lo = max(float(ls[0] * ms[0]) / 3 if len(ls) and len(ms) else 1.0, 0.5)
+        return draw(st.floats(lo, 3 * lo + 10, allow_nan=False, allow_infinity=False))
+    p = int(draw(st.sampled_from(ls.tolist()))) * int(draw(st.sampled_from(ms.tolist())))
+    if kind == "product":
+        return draw(st.sampled_from([p, float(p)]))
+    if kind == "half":
+        return p / 2
+    return math.nextafter(float(p), -math.inf if kind == "below" else math.inf)
+
+
+@st.composite
+def _windows(draw):
+    """Consecutive l and m blocks, at any size up to products past 2^53."""
+    scale = draw(st.sampled_from([10, 10 ** 4, 10 ** 8, 2 ** 30]))
+    l0, m0 = draw(st.integers(1, scale)), draw(st.integers(1, scale))
+    ls = np.arange(l0, l0 + draw(st.integers(0, 12)), dtype=np.int64)
+    ms = np.arange(m0, m0 + draw(st.integers(0, 40)), dtype=np.int64)
+    return ls, ms, draw(_bounds(ls, ms))
+
+
+def _check_window(ls, ms, x):
+    start, stop = _product_window(ls, ms, x)
+    for i, l in enumerate(ls.tolist()):
+        prod = l * ms
+        kept = np.flatnonzero((prod >= x) & (prod < 2 * x))
+        assert kept.tolist() == list(range(start[i], stop[i])), (l, x)
+
+
+@_PROPERTY
+@given(_windows())
+def test_product_window_matches_the_per_l_mask(block):
+    _check_window(*block)
+
+
+@pytest.mark.parametrize("l, m0, x", [
+    # past 2^53 the float quotient x / l puts the estimate one m too low ...
+    (738360466, 758650488, 5.6015753228097024e17),
+    (503886501, 140279564, 3.534249084454229e16),
+    # ... or one m too high, for the start and for the stop 2x
+    (60075810, 493073041, 29621762687693070),
+    (79476403, 134164015, 5331436900548232.0),
+])
+def test_product_window_corrects_the_quotient_estimate(l, m0, x):
+    ls = np.array([l - 1, l, l + 1], dtype=np.int64)
+    _check_window(ls, np.arange(m0, m0 + 7, dtype=np.int64), x)
+
+
+@st.composite
+def _forms(draw):
+    """A small bilinear form as bilinear_sum sees it: dyadic windows (M=0.3
+    gives an empty one), coefficients with zero entries, and a product
+    window that may sit exactly on a product."""
+    q = draw(st.integers(2, 60))
+    L = draw(st.sampled_from([0.3, 1, 2.5, 4, 7.3, 16]))
+    M = draw(st.sampled_from([0.3, 1, 3, 8, 11.7, 32]))
+    ls, ms = dyadic_window(L), dyadic_window(M)
+
+    def coeffs(n):
+        kind = draw(st.sampled_from(["unit", "float", "int", "complex"]))
+        if kind == "unit":
+            return None
+        vals = draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 0.3, -1.0]), min_size=n, max_size=n))
+        arr = np.array(vals, dtype=np.float64)
+        if kind == "int":
+            return np.rint(arr).astype(np.int64)
+        if kind == "complex":
+            return arr * (0.6 - 0.8j)
+        return arr
+
+    alpha, beta = coeffs(len(ls)), coeffs(len(ms))
+    restrict = draw(st.one_of(st.none(), _bounds(ls, ms)))
+    return q, L, M, alpha, beta, restrict
+
+
+@_PROPERTY
+@given(_forms())
+def test_pairs_bitwise_equal_per_l_twin(form):
+    q, L, M, alpha, beta, restrict = form
+    ls, ms = dyadic_window(L), dyadic_window(M)
+    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict)
+    rows = list(_per_l_pairs(q, ls, alpha, ms, beta, restrict))
+    assert iv.tolist() == [r for row, _ in rows for r in row.tolist()]
+    if rows:
+        assert _bits(coeff) == _bits(np.concatenate([c for _, c in rows]))
+    else:
+        assert len(coeff) == 0
+
+
+@_PROPERTY
+@given(_forms())
+def test_bilinear_sum_term_count_keeps_zero_beta(form):
+    # rows with alpha_l = 0 are dropped, entries with beta_m = 0 are summed
+    q, L, M, alpha, beta, restrict = form
+    got = bilinear_sum(BilinearSpec(L=L, M=M, a=1, q=q, alpha=alpha, beta=beta,
+                                    restrict_lm=restrict))
+    ls, ms = dyadic_window(L), dyadic_window(M)
+    count = sum(
+        1
+        for i, l in enumerate(ls.tolist())
+        for m in ms.tolist()
+        if (alpha is None or alpha[i] != 0)
+        and math.gcd(l * m, q) == 1
+        and (restrict is None or restrict <= l * m < 2 * restrict)
+    )
+    assert got.term_count == count
+    assert abs(got.value - _oracle(L, M, 1, q, alpha, beta, restrict)) < 1e-12
+
+
+def test_zero_alpha_rows_and_zero_beta_entries():
+    alpha = np.array([0.0, 1.0, 0.0, -1.0])
+    beta = np.zeros(8)
+    got = bilinear_sum(BilinearSpec(L=4, M=8, a=1, q=101, alpha=alpha, beta=beta))
+    assert (got.value, got.term_count, got.weight_sum) == (0j, 16, 0.0)
+    empty = bilinear_sum(BilinearSpec(L=4, M=0.3, a=1, q=101))
+    assert (empty.value, empty.term_count) == (0j, 0)
+
+
+@pytest.mark.parametrize("L, M, kind", [
+    (4, 8, "unit"), (8, 8, "float"), (16, 5.5, "complex"), (3, 3, "int"), (7.5, 16, "float"),
+])
+def test_phase_histogram_bitwise_equals_per_l_twin(L, M, kind):
+    # M <= Q <= q, as in the Type II reports: no l puts two terms in one bin
+    ls, ms = dyadic_window(L), dyadic_window(M)
+    rng = np.random.default_rng(len(ls) * 100 + len(ms))
+    alpha = beta = None
+    if kind != "unit":
+        alpha, beta = rng.uniform(-1, 1, len(ls)), rng.uniform(-1, 1, len(ms))
+    if kind == "int":
+        alpha, beta = np.rint(alpha).astype(np.int64), np.rint(beta).astype(np.int64)
+    if kind == "complex":
+        alpha = alpha * (0.6 + 0.8j)
+    for q in range(int(2 * M), int(2 * M) + 40):
+        h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
+        want, want_weight = _per_l_histogram(q, ls, alpha, ms, beta)
+        assert _bits(h) == _bits(want), q
+        assert weight == pytest.approx(want_weight, rel=1e-15, abs=0)
+        if kind in ("unit", "int"):
+            assert weight == want_weight

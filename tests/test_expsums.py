@@ -186,6 +186,14 @@ def test_max_prime_sum_every_twist_ties(prime_table):
     assert got == _direct_max_prime_sum(100000, 2, prime_table)
 
 
+def test_max_prime_sum_first_maximum_across_chunks(monkeypatch, prime_table):
+    # with chunks of 1000 twists, the largest magnitude recurs in later
+    # chunks; the strict maximum keeps the first, as one chunk would
+    want = _direct_max_prime_sum(100000, 2, prime_table)
+    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 1000)
+    assert max_prime_sum(100000, 2, table=prime_table) == want
+
+
 def test_max_prime_sum_without_usable_primes(prime_table):
     # both primes of [2, 4) divide 6
     assert max_prime_sum(6, 2, table=prime_table) == (1, 0.0)
@@ -250,6 +258,11 @@ def test_short_sum_interval_convention():
     got = short_inverse_sum(1, 7, 2.5, 9.5)
     want = _oracle_sum([3, 4, 5, 6, 8, 9], 1, 7)
     assert abs(got.value - want) < 1e-12
+
+
+def test_short_sum_length_cap():
+    with pytest.raises(CapacityError, match=r"^interval length 10000001 exceeds 10000000$"):
+        short_inverse_sum(1, 7, 0, 10 ** 7 + 1)
 
 
 def test_weil_ratio_report(prime_table):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kloosterlab.expsums import ExpSumQuery, prime_sum
 from kloosterlab.vaughan import (
     KIND_TYPE1,
     KIND_TYPE2,
     VaughanParams,
+    _has_support,
     compare_decomposition,
     decompose,
     evaluate_decomposition,
@@ -17,6 +20,9 @@ from kloosterlab.vaughan import (
     reconstruct_lambda,
     validate_decomposition,
 )
+
+#: Property tests draw the same examples on every run and stay quick.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
 def test_params_validation():
@@ -120,3 +126,68 @@ def test_direct_gap_equals_weighted_difference(tables):
 
     direct = inverse_phase_sum(primes, a, q, weights=logs)
     assert gap.gap == pytest.approx(abs(lam.value - direct.value), abs=0)
+
+
+def _per_l_has_support(ls, l_ok, ms, m_ok, x):
+    """_has_support as the former loop over l, with one product mask per l."""
+    if not l_ok.any() or not m_ok.any():
+        return False
+    msub = ms[m_ok]
+    for l in ls[l_ok]:
+        prod = int(l) * msub
+        if bool(((prod >= x) & (prod < 2 * x)).any()):
+            return True
+    return False
+
+
+@st.composite
+def _supports(draw):
+    """Consecutive l and m blocks with masks, and a window start x that is
+    a product l*m, half of one, a float neighbour, or a non-integer."""
+    scale = draw(st.sampled_from([10, 10 ** 4, 10 ** 8, 2 ** 30]))
+    l0, m0 = draw(st.integers(1, scale)), draw(st.integers(1, scale))
+    ls = np.arange(l0, l0 + draw(st.integers(0, 10)), dtype=np.int64)
+    ms = np.arange(m0, m0 + draw(st.integers(0, 30)), dtype=np.int64)
+    l_ok = np.array(draw(st.lists(st.booleans(), min_size=len(ls), max_size=len(ls))), dtype=bool)
+    m_ok = np.array(draw(st.lists(st.booleans(), min_size=len(ms), max_size=len(ms))), dtype=bool)
+    if len(ls) and len(ms) and draw(st.booleans()):
+        p = int(draw(st.sampled_from(ls.tolist()))) * int(draw(st.sampled_from(ms.tolist())))
+        x = draw(st.sampled_from([
+            p, float(p), p / 2,
+            math.nextafter(float(p), -math.inf), math.nextafter(float(p), math.inf),
+        ]))
+    else:
+        x = draw(st.floats(0.5, 4.0 * scale * scale, allow_nan=False))
+    return ls, l_ok, ms, m_ok, x
+
+
+@_PROPERTY
+@given(_supports())
+def test_has_support_equals_per_l_twin(case):
+    assert _has_support(*case) == _per_l_has_support(*case)
+
+
+def test_has_support_edges():
+    ls, ms = np.arange(4, 8), np.arange(10, 20)
+    every_l, every_m = np.ones(4, bool), np.ones(10, bool)
+    assert _has_support(ls, every_l, ms, every_m, 70.0)
+    # 7 * 19 = 133 is the largest product, and 40 = 4 * 10 the smallest
+    assert not _has_support(ls, every_l, ms, every_m, 133.5)
+    assert _has_support(ls, every_l, ms, every_m, 133)
+    assert not _has_support(ls, every_l, ms, every_m, 20)
+    assert _has_support(ls, every_l, ms, every_m, 20.5)
+    only_19 = np.arange(10, 20) == 19
+    assert not _has_support(ls, ls == 4, ms, only_19, 80)  # 4 * 19 = 76 < 80
+    assert not _has_support(ls, ~every_l, ms, every_m, 70.0)
+    assert not _has_support(ls, every_l, ms[:0], every_m[:0], 70.0)
+
+
+@pytest.mark.parametrize("l, m, x, want", [
+    # past 2^53 the quotient x / l rounds across m: the products decide
+    (738360466, 758650494, 5.6015753228097024e17, False),
+    (60075810, 493073047, 29621762687693070, True),
+])
+def test_has_support_past_2_53(l, m, x, want):
+    ls, ms, one = np.array([l], dtype=np.int64), np.array([m], dtype=np.int64), np.ones(1, bool)
+    assert _has_support(ls, one, ms, one, x) is want
+    assert _per_l_has_support(ls, one, ms, one, x) is want
