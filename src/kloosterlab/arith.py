@@ -194,18 +194,26 @@ def mod_inverse(n: int, q: int) -> int:
         raise NotInvertibleError(n, q, math.gcd(n, q)) from None
 
 
-def _totient(q: int) -> int:
-    """Euler's phi(q), by trial division up to sqrt(q)."""
-    phi = n = q
+def _prime_divisors(q: int) -> list[int]:
+    """The distinct primes dividing q >= 1, ascending, by trial division up to sqrt(q)."""
+    primes, n = [], q
     d = np.arange(2, math.isqrt(q) + 1, dtype=np.int64)
     for p in d[q % d == 0].tolist():
         # a composite divisor no longer divides n once its primes are out
         if n % p == 0:
-            phi -= phi // p
+            primes.append(p)
             while n % p == 0:
                 n //= p
     if n > 1:
-        phi -= phi // n
+        primes.append(n)
+    return primes
+
+
+def _totient(q: int) -> int:
+    """Euler's phi(q), from the primes dividing q."""
+    phi = q
+    for p in _prime_divisors(q):
+        phi -= phi // p
     return phi
 
 

@@ -1,9 +1,12 @@
 """Exact counting: unit-fraction equations, inverse congruences, square-full numbers.
 
 Counts here are exact integers.  Each count has two independent routes, a
-naive enumeration over tuples and a convolution over values or residues,
-and the pair is kept side by side so they can be cross-checked instead of
-trusting either one alone.
+naive enumeration over tuples and a convolution: unit-fraction counts
+bucket the k-fold sums by exact rational value, and inverse-congruence
+counts fold the residue histogram of the inverses by FFT, rounding every
+entry to an integer under a written-down error bound that must stay below
+1/2.  The pair is kept side by side so they can be cross-checked instead
+of trusting either one alone.
 """
 
 from __future__ import annotations
@@ -14,14 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import batch_inverses, check_modulus
+from .arith import _prime_divisors, batch_inverses, check_modulus
 from .errors import CapacityError, ConsistencyError
+from .expsums import _FFT_ERROR_C, _UNIT_ROUNDOFF
 from .parallel import pmap
 from .reports import BoundReport, make_report
 
 _METHODS = ("naive", "convolution")
 _NAIVE_TUPLE_CAP = 4 * 10 ** 6
 _STATE_CAP = 2 * 10 ** 7
+
+#: The constant c in the fold error bound c * ceil(log2 q) * u * |f|_1 * |h|_2:
+#: two forward transforms, one inverse and the pointwise product, each
+#: within expsums' per-transform constant.
+_CONVOLVE_ERROR_C = 3 * _FFT_ERROR_C
 
 
 def _check_method(method: str) -> None:
@@ -122,16 +131,49 @@ def count_squarefull(x: int) -> int:
     return total
 
 
-def _coprime_inverses(M: int, q: int) -> np.ndarray:
-    invs = batch_inverses(np.arange(1, M + 1, dtype=np.int64), q)
-    return invs[invs != 0]
+def _unit_count(M: int, primes: list[int]) -> int:
+    """Number of m in [1, M] divisible by none of primes, by inclusion-exclusion."""
+    terms = [(1, 1)]
+    for p in primes:
+        terms += [(d * p, -sign) for d, sign in terms]
+    return sum(sign * (M // d) for d, sign in terms)
 
 
-def _cyclic_convolve(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
-    full = np.convolve(u, v)
-    out = full[:q].copy()
-    out[: len(full) - q] += full[q:]
-    return out
+def _inverse_histogram(M: int, q: int, primes: list[int]) -> np.ndarray:
+    """Histogram over residues mod q of the inverses of the units m <= M (int64).
+
+    The inverse of m depends only on m mod q, and a full period of m hits
+    every unit residue once, so the histogram is M // q times the unit
+    indicator plus the bincount of the inverses of 1..(M mod q): O(q) time
+    and memory, whatever M.
+    """
+    periods, rest = divmod(M, q)
+    invs = batch_inverses(np.arange(1, rest + 1, dtype=np.int64), q)
+    hist = np.bincount(invs[invs != 0], minlength=q)
+    if periods:
+        units = np.ones(q, dtype=bool)
+        for p in primes:
+            units[::p] = False
+        hist[units] += periods
+    return hist
+
+
+def _convolve_error_bound(u: np.ndarray, v: np.ndarray) -> float:
+    """Bound E on |computed - exact| at every entry of the cyclic convolution
+    of u and v as irfft(rfft(u) * rfft(v)), in the style of
+    expsums._twist_error_bound.
+
+    Each transform is off by at most eps = _FFT_ERROR_C * ceil(log2 q) * u
+    times the 2-norm of its exact output.  A forward error then reaches each
+    convolution entry with at most eps * |u|_2 * |v|_2 (Cauchy-Schwarz over
+    the spectra, and Parseval), and the inverse transform's own error is at
+    most eps * |u * v|_2 <= eps * |u|_1 * |v|_2 (Young).  So with
+    c = _CONVOLVE_ERROR_C, E = c * ceil(log2 q) * u * |u|_1 * |v|_2, which
+    also covers the rounding of the product.
+    """
+    q = len(u)
+    return (_CONVOLVE_ERROR_C * math.ceil(math.log2(q)) * _UNIT_ROUNDOFF
+            * float(np.sum(np.abs(u))) * float(np.linalg.norm(v)))
 
 
 def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolution") -> CountResult:
@@ -139,6 +181,15 @@ def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolutio
 
     Counts ordered tuples (m_1, ..., m_2k), each coprime to q, with
     inv(m_1) + ... + inv(m_k) = inv(m_{k+1}) + ... + inv(m_2k) (mod q).
+
+    The naive route enumerates the k-fold sums.  The convolution route
+    folds the residue histogram h of the inverses k - 1 times with itself,
+    each fold one length-q rfft/irfft product rounded to int64, and returns
+    the sum of the squared entries in exact integer arithmetic.  Before
+    rounding, each fold checks that its error bound E is below 1/2 and that
+    no entry is more than E from its integer; otherwise ConsistencyError.
+    The count of units n <= M comes first, by inclusion-exclusion, so both
+    routes refuse over their caps before allocating anything of length M.
     """
     if not 1 <= k <= 4:
         raise ValueError(f"need 1 <= k <= 4, got {k}")
@@ -147,14 +198,17 @@ def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolutio
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     _check_method(method)
+    check_modulus(q)
     params = {"k": k, "M": M, "q": q}
-    invs = _coprime_inverses(M, q)
-    if len(invs) == 0:
-        return CountResult(0, method, params)
+    primes = _prime_divisors(q)
+    n = _unit_count(M, primes)
 
     if method == "naive":
-        if len(invs) ** k > _STATE_CAP:
-            raise CapacityError(f"naive enumeration of {len(invs) ** k} sums is over the cap")
+        if n ** k > _STATE_CAP:
+            raise CapacityError(f"naive enumeration of {n ** k} sums is over the cap")
+        # the units m <= M in order: whole periods of 1..q, then a prefix
+        invs = batch_inverses(np.arange(1, min(M, q) + 1, dtype=np.int64), q)
+        invs = np.resize(invs[invs != 0], n)
         sums = invs
         for _ in range(k - 1):
             sums = ((sums[:, None] + invs[None, :]) % q).ravel()
@@ -162,14 +216,32 @@ def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolutio
         count = int(sum(int(c) * int(c) for c in mult))
         return CountResult(count, method, params)
 
-    if len(invs) ** (2 * k) >= 2 ** 62:
+    if n ** (2 * k) >= 2 ** 62:
         raise CapacityError(f"bucket sizes for (k={k}, M={M}) would overflow the dense path")
-    # the histogram, its running convolution and the full linear one
-    check_modulus(q, bytes_per_entry=40)
-    hist = np.bincount(invs, minlength=q).astype(np.int64)
+    # at the inverse transform: the histogram, the fold, its spectrum, the
+    # product, the raw fold and the transform's copy of its input, plus the
+    # fold's own spectrum once a later fold transforms it
+    check_modulus(q, bytes_per_entry=40 if k <= 2 else 56)
+    hist = _inverse_histogram(M, q, primes)
+    spectrum = np.fft.rfft(hist)
     folded = hist
     for _ in range(k - 1):
-        folded = _cyclic_convolve(folded, hist, q)
+        # entries stay below n**k < 2**31, so E stays below about 2e-4
+        err = _convolve_error_bound(folded, hist)
+        if not err < 0.5:
+            raise ConsistencyError(f"fold error bound {err} mod {q} is not below 1/2")
+        left = spectrum if folded is hist else np.fft.rfft(folded)
+        raw = np.fft.irfft(left * spectrum, n=q)
+        del left
+        folded = np.rint(raw)
+        # raw becomes the distance of each entry from its integer
+        np.abs(np.subtract(raw, folded, out=raw), out=raw)
+        off = float(raw.max())
+        if off > err:
+            raise ConsistencyError(
+                f"fold mod {q} is {off} off an integer, over its error bound {err}"
+            )
+        folded = folded.astype(np.int64)
     count = int(np.dot(folded, folded))
     return CountResult(count, method, params)
 

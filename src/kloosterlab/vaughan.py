@@ -211,18 +211,22 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
     bsums = _mu_divisor_sums(U, top, mt)
     lam_blocks = _anchored_blocks(U, U, 2 * x / U)
     for Lm in lam_blocks:
-        for Lk in lam_blocks:
-            if Lm * Lk >= 2 * x or 4 * Lm * Lk <= x:
-                continue
-            ms_lam = dyadic_window(Lm)
-            raw_lam = np.array([mt.lam(int(m)) if m > U else 0.0 for m in ms_lam])
+        partners = [Lk for Lk in lam_blocks if x < 4 * Lm * Lk and Lm * Lk < 2 * x]
+        if not partners:
+            continue
+        # the Lambda window depends on Lm alone, so it is built once per Lm
+        ms_lam = dyadic_window(Lm)
+        raw_lam = np.array([mt.lam(int(m)) if m > U else 0.0 for m in ms_lam])
+        s_lam = float(np.max(np.abs(raw_lam)))
+        if s_lam == 0.0:
+            continue
+        for Lk in partners:
             ks = dyadic_window(Lk)
             raw_b = np.zeros(len(ks))
             inside = (ks > U) & (ks <= top)
             raw_b[inside] = bsums[ks[inside]]
-            s_lam = float(np.max(np.abs(raw_lam)))
             s_b = float(np.max(np.abs(raw_b)))
-            if s_lam == 0.0 or s_b == 0.0:
+            if s_b == 0.0:
                 continue
             sides = [(Lm, ms_lam, raw_lam, s_lam), (Lk, ks, raw_b, s_b)]
             (L, lvals, lraw, lscale), (M, mvals, mraw, mscale) = sides if Lm <= Lk else sides[::-1]
