@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import accumulation_bound, fsum_complex, unit_roots
+from .accumulate import accumulation_bound, exact_sum, fsum_complex, unit_roots
 from .arith import check_modulus, inverse_table
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
@@ -155,8 +155,8 @@ def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
     if len(iv) == 0:
         return ExpSumValue(0j, 0, 0.0, 0.0)
     terms = coeff * roots[(spec.a % q * iv) % q]
-    value = fsum_complex(terms.real.tolist(), terms.imag.tolist())
-    weight_sum = math.fsum(np.abs(coeff).tolist())
+    value = fsum_complex(terms.real, terms.imag)
+    weight_sum = exact_sum(np.abs(coeff))
     return ExpSumValue(
         value=value,
         term_count=len(iv),
@@ -213,7 +213,7 @@ def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
 
 
 def _sweep(L, M, Q, a, alpha, beta, workers) -> tuple[float, float]:
-    """(lhs, trivial) over the moduli Q <= q < 2Q: the fsums of |W| and of
+    """(lhs, trivial) over the moduli Q <= q < 2Q: the exact sums of |W| and of
     the weight sum |alpha_l * beta_m|, where |W| is the maximum over twists
     when a is None and the value at the twist a otherwise.
     """
@@ -226,7 +226,7 @@ def _sweep(L, M, Q, a, alpha, beta, workers) -> tuple[float, float]:
         return (_max_abs_over_twists(h, q) if a is None else _abs_at_twist(h, q, a)), weight
 
     results = pmap(per_q, range(Q, 2 * Q), workers=workers)
-    return math.fsum(r[0] for r in results), math.fsum(r[1] for r in results)
+    return exact_sum([r[0] for r in results]), exact_sum([r[1] for r in results])
 
 
 def _validate_sweep(L, M, Q, require_below_q: bool):

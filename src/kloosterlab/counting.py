@@ -158,21 +158,43 @@ def _inverse_histogram(M: int, q: int, primes: list[int]) -> np.ndarray:
     return hist
 
 
+def _smooth_length(m: int) -> int:
+    """The least n >= m with no prime factor above 5, a length pocketfft
+    transforms directly rather than by Bluestein's algorithm."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches m
+            best = min(best, p35 << ((m - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_error_bound(u: np.ndarray, v: np.ndarray) -> float:
     """Bound E on |computed - exact| at every entry of the cyclic convolution
-    of u and v as irfft(rfft(u) * rfft(v)), in the style of
+    mod q of two length-q vectors u and v, computed as their linear
+    convolution irfft(rfft(u, n) * rfft(v, n), n) with n = _smooth_length(2q - 1),
+    wrapped mod q by adding entry r + q onto entry r.  In the style of
     expsums._twist_error_bound.
 
-    Each transform is off by at most eps = _FFT_ERROR_C * ceil(log2 q) * u
-    times the 2-norm of its exact output.  A forward error then reaches each
-    convolution entry with at most eps * |u|_2 * |v|_2 (Cauchy-Schwarz over
-    the spectra, and Parseval), and the inverse transform's own error is at
-    most eps * |u * v|_2 <= eps * |u|_1 * |v|_2 (Young).  So with
-    c = _CONVOLVE_ERROR_C, E = c * ceil(log2 q) * u * |u|_1 * |v|_2, which
-    also covers the rounding of the product.
+    Each length-n transform is off by at most eps = _FFT_ERROR_C *
+    ceil(log2 n) * u times the 2-norm of its exact output; zero padding
+    changes no norm.  A forward error then reaches each linear entry with at
+    most eps * |u|_2 * |v|_2 (Cauchy-Schwarz over the spectra, and
+    Parseval), and the inverse transform's own error is at most
+    eps * |u * v|_2 <= eps * |u|_1 * |v|_2 (Young).  So with
+    c = _CONVOLVE_ERROR_C, each linear entry is within
+    c * ceil(log2 n) * u * |u|_1 * |v|_2, which also covers the rounding of
+    the product.  A wrapped entry adds two of them, and its addition rounds
+    once, by at most u * (|u|_1 * |v|_2 + 1) <= 2 * u * |u|_1 * |v|_2 for
+    integer vectors, nonzero (E = 0 when either is zero, and all is exact):
+    E = (2 * c * ceil(log2 n) + 2) * u * |u|_1 * |v|_2.
     """
-    q = len(u)
-    return (_CONVOLVE_ERROR_C * math.ceil(math.log2(q)) * _UNIT_ROUNDOFF
+    n = _smooth_length(2 * len(u) - 1)
+    return ((2 * _CONVOLVE_ERROR_C * math.ceil(math.log2(n)) + 2) * _UNIT_ROUNDOFF
             * float(np.sum(np.abs(u))) * float(np.linalg.norm(v)))
 
 
@@ -184,8 +206,10 @@ def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolutio
 
     The naive route enumerates the k-fold sums.  The convolution route
     folds the residue histogram h of the inverses k - 1 times with itself,
-    each fold one length-q rfft/irfft product rounded to int64, and returns
-    the sum of the squared entries in exact integer arithmetic.  Before
+    each fold one zero-padded rfft/irfft product of a 5-smooth length
+    n >= 2q - 1 (_smooth_length), whose linear convolution is wrapped mod q
+    and rounded to int64, and returns the sum of the squared entries in
+    exact integer arithmetic.  Before
     rounding, each fold checks that its error bound E is below 1/2 and that
     no entry is more than E from its integer; otherwise ConsistencyError.
     The count of units n <= M comes first, by inclusion-exclusion, so both
@@ -218,21 +242,30 @@ def count_congruence_solutions(k: int, M: int, q: int, method: str = "convolutio
 
     if n ** (2 * k) >= 2 ** 62:
         raise CapacityError(f"bucket sizes for (k={k}, M={M}) would overflow the dense path")
-    # at the inverse transform: the histogram, the fold, its spectrum, the
-    # product, the raw fold and the transform's copy of its input, plus the
-    # fold's own spectrum once a later fold transforms it
-    check_modulus(q, bytes_per_entry=40 if k <= 2 else 56)
+    # the histogram and the fold, plus the length-n spectrum, product and
+    # inverse transform with its work copy, for n <= 2.14 q; tracemalloc
+    # measured at most 61 and 86 bytes per residue for k = 2 and k >= 3
+    # (the fold's own spectrum), over q in [1000, 1100) and at q = 1351,
+    # the worst n / (2q - 1) for q in [1000, 10**6)
+    check_modulus(q, bytes_per_entry=64 if k <= 2 else 88)
     hist = _inverse_histogram(M, q, primes)
-    spectrum = np.fft.rfft(hist)
+    size = _smooth_length(2 * q - 1)
+    spectrum = np.fft.rfft(hist, size)
     folded = hist
     for _ in range(k - 1):
-        # entries stay below n**k < 2**31, so E stays below about 2e-4
+        # entries stay below n**k < 2**31, so E stays below about 4e-4
         err = _convolve_error_bound(folded, hist)
         if not err < 0.5:
             raise ConsistencyError(f"fold error bound {err} mod {q} is not below 1/2")
-        left = spectrum if folded is hist else np.fft.rfft(folded)
-        raw = np.fft.irfft(left * spectrum, n=q)
-        del left
+        if folded is hist:
+            product = spectrum * spectrum
+        else:
+            product = np.fft.rfft(folded, size)
+            product *= spectrum
+        linear = np.fft.irfft(product, size)
+        del product
+        raw = linear[:q]
+        raw[: q - 1] += linear[q : 2 * q - 1]
         folded = np.rint(raw)
         # raw becomes the distance of each entry from its integer
         np.abs(np.subtract(raw, folded, out=raw), out=raw)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .accumulate import exact_sum
 from .arith import (
     PrimeTable,
     MultiplicativeTables,
@@ -60,7 +61,7 @@ def avg_max_report(
         range(Q, 2 * Q),
         workers=workers,
     )
-    lhs = math.fsum(per_q)
+    lhs = exact_sum(per_q)
     pi_range = pt.count_dyadic(x)
     return make_report(
         name="avg-max",
@@ -106,7 +107,7 @@ def fixed_a_avg_report(
         range(Q, 2 * Q),
         workers=workers,
     )
-    lhs = math.fsum(per_q)
+    lhs = exact_sum(per_q)
     factor = math.sqrt(1 + a / (x * Q))
     pi_range = mt.prime_table.count_dyadic(x)
     return make_report(

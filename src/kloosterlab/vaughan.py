@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import fsum_complex
+from .accumulate import exact_sum, fsum_complex
 from .arith import MultiplicativeTables, shared_tables
 from .bilinear import BilinearSpec, _product_window, bilinear_sum, dyadic_window
 from .errors import ConsistencyError
@@ -274,7 +274,8 @@ def evaluate_decomposition(
 ) -> tuple[complex, list[complex]]:
     """Total and per-component values of the decomposed sum at phase a/q."""
     vals = [component_value(c, a, q) for c in decomp.components]
-    total = fsum_complex([v.real for v in vals], [v.imag for v in vals])
+    parts = np.array(vals, dtype=np.complex128)
+    total = fsum_complex(parts.real, parts.imag)
     return total, vals
 
 
@@ -363,7 +364,7 @@ def reconstruct_lambda(n: int, U: float, tables: MultiplicativeTables | None = N
         if b:
             terms.append(-lam * b)
 
-    return math.fsum(terms)
+    return exact_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -393,14 +394,13 @@ def prime_power_gap(a: int, q: int, x: float, tables: MultiplicativeTables | Non
     direct = inverse_phase_sum(primes, a, q, weights=logs)
 
     # prime powers p^j, j >= 2: a von Mangoldt stamp on a nonprime
-    # (primes have spf[n] == n)
+    # (primes have spf[n] == n), read from views of the window
     vp = mt.vm_prime[lo:hi]
-    spf = pt.spf[lo:hi]
-    window = np.arange(lo, hi, dtype=np.int64)
-    ps = vp[(vp > 0) & (spf != window)]
+    stamped = np.flatnonzero(vp > 0)
+    ps = vp[stamped][pt.spf[lo:hi][stamped] != lo + stamped]
     ps = ps[np.gcd(ps, q) == 1]
     return PrimePowerGap(
         gap=abs(lam.value - direct.value),
-        envelope=math.fsum(np.log(ps.astype(float))),
+        envelope=exact_sum(np.log(ps.astype(float))),
         prime_power_terms=len(ps),
     )

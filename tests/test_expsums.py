@@ -2,17 +2,21 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kloosterlab import expsums
 from kloosterlab.accumulate import fsum_complex, unit_roots
-from kloosterlab.arith import batch_inverses
+from kloosterlab.arith import batch_inverses, build_multiplicative_tables
 from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
 from kloosterlab.expsums import (
     _CHUNK_CELLS,
     ExpSumQuery,
+    _twist_error_bound,
     inverse_phase_sum,
     kloosterman,
     kloosterman_grid,
@@ -113,8 +117,6 @@ def test_prime_sum_rejects_unknown_weight():
 
 
 def test_prime_sum_coverage_error():
-    from kloosterlab.arith import build_multiplicative_tables
-
     tiny = build_multiplicative_tables(100)
     with pytest.raises(CoverageError):
         prime_sum(ExpSumQuery(a=1, q=5, x=90), tables=tiny)
@@ -281,3 +283,78 @@ def test_weil_ratio_envelope(prime_table):
             for lo, hi in [(0, p / 3), (p / 4, p / 2), (0, 2 * p / 3)]:
                 worst = max(worst, weil_ratio(a, p, lo, hi).ratio)
     assert worst <= 1.5
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def _twisted_windows(draw):
+    q = draw(st.integers(2, 3000))
+    return draw(st.integers(1, q - 1)), q, draw(st.floats(2.0, 24000.0))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@_PROPERTY
+@given(case=_twisted_windows(), weight=st.sampled_from(["unit", "von_mangoldt"]))
+def test_prime_sum_twist_q_minus_a_is_the_bitwise_conjugate(case, weight, tables):
+    a, q, x = case
+    plus = prime_sum(ExpSumQuery(a=a, q=q, x=x), weight=weight, tables=tables).value
+    minus = prime_sum(ExpSumQuery(a=q - a, q=q, x=x), weight=weight, tables=tables).value
+    # an exactly zero imaginary part is +0.0 on both sides
+    want = complex(plus.real, -plus.imag if plus.imag else 0.0)
+    assert _bits(minus) == _bits(want)
+
+
+@st.composite
+def _histograms(draw):
+    """A residue histogram mod q: counts of random terms, or complex weights
+    in the unit disk on a random support."""
+    q = draw(st.integers(2, 1500))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        terms = rng.integers(0, q, draw(st.integers(1, 400)))
+        return q, terms, None
+    support = np.flatnonzero(rng.random(q) < draw(st.floats(0.01, 1.0)))
+    if len(support) == 0:
+        support = np.array([int(rng.integers(0, q))])
+    vals = rng.random(len(support)) * np.exp(2j * np.pi * rng.random(len(support)))
+    return q, support, vals
+
+
+@_PROPERTY
+@given(case=_histograms())
+def test_twist_spectrum_within_its_bound_of_the_direct_sum(case):
+    # the bounds of max_prime_sum (counts) and _max_abs_over_twists (weights)
+    q, terms, vals = case
+    if vals is None:
+        h = np.bincount(terms, minlength=q).astype(np.float64)
+        err = _twist_error_bound(h, len(terms), len(terms) - 1)
+    else:
+        h = np.zeros(q, dtype=np.complex128)
+        h[terms] = vals
+        err = _twist_error_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
+    twists = np.arange(q, dtype=np.int64)
+    spectrum = np.abs(np.fft.fft(h))[(-twists) % q]
+    table = unit_roots(q)[(twists[:, None] * terms[None, :]) % q]
+    direct = np.abs((table if vals is None else table * vals).sum(axis=1))
+    assert float(np.abs(spectrum - direct).max()) <= err
+
+
+def test_von_mangoldt_prime_sum_reads_its_window_as_views():
+    # the window [x, 2x) is read in place: no length-x int64 copy of it
+    x = 500_000
+    tables = build_multiplicative_tables(2 * x)
+    query = ExpSumQuery(a=1, q=7, x=x)
+    prime_sum(query, weight="von_mangoldt", tables=tables)
+    tracemalloc.start()
+    try:
+        prime_sum(query, weight="von_mangoldt", tables=tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * x
