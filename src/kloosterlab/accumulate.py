@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,6 +99,7 @@ _BLOCK = 1 << 14
 #: Every bin is an integer multiple of 2**-1133: the smallest frexp
 #: exponent, -1073, less 53 mantissa bits and 7 levels of octet padding.
 _SCALE_BITS = 1133
+_SCALE = 1 << _SCALE_BITS
 
 #: A stream of n terms below 2**e in magnitude stays on the binned path
 #: while e + n.bit_length() <= _TOP: its partial sums then stay below
@@ -107,41 +109,58 @@ _TOP = 1021
 #: Weights of eight consecutive levels; the octet sum stays below 2**61.
 _OCTET = 1 << np.arange(7, -1, -1, dtype=np.int64)
 
+#: Bins per row.  Bin _TOP - e of a row holds the top halves of its terms
+#: with exponent e, and bin _TOP - e + 26 their low halves.  Exponents run
+#: from -1073 up, so the bins read, padded to whole octets, end below
+#: _TOP + 1073 + 34.
+_ROW = 2128
+
+
+@lru_cache(maxsize=None)
+def _bases(k: int) -> np.ndarray:
+    """The bin of exponent 0 for the top and low halves of k rows, shape
+    (2, k, 1): a term of row j with exponent e goes to bins[:, j] - e."""
+    bases = np.add.outer((_TOP, _TOP + 26), _ROW * np.arange(k))[:, :, None]
+    bases.setflags(write=False)
+    return bases
+
 
 def _binned_sums(rows: np.ndarray) -> list[float] | None:
     """Correctly rounded exact sums of the rows of a 2-D float64 array, or
     None for input that math.fsum has to sum (not finite, or near overflow)."""
     k, n = rows.shape
     totals = [0] * k
+    bases = _bases(k)
+    # below this every exponent e has e + n.bit_length() <= _TOP; inf and
+    # nan fail the test too
+    limit = 2.0 ** (_TOP - n.bit_length())
     for start in range(0, n, _BLOCK):
-        m, e = np.frexp(rows[:, start : start + _BLOCK])
-        flat = m.ravel()
-        # |m| < 1 for finite terms, so only inf or nan input leaves this non-finite
-        if not math.isfinite(flat @ flat):
+        block = rows[:, start : start + _BLOCK]
+        amax = float(np.abs(block).max())
+        if not amax < limit:
             return None
-        emax, emin = int(e.max()), int(e.min())
-        if emax + n.bit_length() > _TOP:
-            return None
-        # level emax - e takes the top half of a term and level emax - e + 26
-        # its low half, both then in units of 2**(emax - 27 - level); each
-        # row has its own run of levels, padded to whole octets
-        levels = (emax - emin + 34) & -8
-        base = np.array([[emax + half + j * levels for j in range(k)] for half in (0, 26)])
-        idx = np.subtract(base[:, :, None], e)
+        m, e = np.frexp(block)
+        # the largest exponent of a nonzero term (zeros have exponent 0 and
+        # add 0 wherever they land), and the smallest of any term
+        emax, emin = math.frexp(amax)[1], int(e.min())
         m *= 2.0 ** 27
         w = np.empty((2,) + m.shape)
         np.trunc(m, out=w[0])
         np.subtract(m, w[0], out=w[1])
         w[1] *= 2.0 ** 26
-        bins = np.bincount(idx.ravel(), weights=w.ravel(), minlength=k * levels)
-        octets = (bins.astype(np.int64).reshape(-1, 8) @ _OCTET).tolist()
-        # octet g is in units of 2**(emax - 34 - 8g), that is 2**(shift - _SCALE_BITS)
-        shifts = range(emax + _SCALE_BITS - 34, emax + _SCALE_BITS - 34 - levels, -8)
-        per = levels // 8
-        for j in range(k):
-            totals[j] += sum(map(operator.lshift, octets[j * per : (j + 1) * per], shifts))
-    scale = 1 << _SCALE_BITS
-    return [t / scale for t in totals]
+        bins = np.bincount(np.subtract(bases, e).ravel(), weights=w.ravel(), minlength=k * _ROW)
+        # bin first + i of a row is in units of 2**(emax - 27 - i)
+        first = _TOP - emax
+        levels = (emax - emin + 34) & -8
+        filled = bins.reshape(k, _ROW)[:, first : first + levels].astype(np.int64)
+        octets = (filled.reshape(k, -1, 8) @ _OCTET).tolist()
+        # octet g is in units of 2**(emax - 34 - 8g); Horner in small shifts,
+        # then one shift of the row to units of 2**-_SCALE_BITS
+        top = levels - 8
+        steps = range(top, -1, -8)
+        for j, row in enumerate(octets):
+            totals[j] += sum(map(operator.lshift, row, steps)) << (emax + _SCALE_BITS - 34 - top)
+    return [t / _SCALE for t in totals]
 
 
 def exact_sum(values) -> float:

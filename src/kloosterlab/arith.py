@@ -4,6 +4,22 @@ Sieves (smallest and largest prime factor), modular inverses (single and
 vectorized over int64 arrays), Mobius and von Mangoldt tables with the
 prime-power structure kept exact, square-full testing and counting support.
 
+Vectorized inverses take one of two routes, by how densely a request
+covers the residues mod q (batch_inverses):
+
+- a dense request, with at least q / _DENSE_RATIO values, gathers from a
+  length-q table that costs O(q): Fermat below _TABLE_HEAD and at the
+  primes up to q/2, complete multiplicativity over the smallest prime
+  factor for the rest up to q/2, and inv(q - m) = q - inv(m) above.  The
+  table is built per request and not kept; inverse_table(q) is the
+  cached one;
+- a sparse request runs square-and-multiply v**(phi(q) - 1) mod q, about
+  2 * log2(q) array operations whatever its length.
+
+Both work in uint32 lanes below q = 2**16, where every product of two
+residues is below 2**32, and in int64 above; the output is int64 either
+way.  pow(v, -1, q) is their twin in the tests.
+
 All tables are immutable after construction and safe to share between
 threads; construction itself is serialized behind a lock.  Sizes are
 checked against a byte budget before anything is allocated, so oversized
@@ -36,9 +52,30 @@ _SIEVE_SCRATCH_BYTES = 1.5
 #: int64.
 MODULUS_CAP = 2 ** 31
 
-#: Block length of the vectorized steps of build_multiplicative_tables, so
-#: their boolean masks stay small next to the tables.
+#: Block length of the vectorized steps of build_multiplicative_tables and
+#: of the inverse-table builds, so their work arrays stay small next to the
+#: tables.
 _TABLE_BLOCK = 1 << 16
+
+#: batch_inverses gathers from an O(q) table once a request has at least
+#: q / _DENSE_RATIO values, and runs square-and-multiply below that.  A
+#: table costs about 17-22 ns per residue for q >= 10**4 (2-core VM), and
+#: square-and-multiply 50-140 ns per value.  Replayed over the 1,800
+#: requests of two seeded benchmark query streams, ratio 2 cost least:
+#: 0.262 s, against 0.263 s at 1.5, 0.265 s at 3, 0.273 s at 4 and 0.446 s
+#: without tables.  Sending q < 2048 to square-and-multiply whatever the
+#: length cost more (0.277 s).
+_DENSE_RATIO = 2
+
+#: An inverse-table build runs Fermat at every residue below this, and
+#: needs no sieve while q/2 is below it.  Of 256, 512, 1024 and 2048, 1024
+#: built tables fastest from q = 101 to 200003.
+_TABLE_HEAD = 1024
+
+#: Peak bytes per residue of an inverse-table build, measured with
+#: tracemalloc at every q in [1000, 2300) and at powers of two up to 10**6:
+#: at most 21.5, at q = 2050, where the sieve first joins the Fermat head.
+_TABLE_BYTES = 22
 
 
 def memory_budget() -> int:
@@ -170,17 +207,15 @@ def sieve_primes(limit: int) -> PrimeTable:
                     what="prime sieve")
 
     spf = np.zeros(limit + 1, dtype=dtype)
-    small_primes = []
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            small_primes.append(p)
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    # Everything still unmarked above 1 is a prime larger than sqrt(limit).
-    large = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    spf[large] = large
-    primes = np.concatenate([np.asarray(small_primes, dtype=np.int64), large])
+    # the primes up to sqrt(limit) mark their multiples from p*p on, the
+    # largest first, so each entry keeps the smallest prime written to it
+    root = math.isqrt(limit)
+    small = sieve_primes(root).primes.tolist() if root >= 2 else []
+    for p in reversed(small):
+        spf[p * p :: p] = p
+    # everything still unmarked from 2 on is prime, the small ones included
+    primes = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
+    spf[primes] = primes
     return PrimeTable(limit=limit, primes=primes, spf=spf)
 
 
@@ -209,6 +244,18 @@ def _prime_divisors(q: int) -> list[int]:
     return primes
 
 
+def _coprime_to(q: int, stop: int) -> np.ndarray:
+    """The integers 1 <= a < stop with gcd(a, q) = 1, ascending, as int64.
+
+    A sieve over the primes dividing q: bitwise the np.gcd filter of
+    arange(1, stop), at one strided store per prime in place of a gcd per entry.
+    """
+    mask = np.ones(stop, dtype=bool)
+    for p in _prime_divisors(q):
+        mask[::p] = False
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
+
+
 def _totient(q: int) -> int:
     """Euler's phi(q), from the primes dividing q."""
     phi = q
@@ -217,36 +264,105 @@ def _totient(q: int) -> int:
     return phi
 
 
+def _fermat_inverses(vals: np.ndarray, q: int) -> np.ndarray:
+    """v**(phi(q) - 1) mod q for residues 0 <= v < q, as int64, 0 at non-units.
+
+    About 2 * log2(q) array operations whatever the length.  Below 2**16
+    every product of two residues is below 2**32, so the lanes are uint32;
+    above, int64.  Every step names its dtype and writes into an out=
+    array, so the result does not depend on numpy's scalar promotion
+    rules (NEP 50).
+    """
+    dtype = np.uint32 if q < 1 << 16 else np.int64
+    mod = dtype(q)
+    v = vals.astype(dtype, copy=False)
+    base = v.copy()
+    out = np.ones_like(base)
+    e = _totient(q) - 1
+    while e:
+        if e & 1:
+            np.multiply(out, base, out=out)
+            np.remainder(out, mod, out=out)
+        e >>= 1
+        if e:
+            np.multiply(base, base, out=base)
+            np.remainder(base, mod, out=base)
+    # v * v**(phi(q) - 1) is 1 for a unit v; for any other v it shares a
+    # prime with q, so it is not 1 (and cheaper to test than a gcd)
+    check = np.multiply(v, out, out=base)
+    np.remainder(check, mod, out=check)
+    out[check != 1] = 0
+    return out.astype(np.int64, copy=False)
+
+
+def _build_inverse_table(q: int) -> np.ndarray:
+    """Array t of length q >= 2 with t[r] = inverse of r mod q for units, 0 elsewhere.
+
+    Fermat runs below _TABLE_HEAD and at the primes up to q/2.  The other
+    entries up to q/2 follow from complete multiplicativity, inv(n) =
+    inv(spf(n)) * inv(n / spf(n)), over chunks [lo, hi) with hi <= 2 lo, so
+    the cofactor n / spf(n) <= n/2 always lies below the chunk.  Above
+    q/2, inv(q - m) = q - inv(m).  A prime dividing q gets 0 from Fermat,
+    and the 0 carries to every multiple and through the mirror.  Below
+    2**16 the work is in uint32 lanes, like _fermat_inverses.  The sieve is
+    local and freed on return.  Not cached: inverse_table is the cached
+    entry point.
+    """
+    dtype = np.uint32 if q < 1 << 16 else np.int64
+    mod = dtype(q)
+    table = np.empty(q, dtype=dtype)
+    # [0, half) is filled by Fermat and the chunks, [half, q) by the mirror
+    half = q // 2 + 1
+    head = min(half, _TABLE_HEAD)
+    seeds = np.arange(head)
+    if half > head:
+        sieve = sieve_primes(half - 1)
+        spf = sieve.spf
+        seeds = np.concatenate((seeds, sieve.primes[np.searchsorted(sieve.primes, head) :]))
+    table[seeds] = _fermat_inverses(seeds, q)
+    lo = head
+    while lo < half:
+        hi = min(half, 2 * lo, lo + _TABLE_BLOCK)
+        p = spf[lo:hi]
+        # n / spf(n) is an exact quotient below 2**31, so the float
+        # division is exact, and cheaper than an integer one
+        cof = np.divide(np.arange(lo, hi, dtype=np.float64), p)
+        chunk = table[lo:hi]
+        np.take(table, p, out=chunk)
+        chunk *= table[cof.astype(np.intp)]
+        np.remainder(chunk, mod, out=chunk)
+        lo = hi
+    if half > head:
+        # free the sieve before the int64 copy below
+        del sieve, spf
+    up = table[half:]
+    np.subtract(mod, table[q - half : 0 : -1], out=up)
+    up[up == mod] = 0
+    return table.astype(np.int64, copy=False)
+
+
 def batch_inverses(values, q: int) -> np.ndarray:
     """Inverses modulo q of a sequence of integers, as int64, 0 where not invertible.
 
-    One vectorized square-and-multiply v**(phi(q) - 1) mod q, about
-    2 * log2(q) array operations whatever the length; entries sharing a
-    factor with q are set to 0.  Values must fit in int64 and q must be
-    below MODULUS_CAP, so that every product fits in int64.  Output order
-    matches the input order.
+    Two routes, chosen by how densely the request covers the residues:
+
+    - dense, with at least q / _DENSE_RATIO values: one gather from a
+      length-q table built in O(q) by _build_inverse_table, which is not
+      cached, so a long-lived process keeps no table per modulus.  A
+      table over the byte budget sends the request to the sparse route;
+    - sparse: one vectorized square-and-multiply v**(phi(q) - 1) mod q
+      (_fermat_inverses), in uint32 lanes for q < 2**16.
+
+    Values must fit in int64 and q must be below MODULUS_CAP, so that
+    every product fits in int64.  Output order matches the input order.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     check_modulus(q)
     vals = np.remainder(np.asarray(values, dtype=np.int64), q)
-    base = vals.copy()
-    out = np.ones_like(vals)
-    e = _totient(q) - 1
-    while e:
-        if e & 1:
-            np.multiply(out, base, out=out)
-            np.remainder(out, q, out=out)
-        e >>= 1
-        if e:
-            np.multiply(base, base, out=base)
-            np.remainder(base, q, out=base)
-    # v * v**(phi(q) - 1) is 1 for a unit v; for any other v it shares a
-    # prime with q, so it is not 1 (and cheaper to test than a gcd)
-    np.multiply(vals, out, out=vals)
-    np.remainder(vals, q, out=vals)
-    out[vals != 1] = 0
-    return out
+    if _DENSE_RATIO * vals.size >= q and q * _TABLE_BYTES <= memory_budget():
+        return _build_inverse_table(q)[vals]
+    return _fermat_inverses(vals, q)
 
 
 @lru_cache(maxsize=32)
@@ -254,9 +370,8 @@ def inverse_table(q: int) -> np.ndarray:
     """Array t with t[r] = inverse of r mod q for units, 0 elsewhere (len q)."""
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    # the int64 table plus four int64 work arrays and a mask
-    check_modulus(q, bytes_per_entry=33)
-    table = batch_inverses(np.arange(q, dtype=np.int64), q)
+    check_modulus(q, bytes_per_entry=_TABLE_BYTES)
+    table = _build_inverse_table(q)
     table.setflags(write=False)
     return table
 

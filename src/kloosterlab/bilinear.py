@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import accumulation_bound, exact_sum, fsum_complex, unit_roots
-from .arith import check_modulus, inverse_table
+from .arith import _coprime_to, check_modulus, inverse_table
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .parallel import pmap
@@ -197,8 +197,7 @@ def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
     if len(support) == 0:
         return 0.0
     vals = h[support]
-    twists = np.arange(1, q, dtype=np.int64)
-    twists = twists[np.gcd(twists, q) == 1]
+    twists = _coprime_to(q, q)
     err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
     return _twist_max(h, twists, support, vals, err)[1]
 

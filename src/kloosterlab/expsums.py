@@ -24,6 +24,7 @@ from .accumulate import TERM_EPS, accumulation_bound, exact_sum, fsum_complex, u
 from .arith import (
     MultiplicativeTables,
     PrimeTable,
+    _coprime_to,
     batch_inverses,
     check_modulus,
     memory_budget,
@@ -51,7 +52,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 #: convolution of three FFTs), whose error is a small multiple of a plain
 #: FFT's.  The largest |FFT - direct| measured over every q < 1200 and
 #: selected q up to 100,000, direct error included, was 0.40 of the c = 1
-#: term; c = 8 leaves a factor 20.
+#: term for the full fft, and 0.30 for the half spectrum (rfft) that real
+#: histograms take; c = 8 leaves a factor 20.
 _FFT_ERROR_C = 8.0
 
 _WEIGHTS = ("unit", "von_mangoldt")
@@ -173,6 +175,17 @@ def _twist_error_bound(h: np.ndarray, weight: float, depth: int) -> float:
     return direct + fft
 
 
+def _twist_spectrum(h: np.ndarray, twists: np.ndarray) -> np.ndarray:
+    """|sum_r h[r] e(a r / q)| at each twist a, from one FFT of h (len q)."""
+    q = len(h)
+    if np.iscomplexobj(h):
+        # numpy's fft has the sign e(-a r / q); index -a to get S(a)
+        return np.abs(np.fft.fft(h))[(-twists) % q]
+    # for real h, S(-a) is the conjugate of S(a), so |S(a)| is the half
+    # spectrum at min(a, q - a)
+    return np.abs(np.fft.rfft(h))[np.minimum(twists, q - twists)]
+
+
 def _twist_max(h: np.ndarray, twists: np.ndarray, terms: np.ndarray, vals, err: float):
     """The first twist a with the largest |sum_k vals[k] e(a * terms[k] / q)|,
     and that magnitude; vals None means unit weights.
@@ -191,8 +204,7 @@ def _twist_max(h: np.ndarray, twists: np.ndarray, terms: np.ndarray, vals, err: 
     spectrum.
     """
     q = len(h)
-    # numpy's fft has the sign e(-a r / q); index -a to get S(a)
-    spectrum = np.abs(np.fft.fft(h))[(-twists) % q]
+    spectrum = _twist_spectrum(h, twists)
     keep = spectrum >= spectrum.max() - 2 * err
     survivors, near = twists[keep], spectrum[keep]
     rows = max(1, _CHUNK_CELLS // len(terms))
@@ -240,8 +252,7 @@ def max_prime_sum(
         table = shared_prime_table(int(math.ceil(2 * x)))
     table.require_coverage(2 * x)
 
-    candidates = np.arange(1, q // 2 + 1, dtype=np.int64)
-    candidates = candidates[np.gcd(candidates, q) == 1]
+    candidates = _coprime_to(q, q // 2 + 1)
     ps = table.primes_between(x, 2 * x)
     primes = ps[q % ps != 0]
     if len(primes) == 0:

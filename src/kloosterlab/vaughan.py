@@ -398,7 +398,8 @@ def prime_power_gap(a: int, q: int, x: float, tables: MultiplicativeTables | Non
     vp = mt.vm_prime[lo:hi]
     stamped = np.flatnonzero(vp > 0)
     ps = vp[stamped][pt.spf[lo:hi][stamped] != lo + stamped]
-    ps = ps[np.gcd(ps, q) == 1]
+    # a prime is coprime to q when it does not divide q
+    ps = ps[q % ps != 0]
     return PrimePowerGap(
         gap=abs(lam.value - direct.value),
         envelope=exact_sum(np.log(ps.astype(float))),

@@ -44,6 +44,7 @@ def _same(got: float, want: float) -> bool:
 @example(values=[], block=1 << 14)
 @example(values=[-0.0, -0.0], block=1 << 14)
 @example(values=[1e300, 1.0, -1e300, 5e-324], block=1)
+@example(values=[0.0, 1e-300, -3e-310, 5e-324, 0.0], block=1 << 14)
 def test_exact_sum_bitwise_fsum(values, block):
     # blocks of 1, 3 and 7 terms put every stream across block boundaries
     with mock.patch.object(accumulate, "_BLOCK", block):
@@ -53,6 +54,7 @@ def test_exact_sum_bitwise_fsum(values, block):
 
 @_PROPERTY
 @given(pairs=st.lists(st.tuples(_FINITE, _FINITE), max_size=40), block=st.sampled_from([2, 5, 1 << 14]))
+@example(pairs=[(0.0, 1e-300), (2.5e-320, 0.0), (-1e-300, 0.0)], block=1 << 14)
 def test_fsum_complex_bitwise_fsum_per_part(pairs, block):
     re = [p[0] for p in pairs]
     im = [p[1] for p in pairs]

@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +157,101 @@ def test_batch_inverses_match_montgomery_twin(q, values):
     assert batch_inverses(values, q).tolist() == _montgomery_inverses(values, q)
 
 
+#: Moduli where the inverse routes change shape: prime powers, highly
+#: composite q, and both sides of the 2**16 lane edge.
+_SHAPED_MODULI = [2, 4, 8, 27, 243, 1024, 3125, 16807, 59049, 65536, 131072,
+                  12, 360, 720, 5040, 55440, 2 * 3 * 5 * 7 * 11 * 13,
+                  65535, 65537, 65521, 65519, 2 * 65521]
+
+
+def _pow_inverses(values, q):
+    return [pow(int(v), -1, q) if math.gcd(int(v), q) == 1 else 0 for v in values]
+
+
+@st.composite
+def _inverse_requests(draw):
+    """(q, values), the length just below, at or just above the dense
+    crossover, or short; values negative, in [0, q) and far above q."""
+    q = draw(st.one_of(st.integers(2, 5000), st.sampled_from(_SHAPED_MODULI)))
+    dense = -(-q // arith._DENSE_RATIO)
+    n = draw(st.one_of(st.sampled_from([dense - 1, dense, dense + 1]), st.integers(0, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(-3 * q, 3 * q, n)
+    values[rng.random(n) < 0.1] += 2 ** 40 * q
+    return q, values
+
+
+@_PROPERTY
+@given(request=_inverse_requests())
+@example(request=(65535, np.arange(32768) - 5))
+@example(request=(65536, 3 * np.arange(32767) - 7))
+@example(request=(65537, np.arange(32770) + 2 ** 40))
+def test_both_inverse_routes_match_pow(request):
+    q, values = request
+    expected = _pow_inverses(values, q)
+    vals = np.remainder(values, q)
+    fermat = arith._fermat_inverses(vals, q)
+    table = arith._build_inverse_table(q)
+    assert fermat.dtype == table.dtype == np.int64
+    assert fermat.tolist() == expected
+    assert table[vals].tolist() == expected
+    assert table.tolist() == _pow_inverses(range(q), q)
+
+
+@_PROPERTY
+@given(request=_inverse_requests())
+@example(request=(65535, np.arange(32768) - 5))
+@example(request=(65536, 3 * np.arange(32767) - 7))
+@example(request=(65537, np.arange(32770) + 2 ** 40))
+def test_batch_inverses_gathers_exactly_when_dense(request):
+    q, values = request
+    builds = []
+    build = arith._build_inverse_table
+    with mock.patch.object(arith, "_build_inverse_table", lambda m: builds.append(m) or build(m)):
+        got = batch_inverses(values, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == _pow_inverses(values, q)
+    assert builds == ([q] if arith._DENSE_RATIO * len(values) >= q else [])
+
+
+@pytest.mark.parametrize("head", [4, arith._TABLE_HEAD])
+def test_inverse_table_route_equals_fermat_below_2000(head):
+    # a head of 4 puts every q past 8 through the sieve and the chunks
+    with mock.patch.object(arith, "_TABLE_HEAD", head):
+        for q in range(2, 2000):
+            residues = np.arange(q, dtype=np.int64)
+            assert np.array_equal(arith._build_inverse_table(q), arith._fermat_inverses(residues, q)), q
+
+
+def test_dense_request_over_the_table_budget_takes_the_sparse_route(monkeypatch):
+    q = 10007
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(arith._TABLE_BYTES * q - 1))
+    monkeypatch.setattr(arith, "_build_inverse_table", None)
+    assert batch_inverses(np.arange(q), q).tolist() == _pow_inverses(range(q), q)
+    with pytest.raises(CapacityError):
+        inverse_table.__wrapped__(q)
+
+
+def test_coprime_sieve_equals_gcd_filter_below_3000():
+    primes = sieve_primes(3000).primes
+    for q in range(2, 3000):
+        for stop in (q // 2 + 1, q):
+            a = np.arange(1, stop, dtype=np.int64)
+            got = arith._coprime_to(q, stop)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, a[np.gcd(a, q) == 1]), (q, stop)
+        assert np.array_equal(q % primes != 0, np.gcd(primes, q) == 1), q
+
+
+def test_sieve_of_small_limits():
+    for limit in range(2, 200):
+        table = sieve_primes(limit)
+        assert table.primes.tolist() == _brute_primes(limit)
+        assert table.spf[:2].tolist() == [0, 0]
+        assert all(int(table.spf[n]) == min(p for p in range(2, n + 1) if n % p == 0)
+                   for n in range(2, limit + 1))
+
+
 def test_batch_inverses_refuse_moduli_from_2_31():
     assert batch_inverses([3], MODULUS_CAP - 1).tolist() == [pow(3, -1, MODULUS_CAP - 1)]
     with pytest.raises(CapacityError):
@@ -165,14 +261,15 @@ def test_batch_inverses_refuse_moduli_from_2_31():
 
 
 def test_length_q_tables_stay_within_memory_budget(monkeypatch):
-    # an inverse table charges 33 bytes and a unit-root table 32 per residue
-    monkeypatch.setenv(MEMORY_ENV_VAR, str(33 * 1000))
+    # an inverse table charges 22 bytes and a unit-root table 32 per residue
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(22 * 1000))
     assert len(inverse_table.__wrapped__(1000)) == 1000
-    assert len(unit_roots(1000)) == 1000
     with pytest.raises(CapacityError):
         inverse_table.__wrapped__(1001)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(32 * 1000))
+    assert len(unit_roots(1000)) == 1000
     with pytest.raises(CapacityError):
-        unit_roots(1032)
+        unit_roots(1001)
     # gathered roots need no table
     assert len(unit_roots_at([1, 5, 7], 10 ** 6)) == 3
 

@@ -17,6 +17,7 @@ from kloosterlab.expsums import (
     _CHUNK_CELLS,
     ExpSumQuery,
     _twist_error_bound,
+    _twist_spectrum,
     inverse_phase_sum,
     kloosterman,
     kloosterman_grid,
@@ -339,7 +340,7 @@ def test_twist_spectrum_within_its_bound_of_the_direct_sum(case):
         h[terms] = vals
         err = _twist_error_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
     twists = np.arange(q, dtype=np.int64)
-    spectrum = np.abs(np.fft.fft(h))[(-twists) % q]
+    spectrum = _twist_spectrum(h, twists)
     table = unit_roots(q)[(twists[:, None] * terms[None, :]) % q]
     direct = np.abs((table if vals is None else table * vals).sum(axis=1))
     assert float(np.abs(spectrum - direct).max()) <= err

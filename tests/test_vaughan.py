@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab.expsums import ExpSumQuery, prime_sum
+from kloosterlab.accumulate import ROUND_EPS, exact_sum
+from kloosterlab.bilinear import bilinear_sum
+from kloosterlab.expsums import ExpSumQuery, inverse_phase_sum, prime_sum
 from kloosterlab.vaughan import (
     KIND_TYPE1,
     KIND_TYPE2,
@@ -82,6 +84,32 @@ def test_decomposition_is_deterministic(tables):
 def test_decomposition_matches_direct_sum(a, q, x, U, tables):
     chk = compare_decomposition(VaughanParams(x=x, U=U), a, q, tables)
     assert chk.rel_error <= 1e-9, (a, q, x, U, chk.rel_error)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(x=st.floats(8.0, 700.0), cut=st.floats(0.0, 1.0), a=st.integers(0, 10 ** 6),
+       q=st.integers(2, 500))
+def test_decomposition_matches_reconstructed_window_sum(x, cut, a, q, tables):
+    # the blocks against sum over x <= n < 2x of reconstruct_lambda(n, U) e(a inv(n) / q)
+    U = 1.0 + cut * (x ** (1 / 3) - 1.0)
+    a %= q
+    decomp = decompose(VaughanParams(x=x, U=U), tables)
+    total, _ = evaluate_decomposition(decomp, a, q)
+    ns = np.arange(math.ceil(x), math.ceil(2 * x))
+    weights = np.array([reconstruct_lambda(int(n), U, tables) for n in ns])
+    window = inverse_phase_sum(ns, a, q, weights=weights)
+    # each side's rounding envelope: the block sums with their coefficients
+    # (a log, a product and the block scale per term) and the final sum,
+    # the window sum, and the reconstructed weights against log p, which is
+    # itself within one rounding of the exact Lambda(n)
+    u = 2.0 ** -53
+    bound = ROUND_EPS * abs(total) + window.accumulation_error_bound
+    for comp in decomp.components:
+        v = bilinear_sum(comp.to_spec(a, q))
+        bound += abs(comp.scale) * (v.accumulation_error_bound + 4 * u * v.weight_sum + 2 * u * abs(v.value))
+    lam = np.array([tables.lam(int(n)) for n in ns])
+    bound += exact_sum(np.abs(weights - lam)) + u * exact_sum(lam)
+    assert abs(total - window.value) <= bound
 
 
 def test_component_values_sum_to_total(tables):
