@@ -2,8 +2,9 @@
 
 Phases are always reduced to rationals k/q in [0, 1) and looked up in a
 unit-root table, so the per-term evaluation error does not grow with the
-modulus.  Term streams are summed by exact_sum, a binned accumulator in
-the style of Demmel and Hida ("Accurate and efficient floating point
+modulus.  Term streams are summed by exact_sums, one stream per row of an
+array (exact_sum for a single stream), a binned accumulator in the style
+of Demmel and Hida ("Accurate and efficient floating point
 summation", SIAM J. Sci. Comput. 25, 2003):
 
 - np.frexp writes each term as x = m * 2**e with a 53-bit mantissa m,
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,38 +43,45 @@ TERM_EPS = 2.0 ** -50
 ROUND_EPS = 2.0 ** -52
 
 
-def unit_roots_at(idx, q: int) -> np.ndarray:
+def unit_roots_at(idx, q) -> np.ndarray:
     """Return e(k/q) = exp(2*pi*i*k/q) for each residue k in idx (0 <= k < q).
 
-    Entries above q/2 are the exact conjugates of the entries at q - k,
-    the entry at 0 is exactly 1 and the entry at q/2 (even q) exactly -1,
-    so conjugate symmetry of any sum over these values holds bitwise
-    rather than merely up to rounding.  Each value depends only on (k, q):
-    it is bitwise the entry k of unit_roots(q), whichever other residues
-    are asked for.  No length-q table is built unless idx has more than
-    q/2 + 1 entries, of any shape, when tabulating the lower half is the
-    cheaper route.
+    q is one modulus, or an integer array of moduli that broadcasts
+    against idx, such as a column with one modulus per row.  Entries above
+    q/2 are the exact conjugates of the entries at q - k, the entry at 0 is
+    exactly 1 and the entry at q/2 (even q) exactly -1, so conjugate
+    symmetry of any sum over these values holds bitwise rather than merely
+    up to rounding.  Each value depends only on (k, q): it is bitwise the
+    entry k of unit_roots(q), whichever other residues and moduli are
+    asked for.  No length-q table is built unless q is one modulus and idx
+    has more than q/2 + 1 entries, of any shape, when tabulating the lower
+    half is the cheaper route.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    check_modulus(q)
+    moduli = np.asarray(q, dtype=np.int64)
+    if moduli.size and int(moduli.min()) < 1:
+        raise ValueError(f"modulus must be >= 1, got {int(moduli.min())}")
+    check_modulus(int(moduli.max(initial=1)))
+    q = int(q) if moduli.ndim == 0 else moduli
     half = q // 2
     idx = np.asarray(idx, dtype=np.int64)
     upper = idx > half
     k = np.where(upper, q - idx, idx)
-    if k.size > half + 1:
+    if isinstance(q, int) and k.size > half + 1:
         roots = _lower_roots(np.arange(half + 1), q)[k]
     else:
         roots = _lower_roots(k, q)
     return np.conjugate(roots, out=roots, where=upper)
 
 
-def _lower_roots(k: np.ndarray, q: int) -> np.ndarray:
-    """e(k/q) for residues 0 <= k <= q/2."""
-    roots = np.exp((2j * math.pi / q) * k)
+def _lower_roots(k: np.ndarray, q) -> np.ndarray:
+    """e(k/q) for residues 0 <= k <= q/2, with q one modulus or an array of
+    moduli that broadcasts against k."""
+    # 1j * (2 pi / q) is the complex (0, 2 pi / q) for an int q and for an
+    # int array alike; numpy's (2j * pi) / q over an array is not bitwise
+    # Python's 2j * pi / q
+    roots = np.exp((1j * (2 * math.pi / q)) * k)
     roots[k == 0] = 1.0
-    if q % 2 == 0:
-        roots[k == q // 2] = -1.0
+    roots[(k == q // 2) & (q % 2 == 0)] = -1.0
     return roots
 
 
@@ -109,28 +116,11 @@ _TOP = 1021
 #: Weights of eight consecutive levels; the octet sum stays below 2**61.
 _OCTET = 1 << np.arange(7, -1, -1, dtype=np.int64)
 
-#: Bins per row.  Bin _TOP - e of a row holds the top halves of its terms
-#: with exponent e, and bin _TOP - e + 26 their low halves.  Exponents run
-#: from -1073 up, so the bins read, padded to whole octets, end below
-#: _TOP + 1073 + 34.
-_ROW = 2128
-
-
-@lru_cache(maxsize=None)
-def _bases(k: int) -> np.ndarray:
-    """The bin of exponent 0 for the top and low halves of k rows, shape
-    (2, k, 1): a term of row j with exponent e goes to bins[:, j] - e."""
-    bases = np.add.outer((_TOP, _TOP + 26), _ROW * np.arange(k))[:, :, None]
-    bases.setflags(write=False)
-    return bases
-
-
 def _binned_sums(rows: np.ndarray) -> list[float] | None:
     """Correctly rounded exact sums of the rows of a 2-D float64 array, or
     None for input that math.fsum has to sum (not finite, or near overflow)."""
     k, n = rows.shape
     totals = [0] * k
-    bases = _bases(k)
     # below this every exponent e has e + n.bit_length() <= _TOP; inf and
     # nan fail the test too
     limit = 2.0 ** (_TOP - n.bit_length())
@@ -140,20 +130,23 @@ def _binned_sums(rows: np.ndarray) -> list[float] | None:
         if not amax < limit:
             return None
         m, e = np.frexp(block)
-        # the largest exponent of a nonzero term (zeros have exponent 0 and
-        # add 0 wherever they land), and the smallest of any term
-        emax, emin = math.frexp(amax)[1], int(e.min())
+        # the largest exponent of a nonzero term, but at least that of a
+        # zero (frexp gives zeros exponent 0, and they add 0 wherever they
+        # land), and the smallest of any term
+        emax, emin = max(math.frexp(amax)[1], 0), int(e.min())
         m *= 2.0 ** 27
         w = np.empty((2,) + m.shape)
         np.trunc(m, out=w[0])
         np.subtract(m, w[0], out=w[1])
         w[1] *= 2.0 ** 26
-        bins = np.bincount(np.subtract(bases, e).ravel(), weights=w.ravel(), minlength=k * _ROW)
-        # bin first + i of a row is in units of 2**(emax - 27 - i)
-        first = _TOP - emax
+        # each row takes the levels from emax down to emin, padded to whole
+        # octets: a term of row j with exponent e adds its top half to bin
+        # emax - e of the row and its low half 26 bins further, and bin i of
+        # a row is in units of 2**(emax - 27 - i)
         levels = (emax - emin + 34) & -8
-        filled = bins.reshape(k, _ROW)[:, first : first + levels].astype(np.int64)
-        octets = (filled.reshape(k, -1, 8) @ _OCTET).tolist()
+        bases = np.add.outer((emax, emax + 26), levels * np.arange(k))[:, :, None]
+        bins = np.bincount(np.subtract(bases, e).ravel(), weights=w.ravel(), minlength=k * levels)
+        octets = (bins.astype(np.int64).reshape(k, -1, 8) @ _OCTET).tolist()
         # octet g is in units of 2**(emax - 34 - 8g); Horner in small shifts,
         # then one shift of the row to units of 2**-_SCALE_BITS
         top = levels - 8
@@ -163,21 +156,23 @@ def _binned_sums(rows: np.ndarray) -> list[float] | None:
     return [t / _SCALE for t in totals]
 
 
+def exact_sums(rows) -> list[float]:
+    """The correctly rounded sum of each row of a 2-D array, each bitwise
+    math.fsum(row), from one binned pass over all the rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    sums = _binned_sums(rows)
+    return [math.fsum(row) for row in rows] if sums is None else sums
+
+
 def exact_sum(values) -> float:
     """The correctly rounded sum of a real stream, bitwise math.fsum(values)."""
-    rows = np.asarray(values, dtype=np.float64).reshape(1, -1)
-    sums = _binned_sums(rows)
-    return math.fsum(rows[0]) if sums is None else sums[0]
+    return exact_sums(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
 
 
 def fsum_complex(re_terms, im_terms) -> complex:
     """Correctly rounded sum of a complex term stream given as two real
     streams of one length, each part bitwise its math.fsum."""
-    rows = np.array((re_terms, im_terms), dtype=np.float64)
-    sums = _binned_sums(rows)
-    if sums is None:
-        sums = [math.fsum(rows[0]), math.fsum(rows[1])]
-    return complex(*sums)
+    return complex(*exact_sums(np.array((re_terms, im_terms), dtype=np.float64)))
 
 
 def accumulation_bound(weight_sum: float, value: complex) -> float:

@@ -28,6 +28,7 @@ requests fail fast instead of thrashing.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -76,6 +77,10 @@ _TABLE_HEAD = 1024
 #: tracemalloc at every q in [1000, 2300) and at powers of two up to 10**6:
 #: at most 21.5, at q = 2050, where the sieve first joins the Fermat head.
 _TABLE_BYTES = 22
+
+#: Primes per lane of prime_inverses: each lane chains this many residues
+#: into prefix products and inverts only their product.
+_LANE_PRIMES = 16
 
 
 def memory_budget() -> int:
@@ -256,10 +261,10 @@ def _coprime_to(q: int, stop: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def _totient(q: int) -> int:
-    """Euler's phi(q), from the primes dividing q."""
+def _totient(q: int, divisors: list[int] | None = None) -> int:
+    """Euler's phi(q), from the primes dividing q (found when not given)."""
     phi = q
-    for p in _prime_divisors(q):
+    for p in _prime_divisors(q) if divisors is None else divisors:
         phi -= phi // p
     return phi
 
@@ -363,6 +368,90 @@ def batch_inverses(values, q: int) -> np.ndarray:
     if _DENSE_RATIO * vals.size >= q and q * _TABLE_BYTES <= memory_budget():
         return _build_inverse_table(q)[vals]
     return _fermat_inverses(vals, q)
+
+
+def _lane_powers(base: np.ndarray, exps: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base**exps mod mod by square-and-multiply, with one exponent >= 0 and
+    one modulus per row (exps and mod are columns), in base's dtype."""
+    # the bits of every exponent, lowest first, at once
+    bits = (exps >> np.arange(max(int(exps.max(initial=0)).bit_length(), 1))[:, None, None]) & 1
+    out = np.ones_like(base)
+    base = base.copy()
+    step = np.empty_like(base)
+    for i, odd in enumerate(bits.astype(bool)):
+        if i:
+            np.multiply(base, base, out=base)
+            np.remainder(base, mod, out=base)
+        np.multiply(out, base, out=step)
+        np.remainder(step, mod, out=step)
+        np.copyto(out, step, where=odd)
+    return out
+
+
+def prime_inverses(primes, moduli) -> np.ndarray:
+    """Inverses of distinct ascending primes modulo each of a block of moduli.
+
+    Returns an int64 array of shape (len(moduli), len(primes)) whose entry
+    [j, i] is the inverse of primes[i] mod moduli[j], and 0 where primes[i]
+    divides moduli[j].
+
+    Montgomery's batch inversion ("Speeding the Pollard and elliptic curve
+    methods of factorization", Math. Comp. 48, 1987), with lanes of
+    _LANE_PRIMES consecutive primes under one modulus: the prefix products
+    of every lane advance together, one array operation per step; each
+    lane's product is inverted once, by square-and-multiply with exponent
+    phi(q) - 1; a backward pass then gives every inverse.  That is about
+    three products per inverse in place of 2 * log2(q).  A prime dividing q
+    enters its lane as the factor 1, so the lane product stays a unit.
+    Below q = 2**16 the lanes are uint32, as in _fermat_inverses; above,
+    int64.  pow(p, -1, q) is the twin in the tests.
+    """
+    ps = np.asarray(primes, dtype=np.int64)
+    qs = np.asarray(moduli, dtype=np.int64)
+    if qs.size and int(qs.min()) < 2:
+        raise ValueError(f"need moduli >= 2, got {int(qs.min())}")
+    if np.any(ps[1:] <= ps[:-1]):
+        raise ValueError("primes must be distinct and ascending")
+    top = int(qs.max(initial=2))
+    check_modulus(top)
+    dtype = np.uint32 if top < 1 << 16 else np.int64
+    k, n = len(qs), len(ps)
+    lanes = -(-n // _LANE_PRIMES)
+    col = qs[:, None]
+    mod = col.astype(dtype)
+    # residues, padded with 1 to whole lanes, and 1 at the primes dividing q
+    grid = np.ones((k, lanes * _LANE_PRIMES), dtype=dtype)
+    grid[:, :n] = ps % col
+    phi = np.empty(k, dtype=np.int64)
+    rows, cols = [], []
+    window = ps.tolist()
+    for j, q in enumerate(qs.tolist()):
+        divisors = _prime_divisors(q)
+        phi[j] = _totient(q, divisors)
+        for p in divisors:
+            i = bisect.bisect_left(window, p)
+            if i < n and window[i] == p:
+                rows.append(j)
+                cols.append(i)
+    grid[rows, cols] = 1
+    grid = grid.reshape(k, lanes, _LANE_PRIMES)
+    prefix = np.empty_like(grid)
+    prefix[:, :, 0] = grid[:, :, 0]
+    for t in range(1, _LANE_PRIMES):
+        np.multiply(prefix[:, :, t - 1], grid[:, :, t], out=prefix[:, :, t])
+        np.remainder(prefix[:, :, t], mod, out=prefix[:, :, t])
+    # cur runs through the inverses of the prefix products, last to first
+    cur = _lane_powers(prefix[:, :, -1], (phi - 1)[:, None], mod)
+    out = np.empty_like(grid)
+    for t in range(_LANE_PRIMES - 1, 0, -1):
+        np.multiply(cur, prefix[:, :, t - 1], out=out[:, :, t])
+        np.remainder(out[:, :, t], mod, out=out[:, :, t])
+        np.multiply(cur, grid[:, :, t], out=cur)
+        np.remainder(cur, mod, out=cur)
+    out[:, :, 0] = cur
+    inverses = out.reshape(k, -1)[:, :n].astype(np.int64)
+    inverses[rows, cols] = 0
+    return inverses
 
 
 @lru_cache(maxsize=32)

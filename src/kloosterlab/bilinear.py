@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import accumulation_bound, exact_sum, fsum_complex, unit_roots
-from .arith import _coprime_to, check_modulus, inverse_table
+from .arith import _coprime_to, batch_inverses, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .parallel import pmap
@@ -129,7 +129,7 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict):
     # pair k of row r sits at first[r] + t and takes m index start[r] + t
     first = np.cumsum(counts) - counts
     mj = np.arange(len(li)) + np.repeat(start - first, counts)
-    iv = inverse_table(q)[(ls[li] % q) * (ms[mj] % q) % q]
+    iv = batch_inverses((ls[li] % q) * (ms[mj] % q), q)
     good = iv > 0
     li, mj, iv = li[good], mj[good], iv[good]
     coeff = (1.0 if alpha is None else alpha[li]) * (np.ones(len(iv)) if beta is None else beta[mj])

@@ -25,7 +25,7 @@ from .arith import (
     shared_tables,
 )
 from .errors import ConsistencyError
-from .expsums import DEFAULT_SCAN_LIMIT, ExpSumQuery, max_prime_sum, prime_sum
+from .expsums import DEFAULT_SCAN_LIMIT, max_prime_sum, moduli_blocks, prime_sum_block
 from .parallel import pmap
 from .reports import BoundReport, make_report
 
@@ -102,14 +102,14 @@ def fixed_a_avg_report(
             stacklevel=2,
         )
     mt = tables if tables is not None else shared_tables(int(math.ceil(2 * x)))
-    per_q = pmap(
-        lambda q: prime_sum(ExpSumQuery(a=a, q=q, x=x), tables=mt).magnitude,
-        range(Q, 2 * Q),
+    pi_range = mt.prime_table.count_dyadic(x)
+    per_block = pmap(
+        lambda qs: prime_sum_block(a, qs, x, tables=mt),
+        moduli_blocks(Q, 2 * Q, pi_range),
         workers=workers,
     )
-    lhs = exact_sum(per_q)
+    lhs = exact_sum([abs(value) for block in per_block for value in block])
     factor = math.sqrt(1 + a / (x * Q))
-    pi_range = mt.prime_table.count_dyadic(x)
     return make_report(
         name="fixed-a-avg",
         params={"a": a, "Q": Q, "x": x},

@@ -8,6 +8,7 @@ worker count and of scheduling.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
@@ -15,10 +16,27 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
-    """Map fn over items, preserving order; workers > 1 uses a thread pool."""
+    """Map fn over items, preserving order; workers > 1 uses a thread pool.
+
+    The pool has at most one thread per item and per CPU this process may
+    run on, whatever workers asks for.  An item is whatever the caller
+    cuts the work into: the Q-sweeps map one modulus per item, except
+    fixed_a_avg_report, which maps one block of moduli per item
+    (expsums.moduli_blocks), so its items, and the bytes, do not depend
+    on workers either.
+    """
     work = list(items)
-    if workers is None or workers <= 1 or len(work) <= 1:
+    threads = min(workers or 1, len(work), _cores())
+    if threads <= 1:
         return [fn(item) for item in work]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, work))

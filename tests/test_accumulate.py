@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import accumulate
-from kloosterlab.accumulate import exact_sum, fsum_complex, unit_roots, unit_roots_at
+from kloosterlab.accumulate import exact_sum, exact_sums, fsum_complex, unit_roots, unit_roots_at
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -63,6 +63,31 @@ def test_fsum_complex_bitwise_fsum_per_part(pairs, block):
     assert _same(got.real, math.fsum(re)) and _same(got.imag, math.fsum(im))
 
 
+@_PROPERTY
+@given(k=st.integers(1, 6), data=st.data(), block=st.sampled_from([1, 4, 1 << 14]))
+def test_exact_sums_of_rows_bitwise_fsum_per_row(k, data, block):
+    n = data.draw(st.integers(0, 30))
+    rows = [data.draw(st.lists(_FINITE, min_size=n, max_size=n)) for _ in range(k)]
+    _check_rows(rows, block)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e-300, 2e-310], [0.0, 0.0]],
+    [[3e-5, 0.0, 1e-300]],
+    [[], []],
+    [[-0.0], [5e-324]],
+])
+def test_exact_sums_rows_of_tiny_terms_beside_zeros(rows):
+    # zeros have frexp exponent 0, above every exponent of a tiny term
+    _check_rows(rows, 1 << 14)
+
+
+def _check_rows(rows, block):
+    with mock.patch.object(accumulate, "_BLOCK", block):
+        got = exact_sums(np.array(rows, dtype=np.float64).reshape(len(rows), -1))
+    assert [g.hex() for g in got] == [math.fsum(row).hex() for row in rows]
+
+
 def test_exact_sum_of_long_unit_root_streams_across_blocks():
     roots = unit_roots(100003)
     idx = np.random.default_rng(5).integers(0, 100003, 3 * (1 << 14) + 11)
@@ -95,6 +120,24 @@ def test_non_finite_and_near_overflow_input_keeps_fsum_outcome(values):
     assert _outcome(exact_sum, np.array(values)) == _outcome(math.fsum, values)
     complex_outcome = _outcome(lambda v: fsum_complex(v, [0.0] * len(v)).real, values)
     assert complex_outcome == _outcome(math.fsum, values)
+
+
+@_PROPERTY
+@given(data=st.data(), moduli=st.lists(st.one_of(
+    st.integers(1, 3000), st.integers((1 << 16) - 40, (1 << 16) + 40)), min_size=1, max_size=8))
+def test_unit_roots_at_column_of_moduli_bitwise_per_modulus(data, moduli):
+    n = data.draw(st.integers(0, 50))
+    idx = np.array([data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+                    for q in moduli], dtype=np.int64).reshape(len(moduli), n)
+    got = unit_roots_at(idx, np.array(moduli)[:, None])
+    want = [unit_roots_at(row, q) for row, q in zip(idx, moduli)]
+    assert got.shape == idx.shape
+    assert np.array_equal(got.view(np.int64), np.array(want).reshape(idx.shape).view(np.int64))
+
+
+def test_unit_roots_at_column_refuses_bad_moduli():
+    with pytest.raises(ValueError):
+        unit_roots_at([[0], [0]], np.array([[5], [0]]))
 
 
 def test_fsum_complex_refuses_streams_of_unequal_length():

@@ -1,6 +1,7 @@
 """Sieves, inverses, multiplicative tables, and the accumulation helpers."""
 
 import math
+import os
 import weakref
 from unittest import mock
 
@@ -23,6 +24,7 @@ from kloosterlab.arith import (
     largest_prime_factor_table,
     memory_budget,
     mod_inverse,
+    prime_inverses,
     shared_tables,
     sieve_primes,
 )
@@ -250,6 +252,53 @@ def test_sieve_of_small_limits():
         assert table.spf[:2].tolist() == [0, 0]
         assert all(int(table.spf[n]) == min(p for p in range(2, n + 1) if n % p == 0)
                    for n in range(2, limit + 1))
+
+
+_PRIMES_TO_5000 = sieve_primes(5000).primes
+
+
+@st.composite
+def _prime_windows(draw):
+    """A run of consecutive primes, and moduli around it: any size, near
+    2**16 and 2**31, and multiples of primes of the run."""
+    lo = draw(st.integers(0, len(_PRIMES_TO_5000)))
+    window = _PRIMES_TO_5000[lo : lo + draw(st.integers(0, 70))].tolist()
+    plain = st.one_of(
+        st.integers(2, 6000),
+        st.integers((1 << 16) - 40, (1 << 16) + 40),
+        st.integers(MODULUS_CAP - 1000, MODULUS_CAP - 1),
+    )
+    multiples = plain
+    if window:
+        multiples = st.builds(lambda p, c: p * c, st.sampled_from(window), st.integers(1, 30))
+    moduli = draw(st.lists(st.one_of(plain, multiples), min_size=1, max_size=8))
+    return window, moduli
+
+
+@_PROPERTY
+@given(case=_prime_windows())
+@example(case=([65521, 65537], [65521, 65535, 65536, 65537, 65521 * 2]))
+@example(case=([2, 3, 5, 7, 11, 13], [2, 3, 30, 30030, MODULUS_CAP - 1]))
+# primes past 2**32 reduce mod q before they enter a uint32 lane
+@example(case=([p for p in range(2 ** 32, 2 ** 32 + 300) if is_prime_deterministic(p)],
+               [7, 65521, 65535, 65537, MODULUS_CAP - 1]))
+def test_prime_inverses_match_pow(case):
+    window, moduli = case
+    got = prime_inverses(np.array(window, dtype=np.int64), moduli)
+    assert got.dtype == np.int64 and got.shape == (len(moduli), len(window))
+    expected = [[pow(p, -1, q) if q % p else 0 for p in window] for q in moduli]
+    assert got.tolist() == expected
+
+
+def test_prime_inverses_refuse_bad_input():
+    with pytest.raises(ValueError):
+        prime_inverses([5, 3], [7])
+    with pytest.raises(ValueError):
+        prime_inverses([3, 3], [7])
+    with pytest.raises(ValueError):
+        prime_inverses([3], [7, 1])
+    with pytest.raises(CapacityError):
+        prime_inverses([3], [7, MODULUS_CAP])
 
 
 def test_batch_inverses_refuse_moduli_from_2_31():
@@ -483,6 +532,49 @@ def test_pmap_order_and_worker_equivalence():
     serial = pmap(lambda v: v * v, items, workers=1)
     threaded = pmap(lambda v: v * v, items, workers=8)
     assert serial == threaded == [v * v for v in items]
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pmap_caps_threads_at_items_and_cores(monkeypatch):
+    from kloosterlab import parallel
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(parallel, "_cores", lambda: 4)
+    assert parallel.pmap(lambda v: -v, range(3), workers=100000) == [0, -1, -2]
+    assert parallel.pmap(lambda v: -v, range(50), workers=100000) == [-v for v in range(50)]
+    assert parallel.pmap(lambda v: -v, range(50), workers=2) == [-v for v in range(50)]
+    # one item, one worker or one core: no pool at all
+    parallel.pmap(abs, [1], workers=100000)
+    parallel.pmap(abs, range(9), workers=1)
+    monkeypatch.setattr(parallel, "_cores", lambda: 1)
+    parallel.pmap(abs, range(9), workers=8)
+    assert _RecordingPool.sizes == [3, 4, 2]
+
+
+def test_pmap_cores_are_the_affinity_set():
+    from kloosterlab import parallel
+
+    if hasattr(os, "sched_getaffinity"):
+        assert parallel._cores() == len(os.sched_getaffinity(0))
+    assert parallel._cores() >= 1
 
 
 def test_make_report_validation():

@@ -11,6 +11,7 @@ import pytest
 from kloosterlab import arith
 from kloosterlab import cli
 from kloosterlab.cli import build_parser, main
+from kloosterlab.expsums import moduli_blocks
 
 
 def run(capsys, *argv):
@@ -260,6 +261,19 @@ def test_worker_flag_does_not_change_bytes(tmp_path, capsys):
     for workers in ("1", "4"):
         target = tmp_path / f"w{workers}.csv"
         code, _, _ = run(capsys, "avg-max", "16", "16", "--format", "csv",
+                         "--workers", workers, "--output", str(target))
+        assert code == 0
+        outs.append(target.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_fixed_a_avg_bytes_do_not_depend_on_workers(tmp_path, capsys):
+    # 100 moduli at 32 per block: four blocks, fanned out at 8 workers
+    assert len(moduli_blocks(100, 200, 21)) == 4
+    outs = []
+    for workers in ("1", "8"):
+        target = tmp_path / f"w{workers}.csv"
+        code, _, _ = run(capsys, "fixed-a-avg", "1", "100", "100", "--format", "csv",
                          "--workers", workers, "--output", str(target))
         assert code == 0
         outs.append(target.read_bytes())

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import expsums
-from kloosterlab.accumulate import fsum_complex, unit_roots
+from kloosterlab.accumulate import exact_sum, fsum_complex, unit_roots
 from kloosterlab.arith import batch_inverses, build_multiplicative_tables
 from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
+from kloosterlab.experiments import fixed_a_avg_report
 from kloosterlab.expsums import (
+    _BLOCK_MODULI,
     _CHUNK_CELLS,
     ExpSumQuery,
     _twist_error_bound,
@@ -22,7 +25,9 @@ from kloosterlab.expsums import (
     kloosterman,
     kloosterman_grid,
     max_prime_sum,
+    moduli_blocks,
     prime_sum,
+    prime_sum_block,
     short_inverse_sum,
     weil_ratio,
 )
@@ -359,3 +364,70 @@ def test_von_mangoldt_prime_sum_reads_its_window_as_views():
     finally:
         tracemalloc.stop()
     assert peak < 14 * x
+
+
+def _per_q_values(a, moduli, x, tables):
+    return [prime_sum(ExpSumQuery(a=a, q=int(q), x=x), tables=tables).value for q in moduli]
+
+
+@st.composite
+def _moduli_blocks(draw, tables):
+    """A window x and a block of moduli: any size, across 2**16, and
+    multiples of the window's primes; the twist is at times 0 mod one of them."""
+    x = draw(st.floats(2.0, 3000.0))
+    window = tables.prime_table.primes_between(x, 2 * x).tolist()
+    plain = st.one_of(st.integers(2, 8000), st.integers((1 << 16) - 20, (1 << 16) + 20))
+    multiple = st.builds(lambda p, c: p * c, st.sampled_from(window), st.integers(1, 12))
+    moduli = draw(st.lists(st.one_of(plain, multiple), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(moduli)) * draw(st.integers(0, 3))
+    else:
+        a = draw(st.integers(-(10 ** 6), 10 ** 6))
+    return a, moduli, x
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_prime_sum_block_bitwise_per_q(data, tables):
+    a, moduli, x = data.draw(_moduli_blocks(tables))
+    got = prime_sum_block(a, moduli, x, tables=tables)
+    assert [_bits(v) for v in got] == [_bits(v) for v in _per_q_values(a, moduli, x, tables)]
+
+
+@_PROPERTY
+@given(a=st.integers(1, 10 ** 4), Q=st.sampled_from([2, 5, _BLOCK_MODULI - 1, _BLOCK_MODULI,
+                                                     _BLOCK_MODULI + 1, 2 * _BLOCK_MODULI + 7]),
+       x=st.floats(2.0, 400.0))
+def test_fixed_a_avg_sweep_bitwise_per_q(a, Q, x, tables):
+    # sweeps below, at and above one block of moduli
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = fixed_a_avg_report(a, Q, x, tables=tables)
+    want = exact_sum([abs(v) for v in _per_q_values(a, range(Q, 2 * Q), x, tables)])
+    assert rep.lhs.hex() == want.hex()
+
+
+def test_prime_sum_block_across_2_16(tables):
+    moduli = list(range((1 << 16) - 3, (1 << 16) + 3)) + [65521 * 2, 3 * 21851]
+    for a in (1, 65536, 65521 * 2):
+        got = prime_sum_block(a, moduli, 20000.0, tables=tables)
+        want = _per_q_values(a, moduli, 20000.0, tables)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+def test_moduli_blocks_cover_the_sweep_in_order():
+    blocks = moduli_blocks(100, 300, 21)
+    assert [q for b in blocks for q in b] == list(range(100, 300))
+    assert {len(b) for b in blocks[:-1]} == {_BLOCK_MODULI}
+    # long windows take fewer moduli per block, never none
+    assert all(len(b) == 1 for b in moduli_blocks(10, 20, 10 ** 9))
+    assert len(moduli_blocks(10, 20, 0)) == 1
+
+
+def test_prime_sum_block_checks_coverage_and_moduli(tables):
+    with pytest.raises(CoverageError):
+        prime_sum_block(1, [7], 600.0, tables=build_multiplicative_tables(1000))
+    with pytest.raises(ValueError):
+        prime_sum_block(1, [7, 1], 100.0, tables=tables)
+    with pytest.raises(CapacityError):
+        prime_sum_block(1, [2 ** 31], 100.0, tables=tables)
