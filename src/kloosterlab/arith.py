@@ -249,18 +249,6 @@ def _prime_divisors(q: int) -> list[int]:
     return primes
 
 
-def _coprime_to(q: int, stop: int) -> np.ndarray:
-    """The integers 1 <= a < stop with gcd(a, q) = 1, ascending, as int64.
-
-    A sieve over the primes dividing q: bitwise the np.gcd filter of
-    arange(1, stop), at one strided store per prime in place of a gcd per entry.
-    """
-    mask = np.ones(stop, dtype=bool)
-    for p in _prime_divisors(q):
-        mask[::p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
-
-
 def _totient(q: int, divisors: list[int] | None = None) -> int:
     """Euler's phi(q), from the primes dividing q (found when not given)."""
     phi = q

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import accumulation_bound, exact_sum, fsum_complex, unit_roots
-from .arith import _coprime_to, batch_inverses, check_modulus
+from .arith import batch_inverses, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .parallel import pmap
@@ -188,7 +188,7 @@ def _phase_histogram(q, ls, alpha, ms, beta, restrict):
 
 def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
     """max over units a of |sum_r h[r] e(a r / q)|, bitwise the full direct
-    scan's (see expsums._twist_max).
+    scan's: one complex row of expsums._twist_max.
 
     E is expsums._twist_error_bound with weight sum |h[r]| and, over the s
     support points, s - 1 additions plus one complex product per term.
@@ -197,9 +197,8 @@ def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
     if len(support) == 0:
         return 0.0
     vals = h[support]
-    twists = _coprime_to(q, q)
     err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
-    return _twist_max(h, twists, support, vals, err)[1]
+    return _twist_max(h, [q], support, [len(support)], vals, err)[0][1]
 
 
 def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:

@@ -25,7 +25,13 @@ from .arith import (
     shared_tables,
 )
 from .errors import ConsistencyError
-from .expsums import DEFAULT_SCAN_LIMIT, max_prime_sum, moduli_blocks, prime_sum_block
+from .expsums import (
+    DEFAULT_SCAN_LIMIT,
+    check_twist_scan,
+    max_prime_sum_block,
+    moduli_blocks,
+    prime_sum_block,
+)
 from .parallel import pmap
 from .reports import BoundReport, make_report
 
@@ -41,6 +47,9 @@ def avg_max_report(
 ) -> BoundReport:
     """sum_{q ~ Q} max_a |S_q(a; x)| against its three-term envelope.
 
+    Every modulus is checked against scan_limit and the byte budget before
+    any work; then the moduli are scanned a block at a time
+    (expsums.max_prime_sum_block), each maximum bitwise max_prime_sum's.
     The envelope Q^(5/4) x^(5/8) + Q x^(9/10) + Q^(7/6) x^(13/18) is
     calibrated for Q^(2/3) <= x <= Q^(3/2); outside that window the report
     is still produced but a warning is issued.
@@ -55,14 +64,15 @@ def avg_max_report(
             f"[{Q ** (2/3):.4g}, {Q ** 1.5:.4g}]; the envelope is uncalibrated there",
             stacklevel=2,
         )
+    check_twist_scan(range(Q, 2 * Q), scan_limit)
     pt = table if table is not None else shared_prime_table(int(math.ceil(2 * x)))
-    per_q = pmap(
-        lambda q: max_prime_sum(q, x, table=pt, scan_limit=scan_limit)[1],
-        range(Q, 2 * Q),
+    pi_range = pt.count_dyadic(x)
+    per_block = pmap(
+        lambda qs: max_prime_sum_block(qs, x, table=pt, scan_limit=scan_limit),
+        moduli_blocks(Q, 2 * Q, pi_range, scan=True),
         workers=workers,
     )
-    lhs = exact_sum(per_q)
-    pi_range = pt.count_dyadic(x)
+    lhs = exact_sum([mag for block in per_block for _, mag in block])
     return make_report(
         name="avg-max",
         params={"Q": Q, "x": x},

@@ -8,10 +8,11 @@ sums) and short sums over an interval share the same phase machinery.
 Every sum reduces its phase to an exact residue class first and then
 indexes a unit-root table, so results are reproducible bit for bit, and
 conjugate symmetry in the twist parameter holds exactly.  Scans over all
-twists take one FFT of the residue histogram: as a filter in
-max_prime_sum, whose values still come from the table, and as the
-result in kloosterman_grid.  A sweep over many moduli at one twist takes
-them a block at a time (prime_sum_block).
+twists take one FFT of the residue histogram: as a filter in _twist_max,
+whose values still come from the table, and as the result in
+kloosterman_grid.  Sweeps over many moduli take them a block at a time:
+prime_sum_block at one twist, and max_prime_sum_block over all twists,
+one row of _twist_max per modulus (max_prime_sum is a block of one).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .accumulate import (
 from .arith import (
     MultiplicativeTables,
     PrimeTable,
-    _coprime_to,
+    _prime_divisors,
     batch_inverses,
     check_modulus,
     memory_budget,
@@ -53,6 +54,9 @@ _INTERVAL_CAP = 10 ** 7
 #: Matrix chunk size (cells) for vectorized twist scans; fixed so that
 #: chunk boundaries never depend on worker counts or available memory.
 _CHUNK_CELLS = 1 << 22
+
+#: Cells of kloosterman_grid's gather index computed per block.
+_GRID_CELLS = 1 << 16
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -75,6 +79,13 @@ _WEIGHTS = ("unit", "von_mangoldt")
 #: (2-core VM).
 _BLOCK_MODULI = 32
 _BLOCK_CELLS = 1 << 15
+
+#: Bytes per residue charged to a twist scan (histogram, spectrum and FFT
+#: work arrays; a block of max_prime_sum_block peaked at 17-20 under
+#: tracemalloc), and the most residues a block of twist scans may take:
+#: 2**17 keeps a block near 2.5 MB, and 32 moduli per block up to Q = 2048.
+_SCAN_BYTES = 64
+_SCAN_RESIDUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -205,18 +216,30 @@ def prime_sum_block(
     return [complex(re, im) for re, im in zip(sums[: len(qs)], sums[len(qs) :])]
 
 
-def moduli_blocks(lo: int, hi: int, terms: int) -> list[range]:
-    """The moduli lo <= q < hi cut into consecutive blocks for prime_sum_block.
+def moduli_blocks(lo: int, hi: int, terms: int, scan: bool = False) -> list[range]:
+    """The moduli lo <= q < hi cut into consecutive blocks for prime_sum_block,
+    or, with scan, for max_prime_sum_block.
 
     A block holds _BLOCK_MODULI moduli, or at terms primes per modulus as
-    many as fit in _BLOCK_CELLS cells, but at least one.  The cut depends
-    only on the arguments, never on worker counts.
+    many as fit in _BLOCK_CELLS cells, but at least one.  A twist scan also
+    holds arrays of _SCAN_BYTES per residue, so with scan a block takes at
+    most _SCAN_RESIDUES residues (the sum of its moduli), and fewer where
+    that would pass the byte budget.  The cut depends only on the
+    arguments and the budget, never on worker counts.
     """
-    size = max(1, min(_BLOCK_MODULI, _BLOCK_CELLS // max(terms, 1)))
+    size = min(_BLOCK_MODULI, _BLOCK_CELLS // max(terms, 1))
+    if scan:
+        size = min(size, min(_SCAN_RESIDUES, memory_budget() // _SCAN_BYTES) // max(hi - 1, 1))
+    size = max(1, size)
     return [range(q, min(q + size, hi)) for q in range(lo, hi, size)]
 
 
-def _twist_error_bound(h: np.ndarray, weight: float, depth: int) -> float:
+def _row_starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each row starts when rows of these lengths are laid end to end."""
+    return lengths.cumsum() - lengths
+
+
+def _twist_error_bound(h: np.ndarray, weight, depth, qs=None):
     """Bound E on |spectrum - direct magnitude| at any twist, for the scans below.
 
     A direct magnitude |sum of terms r_k * w_k| with unit-root table entries
@@ -226,13 +249,26 @@ def _twist_error_bound(h: np.ndarray, weight: float, depth: int) -> float:
     (gamma_k = k u / (1 - k u)), plus two roundings of a magnitude.  The
     FFT of the histogram h is off by at most
     _FFT_ERROR_C * ceil(log2 q) * u * sqrt(q) * |h|_2 at every twist.
+
+    h is one histogram (len q), and E a float; or, with the moduli qs, the
+    histograms of a block laid end to end (row j of length qs[j]), with
+    weight and depth one entry per row, and E an array.  |h|_2 is the
+    square root of the row's summed squares: exact for counts, so bitwise
+    np.linalg.norm.
     """
-    q = len(h)
+    q = np.array([len(h)]) if qs is None else qs
+    squares = h.real * h.real
+    if np.iscomplexobj(h):
+        squares += h.imag * h.imag
+    norm = np.sqrt(np.add.reduceat(squares, _row_starts(q)).astype(np.float64))
     u = _UNIT_ROUNDOFF
+    depth = np.asarray(depth, dtype=np.float64)
     gamma = depth * u / (1 - depth * u)
-    direct = weight * (TERM_EPS + math.sqrt(2) * gamma + 2 * u)
-    fft = _FFT_ERROR_C * math.ceil(math.log2(q)) * u * math.sqrt(q) * float(np.linalg.norm(h))
-    return direct + fft
+    direct = np.asarray(weight, dtype=np.float64) * (TERM_EPS + math.sqrt(2) * gamma + 2 * u)
+    # frexp's exponent of q - 1 is ceil(log2 q)
+    fft = _FFT_ERROR_C * np.frexp(q - 1)[1] * u * np.sqrt(q) * norm
+    bound = direct + fft
+    return float(bound[0]) if qs is None else bound
 
 
 def _twist_spectrum(h: np.ndarray, twists: np.ndarray) -> np.ndarray:
@@ -246,42 +282,96 @@ def _twist_spectrum(h: np.ndarray, twists: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(h))[np.minimum(twists, q - twists)]
 
 
-def _twist_max(h: np.ndarray, twists: np.ndarray, terms: np.ndarray, vals, err: float):
-    """The first twist a with the largest |sum_k vals[k] e(a * terms[k] / q)|,
-    and that magnitude; vals None means unit weights.
+def _twist_max(h: np.ndarray, qs, terms: np.ndarray, counts, vals, err) -> list[tuple[int, float]]:
+    """For each row of a block, the first unit twist a with the largest
+    |sum_k vals[k] e(a * terms[k] / q)|, and that magnitude.
 
-    One FFT gives the spectrum |sum_r h[r] e(a r / q)| at every twist, where
-    h is the histogram of the terms weighted by vals.  Each direct magnitude
-    is within err of its spectrum, so a twist more than 2 * err below the
-    largest spectrum over twists cannot carry the largest direct magnitude,
-    nor tie with it.  The others keep their order and are re-scored by the
-    direct sum of unit-root table entries, at most _CHUNK_CELLS cells at a
-    time; the first strict maximum wins.  Cost is O(q log q) plus
-    O(len(terms)) per re-scored twist; when every twist ties it is the
-    direct scan plus one FFT.
+    Row j has modulus qs[j], and the rows lie end to end in every array:
+    its histogram is the next qs[j] entries of h, its terms and weights
+    the next counts[j] entries of terms and vals (None: unit weights).
+    Its bound is err[j], or err for every row.  A real histogram has
+    |S(q - a)| = |S(a)|, so its row scans 1 <= a <= q/2; a complex one
+    scans 1 <= a < q.
 
-    Raises ConsistencyError if a re-scored twist is more than err off its
-    spectrum.
+    One FFT per row writes the spectrum |sum_r h[r] e(a r / q)| of every
+    twist into one buffer, and strided stores over the primes dividing q
+    mask the twists that are not units.  Each direct magnitude is within
+    err of its spectrum, so a twist more than 2 * err below its row's top
+    cannot carry the row's largest direct magnitude, nor tie with it.  The
+    others, the survivors, are re-scored by the direct sum of unit-root
+    table entries, all rows at once: the survivors of rows with the same
+    term count stack into one matrix, at most _CHUNK_CELLS cells at a time,
+    with the row expression of a direct scan, so every magnitude is bitwise
+    the direct scan's.  Each row's first strict maximum wins.  Cost is
+    O(q log q) per row plus O(counts[j]) per survivor; when every twist
+    ties it is the direct scan plus one FFT.
+
+    Raises ConsistencyError if a survivor is more than its row's err off
+    its spectrum.
     """
-    q = len(h)
-    spectrum = _twist_spectrum(h, twists)
-    keep = spectrum >= spectrum.max() - 2 * err
-    survivors, near = twists[keep], spectrum[keep]
-    rows = max(1, _CHUNK_CELLS // len(terms))
-    best_a, best_mag = int(twists[0]), -1.0
-    for start in range(0, len(survivors), rows):
-        chunk = survivors[start : start + rows]
-        table = unit_roots_at((chunk[:, None] * terms[None, :]) % q, q)
-        mags = np.abs((table if vals is None else table * vals).sum(axis=1))
-        gap = float(np.abs(mags - near[start : start + rows]).max())
-        if not gap <= err:
-            raise ConsistencyError(
-                f"twist spectrum mod {q} is {gap:.3e} off the direct scan, over its bound {err:.3e}"
-            )
-        j = int(mags.argmax())
-        if mags[j] > best_mag:
-            best_a, best_mag = int(chunk[j]), float(mags[j])
-    return best_a, best_mag
+    qs = np.asarray(qs, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    half = not np.iscomplexobj(h)
+    stops = qs // 2 + 1 if half else qs
+    starts, spans = _row_starts(qs), _row_starts(stops)
+    spectrum = np.empty(int(stops.sum()))
+    for q, lo, at, stop in zip(qs.tolist(), starts.tolist(), spans.tolist(), stops.tolist()):
+        row, out = h[lo : lo + q], spectrum[at : at + stop]
+        if half:
+            np.abs(np.fft.rfft(row), out=out)
+        else:
+            out[:] = _twist_spectrum(row, np.arange(q))
+        for p in _prime_divisors(q):
+            out[::p] = -np.inf
+    err = np.zeros(len(qs)) + err
+    top = np.maximum.reduceat(spectrum, spans)
+    survivors = (spectrum >= np.repeat(top - 2 * err, stops)).nonzero()[0]
+    row = np.searchsorted(spans, survivors, side="right") - 1
+    twists = survivors - spans[row]
+
+    firsts = _row_starts(counts)
+    mags = np.empty(len(survivors))
+    width = counts[row]
+    for n in set(counts.tolist()):
+        group = (width == n).nonzero()[0]
+        step = max(1, _CHUNK_CELLS // max(n, 1))
+        for s in range(0, len(group), step):
+            sel = group[s : s + step]
+            cells = firsts[row[sel], None] + np.arange(n)
+            col = qs[row[sel], None]
+            table = unit_roots_at(twists[sel, None] * terms[cells] % col, col)
+            mags[sel] = np.abs((table if vals is None else table * vals[cells]).sum(axis=1))
+    gap = np.abs(mags - spectrum[survivors])
+    bad = (~(gap <= err[row])).nonzero()[0]
+    if len(bad):
+        i = bad[0]
+        raise ConsistencyError(
+            f"twist spectrum mod {qs[row[i]]} is {gap[i]:.3e} off the direct scan, "
+            f"over its bound {err[row[i]]:.3e}"
+        )
+    # every row keeps its top, so each row has survivors
+    heads = np.searchsorted(row, np.arange(len(qs)))
+    best = np.maximum.reduceat(mags, heads)
+    hits = (mags == best[row]).nonzero()[0]
+    won = hits[np.searchsorted(row[hits], np.arange(len(qs)))]
+    return list(zip(twists[won].tolist(), mags[won].tolist()))
+
+
+def check_twist_scan(moduli, scan_limit: int = DEFAULT_SCAN_LIMIT) -> None:
+    """Refuse the first of the moduli that exceeds scan_limit, or whose twist
+    scan would exceed the byte budget."""
+    for q in moduli:
+        if q > scan_limit:
+            raise CapacityError(f"modulus {q} exceeds the twist-scan limit {scan_limit}")
+        check_modulus(q, bytes_per_entry=_SCAN_BYTES)
+
+
+def _prime_twist_max(qs: np.ndarray, invs: np.ndarray, counts: np.ndarray) -> list[tuple[int, float]]:
+    """_twist_max over rows of unit-weight terms invs, counts[j] of them mod
+    qs[j], with one bincount for every histogram.  E is _twist_error_bound
+    with n table terms and n - 1 additions, for the n terms of a row."""
+    h = np.bincount(invs + np.repeat(_row_starts(qs), counts), minlength=int(qs.sum()))
+    return _twist_max(h, qs, invs, counts, None, _twist_error_bound(h, counts, counts - 1, qs))
 
 
 def max_prime_sum(
@@ -296,31 +386,47 @@ def max_prime_sum(
     the upper half; ties go to the smallest a.  _twist_max filters the
     twists by one FFT of the histogram of inverse residues and re-scores
     the survivors by the direct sum, so the result is bitwise the full
-    direct scan's.  E is _twist_error_bound with n table terms and n - 1
-    additions, for the n primes in the window.  The modulus is checked
-    against scan_limit first.
+    direct scan's.  A block of one modulus: its inverses come from
+    batch_inverses, which beats the lanes of prime_inverses at one modulus.
+    The modulus is checked against scan_limit and the byte budget first.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     if not x >= 2:
         raise ValueError(f"need x >= 2, got {x}")
-    if q > scan_limit:
-        raise CapacityError(f"modulus {q} exceeds the twist-scan limit {scan_limit}")
-    # twists, histogram, unit roots and spectrum, at their peak
-    check_modulus(q, bytes_per_entry=64)
+    check_twist_scan([q], scan_limit)
     if table is None:
         table = shared_prime_table(int(math.ceil(2 * x)))
     table.require_coverage(2 * x)
-
-    candidates = _coprime_to(q, q // 2 + 1)
     ps = table.primes_between(x, 2 * x)
-    primes = ps[q % ps != 0]
-    if len(primes) == 0:
-        return int(candidates[0]), 0.0
-    invs = batch_inverses(primes, q)
-    h = np.bincount(invs, minlength=q)
-    n = len(invs)
-    return _twist_max(h, candidates, invs, None, _twist_error_bound(h, n, n - 1))
+    invs = batch_inverses(ps[q % ps != 0], q)
+    return _prime_twist_max(np.array([q], dtype=np.int64), invs, np.array([len(invs)]))[0]
+
+
+def max_prime_sum_block(
+    moduli,
+    x: float,
+    table: PrimeTable | None = None,
+    scan_limit: int = DEFAULT_SCAN_LIMIT,
+) -> list[tuple[int, float]]:
+    """max_prime_sum(q, x) at every modulus q of a block, each bitwise the
+    per-q result, from one pass of _twist_max over the block.
+
+    Every modulus is checked against scan_limit and the byte budget before
+    any work.  prime_inverses takes the inverses of the window's primes mod
+    every q at once; a prime dividing q has inverse 0 and is left out of
+    its row.  moduli_blocks(..., scan=True) bounds the block's residues.
+    """
+    if not x >= 2:
+        raise ValueError(f"need x >= 2, got {x}")
+    qs = np.asarray(moduli, dtype=np.int64)
+    check_twist_scan(qs.tolist(), scan_limit)
+    if table is None:
+        table = shared_prime_table(int(math.ceil(2 * x)))
+    table.require_coverage(2 * x)
+    invs = prime_inverses(table.primes_between(x, 2 * x), qs)
+    units = invs != 0
+    return _prime_twist_max(qs, invs[units], units.sum(axis=1))
 
 
 def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,9 +490,20 @@ def kloosterman_grid(q: int) -> np.ndarray:
         twists, first = np.unique(dn, return_index=True)
         offset[twists] = i * q
         step[twists] = q - ns[first]
-    idx = np.multiply.outer(step, np.arange(q, dtype=np.int64))
-    np.remainder(idx, q, out=idx)
-    idx += offset[:, None]
+    # the gather index, _GRID_CELLS cells at a time: step * b mod q in
+    # uint32 lanes below 2**16, where every product fits, and int64 above;
+    # numpy's integer division by a scalar runs several times faster than
+    # its remainder, so the remainder is x - (x // q) * q
+    lanes = np.uint32 if q < 1 << 16 else np.int64
+    mod, bs = lanes(q), np.arange(q, dtype=lanes)
+    idx = np.empty((q, q), dtype=np.int64)
+    rows = max(1, _GRID_CELLS // q)
+    for r in range(0, q, rows):
+        block = np.multiply.outer(step[r : r + rows].astype(lanes), bs)
+        quot = block // mod
+        quot *= mod
+        block -= quot
+        np.add(block, offset[r : r + rows, None], out=idx[r : r + rows])
     return spectra.ravel().take(idx)
 
 

@@ -29,10 +29,10 @@ def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
 
     The pool has at most one thread per item and per CPU this process may
     run on, whatever workers asks for.  An item is whatever the caller
-    cuts the work into: the Q-sweeps map one modulus per item, except
-    fixed_a_avg_report, which maps one block of moduli per item
-    (expsums.moduli_blocks), so its items, and the bytes, do not depend
-    on workers either.
+    cuts the work into: fixed_a_avg_report and avg_max_report map one
+    block of moduli per item (expsums.moduli_blocks), the other Q-sweeps
+    one modulus per item; the cut never depends on workers, so neither
+    do the bytes.
     """
     work = list(items)
     threads = min(workers or 1, len(work), _cores())

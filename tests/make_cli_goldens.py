@@ -22,7 +22,9 @@ INVOCATIONS = [
     "sum 1 7 10",
     "sum 2 11 50 --weight von_mangoldt",
     "max-sum 13 30",
+    "max-sum 3000 2500",
     "avg-max 16 16",
+    "avg-max 40 40",
     "fixed-a-avg 1 16 16",
     "kloosterman 1 1 5",
     "short-sum 3 97 10 40",

@@ -234,17 +234,6 @@ def test_dense_request_over_the_table_budget_takes_the_sparse_route(monkeypatch)
         inverse_table.__wrapped__(q)
 
 
-def test_coprime_sieve_equals_gcd_filter_below_3000():
-    primes = sieve_primes(3000).primes
-    for q in range(2, 3000):
-        for stop in (q // 2 + 1, q):
-            a = np.arange(1, stop, dtype=np.int64)
-            got = arith._coprime_to(q, stop)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, a[np.gcd(a, q) == 1]), (q, stop)
-        assert np.array_equal(q % primes != 0, np.gcd(primes, q) == 1), q
-
-
 def test_sieve_of_small_limits():
     for limit in range(2, 200):
         table = sieve_primes(limit)

@@ -280,6 +280,19 @@ def test_fixed_a_avg_bytes_do_not_depend_on_workers(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_avg_max_bytes_do_not_depend_on_workers(tmp_path, capsys):
+    # 100 moduli at 32 per block: four blocks of twist scans at 8 workers
+    assert len(moduli_blocks(100, 200, 21, scan=True)) == 4
+    outs = []
+    for workers in ("1", "8"):
+        target = tmp_path / f"w{workers}.csv"
+        code, _, _ = run(capsys, "avg-max", "100", "100", "--format", "csv",
+                         "--workers", workers, "--output", str(target))
+        assert code == 0
+        outs.append(target.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_bilinear_command_with_restriction(capsys):
     code, out, _ = run(capsys, "bilinear", "4", "8", "1", "7",
                        "--restrict-lm", "45", "--format", "csv")

@@ -14,10 +14,12 @@ from kloosterlab import expsums
 from kloosterlab.accumulate import exact_sum, fsum_complex, unit_roots
 from kloosterlab.arith import batch_inverses, build_multiplicative_tables
 from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
-from kloosterlab.experiments import fixed_a_avg_report
+from kloosterlab.arith import MEMORY_ENV_VAR
+from kloosterlab.experiments import avg_max_report, fixed_a_avg_report
 from kloosterlab.expsums import (
     _BLOCK_MODULI,
     _CHUNK_CELLS,
+    _SCAN_RESIDUES,
     ExpSumQuery,
     _twist_error_bound,
     _twist_spectrum,
@@ -25,6 +27,7 @@ from kloosterlab.expsums import (
     kloosterman,
     kloosterman_grid,
     max_prime_sum,
+    max_prime_sum_block,
     moduli_blocks,
     prime_sum,
     prime_sum_block,
@@ -431,3 +434,86 @@ def test_prime_sum_block_checks_coverage_and_moduli(tables):
         prime_sum_block(1, [7, 1], 100.0, tables=tables)
     with pytest.raises(CapacityError):
         prime_sum_block(1, [2 ** 31], 100.0, tables=tables)
+
+
+@st.composite
+def _scan_blocks(draw, prime_table):
+    """A window x and a block of moduli for max_prime_sum_block: of one
+    modulus or many; even moduli, whose twists a and q/2 - a tie exactly;
+    multiples of the window's primes, whose rows are shorter; moduli with
+    no usable prime (6 at x = 2); and, at short windows, moduli across 2**16."""
+    wide = draw(st.booleans())
+    x = 2.0 if draw(st.integers(0, 3)) == 0 else draw(st.floats(2.0, 30.0 if wide else 1500.0))
+    window = prime_table.primes_between(x, 2 * x).tolist()
+    plain = st.integers((1 << 16) - 8, (1 << 16) + 8) if wide else st.integers(2, 2000)
+    even = st.builds(lambda q: 2 * q, st.integers(1, 1000))
+    multiple = st.builds(lambda p, c: p * c, st.sampled_from(window), st.integers(1, 12))
+    moduli = draw(st.lists(st.one_of(plain, even, multiple), min_size=1,
+                           max_size=1 if draw(st.booleans()) else 8))
+    if x == 2.0 and draw(st.booleans()):
+        moduli.insert(draw(st.integers(0, len(moduli))), 6)
+    return moduli, x
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_max_prime_sum_block_rows_bitwise_direct_scan(data, prime_table):
+    moduli, x = data.draw(_scan_blocks(prime_table))
+    got = max_prime_sum_block(moduli, x, table=prime_table)
+    assert got == [_direct_max_prime_sum(q, x, prime_table) for q in moduli]
+    assert all(type(a) is int and type(m) is float for a, m in got)
+
+
+def test_max_prime_sum_block_known_near_tie_and_empty_rows(prime_table):
+    # a block holding the near tie of q = 3000, the exact ties of even
+    # moduli, and rows with no usable prime (both primes of [2, 4) divide 6)
+    moduli = [3000, 2998, 6, 7, 12]
+    got = max_prime_sum_block(moduli, 2500, table=prime_table)
+    assert got == [_direct_max_prime_sum(q, 2500, prime_table) for q in moduli]
+    assert got[0][0] == 481
+    assert max_prime_sum_block([6, 12, 5], 2, table=prime_table)[:2] == [(1, 0.0), (1, 0.0)]
+
+
+@_PROPERTY
+@given(Q=st.sampled_from([2, 5, _BLOCK_MODULI - 1, _BLOCK_MODULI, _BLOCK_MODULI + 1,
+                          2 * _BLOCK_MODULI + 7]),
+       x=st.floats(2.0, 400.0))
+def test_avg_max_sweep_bitwise_per_q(Q, x, prime_table):
+    # sweeps below, at and above one block, with partial last blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = avg_max_report(Q, x, table=prime_table)
+    want = exact_sum([max_prime_sum(q, x, table=prime_table)[1] for q in range(Q, 2 * Q)])
+    assert rep.lhs.hex() == want.hex()
+
+
+def test_scan_blocks_cap_their_residues(monkeypatch):
+    blocks = moduli_blocks(2048, 4096, 1, scan=True)
+    assert [q for b in blocks for q in b] == list(range(2048, 4096))
+    assert {len(b) for b in blocks} == {_BLOCK_MODULI}
+    assert all(sum(b) <= _SCAN_RESIDUES for b in moduli_blocks(10 ** 4, 2 * 10 ** 4, 1, scan=True))
+    assert {len(b) for b in moduli_blocks(10 ** 5, 2 * 10 ** 5, 1, scan=True)} == {1}
+    # a small byte budget cuts blocks down to one modulus, never to none
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(64 * 3000))
+    assert {len(b) for b in moduli_blocks(2048, 4096, 1, scan=True)} == {1}
+
+
+def test_max_prime_sum_block_checks_every_modulus_first(monkeypatch, prime_table):
+    # the first modulus past the limit is named, before any inverse is taken
+    monkeypatch.setattr(expsums, "prime_inverses", None)
+    with pytest.raises(CapacityError, match="modulus 101 exceeds the twist-scan limit 100"):
+        max_prime_sum_block([99, 100, 101, 102], 50.0, table=prime_table, scan_limit=100)
+    with pytest.raises(CapacityError, match="modulus 101 exceeds"):
+        avg_max_report(60, 50.0, table=prime_table, scan_limit=100)
+
+
+def test_kloosterman_grid_index_stays_within_its_bytes():
+    q = 691
+    kloosterman_grid(q)
+    tracemalloc.start()
+    try:
+        kloosterman_grid(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * q * q + (1 << 20)
