@@ -376,12 +376,13 @@ def _lane_powers(base: np.ndarray, exps: np.ndarray, mod: np.ndarray) -> np.ndar
     return out
 
 
-def prime_inverses(primes, moduli) -> np.ndarray:
+def prime_inverses(primes, moduli, divisors=None) -> np.ndarray:
     """Inverses of distinct ascending primes modulo each of a block of moduli.
 
     Returns an int64 array of shape (len(moduli), len(primes)) whose entry
     [j, i] is the inverse of primes[i] mod moduli[j], and 0 where primes[i]
-    divides moduli[j].
+    divides moduli[j].  divisors, when given, holds _prime_divisors of each
+    modulus, so that a caller that needs them too factors each modulus once.
 
     Montgomery's batch inversion ("Speeding the Pollard and elliptic curve
     methods of factorization", Math. Comp. 48, 1987), with lanes of
@@ -414,9 +415,9 @@ def prime_inverses(primes, moduli) -> np.ndarray:
     rows, cols = [], []
     window = ps.tolist()
     for j, q in enumerate(qs.tolist()):
-        divisors = _prime_divisors(q)
-        phi[j] = _totient(q, divisors)
-        for p in divisors:
+        primes_of_q = _prime_divisors(q) if divisors is None else divisors[j]
+        phi[j] = _totient(q, primes_of_q)
+        for p in primes_of_q:
             i = bisect.bisect_left(window, p)
             if i < n and window[i] == p:
                 rows.append(j)
@@ -623,7 +624,15 @@ class MultiplicativeTables:
 
 
 def build_multiplicative_tables(limit_or_table) -> MultiplicativeTables:
-    """Sieve Mobius and exact von Mangoldt data up to a limit (or reuse a PrimeTable)."""
+    """Mobius and exact von Mangoldt data up to a limit (or reuse a PrimeTable).
+
+    By recursion on the cofactor c = n / p, p = spf(n): mobius[n] is 0 when
+    spf(c) == p and -mobius[c] otherwise; vm_prime[n] is p when c = 1 or
+    vm_prime[c] == p, else 0.  Chunks [lo, hi) with hi <= 2 lo keep every
+    c <= n/2 below its chunk, and hi - lo <= _TABLE_BLOCK keeps the work
+    arrays small next to the tables' 5 bytes per entry.  n / p is an exact
+    quotient below 2**31, taken in float64 as in _build_inverse_table.
+    """
     if isinstance(limit_or_table, PrimeTable):
         table = limit_or_table
     else:
@@ -631,34 +640,23 @@ def build_multiplicative_tables(limit_or_table) -> MultiplicativeTables:
     limit = table.limit
     _check_capacity(limit, bytes_per_entry=5, what="multiplicative tables")
 
-    mobius = np.ones(limit + 1, dtype=np.int8)
-    mobius[0] = 0
-    vm_dtype = np.int32 if limit < 2 ** 31 else np.int64
-    # vm_prime first holds the cofactor of n left after dividing out every
-    # prime p <= sqrt(limit); what remains above 1 is one larger prime
-    vm_prime = np.arange(limit + 1, dtype=vm_dtype)
-    n_small = int(np.searchsorted(table.primes, math.isqrt(limit), side="right"))
-    small_powers = []
-    for p in table.primes[:n_small].tolist():
-        mobius[p::p] *= -1
-        mobius[p * p :: p * p] = 0
-        pk = p
-        while pk <= limit:
-            vm_prime[pk::pk] //= p
-            small_powers.append((pk, p))
-            pk *= p
-    for lo in range(0, limit + 1, _TABLE_BLOCK):
-        block = slice(lo, lo + _TABLE_BLOCK)
-        # -1 where a larger prime is left, else +1
-        sign = (vm_prime[block] <= 1).view(np.int8)
-        sign *= 2
-        sign -= 1
-        mobius[block] *= sign
-    vm_prime.fill(0)
-    large = table.primes[n_small:]
-    vm_prime[large] = large
-    for pk, p in small_powers:
-        vm_prime[pk] = p
+    spf = table.spf
+    mobius = np.empty(limit + 1, dtype=np.int8)
+    mobius[:2] = (0, 1)
+    # primes are their own stamps; the chunks stamp the prime powers
+    vm_prime = np.zeros(limit + 1, dtype=np.int32 if limit < 2 ** 31 else np.int64)
+    vm_prime[table.primes] = table.primes
+    lo = 2
+    while lo <= limit:
+        hi = min(limit + 1, 2 * lo, lo + _TABLE_BLOCK)
+        p = spf[lo:hi]
+        cof = np.divide(np.arange(lo, hi, dtype=np.float64), p).astype(np.intp)
+        chunk = mobius[lo:hi]
+        np.negative(mobius[cof], out=chunk)
+        chunk[spf[cof] == p] = 0
+        stamped = vm_prime[cof] == p
+        vm_prime[lo:hi][stamped] = p[stamped]
+        lo = hi
     return MultiplicativeTables(prime_table=table, mobius=mobius, vm_prime=vm_prime)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import accumulation_bound, exact_sum, fsum_complex, unit_roots
-from .arith import batch_inverses, check_modulus
+from .accumulate import accumulation_bound, exact_sum, exact_sums, unit_roots
+from .arith import _prime_divisors, batch_inverses, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .parallel import pmap
@@ -111,37 +111,59 @@ def _product_window(ls: np.ndarray, ms: np.ndarray, x) -> tuple[np.ndarray, np.n
     return ends[0], ends[1]
 
 
-def _pairs(q: int, ls, alpha, ms, beta, restrict):
-    """The residues inv(l*m) mod q of the kept pairs, in (l, m) order, and
-    their coefficients alpha_l * beta_m, as two aligned arrays.
+def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
+    """The residues twist * inv(l*m) mod q of the kept pairs, in (l, m)
+    order, and their coefficients alpha_l * beta_m, as two aligned arrays.
 
     A pair is kept when (lm, q) = 1, alpha_l != 0 and, with restrict = x,
-    x <= l*m < 2x.  Entries with beta_m = 0 are kept.
+    x <= l*m < 2x.  Entries with beta_m = 0 are kept.  The l rows, and
+    the m from the smallest start of a row's range to the largest stop,
+    are inverted once each, and inv(l*m) = inv(l) * inv(m) mod q: rows
+    and m that are not units mod q are dropped before the stream is
+    built, which drops exactly the pairs with (lm, q) > 1.  The twist
+    scales the l inverses.  The products are taken in uint32 lanes below
+    q = 2**16, where a product of two residues is below 2**32, and in
+    int64 above; the residues are int64.
     """
     rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
+    inv_l = batch_inverses(ls[rows], q)
+    unit = inv_l > 0
+    rows, inv_l = rows[unit], inv_l[unit] * (twist % q) % q
     if restrict is None:
         start = np.zeros(len(rows), dtype=np.int64)
         stop = np.full(len(rows), len(ms), dtype=np.int64)
     else:
         start, stop = _product_window(ls[rows], ms, restrict)
+    lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
+    inv_m = batch_inverses(ms[lo:hi], q)
+    units = np.flatnonzero(inv_m)
+    lane = np.uint32 if q < 1 << 16 else np.int64
+    inv_m = inv_m[units].astype(lane)
+    cols = units + lo
+    # each row's ends, counted in unit m
+    start, stop = np.searchsorted(cols, start), np.searchsorted(cols, stop)
     counts = stop - start
-    li = np.repeat(rows, counts)
-    # pair k of row r sits at first[r] + t and takes m index start[r] + t
+    # pair k of row r sits at first[r] + t and takes unit m start[r] + t
     first = np.cumsum(counts) - counts
-    mj = np.arange(len(li)) + np.repeat(start - first, counts)
-    iv = batch_inverses((ls[li] % q) * (ms[mj] % q), q)
-    good = iv > 0
-    li, mj, iv = li[good], mj[good], iv[good]
-    coeff = (1.0 if alpha is None else alpha[li]) * (np.ones(len(iv)) if beta is None else beta[mj])
-    return iv, coeff
+    mj = np.repeat(start - first, counts)
+    mj += np.arange(len(mj))
+    iv = np.repeat(inv_l.astype(lane), counts)
+    iv *= inv_m[mj]
+    iv %= lane(q)
+    a_part = 1.0 if alpha is None else np.repeat(alpha[rows], counts)
+    b_part = np.ones(len(mj)) if beta is None else beta[cols][mj]
+    return iv.astype(np.int64, copy=False), a_part * b_part
 
 
-def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
-    """Evaluate the bilinear form exactly as defined, term by term.
+def _value_and_coeffs(spec: BilinearSpec) -> tuple[complex, np.ndarray]:
+    """The value of the form, correctly rounded in each part, and the
+    coefficients of its kept pairs.
 
-    Terms are accumulated with a correctly rounded sum in (l, m) order,
-    so the result is deterministic and, for matching inputs, bitwise
-    reproducible across equivalent call paths.
+    Real coefficients scale the gathered real and imaginary parts of the
+    unit roots in place, in one (2, n) buffer that is summed as it stands:
+    bitwise the real and imaginary parts of the complex products, up to
+    the sign of a zero, which no exact sum sees.  Complex coefficients
+    take the complex product.
     """
     ls = spec.l_values
     ms = spec.m_values
@@ -150,16 +172,36 @@ def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
             f"bilinear form has {len(ls) * len(ms)} candidate terms, cap is {_TERM_CAP}"
         )
     q = spec.q
-    roots = unit_roots(q)
-    iv, coeff = _pairs(q, ls, spec.alpha, ms, spec.beta, spec.restrict_lm)
+    iv, coeff = _pairs(q, ls, spec.alpha, ms, spec.beta, spec.restrict_lm, twist=spec.a)
     if len(iv) == 0:
-        return ExpSumValue(0j, 0, 0.0, 0.0)
-    terms = coeff * roots[(spec.a % q * iv) % q]
-    value = fsum_complex(terms.real, terms.imag)
+        return 0j, coeff
+    roots = unit_roots(q)
+    if np.iscomplexobj(coeff):
+        terms = coeff * roots[iv]
+        parts = np.array((terms.real, terms.imag))
+    else:
+        parts = np.empty((2, len(iv)))
+        # every residue is in range, so "clip" changes nothing; it only
+        # spares take the buffered copy that mode="raise" makes of out
+        np.take(roots.real, iv, out=parts[0], mode="clip")
+        np.take(roots.imag, iv, out=parts[1], mode="clip")
+        parts *= coeff
+    return complex(*exact_sums(parts)), coeff
+
+
+def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
+    """Evaluate the bilinear form exactly as defined, term by term.
+
+    Terms are accumulated with a correctly rounded sum in (l, m) order,
+    so the result is deterministic and, for matching inputs, bitwise
+    reproducible across equivalent call paths.  The weight sum of
+    |alpha_l * beta_m| is a second exact sum over the stream.
+    """
+    value, coeff = _value_and_coeffs(spec)
     weight_sum = exact_sum(np.abs(coeff))
     return ExpSumValue(
         value=value,
-        term_count=len(iv),
+        term_count=len(coeff),
         weight_sum=weight_sum,
         accumulation_error_bound=accumulation_bound(weight_sum, value),
     )
@@ -198,7 +240,8 @@ def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
         return 0.0
     vals = h[support]
     err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
-    return _twist_max(h, [q], support, [len(support)], vals, err)[0][1]
+    divisors = [_prime_divisors(q)]
+    return _twist_max(h, [q], support, [len(support)], vals, err, divisors)[0][1]
 
 
 def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:

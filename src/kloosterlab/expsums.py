@@ -282,16 +282,18 @@ def _twist_spectrum(h: np.ndarray, twists: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(h))[np.minimum(twists, q - twists)]
 
 
-def _twist_max(h: np.ndarray, qs, terms: np.ndarray, counts, vals, err) -> list[tuple[int, float]]:
+def _twist_max(
+    h: np.ndarray, qs, terms: np.ndarray, counts, vals, err, divisors
+) -> list[tuple[int, float]]:
     """For each row of a block, the first unit twist a with the largest
     |sum_k vals[k] e(a * terms[k] / q)|, and that magnitude.
 
     Row j has modulus qs[j], and the rows lie end to end in every array:
     its histogram is the next qs[j] entries of h, its terms and weights
     the next counts[j] entries of terms and vals (None: unit weights).
-    Its bound is err[j], or err for every row.  A real histogram has
-    |S(q - a)| = |S(a)|, so its row scans 1 <= a <= q/2; a complex one
-    scans 1 <= a < q.
+    Its bound is err[j], or err for every row, and divisors[j] is
+    _prime_divisors(qs[j]).  A real histogram has |S(q - a)| = |S(a)|, so
+    its row scans 1 <= a <= q/2; a complex one scans 1 <= a < q.
 
     One FFT per row writes the spectrum |sum_r h[r] e(a r / q)| of every
     twist into one buffer, and strided stores over the primes dividing q
@@ -315,13 +317,15 @@ def _twist_max(h: np.ndarray, qs, terms: np.ndarray, counts, vals, err) -> list[
     stops = qs // 2 + 1 if half else qs
     starts, spans = _row_starts(qs), _row_starts(stops)
     spectrum = np.empty(int(stops.sum()))
-    for q, lo, at, stop in zip(qs.tolist(), starts.tolist(), spans.tolist(), stops.tolist()):
+    for j, (q, lo, at, stop) in enumerate(
+        zip(qs.tolist(), starts.tolist(), spans.tolist(), stops.tolist())
+    ):
         row, out = h[lo : lo + q], spectrum[at : at + stop]
         if half:
             np.abs(np.fft.rfft(row), out=out)
         else:
             out[:] = _twist_spectrum(row, np.arange(q))
-        for p in _prime_divisors(q):
+        for p in divisors[j]:
             out[::p] = -np.inf
     err = np.zeros(len(qs)) + err
     top = np.maximum.reduceat(spectrum, spans)
@@ -366,12 +370,15 @@ def check_twist_scan(moduli, scan_limit: int = DEFAULT_SCAN_LIMIT) -> None:
         check_modulus(q, bytes_per_entry=_SCAN_BYTES)
 
 
-def _prime_twist_max(qs: np.ndarray, invs: np.ndarray, counts: np.ndarray) -> list[tuple[int, float]]:
+def _prime_twist_max(
+    qs: np.ndarray, invs: np.ndarray, counts: np.ndarray, divisors
+) -> list[tuple[int, float]]:
     """_twist_max over rows of unit-weight terms invs, counts[j] of them mod
     qs[j], with one bincount for every histogram.  E is _twist_error_bound
     with n table terms and n - 1 additions, for the n terms of a row."""
     h = np.bincount(invs + np.repeat(_row_starts(qs), counts), minlength=int(qs.sum()))
-    return _twist_max(h, qs, invs, counts, None, _twist_error_bound(h, counts, counts - 1, qs))
+    err = _twist_error_bound(h, counts, counts - 1, qs)
+    return _twist_max(h, qs, invs, counts, None, err, divisors)
 
 
 def max_prime_sum(
@@ -400,7 +407,8 @@ def max_prime_sum(
     table.require_coverage(2 * x)
     ps = table.primes_between(x, 2 * x)
     invs = batch_inverses(ps[q % ps != 0], q)
-    return _prime_twist_max(np.array([q], dtype=np.int64), invs, np.array([len(invs)]))[0]
+    qs = np.array([q], dtype=np.int64)
+    return _prime_twist_max(qs, invs, np.array([len(invs)]), [_prime_divisors(q)])[0]
 
 
 def max_prime_sum_block(
@@ -415,7 +423,9 @@ def max_prime_sum_block(
     Every modulus is checked against scan_limit and the byte budget before
     any work.  prime_inverses takes the inverses of the window's primes mod
     every q at once; a prime dividing q has inverse 0 and is left out of
-    its row.  moduli_blocks(..., scan=True) bounds the block's residues.
+    its row.  Each modulus is factored once, for prime_inverses and the
+    unit mask of _twist_max alike.  moduli_blocks(..., scan=True) bounds
+    the block's residues.
     """
     if not x >= 2:
         raise ValueError(f"need x >= 2, got {x}")
@@ -424,9 +434,10 @@ def max_prime_sum_block(
     if table is None:
         table = shared_prime_table(int(math.ceil(2 * x)))
     table.require_coverage(2 * x)
-    invs = prime_inverses(table.primes_between(x, 2 * x), qs)
+    divisors = [_prime_divisors(q) for q in qs.tolist()]
+    invs = prime_inverses(table.primes_between(x, 2 * x), qs, divisors)
     units = invs != 0
-    return _prime_twist_max(qs, invs[units], units.sum(axis=1))
+    return _prime_twist_max(qs, invs[units], units.sum(axis=1), divisors)
 
 
 def _units(q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .accumulate import exact_sum, fsum_complex
 from .arith import MultiplicativeTables, shared_tables
-from .bilinear import BilinearSpec, _product_window, bilinear_sum, dyadic_window
+from .bilinear import BilinearSpec, _product_window, _value_and_coeffs, dyadic_window
 from .errors import ConsistencyError
 from .expsums import ExpSumQuery, inverse_phase_sum, prime_sum
 
@@ -60,7 +60,8 @@ class BilinearComponent:
 
     The block contributes sign * scale * sum_{l ~ L, m ~ M, lm ~ x}
     alpha_l beta_m e(a * inv(lm) / q); the value is produced by to_spec
-    plus bilinear_sum.  alpha/beta of None mean unit coefficients.
+    plus bilinear.bilinear_sum (component_value takes the value alone).
+    alpha/beta of None mean unit coefficients.
     """
 
     kind: str
@@ -216,7 +217,10 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
             continue
         # the Lambda window depends on Lm alone, so it is built once per Lm
         ms_lam = dyadic_window(Lm)
-        raw_lam = np.array([mt.lam(int(m)) if m > U else 0.0 for m in ms_lam])
+        # Lambda(m) = log p for m = p**j: one math.log per distinct p
+        stamps, where = np.unique(mt.vm_prime[ms_lam], return_inverse=True)
+        logs = np.array([math.log(p) if p else 0.0 for p in stamps.tolist()])
+        raw_lam = np.where(ms_lam > U, logs[where], 0.0)
         s_lam = float(np.max(np.abs(raw_lam)))
         if s_lam == 0.0:
             continue
@@ -265,7 +269,7 @@ def validate_decomposition(decomp: VaughanDecomposition) -> None:
 
 
 def component_value(comp: BilinearComponent, a: int, q: int) -> complex:
-    value = bilinear_sum(comp.to_spec(a, q)).value
+    value, _ = _value_and_coeffs(comp.to_spec(a, q))
     return comp.sign * comp.scale * value
 
 

@@ -48,6 +48,12 @@ INVOCATIONS = [
     "exponent-fit 2:4 4:16 8:64",
     "choose-u avg-max 100 100",
     "choose-u fixed-a-avg 64 64",
+    # mid-size runs: int64 inverse lanes (q >= 2**16), an even modulus, and
+    # table chunks past 2**17
+    "vaughan-check 3 65537 100000",
+    "vaughan-check 2 1024 100000 --truncation 20",
+    "prime-power-gap 1 7 200000",
+    "bilinear 150 150 7 65537",
 ]
 
 ERRORS = [

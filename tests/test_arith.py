@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -415,6 +416,27 @@ def test_multiplicative_tables_match_twin(limit):
 
 def test_multiplicative_tables_match_twin_at_10_6():
     _assert_tables_match_twin(10 ** 6)
+
+
+@pytest.mark.parametrize("limit", [2 ** 17 - 1, 2 ** 17 + 1, 3 * 2 ** 16 + 5])
+def test_multiplicative_tables_match_twin_where_the_chunk_cap_binds(limit):
+    # chunks [lo, 2 lo) up to lo = 2**16, then _TABLE_BLOCK long: the
+    # first capped chunk, one entry past it, and a short last chunk
+    _assert_tables_match_twin(limit)
+
+
+def test_multiplicative_tables_peak_memory_is_what_the_capacity_check_charges():
+    # _check_capacity charges 5 bytes per entry (int8 mobius, int32
+    # vm_prime); the chunk work arrays add O(_TABLE_BLOCK) on top
+    limit = 10 ** 6
+    table = sieve_primes(limit)
+    tracemalloc.start()
+    try:
+        build_multiplicative_tables(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (limit + 1) + 64 * arith._TABLE_BLOCK
 
 
 def test_tau_k(tables):

@@ -1,15 +1,16 @@
 """Bilinear forms: direct oracle, coefficient rules, averaged reports."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import bilinear
-from kloosterlab.accumulate import unit_roots
+from kloosterlab.accumulate import fsum_complex, unit_roots
 from kloosterlab.arith import inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
@@ -17,6 +18,7 @@ from kloosterlab.bilinear import (
     _pairs,
     _phase_histogram,
     _product_window,
+    _value_and_coeffs,
     bilinear_sum,
     dyadic_window,
     type1_report,
@@ -25,6 +27,7 @@ from kloosterlab.bilinear import (
 )
 from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.expsums import _CHUNK_CELLS
+from kloosterlab.vaughan import VaughanParams, decompose
 
 #: Property tests draw the same examples on every run and stay quick.
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -347,8 +350,23 @@ def _forms(draw):
     return q, L, M, alpha, beta, restrict
 
 
+def _form_window(L, kind):
+    """Coefficients on the window l ~ L with zero entries: int, float or complex."""
+    vals = np.resize([1, 0, -1, 1, 0], len(dyadic_window(L)))
+    return {"int": vals, "float": vals * 0.5, "complex": vals * (0.6 - 0.8j)}[kind]
+
+
 @_PROPERTY
 @given(_forms())
+# q = 2**16 - 1 = 3 * 5 * 17 * 257 and q = 2**16 are the last uint32 lanes;
+# q = 2**16 + 1 takes the first int64 ones, and at q = 10**6 + 3 most
+# products of two inverses pass 2**32
+@example((65535, 16, 32, None, _form_window(32, "float"), None))
+@example((65536, 16, 32, _form_window(16, "int"), _form_window(32, "int"), 700))
+@example((65537, 4, 8, _form_window(4, "complex"), _form_window(8, "float"), 45.0))
+@example((10 ** 6 + 3, 16, 32, None, None, 700.5))
+# q = 30 shares 2 and 3 with l ~ 4 and 2, 3 and 5 with m ~ 8
+@example((30, 4, 8, _form_window(4, "int"), None, None))
 def test_pairs_bitwise_equal_per_l_twin(form):
     q, L, M, alpha, beta, restrict = form
     ls, ms = dyadic_window(L), dyadic_window(M)
@@ -411,3 +429,55 @@ def test_phase_histogram_bitwise_equals_per_l_twin(L, M, kind):
         assert weight == pytest.approx(want_weight, rel=1e-15, abs=0)
         if kind in ("unit", "int"):
             assert weight == want_weight
+
+
+def _complex_product_value(spec):
+    """The value of the form as complex products coeff * e(a * inv(lm) / q)
+    of the pair stream, summed by fsum_complex: the twin of the value path."""
+    q = spec.q
+    iv, coeff = _pairs(q, spec.l_values, spec.alpha, spec.m_values, spec.beta, spec.restrict_lm)
+    if len(iv) == 0:
+        return 0j
+    terms = coeff * unit_roots(q)[(spec.a % q * iv) % q]
+    return fsum_complex(terms.real, terms.imag)
+
+
+def _complex_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@functools.lru_cache(maxsize=None)
+def _components(x, U):
+    return decompose(VaughanParams(x=x, U=U)).components
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=16)
+@given(
+    xU=st.sampled_from([(200.0, 4.0), (1000.0, 10.0), (3000.0, 1.0), (5000.0, 17.0)]),
+    q=st.sampled_from([2, 7, 12, 1024, 3001, 65535, 65536, 65537, 100003]),
+    turns=st.integers(0, 2),
+    shift=st.sampled_from([0, 1, 5, 2 ** 16 + 3]),
+    coeffs=st.sampled_from(["as built", "complex alpha", "complex beta", "zero beta"]),
+)
+@example(xU=(1000.0, 10.0), q=7, turns=1, shift=0, coeffs="as built")
+@example(xU=(1000.0, 10.0), q=65537, turns=2, shift=0, coeffs="complex beta")
+@example(xU=(3000.0, 1.0), q=100003, turns=0, shift=5, coeffs="as built")
+@example(xU=(5000.0, 17.0), q=1024, turns=0, shift=1, coeffs="zero beta")
+def test_value_path_bitwise_equals_complex_products(xU, q, turns, shift, coeffs):
+    # every component of a decomposition, at twists a = turns * q + shift
+    # (shift 0: a = 0 mod q), with its coefficients as built or made complex
+    # or zero on one side
+    a = turns * q + shift
+    for comp in _components(*xU):
+        alpha, beta = comp.alpha, comp.beta
+        if coeffs == "complex alpha":
+            alpha = (np.ones(len(dyadic_window(comp.L))) if alpha is None else alpha) * (0.6 + 0.8j)
+        elif coeffs == "complex beta":
+            beta = (np.ones(len(dyadic_window(comp.M))) if beta is None else beta) * (-0.8j)
+        elif coeffs == "zero beta":
+            beta = np.zeros(len(dyadic_window(comp.M)))
+        spec = BilinearSpec(L=comp.L, M=comp.M, a=a, q=q, alpha=alpha, beta=beta,
+                            restrict_lm=comp.restrict)
+        want = _complex_bits(_complex_product_value(spec))
+        assert _complex_bits(_value_and_coeffs(spec)[0]) == want
+        assert _complex_bits(bilinear_sum(spec).value) == want
