@@ -49,6 +49,10 @@ MEMORY_ENV_VAR = "KLOOSTERLAB_MAX_BYTES"
 #: Bytes a prime sieve charges per entry on top of its spf entry.
 _SIEVE_SCRATCH_BYTES = 1.5
 
+#: Bytes per entry of largest_prime_factor_table: its own entry and the
+#: sieve's spf entry, both int32 below HARD_SIEVE_CAP, and the sieve scratch.
+LPF_TABLE_BYTES = 2 * 4 + _SIEVE_SCRATCH_BYTES
+
 #: Moduli must stay below this, so that a product of two residues fits in
 #: int64.
 MODULUS_CAP = 2 ** 31
@@ -97,16 +101,19 @@ def memory_budget() -> int:
     return value
 
 
+def charge_budget(need: float, subject: str) -> None:
+    """Refuse, before allocating, work whose peak need in bytes exceeds the
+    byte budget; subject names the work and its verb ("tables mod 7 need")."""
+    budget = memory_budget()
+    if int(need) > budget:
+        raise CapacityError(f"{subject} about {int(need)} bytes, budget is {budget} "
+                            f"(set {MEMORY_ENV_VAR} to raise it)")
+
+
 def _check_capacity(limit: int, bytes_per_entry: float, what: str) -> None:
     if limit > HARD_SIEVE_CAP:
         raise CapacityError(f"{what} limit {limit} exceeds hard cap {HARD_SIEVE_CAP}")
-    need = int(limit * bytes_per_entry)
-    budget = memory_budget()
-    if need > budget:
-        raise CapacityError(
-            f"{what} to {limit} needs about {need} bytes, budget is {budget} "
-            f"(set {MEMORY_ENV_VAR} to raise it)"
-        )
+    charge_budget(limit * bytes_per_entry, f"{what} to {limit} needs")
 
 
 def check_modulus(q: int, bytes_per_entry: float = 0) -> None:
@@ -114,13 +121,7 @@ def check_modulus(q: int, bytes_per_entry: float = 0) -> None:
     their peak bytes_per_entry bytes per residue, would exceed the byte budget."""
     if q >= MODULUS_CAP:
         raise CapacityError(f"modulus {q} is not below {MODULUS_CAP}")
-    need = int(q * bytes_per_entry)
-    budget = memory_budget()
-    if need > budget:
-        raise CapacityError(
-            f"tables mod {q} need about {need} bytes, budget is {budget} "
-            f"(set {MEMORY_ENV_VAR} to raise it)"
-        )
+    charge_budget(q * bytes_per_entry, f"tables mod {q} need")
 
 
 @dataclass(frozen=True)
@@ -475,16 +476,16 @@ def is_squarefull(n: int) -> bool:
 def largest_prime_factor_table(limit: int) -> np.ndarray:
     """Array g with g[n] = largest prime factor of n for 2 <= n <= limit.
 
-    g[0] = g[1] = 0.  Memory use is checked against the byte budget.
+    g[0] = g[1] = 0.  Memory use is checked against the byte budget.  Built
+    by recursion on the cofactor c = n / p, p = spf(n): g[n] = max(g[c], p).
     """
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
-    dtype = np.int32 if limit < 2 ** 31 else np.int64
-    _check_capacity(limit, bytes_per_entry=2 * dtype().itemsize + 1.5, what="largest-factor table")
-    table = sieve_primes(limit)
-    g = np.zeros(limit + 1, dtype=dtype)
-    for p in table.primes:
-        g[p::p] = p
+    _check_capacity(limit, bytes_per_entry=LPF_TABLE_BYTES, what="largest-factor table")
+    spf = sieve_primes(limit).spf
+    g = np.zeros(limit + 1, dtype=spf.dtype)
+    for lo, hi, p, cof in _cofactor_chunks(spf, limit):
+        np.maximum(g[cof], p, out=g[lo:hi])
     return g
 
 
@@ -623,15 +624,29 @@ class MultiplicativeTables:
         return out
 
 
+def _cofactor_chunks(spf: np.ndarray, limit: int):
+    """Yield (lo, hi, p, c) over chunks [lo, hi) of 2 <= n <= limit, with
+    p = spf[n] and the cofactor c = n / p, for tables built by recursion on c.
+
+    hi <= 2 lo keeps every c <= n/2 below its chunk, so a chunk reads only
+    finished entries, and hi - lo <= _TABLE_BLOCK keeps the work arrays small
+    next to the tables.  n / p is an exact quotient below 2**31, taken in
+    float64 as in _build_inverse_table.
+    """
+    lo = 2
+    while lo <= limit:
+        hi = min(limit + 1, 2 * lo, lo + _TABLE_BLOCK)
+        p = spf[lo:hi]
+        yield lo, hi, p, np.divide(np.arange(lo, hi, dtype=np.float64), p).astype(np.intp)
+        lo = hi
+
+
 def build_multiplicative_tables(limit_or_table) -> MultiplicativeTables:
     """Mobius and exact von Mangoldt data up to a limit (or reuse a PrimeTable).
 
-    By recursion on the cofactor c = n / p, p = spf(n): mobius[n] is 0 when
-    spf(c) == p and -mobius[c] otherwise; vm_prime[n] is p when c = 1 or
-    vm_prime[c] == p, else 0.  Chunks [lo, hi) with hi <= 2 lo keep every
-    c <= n/2 below its chunk, and hi - lo <= _TABLE_BLOCK keeps the work
-    arrays small next to the tables' 5 bytes per entry.  n / p is an exact
-    quotient below 2**31, taken in float64 as in _build_inverse_table.
+    By recursion on the cofactor c = n / p, p = spf(n) (_cofactor_chunks):
+    mobius[n] is 0 when spf(c) == p and -mobius[c] otherwise; vm_prime[n] is
+    p when c = 1 or vm_prime[c] == p, else 0.
     """
     if isinstance(limit_or_table, PrimeTable):
         table = limit_or_table
@@ -646,17 +661,12 @@ def build_multiplicative_tables(limit_or_table) -> MultiplicativeTables:
     # primes are their own stamps; the chunks stamp the prime powers
     vm_prime = np.zeros(limit + 1, dtype=np.int32 if limit < 2 ** 31 else np.int64)
     vm_prime[table.primes] = table.primes
-    lo = 2
-    while lo <= limit:
-        hi = min(limit + 1, 2 * lo, lo + _TABLE_BLOCK)
-        p = spf[lo:hi]
-        cof = np.divide(np.arange(lo, hi, dtype=np.float64), p).astype(np.intp)
+    for lo, hi, p, cof in _cofactor_chunks(spf, limit):
         chunk = mobius[lo:hi]
         np.negative(mobius[cof], out=chunk)
         chunk[spf[cof] == p] = 0
         stamped = vm_prime[cof] == p
         vm_prime[lo:hi][stamped] = p[stamped]
-        lo = hi
     return MultiplicativeTables(prime_table=table, mobius=mobius, vm_prime=vm_prime)
 
 

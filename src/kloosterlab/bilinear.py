@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import accumulation_bound, exact_sum, exact_sums, unit_roots
+from .accumulate import accumulation_bound, exact_sum, exact_sums, fsum_complex, unit_roots
 from .arith import _prime_divisors, batch_inverses, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
@@ -248,9 +248,8 @@ def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
     support = np.flatnonzero(h)
     if len(support) == 0:
         return 0.0
-    roots = unit_roots(q)
-    idx = (a % q) * support % q
-    return abs(complex((roots[idx] * h[support]).sum()))
+    terms = unit_roots(q)[(a % q) * support % q] * h[support]
+    return abs(fsum_complex(terms.real, terms.imag))
 
 
 def _sweep(L, M, Q, a, alpha, beta, workers) -> tuple[float, float]:

@@ -10,7 +10,6 @@ dict, or a list of them for one row each).  The params of a run are the
 command's own arguments in declaration order, and every row repeats the
 params before its result columns.  The exceptions:
 
-- jcount-avg reports method in params but not in its row;
 - theorem2-root, baker-root, compare-bounds and exponent-fit do not
   repeat their params in the row;
 - vaughan-check reports the resolved truncation U, not the flag's None.
@@ -123,8 +122,7 @@ def _fixed_a_avg(args):
 
 
 def _jcount_avg(args):
-    rep = sum_congruence_counts(args.k, args.M, args.Q, method=args.method,
-                                workers=args.workers)
+    rep = sum_congruence_counts(args.k, args.M, args.Q, workers=args.workers)
     return {"total": rep.extra["total"], **rep.rhs_terms, "rhs_total": rep.rhs_total,
             "ratio": rep.ratio}
 
@@ -186,7 +184,6 @@ class Command(NamedTuple):
     repeat: int | None = None
 
 
-_METHOD = ("--method", {"choices": ("naive", "convolution"), "default": "convolution"})
 _TOL = ("--tol", {"type": float, "default": 1e-12})
 
 COMMANDS = (
@@ -223,16 +220,14 @@ COMMANDS = (
             lambda args: _value(bilinear_sum(BilinearSpec(
                 L=args.L, M=args.M, a=args.a, q=args.q, restrict_lm=args.restrict_lm)))),
     Command("jcount", "inverse-congruence solution count for one modulus",
-            (("k", int), ("M", int), ("q", int), _METHOD),
-            lambda args: {"count": count_congruence_solutions(
-                args.k, args.M, args.q, method=args.method).count}),
+            (("k", int), ("M", int), ("q", int)),
+            lambda args: {"count": count_congruence_solutions(args.k, args.M, args.q)}),
     Command("jcount-avg", "congruence counts summed over q ~ Q vs envelope",
-            (("k", int), ("M", int), ("Q", int), _METHOD),
-            _jcount_avg, repeat=3),
+            (("k", int), ("M", int), ("Q", int)),
+            _jcount_avg),
     Command("unitfrac", "unit-fraction solution count, exact rationals",
-            (("k", int), ("N", int), _METHOD),
-            lambda args: {"count": count_unit_fraction_solutions(
-                args.k, args.N, method=args.method).count}),
+            (("k", int), ("N", int)),
+            lambda args: {"count": count_unit_fraction_solutions(args.k, args.N)}),
     Command("squarefull", "count square-full integers up to x",
             (("x", int),),
             lambda args: {"count": count_squarefull(args.x)}),

@@ -15,6 +15,8 @@ import numpy as np
 
 from .accumulate import exact_sum
 from .arith import (
+    HARD_SIEVE_CAP,
+    LPF_TABLE_BYTES,
     PrimeTable,
     MultiplicativeTables,
     check_modulus,
@@ -277,7 +279,7 @@ def ternary_rough_count(x: int, theta: float, table: PrimeTable | None = None) -
     # pairwise-product sums are below 3*(2x)^2 = 12 x^2
     top = 12 * x * x
     count = 0
-    if top <= min(10 ** 9, memory_budget() // 8):
+    if top <= HARD_SIEVE_CAP and top * LPF_TABLE_BYTES <= memory_budget():
         lpf = largest_prime_factor_table(int(top))
         pair_sums = primes[:, None] + primes[None, :]
         prods = primes[:, None] * primes[None, :]

@@ -32,7 +32,6 @@ INVOCATIONS = [
     "bilinear 4 8 1 7",
     "bilinear 4 8 1 7 --restrict-lm 45",
     "jcount 2 8 13",
-    "jcount 2 8 13 --method naive",
     "jcount-avg 2 8 16",
     "unitfrac 2 10",
     "squarefull 1000",
@@ -69,6 +68,10 @@ ERRORS = [
     "",
     "sum 1 7 1000000 --max-sieve 1000",
     "max-sum 50000 10 --max-q-scan 1000",
+    # --method is gone: each former --method invocation is now a usage error
+    "jcount 2 8 13 --method naive --format csv",
+    "jcount 2 8 13 --method naive --format json",
+    "jcount 2 8 13 --method naive --format pretty",
 ]
 
 COMMANDS = [

@@ -18,6 +18,7 @@ import pytest
 
 import kloosterlab as kl
 from kloosterlab.cli import main as cli_main
+from test_counting import congruence_routes, twin_unit_fractions
 
 
 def _passed(n, name):
@@ -93,16 +94,16 @@ def test_acceptance_4_counting_routes_agree():
     for k in (1, 2):
         for M in range(1, 31):
             for q in range(2, 101):
-                fast = kl.count_congruence_solutions(k, M, q, "convolution").count
-                slow = kl.count_congruence_solutions(k, M, q, "naive").count
-                assert fast == slow, (k, M, q, fast, slow)
-    assert kl.count_congruence_solutions(1, 2, 3).count == 2
+                routes = congruence_routes(k, M, q)
+                fast, slow = routes["fold"](), routes["enumerate"]()
+                assert fast == slow == kl.count_congruence_solutions(k, M, q), (k, M, q)
+    assert kl.count_congruence_solutions(1, 2, 3) == 2
     for k in (1, 2):
         for N in range(0, 31):
-            fast = kl.count_unit_fraction_solutions(k, N, "convolution").count
-            slow = kl.count_unit_fraction_solutions(k, N, "naive").count
+            fast = kl.count_unit_fraction_solutions(k, N)
+            slow = twin_unit_fractions(k, N)
             assert fast == slow, (k, N, fast, slow)
-    assert kl.count_unit_fraction_solutions(2, 2).count == 6
+    assert kl.count_unit_fraction_solutions(2, 2) == 6
     assert kl.count_squarefull(100) == 14
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -342,6 +342,21 @@ def test_largest_prime_factor_table_and_direct(prime_table):
         assert n % direct == 0
 
 
+def twin_largest_prime_factor_table(limit):
+    """Each prime writes itself over its multiples, the largest prime last."""
+    g = np.zeros(limit + 1, dtype=np.int32)
+    for p in sieve_primes(limit).primes:
+        g[p::p] = p
+    return g
+
+
+@pytest.mark.parametrize("limit", [2, 3, 2 ** 17 - 1, 2 ** 17 + 1, 3 * 2 ** 16 + 5, 10 ** 6])
+def test_largest_prime_factor_table_matches_twin(limit):
+    g = largest_prime_factor_table(limit)
+    assert g.dtype == np.int32
+    assert np.array_equal(g, twin_largest_prime_factor_table(limit))
+
+
 def test_is_prime_deterministic_vs_sieve(prime_table):
     for n in range(2, 2000):
         assert is_prime_deterministic(n) == prime_table.is_prime(n)

@@ -14,6 +14,7 @@ from kloosterlab.accumulate import fsum_complex, unit_roots
 from kloosterlab.arith import inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
+    _abs_at_twist,
     _max_abs_over_twists,
     _pairs,
     _phase_histogram,
@@ -481,3 +482,14 @@ def test_value_path_bitwise_equals_complex_products(xU, q, turns, shift, coeffs)
         want = _complex_bits(_complex_product_value(spec))
         assert _complex_bits(_value_and_coeffs(spec)[0]) == want
         assert _complex_bits(bilinear_sum(spec).value) == want
+
+
+@pytest.mark.parametrize("q,a", [(7, 1), (97, -5), (1024, 3), (65537, 12345)])
+def test_abs_at_twist_is_the_magnitude_of_an_exact_sum(q, a):
+    rng = np.random.default_rng(q)
+    h = (rng.uniform(-1, 1, q) + 1j * rng.uniform(-1, 1, q)) * (rng.random(q) < 0.5)
+    support = np.flatnonzero(h)
+    terms = unit_roots(q)[(a % q) * support % q] * h[support]
+    want = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    assert _abs_at_twist(h, q, a) == want
+    assert _abs_at_twist(np.zeros(q, dtype=np.complex128), q, a) == 0.0

@@ -62,12 +62,12 @@ def test_json_structure_and_params_roundtrip(capsys):
     code, out, _ = run(capsys, "jcount", "2", "8", "13", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"] == {"k": 2, "M": 8, "q": 13, "method": "convolution"}
+    assert doc["params"] == {"k": 2, "M": 8, "q": 13}
     assert doc["meta"]["tool"] == "kloosterlab"
     assert doc["meta"]["subcommand"] == "jcount"
     assert "workers" not in doc["meta"]
     [row] = doc["results"]
-    assert row["count"] == count_congruence_solutions(2, 8, 13).count
+    assert row["count"] == count_congruence_solutions(2, 8, 13)
 
 
 def test_theorem2_root_output(capsys):
@@ -152,7 +152,8 @@ def test_modulus_at_or_above_2_31_exits_3(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("kloosterman", "1", "1", "2000000000"),
-    ("jcount", "2", "10", "2000000000"),
+    # 40,000 units give 1.6e9 sums, over the enumeration cap: the FFT route
+    ("jcount", "2", "100000", "2000000000"),
     ("bilinear", "2", "2", "1", "2000000000"),
     ("garaev", "100", "2000000000", "3"),
     ("max-sum", "2000000000", "10", "--max-q-scan", "2000000000"),
@@ -254,6 +255,17 @@ def test_ternary_command(capsys):
     assert code == 0
     row = dict(zip(*csv_rows(out)))
     assert int(row["total"]) == 64
+
+
+@pytest.mark.parametrize("budget", ["1000000", "900000"])
+def test_ternary_route_fits_a_small_budget(capsys, monkeypatch, budget):
+    # the largest-factor table to 12 * 100**2 would take 1.14e6 bytes, so
+    # both budgets take the per-value route, with the same bytes
+    argv = ("ternary", "100", "1.2", "--format", "csv")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", budget)
+    assert run(capsys, *argv) == want
 
 
 def test_worker_flag_does_not_change_bytes(tmp_path, capsys):

@@ -8,15 +8,17 @@ recorded them (3.11) at COLUMNS=80.
 """
 
 import json
-import pathlib
 
 import pytest
 
+import make_cli_goldens
 from kloosterlab.cli import main
 
-CASES = json.loads(
-    (pathlib.Path(__file__).with_name("data") / "cli_goldens.json").read_text(encoding="utf-8")
-)
+CASES = json.loads(make_cli_goldens.GOLDENS.read_text(encoding="utf-8"))
+
+
+def test_every_case_is_recorded():
+    assert [case["argv"] for case in CASES] == [case.split() for case in make_cli_goldens.CASES]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) or "<none>" for c in CASES])
