@@ -16,9 +16,8 @@ covers the residues mod q (batch_inverses):
 - a sparse request runs square-and-multiply v**(phi(q) - 1) mod q, about
   2 * log2(q) array operations whatever its length.
 
-Both work in uint32 lanes below q = 2**16, where every product of two
-residues is below 2**32, and in int64 above; the output is int64 either
-way.  pow(v, -1, q) is their twin in the tests.
+Both work in _lanes(q), uint32 below q = 2**16 and int64 above; the
+output is int64 either way.  pow(v, -1, q) is their twin in the tests.
 
 All tables are immutable after construction and safe to share between
 threads; construction itself is serialized behind a lock.  Sizes are
@@ -81,6 +80,11 @@ _TABLE_HEAD = 1024
 #: tracemalloc at every q in [1000, 2300) and at powers of two up to 10**6:
 #: at most 21.5, at q = 2050, where the sieve first joins the Fermat head.
 _TABLE_BYTES = 22
+
+#: Peak bytes per value of batch_inverses' square-and-multiply route, input
+#: aside: tracemalloc measured 25-29 over 10**3 to 10**6 values, q from 1009
+#: to 2**31 - 1.  The trial division for phi(q) adds 17 * sqrt(q), uncharged.
+_SPARSE_BYTES = 29
 
 #: Primes per lane of prime_inverses: each lane chains this many residues
 #: into prefix products and inverts only their product.
@@ -235,6 +239,11 @@ def mod_inverse(n: int, q: int) -> int:
         raise NotInvertibleError(n, q, math.gcd(n, q)) from None
 
 
+def _lanes(q: int) -> type:
+    """Products mod q in uint32 below 2**16, where they stay below 2**32, else int64."""
+    return np.uint32 if q < 1 << 16 else np.int64
+
+
 def _prime_divisors(q: int) -> list[int]:
     """The distinct primes dividing q >= 1, ascending, by trial division up to sqrt(q)."""
     primes, n = [], q
@@ -261,13 +270,11 @@ def _totient(q: int, divisors: list[int] | None = None) -> int:
 def _fermat_inverses(vals: np.ndarray, q: int) -> np.ndarray:
     """v**(phi(q) - 1) mod q for residues 0 <= v < q, as int64, 0 at non-units.
 
-    About 2 * log2(q) array operations whatever the length.  Below 2**16
-    every product of two residues is below 2**32, so the lanes are uint32;
-    above, int64.  Every step names its dtype and writes into an out=
-    array, so the result does not depend on numpy's scalar promotion
-    rules (NEP 50).
+    About 2 * log2(q) array operations whatever the length, in _lanes(q).
+    Every step names its dtype and writes into an out= array, so the
+    result does not depend on numpy's scalar promotion rules (NEP 50).
     """
-    dtype = np.uint32 if q < 1 << 16 else np.int64
+    dtype = _lanes(q)
     mod = dtype(q)
     v = vals.astype(dtype, copy=False)
     base = v.copy()
@@ -294,15 +301,14 @@ def _build_inverse_table(q: int) -> np.ndarray:
 
     Fermat runs below _TABLE_HEAD and at the primes up to q/2.  The other
     entries up to q/2 follow from complete multiplicativity, inv(n) =
-    inv(spf(n)) * inv(n / spf(n)), over chunks [lo, hi) with hi <= 2 lo, so
-    the cofactor n / spf(n) <= n/2 always lies below the chunk.  Above
+    inv(spf(n)) * inv(n / spf(n)), over the chunks of _cofactor_chunks
+    from _TABLE_HEAD on, whose cofactors always lie below the chunk.  Above
     q/2, inv(q - m) = q - inv(m).  A prime dividing q gets 0 from Fermat,
-    and the 0 carries to every multiple and through the mirror.  Below
-    2**16 the work is in uint32 lanes, like _fermat_inverses.  The sieve is
-    local and freed on return.  Not cached: inverse_table is the cached
-    entry point.
+    and the 0 carries to every multiple and through the mirror.  The work
+    is in _lanes(q), like _fermat_inverses.  The sieve is local and freed
+    on return.  Not cached: inverse_table is the cached entry point.
     """
-    dtype = np.uint32 if q < 1 << 16 else np.int64
+    dtype = _lanes(q)
     mod = dtype(q)
     table = np.empty(q, dtype=dtype)
     # [0, half) is filled by Fermat and the chunks, [half, q) by the mirror
@@ -311,24 +317,16 @@ def _build_inverse_table(q: int) -> np.ndarray:
     seeds = np.arange(head)
     if half > head:
         sieve = sieve_primes(half - 1)
-        spf = sieve.spf
         seeds = np.concatenate((seeds, sieve.primes[np.searchsorted(sieve.primes, head) :]))
     table[seeds] = _fermat_inverses(seeds, q)
-    lo = head
-    while lo < half:
-        hi = min(half, 2 * lo, lo + _TABLE_BLOCK)
-        p = spf[lo:hi]
-        # n / spf(n) is an exact quotient below 2**31, so the float
-        # division is exact, and cheaper than an integer one
-        cof = np.divide(np.arange(lo, hi, dtype=np.float64), p)
-        chunk = table[lo:hi]
-        np.take(table, p, out=chunk)
-        chunk *= table[cof.astype(np.intp)]
-        np.remainder(chunk, mod, out=chunk)
-        lo = hi
     if half > head:
-        # free the sieve before the int64 copy below
-        del sieve, spf
+        for lo, hi, p, cof in _cofactor_chunks(sieve.spf, half - 1, start=head):
+            chunk = table[lo:hi]
+            np.take(table, p, out=chunk)
+            chunk *= table[cof]
+            np.remainder(chunk, mod, out=chunk)
+        # free the sieve (p is a view of it) before the int64 copy below
+        del sieve, p
     up = table[half:]
     np.subtract(mod, table[q - half : 0 : -1], out=up)
     up[up == mod] = 0
@@ -345,7 +343,7 @@ def batch_inverses(values, q: int) -> np.ndarray:
       cached, so a long-lived process keeps no table per modulus.  A
       table over the byte budget sends the request to the sparse route;
     - sparse: one vectorized square-and-multiply v**(phi(q) - 1) mod q
-      (_fermat_inverses), in uint32 lanes for q < 2**16.
+      (_fermat_inverses), charged at _SPARSE_BYTES per value first.
 
     Values must fit in int64 and q must be below MODULUS_CAP, so that
     every product fits in int64.  Output order matches the input order.
@@ -353,10 +351,11 @@ def batch_inverses(values, q: int) -> np.ndarray:
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     check_modulus(q)
-    vals = np.remainder(np.asarray(values, dtype=np.int64), q)
+    vals = np.asarray(values, dtype=np.int64)
     if _DENSE_RATIO * vals.size >= q and q * _TABLE_BYTES <= memory_budget():
-        return _build_inverse_table(q)[vals]
-    return _fermat_inverses(vals, q)
+        return _build_inverse_table(q)[np.remainder(vals, q)]
+    charge_budget(vals.size * _SPARSE_BYTES, f"inverses of {vals.size} values mod {q} need")
+    return _fermat_inverses(np.remainder(vals, q), q)
 
 
 def _lane_powers(base: np.ndarray, exps: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -393,8 +392,8 @@ def prime_inverses(primes, moduli, divisors=None) -> np.ndarray:
     phi(q) - 1; a backward pass then gives every inverse.  That is about
     three products per inverse in place of 2 * log2(q).  A prime dividing q
     enters its lane as the factor 1, so the lane product stays a unit.
-    Below q = 2**16 the lanes are uint32, as in _fermat_inverses; above,
-    int64.  pow(p, -1, q) is the twin in the tests.
+    The lanes are _lanes of the largest modulus.  pow(p, -1, q) is the
+    twin in the tests.
     """
     ps = np.asarray(primes, dtype=np.int64)
     qs = np.asarray(moduli, dtype=np.int64)
@@ -404,7 +403,7 @@ def prime_inverses(primes, moduli, divisors=None) -> np.ndarray:
         raise ValueError("primes must be distinct and ascending")
     top = int(qs.max(initial=2))
     check_modulus(top)
-    dtype = np.uint32 if top < 1 << 16 else np.int64
+    dtype = _lanes(top)
     k, n = len(qs), len(ps)
     lanes = -(-n // _LANE_PRIMES)
     col = qs[:, None]
@@ -624,16 +623,16 @@ class MultiplicativeTables:
         return out
 
 
-def _cofactor_chunks(spf: np.ndarray, limit: int):
-    """Yield (lo, hi, p, c) over chunks [lo, hi) of 2 <= n <= limit, with
+def _cofactor_chunks(spf: np.ndarray, limit: int, start: int = 2):
+    """Yield (lo, hi, p, c) over chunks [lo, hi) of start <= n <= limit, with
     p = spf[n] and the cofactor c = n / p, for tables built by recursion on c.
 
     hi <= 2 lo keeps every c <= n/2 below its chunk, so a chunk reads only
     finished entries, and hi - lo <= _TABLE_BLOCK keeps the work arrays small
-    next to the tables.  n / p is an exact quotient below 2**31, taken in
-    float64 as in _build_inverse_table.
+    next to the tables.  n / p is an exact quotient below 2**31, so the
+    float64 division is exact, and cheaper than an integer one.
     """
-    lo = 2
+    lo = start
     while lo <= limit:
         hi = min(limit + 1, 2 * lo, lo + _TABLE_BLOCK)
         p = spf[lo:hi]

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import accumulation_bound, exact_sum, exact_sums, fsum_complex, unit_roots
-from .arith import _prime_divisors, batch_inverses, check_modulus
+from .arith import _lanes, _prime_divisors, batch_inverses, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
-from .parallel import pmap
 from .reports import BoundReport, make_report
 
 _TERM_CAP = 5 * 10 ** 7
@@ -121,9 +120,8 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
     are inverted once each, and inv(l*m) = inv(l) * inv(m) mod q: rows
     and m that are not units mod q are dropped before the stream is
     built, which drops exactly the pairs with (lm, q) > 1.  The twist
-    scales the l inverses.  The products are taken in uint32 lanes below
-    q = 2**16, where a product of two residues is below 2**32, and in
-    int64 above; the residues are int64.
+    scales the l inverses.  The products are taken in arith._lanes(q);
+    the residues are int64.
     """
     rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
     inv_l = batch_inverses(ls[rows], q)
@@ -137,7 +135,7 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
     lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
     inv_m = batch_inverses(ms[lo:hi], q)
     units = np.flatnonzero(inv_m)
-    lane = np.uint32 if q < 1 << 16 else np.int64
+    lane = _lanes(q)
     inv_m = inv_m[units].astype(lane)
     cols = units + lo
     # each row's ends, counted in unit m
@@ -252,7 +250,7 @@ def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
     return abs(fsum_complex(terms.real, terms.imag))
 
 
-def _sweep(L, M, Q, a, alpha, beta, workers) -> tuple[float, float]:
+def _sweep(L, M, Q, a, alpha, beta) -> tuple[float, float]:
     """(lhs, trivial) over the moduli Q <= q < 2Q: the exact sums of |W| and of
     the weight sum |alpha_l * beta_m|, where |W| is the maximum over twists
     when a is None and the value at the twist a otherwise.
@@ -260,13 +258,12 @@ def _sweep(L, M, Q, a, alpha, beta, workers) -> tuple[float, float]:
     ls, ms = dyadic_window(L), dyadic_window(M)
     alpha = _check_coeffs("alpha", alpha, ls)
     beta = _check_coeffs("beta", beta, ms)
-
-    def per_q(q):
+    sizes, weights = [], []
+    for q in range(Q, 2 * Q):
         h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
-        return (_max_abs_over_twists(h, q) if a is None else _abs_at_twist(h, q, a)), weight
-
-    results = pmap(per_q, range(Q, 2 * Q), workers=workers)
-    return exact_sum([r[0] for r in results]), exact_sum([r[1] for r in results])
+        sizes.append(_max_abs_over_twists(h, q) if a is None else _abs_at_twist(h, q, a))
+        weights.append(weight)
+    return exact_sum(sizes), exact_sum(weights)
 
 
 def _validate_sweep(L, M, Q, require_below_q: bool):
@@ -285,7 +282,6 @@ def type2_avg_max_report(
     k: int,
     alpha=None,
     beta=None,
-    workers: int = 1,
 ) -> BoundReport:
     """Sum over q ~ Q of the maximal twisted bilinear form, versus its bound core.
 
@@ -295,7 +291,7 @@ def type2_avg_max_report(
     if k not in (1, 2, 3):
         raise ValueError(f"need k in {{1, 2, 3}}, got {k}")
     _validate_sweep(L, M, Q, require_below_q=True)
-    lhs, trivial = _sweep(L, M, Q, None, alpha, beta, workers)
+    lhs, trivial = _sweep(L, M, Q, None, alpha, beta)
     e = (2 * k - 1) / (2 * k)
     return make_report(
         name="type2-avg-max",
@@ -317,7 +313,6 @@ def type2_fixed_a_report(
     Q: int,
     alpha=None,
     beta=None,
-    workers: int = 1,
 ) -> BoundReport:
     """Sum over q ~ Q of the bilinear form at one fixed twist a > 0.
 
@@ -326,7 +321,7 @@ def type2_fixed_a_report(
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     _validate_sweep(L, M, Q, require_below_q=True)
-    lhs, trivial = _sweep(L, M, Q, a, alpha, beta, workers)
+    lhs, trivial = _sweep(L, M, Q, a, alpha, beta)
     factor = math.sqrt(1.0 + a / (L * M * Q))
     return make_report(
         name="type2-fixed-a",
@@ -347,7 +342,6 @@ def type1_report(
     Q: int,
     a: int | None = None,
     alpha=None,
-    workers: int = 1,
 ) -> BoundReport:
     """Sum over q ~ Q of the Type I form (unit beta), versus L*M + Q^(3/2)*L.
 
@@ -355,7 +349,7 @@ def type1_report(
     fixed twist the sum at that twist is measured against the same core.
     """
     _validate_sweep(L, M, Q, require_below_q=False)
-    lhs, trivial = _sweep(L, M, Q, a, alpha, None, workers)
+    lhs, trivial = _sweep(L, M, Q, a, alpha, None)
     params = {"L": L, "M": M, "Q": Q}
     if a is not None:
         params["a"] = a

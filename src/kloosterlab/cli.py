@@ -2,7 +2,8 @@
 
 Every subcommand prints one table in csv, json, or pretty form.  Output
 is deterministic: --workers changes wall time, never bytes, and no
-timestamps or runtimes appear in csv or json.
+timestamps or runtimes appear in csv or json.  Every subcommand takes
+--workers, but only avg-max and fixed-a-avg use it; the rest run serially.
 
 Each subcommand is one entry of COMMANDS: its name, help, arguments and a
 function from the parsed arguments to the result columns (an ordered
@@ -75,7 +76,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write output to PATH instead of stdout")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for per-modulus loops (default 1)")
+                   help="threads for the sweeps of avg-max and fixed-a-avg; "
+                        "other commands run serially (default 1)")
     p.add_argument("--max-sieve", type=int, default=10 ** 8, dest="max_sieve",
                    help="largest sieve the command may build (default 1e8)")
     p.add_argument("--max-q-scan", type=int, default=DEFAULT_SCAN_LIMIT, dest="max_q_scan",
@@ -122,7 +124,7 @@ def _fixed_a_avg(args):
 
 
 def _jcount_avg(args):
-    rep = sum_congruence_counts(args.k, args.M, args.Q, workers=args.workers)
+    rep = sum_congruence_counts(args.k, args.M, args.Q)
     return {"total": rep.extra["total"], **rep.rhs_terms, "rhs_total": rep.rhs_total,
             "ratio": rep.ratio}
 

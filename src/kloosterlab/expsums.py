@@ -34,6 +34,7 @@ from .accumulate import (
 from .arith import (
     MultiplicativeTables,
     PrimeTable,
+    _lanes,
     _prime_divisors,
     batch_inverses,
     check_modulus,
@@ -502,10 +503,9 @@ def kloosterman_grid(q: int) -> np.ndarray:
         offset[twists] = i * q
         step[twists] = q - ns[first]
     # the gather index, _GRID_CELLS cells at a time: step * b mod q in
-    # uint32 lanes below 2**16, where every product fits, and int64 above;
-    # numpy's integer division by a scalar runs several times faster than
-    # its remainder, so the remainder is x - (x // q) * q
-    lanes = np.uint32 if q < 1 << 16 else np.int64
+    # arith._lanes(q); numpy's integer division by a scalar runs several
+    # times faster than its remainder, so the remainder is x - (x // q) * q
+    lanes = _lanes(q)
     mod, bs = lanes(q), np.arange(q, dtype=lanes)
     idx = np.empty((q, q), dtype=np.int64)
     rows = max(1, _GRID_CELLS // q)

@@ -1,9 +1,12 @@
-"""Deterministic fan-out over independent work items.
+"""Deterministic fan-out over blocks of moduli, for the two block sweeps.
 
-Worker counts change wall time only.  Work items are evaluated by a pure
-function and the results are collected in submission order, so any exact
-or correctly rounded reduction applied afterwards is independent of the
-worker count and of scheduling.
+avg_max_report and fixed_a_avg_report (experiments) spend a block mostly in
+numpy calls that release the interpreter lock, so a second thread pays; a
+sweep of one modulus per item holds the lock, so it runs serially.  Worker
+counts change wall time only: items are evaluated by a pure function and
+the results are collected in submission order, so any exact or correctly
+rounded reduction applied afterwards is independent of the worker count
+and of scheduling.
 """
 
 from __future__ import annotations
@@ -27,12 +30,10 @@ def _cores() -> int:
 def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
     """Map fn over items, preserving order; workers > 1 uses a thread pool.
 
-    The pool has at most one thread per item and per CPU this process may
-    run on, whatever workers asks for.  An item is whatever the caller
-    cuts the work into: fixed_a_avg_report and avg_max_report map one
-    block of moduli per item (expsums.moduli_blocks), the other Q-sweeps
-    one modulus per item; the cut never depends on workers, so neither
-    do the bytes.
+    Each item is one block of moduli from expsums.moduli_blocks, whose cut
+    never depends on workers, so neither do the bytes.  The pool has at
+    most one thread per item and per CPU this process may run on, whatever
+    workers asks for.
     """
     work = list(items)
     threads = min(workers or 1, len(work), _cores())

@@ -36,6 +36,7 @@ from kloosterlab.errors import (
 )
 from kloosterlab.parallel import pmap
 from kloosterlab.reports import make_report
+from test_counting import _traced_peak
 
 #: Property tests draw the same examples on every run and stay quick.
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -230,9 +231,38 @@ def test_dense_request_over_the_table_budget_takes_the_sparse_route(monkeypatch)
     q = 10007
     monkeypatch.setenv(MEMORY_ENV_VAR, str(arith._TABLE_BYTES * q - 1))
     monkeypatch.setattr(arith, "_build_inverse_table", None)
-    assert batch_inverses(np.arange(q), q).tolist() == _pow_inverses(range(q), q)
+    # q // 2 + 1 values are a dense request, and fit the budget sparsely
+    half = q // 2 + 1
+    assert batch_inverses(np.arange(half), q).tolist() == _pow_inverses(range(half), q)
+    # all q of them would take more than the table, sparsely too
+    with pytest.raises(CapacityError, match=f"inverses of {q} values"):
+        batch_inverses(np.arange(q), q)
     with pytest.raises(CapacityError):
         inverse_table.__wrapped__(q)
+
+
+def test_sparse_inverses_are_charged_before_allocating(monkeypatch):
+    # 10**6 values mod a prime near 2**31 take the sparse route, at 29
+    # bytes each far over a budget of 10**6 bytes
+    q = 2 ** 31 - 1
+    values = np.arange(1, 10 ** 6 + 1, dtype=np.int64)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(10 ** 6))
+
+    def refused():
+        with pytest.raises(CapacityError, match="inverses of 1000000 values"):
+            batch_inverses(values, q)
+
+    _, peak = _traced_peak(refused)
+    assert peak < 10 ** 5
+
+
+@pytest.mark.parametrize("q,n", [(65521, 30000), (10 ** 6 + 3, 10 ** 5)])
+def test_sparse_inverses_peak_within_their_charge(q, n):
+    # uint32 lanes, then int64 lanes; the input is allocated outside
+    values = np.arange(1, n + 1, dtype=np.int64) * 7919
+    result, peak = _traced_peak(lambda: batch_inverses(values, q))
+    assert result.tolist() == _pow_inverses(values.tolist(), q)
+    assert peak <= n * arith._SPARSE_BYTES
 
 
 def test_sieve_of_small_limits():

@@ -152,13 +152,6 @@ def test_sweep_hypothesis_validation():
         type2_fixed_a_report(0, 4, 4, 8)
 
 
-def test_report_determinism_across_workers():
-    one = type2_avg_max_report(4, 8, 8, k=2, workers=1)
-    many = type2_avg_max_report(4, 8, 8, k=2, workers=8)
-    assert one.lhs == many.lhs
-    assert one.rhs_terms == many.rhs_terms
-
-
 def _direct_max_abs_over_twists(h, q):
     """_max_abs_over_twists as a full direct scan over every unit twist, in
     chunks of _CHUNK_CELLS cells.

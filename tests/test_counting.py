@@ -92,6 +92,27 @@ def test_unit_fraction_known_values():
     assert count_unit_fraction_solutions(2, 0) == 0
 
 
+def test_unit_fraction_states_are_charged_before_bucketing(monkeypatch):
+    # k = 2, N = 100: 10**4 states at 96 bytes each
+    want = count_unit_fraction_solutions(2, 100)
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(10 ** 4 * 96))
+    assert count_unit_fraction_solutions(2, 100) == want
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(10 ** 4 * 96 - 1))
+
+    def refused():
+        with pytest.raises(CapacityError, match="10000 partial sums need"):
+            count_unit_fraction_solutions(2, 100)
+
+    _, peak = _traced_peak(refused)
+    assert peak < 10 ** 5
+
+
+@pytest.mark.parametrize("k,N", [(1, 11000), (2, 100), (3, 20)])
+def test_unit_fraction_peak_within_its_charge(k, N):
+    _, peak = _traced_peak(lambda: count_unit_fraction_solutions(k, N))
+    assert peak <= N ** k * counting._FRACTION_BYTES[k - 1]
+
+
 @pytest.mark.parametrize("k,N", [(1, 4), (1, 9), (2, 3), (2, 5), (3, 3)])
 def test_unit_fraction_methods_vs_brute(k, N):
     want = brute_unit_fractions(k, N)
@@ -176,12 +197,6 @@ def test_sum_congruence_counts_matches_single_moduli():
     assert set(rep.rhs_terms) == {"Q*M^k", "M^(2k)"}
     assert rep.rhs_terms["Q*M^k"] == 16 * 8 ** 2
     assert rep.rhs_terms["M^(2k)"] == 8 ** 4
-
-
-def test_sum_congruence_counts_worker_determinism():
-    one = sum_congruence_counts(2, 6, 16, workers=1)
-    many = sum_congruence_counts(2, 6, 16, workers=8)
-    assert one.extra["total"] == many.extra["total"]
 
 
 #: Largest M per k with M**(2k) < 2**62, the dense route's cap on n <= M.
