@@ -83,8 +83,13 @@ _TABLE_BYTES = 22
 
 #: Peak bytes per value of batch_inverses' square-and-multiply route, input
 #: aside: tracemalloc measured 25-29 over 10**3 to 10**6 values, q from 1009
-#: to 2**31 - 1.  The trial division for phi(q) adds 17 * sqrt(q), uncharged.
+#: to 2**31 - 1.  The trial division for phi(q) adds one _TRIAL_CHUNK pass,
+#: a 70 KB peak at q = 2**31 - 1 by tracemalloc, uncharged.
 _SPARSE_BYTES = 29
+
+#: Candidates per pass of _prime_divisors' trial division: one pass for
+#: every q below 2**24, and a bounded peak above it.
+_TRIAL_CHUNK = 1 << 12
 
 #: Primes per lane of prime_inverses: each lane chains this many residues
 #: into prefix products and inverts only their product.
@@ -245,15 +250,19 @@ def _lanes(q: int) -> type:
 
 
 def _prime_divisors(q: int) -> list[int]:
-    """The distinct primes dividing q >= 1, ascending, by trial division up to sqrt(q)."""
-    primes, n = [], q
-    d = np.arange(2, math.isqrt(q) + 1, dtype=np.int64)
-    for p in d[q % d == 0].tolist():
-        # a composite divisor no longer divides n once its primes are out
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
+    """The distinct primes dividing q >= 1, ascending, by trial division,
+    _TRIAL_CHUNK candidates at a time, up to the square root of the part
+    of q not yet factored."""
+    primes, n, lo = [], q, 2
+    while lo * lo <= n:
+        d = np.arange(lo, min(lo + _TRIAL_CHUNK, math.isqrt(n) + 1), dtype=np.int64)
+        for p in d[n % d == 0].tolist():
+            # a composite divisor no longer divides n once its primes are out
+            if n % p == 0:
+                primes.append(p)
+                while n % p == 0:
+                    n //= p
+        lo += _TRIAL_CHUNK
     if n > 1:
         primes.append(n)
     return primes

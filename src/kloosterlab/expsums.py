@@ -37,6 +37,7 @@ from .arith import (
     _lanes,
     _prime_divisors,
     batch_inverses,
+    charge_budget,
     check_modulus,
     memory_budget,
     prime_inverses,
@@ -483,10 +484,11 @@ def kloosterman_grid(q: int) -> np.ndarray:
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
+    # the grid and its index first: listing the divisors takes O(q) time
+    charge_budget(24 * q * q, f"Kloosterman grid mod {q} and its index need")
     divisors = [d for d in range(1, q + 1) if q % d == 0]
-    need = (24 * q + 16 * len(divisors)) * q
-    if need > memory_budget():
-        raise CapacityError(f"Kloosterman grid for q={q} needs about {need} bytes")
+    charge_budget((24 * q + 16 * len(divisors)) * q,
+                  f"Kloosterman grid mod {q} with {len(divisors)} spectra needs")
     roots = unit_roots(q)
     ns, invs = _units(q)
 

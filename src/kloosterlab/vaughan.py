@@ -113,19 +113,13 @@ def _anchored_blocks(anchor: float, lo: float, hi: float) -> list[float]:
 
 def _head_coefficients(U: float, mt: MultiplicativeTables) -> np.ndarray:
     """c[t] = sum over m*d = t with m, d <= U of Lambda(m) mu(d)."""
-    top = int(U * U) + 1
-    c = np.zeros(top + 1)
-    for m in range(2, int(U) + 1):
-        lam = mt.lam(m)
-        if lam == 0.0:
-            continue
-        for d in range(1, int(U) + 1):
-            t = m * d
-            if t > top:
-                break
-            mu = int(mt.mobius[d])
-            if mu:
-                c[t] += lam * mu
+    n = int(U)
+    c = np.zeros(int(U * U) + 2)
+    ms = np.flatnonzero(mt.vm_prime[: n + 1])
+    lam = np.array([mt.lam(m) for m in ms.tolist()])
+    ds = np.flatnonzero(mt.mobius[: n + 1])
+    # m-major, so each c[t] takes its terms in ascending m, as a loop over m would
+    np.add.at(c, np.multiply.outer(ms, ds), np.multiply.outer(lam, mt.mobius[ds]))
     return c
 
 
@@ -144,17 +138,50 @@ def _has_support(
 ) -> bool:
     """Whether some l in ls[l_ok] and m in ms[m_ok] have x <= l*m < 2x."""
     start, stop = _product_window(ls[l_ok], ms, x)
+    if m_ok.all():
+        return bool((stop > start).any())
     ok_before = np.concatenate(([0], np.cumsum(m_ok)))
     return bool((ok_before[stop] > ok_before[start]).any())
+
+
+def _window_coefficients(table: np.ndarray, window: np.ndarray, floor: float = 0) -> np.ndarray:
+    """table[n] for the n in window with floor < n < len(table), else 0.0."""
+    raw = np.zeros(len(window))
+    inside = (window > floor) & (window < len(table))
+    raw[inside] = table[window[inside]]
+    return raw
+
+
+def _add_block(comps: list, x: float, U: float, sign: int, l: tuple, m: tuple) -> None:
+    """Append the block of sides l = (L, window, coefficients) and m = (M, ...),
+    coefficients None meaning units, unless a side is all zero or no l*m with
+    nonzero coefficients lies in [x, 2x).  It is type2 when L >= U, and each
+    side is divided by its largest magnitude, the product of the two being
+    the block's scale."""
+    (L, ls, lc), (M, ms, mc) = l, m
+    lscale, mscale = (1.0 if c is None else float(np.max(np.abs(c), initial=0.0)) for c in (lc, mc))
+    if lscale == 0.0 or mscale == 0.0:
+        return
+    l_ok = np.ones(len(ls), bool) if lc is None else lc != 0.0
+    m_ok = np.ones(len(ms), bool) if mc is None else mc != 0.0
+    if not _has_support(ls, l_ok, ms, m_ok, x):
+        return
+    comps.append(BilinearComponent(
+        kind=KIND_TYPE2 if L >= U else KIND_TYPE1, sign=sign, scale=lscale * mscale,
+        L=L, M=M, alpha=None if lc is None else lc / lscale,
+        beta=None if mc is None else mc / mscale, restrict=x,
+    ))
 
 
 def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
     """Cut the Lambda-weighted window sum into dyadic bilinear components.
 
-    The result is independent of any modulus; evaluate_decomposition
-    attaches a phase (a, q) afterwards.  Component order is fixed
-    (identity term by term, blocks by ascending lower bound) so sums over
-    components are reproducible run to run.
+    Each identity term builds only the two sides of its blocks; one rule,
+    _add_block, drops, labels and normalizes every block.  The result is
+    independent of any modulus; evaluate_decomposition attaches a phase
+    (a, q) afterwards.  Component order is fixed (identity term by term,
+    blocks by ascending lower bound) so sums over components are
+    reproducible run to run.
     """
     x, U = params.x, params.U
     mt = tables if tables is not None else shared_tables(int(math.ceil(2 * x)))
@@ -163,53 +190,26 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
     comps: list[BilinearComponent] = []
 
     # a2: l carries the double sum of Lambda * mu over products up to U^2,
-    # m is a free unit-coefficient variable.
-    head = _head_coefficients(U, mt)
-    for L in _anchored_blocks(U, 1, min(U * U, x)):
-        ls = dyadic_window(L)
-        raw = np.zeros(len(ls))
-        inside = ls < len(head)
-        raw[inside] = head[ls[inside]]
-        scale = float(np.max(np.abs(raw)))
-        if scale == 0.0:
-            continue
-        for M in _anchored_blocks(U, x / (2 * L), 2 * x / L):
-            ms = dyadic_window(M)
-            if not _has_support(ls, raw != 0.0, ms, np.ones(len(ms), bool), x):
+    # m is a free unit-coefficient variable.  a3: l carries mu(d) for
+    # d <= U, m carries log h.
+    terms = (
+        (-1, _head_coefficients(U, mt), min(U * U, x), lambda ms: None),
+        (1, mt.mobius[: int(U) + 1], min(U, x), lambda ms: np.log(ms.astype(float))),
+    )
+    for sign, table, hi, m_coefficients in terms:
+        for L in _anchored_blocks(U, 1, hi):
+            ls = dyadic_window(L)
+            raw = _window_coefficients(table, ls)
+            if not raw.any():
                 continue
-            kind = KIND_TYPE2 if L >= U else KIND_TYPE1
-            comps.append(BilinearComponent(
-                kind=kind, sign=-1, scale=scale, L=L, M=M,
-                alpha=raw / scale, beta=None, restrict=x,
-            ))
-
-    # a3: l carries mu(d) for d <= U, m carries log h.
-    for L in _anchored_blocks(U, 1, min(U, x)):
-        ls = dyadic_window(L)
-        raw = np.zeros(len(ls))
-        inside = ls <= int(U)
-        raw[inside] = mt.mobius[ls[inside]]
-        if not np.any(raw != 0.0):
-            continue
-        for M in _anchored_blocks(U, x / (2 * L), 2 * x / L):
-            ms = dyadic_window(M)
-            logs = np.log(ms.astype(float))
-            mscale = float(np.max(logs)) if len(logs) else 0.0
-            if mscale == 0.0:
-                continue
-            if not _has_support(ls, raw != 0.0, ms, logs != 0.0, x):
-                continue
-            kind = KIND_TYPE2 if L >= U else KIND_TYPE1
-            comps.append(BilinearComponent(
-                kind=kind, sign=1, scale=mscale, L=L, M=M,
-                alpha=raw, beta=logs / mscale, restrict=x,
-            ))
+            for M in _anchored_blocks(U, x / (2 * L), 2 * x / L):
+                ms = dyadic_window(M)
+                _add_block(comps, x, U, sign, (L, ls, raw), (M, ms, m_coefficients(ms)))
 
     # a4: Lambda(m) for m > U against the truncated mu-divisor sum for
-    # k > U.  Both sides are bounded, so every block is type2; the side
-    # with the smaller block is used as l, which keeps L <= x/U.
-    top = int(2 * x / U) + 1
-    bsums = _mu_divisor_sums(U, top, mt)
+    # k > U.  Both blocks start at U or above, so every block is type2; the
+    # side with the smaller block is used as l, which keeps L <= x/U.
+    bsums = _mu_divisor_sums(U, int(2 * x / U) + 1, mt)
     lam_blocks = _anchored_blocks(U, U, 2 * x / U)
     for Lm in lam_blocks:
         partners = [Lk for Lk in lam_blocks if x < 4 * Lm * Lk and Lm * Lk < 2 * x]
@@ -220,26 +220,13 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
         # Lambda(m) = log p for m = p**j: one math.log per distinct p
         stamps, where = np.unique(mt.vm_prime[ms_lam], return_inverse=True)
         logs = np.array([math.log(p) if p else 0.0 for p in stamps.tolist()])
-        raw_lam = np.where(ms_lam > U, logs[where], 0.0)
-        s_lam = float(np.max(np.abs(raw_lam)))
-        if s_lam == 0.0:
+        lam = (Lm, ms_lam, np.where(ms_lam > U, logs[where], 0.0))
+        if not lam[2].any():
             continue
         for Lk in partners:
             ks = dyadic_window(Lk)
-            raw_b = np.zeros(len(ks))
-            inside = (ks > U) & (ks <= top)
-            raw_b[inside] = bsums[ks[inside]]
-            s_b = float(np.max(np.abs(raw_b)))
-            if s_b == 0.0:
-                continue
-            sides = [(Lm, ms_lam, raw_lam, s_lam), (Lk, ks, raw_b, s_b)]
-            (L, lvals, lraw, lscale), (M, mvals, mraw, mscale) = sides if Lm <= Lk else sides[::-1]
-            if not _has_support(lvals, lraw != 0.0, mvals, mraw != 0.0, x):
-                continue
-            comps.append(BilinearComponent(
-                kind=KIND_TYPE2, sign=-1, scale=lscale * mscale, L=L, M=M,
-                alpha=lraw / lscale, beta=mraw / mscale, restrict=x,
-            ))
+            b = (Lk, ks, _window_coefficients(bsums, ks, U))
+            _add_block(comps, x, U, -1, *((lam, b) if Lm <= Lk else (b, lam)))
 
     decomp = VaughanDecomposition(params=params, components=tuple(comps))
     validate_decomposition(decomp)

@@ -329,6 +329,36 @@ def test_batch_inverses_refuse_moduli_from_2_31():
         unit_roots_at([1], MODULUS_CAP)
 
 
+def _trial_division_primes(q):
+    """Distinct primes of q by a plain loop over 2, 3, 4, ... up to sqrt of the rest."""
+    primes, n, p = [], q, 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+@pytest.mark.parametrize("qs", [
+    range(1, 5000),
+    # around one pass of arith._TRIAL_CHUNK, and 4099 = the first prime past it
+    [2 ** 16 - 1, 2 ** 16 + 1, 2 ** 24 - 1, 2 ** 24 + 1, 4099 ** 2, 2 * 4099 * 4111],
+    [2 ** 31 - 1, 2 ** 31 - 2],
+])
+def test_prime_divisors_match_trial_division_twin(qs):
+    for q in qs:
+        assert arith._prime_divisors(q) == _trial_division_primes(q), q
+
+
+def test_prime_divisors_peak_stays_bounded():
+    # the candidates go _TRIAL_CHUNK at a time, not sqrt(q) at once
+    primes, peak = _traced_peak(lambda: arith._prime_divisors(2 ** 31 - 1))
+    assert primes == [2 ** 31 - 1]
+    assert peak < 128 * 1024
+
+
 def test_length_q_tables_stay_within_memory_budget(monkeypatch):
     # an inverse table charges 22 bytes and a unit-root table 32 per residue
     monkeypatch.setenv(MEMORY_ENV_VAR, str(22 * 1000))

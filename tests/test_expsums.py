@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -517,3 +518,25 @@ def test_kloosterman_grid_index_stays_within_its_bytes():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * q * q + (1 << 20)
+
+
+def test_kloosterman_grid_refuses_before_listing_divisors():
+    # listing the divisors of 10**9 alone would take about a minute
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="Kloosterman grid mod 1000000000 and its index need"):
+        kloosterman_grid(10 ** 9)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("budget, message", [
+    # 24 q^2 = 240000 bytes for the grid and its index, plus 16 q per divisor
+    # of 100 (nine of them) for the spectra
+    (100000, "Kloosterman grid mod 100 and its index need about 240000 bytes, budget is 100000"),
+    (250000, "Kloosterman grid mod 100 with 9 spectra needs about 254400 bytes, budget is 250000"),
+])
+def test_kloosterman_grid_charges_the_byte_budget(monkeypatch, budget, message):
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(budget))
+    with pytest.raises(CapacityError, match=message):
+        kloosterman_grid(100)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(254400))
+    assert kloosterman_grid(100).shape == (100, 100)

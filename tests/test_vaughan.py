@@ -1,10 +1,11 @@
 """The four-term identity, its block decomposition, and the prime-power gap."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab.accumulate import ROUND_EPS, exact_sum
@@ -191,6 +192,9 @@ def _supports(draw):
 
 @_PROPERTY
 @given(_supports())
+# every m kept, then every m but 19 kept, where 4 * 19 = 76 is the only product in [73, 146)
+@example((np.arange(4, 8), np.ones(4, bool), np.arange(10, 20), np.ones(10, bool), 70.0))
+@example((np.array([4]), np.ones(1, bool), np.arange(10, 20), np.arange(10, 20) != 19, 73.0))
 def test_has_support_equals_per_l_twin(case):
     assert _has_support(*case) == _per_l_has_support(*case)
 
@@ -219,3 +223,33 @@ def test_has_support_past_2_53(l, m, x, want):
     ls, ms, one = np.array([l], dtype=np.int64), np.array([m], dtype=np.int64), np.ones(1, bool)
     assert _has_support(ls, one, ms, one, x) is want
     assert _per_l_has_support(ls, one, ms, one, x) is want
+
+
+def _components_digest(decomp):
+    """SHA-256 of every component's kind, sign, scale, the repr of its bounds
+    (so an int bound that turns float shows) and its coefficient bytes."""
+    h = hashlib.sha256()
+    for c in decomp.components:
+        h.update(f"{c.kind} {c.sign} {c.scale.hex()} {c.L!r} {c.M!r} {c.restrict!r}".encode())
+        for arr in (c.alpha, c.beta):
+            h.update(b"None" if arr is None else arr.dtype.str.encode() + arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("x, U, count, digest", [
+    # recorded from the three-loop decomposition that preceded the one block rule
+    (200, 200 ** (1 / 3), 29, "55d96bad3d642fe39e269c92be9b54ec7d2d76cc96c3ef77876fa49e4cee2292"),
+    (200, 5, 24, "341b7d3de513c4728f674da9c3a4d0159b5b3cad3eab376c788d7e9e57f066cc"),
+    (1000, 10, 41, "247f40d18ad6ed49b0ab345d5db698ad9e5a2dcba727b96eb95c4fa077e15721"),
+    (10 ** 5, 20, 49, "7909c4a6f263dcbd1fa606cfea7a6ca7efa288d13e8eebb18dc27098b0ecfa88"),
+    (10 ** 5, 10 ** (5 / 3), 65, "3092f7d8418526011e37f4bde46463b849ad027b6b4e90ee3f55089fda7a572f"),
+    (3 * 10 ** 5, 30, 66, "f8f26c14e27718dbc054ee12708f5b60300807f2653491044f44b25ce9fdcee9"),
+    (20000, 1, 41, "5533729be5c43e82345b816e96b59f5418637a0351cb2baecc9c9ea744acefd1"),
+    (10 ** 6, 100, 77, "75bc55fda2c47db0533be8b6bd9c96d7bed992f6fd2f7913e175c48daa55e0f9"),
+    (777.5, 3.3, 26, "cad4fbb032d2db5148de1fc607ee8bc5fafef3179a480453b130d1988b8c0481"),
+    (5000, 17, 46, "c006eb409c3c2542b5e0be5a8ff401d3510fc983c6cc1688227344e3d65b8284"),
+])
+def test_decomposition_bytes_are_pinned(x, U, count, digest):
+    decomp = decompose(VaughanParams(x, U))
+    assert len(decomp.components) == count
+    assert _components_digest(decomp) == digest
