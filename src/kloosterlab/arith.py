@@ -19,6 +19,14 @@ covers the residues mod q (batch_inverses):
 Both work in _lanes(q), uint32 below q = 2**16 and int64 above; the
 output is int64 either way.  pow(v, -1, q) is their twin in the tests.
 
+Single-window questions, sums over the primes or the prime powers of
+[x, 2x), take the window route, prime_window, rather than a table to 2x.
+It reuses a covering table: the one it is given, or the shared table when
+that covers the window, sliced.  Otherwise it sieves the window alone, in
+blocks, over the primes up to the square root of its top, and builds or
+grows no shared table.  Such callers ask shared_tables only for prefix
+needs, such as mu and Lambda up to a truncation (vaughan.decompose).
+
 All tables are immutable after construction and safe to share between
 threads; construction itself is serialized behind a lock.  Sizes are
 checked against a byte budget before anything is allocated, so oversized
@@ -32,7 +40,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,6 +102,9 @@ _TRIAL_CHUNK = 1 << 12
 #: Primes per lane of prime_inverses: each lane chains this many residues
 #: into prefix products and inverts only their product.
 _LANE_PRIMES = 16
+
+#: Flags per block of prime_window's segmented sieve: 1 MB of bools.
+_WINDOW_BLOCK = 1 << 20
 
 
 def memory_budget() -> int:
@@ -712,3 +723,116 @@ def shared_tables(min_limit: int, max_limit: int = HARD_SIEVE_CAP) -> Multiplica
 
 def shared_prime_table(min_limit: int) -> PrimeTable:
     return shared_tables(min_limit).prime_table
+
+
+@dataclass(frozen=True)
+class PrimeWindow:
+    """The primes of a window [lo, hi), as an ascending int64 array, and its
+    prime powers p**j, j >= 2, found on first use from base, the primes up
+    to sqrt(hi - 1)."""
+
+    lo: int
+    hi: int
+    primes: np.ndarray
+    base: np.ndarray
+
+    @cached_property
+    def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The p**j, j >= 2, in the window, ascending, and their p."""
+        found = []
+        # a plain loop: about pi(sqrt(hi)) steps, where array passes would
+        # take log2(hi) steps of several calls each
+        for p in self.base.tolist():
+            pw = p * p
+            while pw < self.hi:
+                if pw >= self.lo:
+                    found.append((pw, p))
+                pw *= p
+        # prime powers are distinct integers, so the order is unique
+        found.sort()
+        pairs = np.array(found, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+    def von_mangoldt(self) -> tuple[np.ndarray, np.ndarray]:
+        """The n of the window with Lambda(n) > 0, ascending, and the prime
+        p of each n = p**j, so that Lambda(n) = log p."""
+        powers, bases = self.prime_powers
+        # each power's slot in the merged order; the primes fill the rest
+        slots = np.searchsorted(self.primes, powers) + np.arange(len(powers))
+        ns = np.empty(len(self.primes) + len(powers), dtype=np.int64)
+        ps = np.empty_like(ns)
+        rest = np.ones(len(ns), dtype=bool)
+        rest[slots] = False
+        ns[rest] = ps[rest] = self.primes
+        ns[slots], ps[slots] = powers, bases
+        return ns, ps
+
+
+def _window_count_bound(y: int) -> float:
+    """At most this many primes lie in any interval of length y:
+    pi(t + y) - pi(t) <= 2 y / log y for y > 1 (Montgomery and Vaughan,
+    "The large sieve", Mathematika 20, 1973)."""
+    return min(y, 2 * y / math.log(y)) if y > 1 else y
+
+
+@lru_cache(maxsize=None)
+def _small_primes(limit: int) -> np.ndarray:
+    """The primes up to limit, a power of two, read-only: the base primes of
+    prime_window.  Below the hard cap's square root that is at most 16
+    tables of at most 3,512 primes."""
+    primes = sieve_primes(limit).primes
+    primes.setflags(write=False)
+    return primes
+
+
+def _sieve_window(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes in [lo, hi), 2 <= lo, given every prime up to sqrt(hi - 1) in
+    base: each block of _WINDOW_BLOCK flags is crossed off from p*p on."""
+    base = base.tolist()
+    found = [np.empty(0, dtype=np.int64)]
+    for start in range(lo, hi, _WINDOW_BLOCK):
+        stop = min(start + _WINDOW_BLOCK, hi)
+        composite = np.zeros(stop - start, dtype=bool)
+        for p in base:
+            if p * p >= stop:
+                break
+            composite[max(p * p, -(-start // p) * p) - start :: p] = True
+        found.append(np.flatnonzero(~composite) + start)
+    return np.concatenate(found)
+
+
+def prime_window(lo: int, hi: int, table: PrimeTable | None = None) -> PrimeWindow:
+    """The primes and the prime powers of [lo, hi), without building a table
+    to hi.
+
+    A table covering hi - 1 is sliced: the given one (which must cover it),
+    else the shared table when it does.  Otherwise [lo, hi) is sieved in
+    blocks of _WINDOW_BLOCK flags over the primes up to sqrt(hi - 1), from a
+    small cached sieve_primes, after the byte budget is charged; no shared
+    table is built or grown.  Either way the window keeps those base primes,
+    from which PrimeWindow.prime_powers finds the p**j, j >= 2, when asked.
+    Both routes give the same arrays.
+    """
+    lo, hi = max(int(lo), 2), int(hi)
+    if hi <= lo:
+        empty = np.empty(0, dtype=np.int64)
+        return PrimeWindow(lo, hi, empty, empty)
+    root = math.isqrt(hi - 1)
+    shared = _shared_mult
+    if table is None and shared is not None and shared.limit >= hi - 1:
+        table = shared.prime_table
+    if table is not None:
+        primes = table.primes_between(lo, hi)
+        base = table.primes[: int(np.searchsorted(table.primes, root, side="right"))]
+    else:
+        if hi - 1 > HARD_SIEVE_CAP:
+            raise CapacityError(f"prime window limit {hi - 1} exceeds hard cap {HARD_SIEVE_CAP}")
+        block = min(hi - lo, _WINDOW_BLOCK)
+        # the output and its concatenation, and per block the flags, their
+        # negation, and the block's primes before and after the offset
+        charge_budget(2 * block + 16 * (_window_count_bound(hi - lo) + _window_count_bound(block)),
+                      f"prime window [{lo}, {hi}) needs")
+        small = _small_primes(max(2, 1 << root.bit_length()))
+        base = small[: int(np.searchsorted(small, root, side="right"))]
+        primes = _sieve_window(lo, hi, base)
+    return PrimeWindow(lo, hi, primes, base)

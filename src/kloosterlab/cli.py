@@ -67,7 +67,7 @@ from .expsums import (
     short_inverse_sum,
     weil_ratio,
 )
-from .vaughan import VaughanParams, compare_decomposition, prime_power_gap
+from .vaughan import VaughanParams, compare_decomposition, decomposition_limit, prime_power_gap
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -84,13 +84,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="largest modulus an exhaustive numerator scan may take")
 
 
-def _tables(args, need: float):
+def _sieve_top(args, need: float) -> int:
+    """need rounded up: the top of a sieved range, a table's or a window's,
+    which --max-sieve bounds."""
     if not math.isfinite(need):
         raise ValueError(f"sieve size {need} is not finite")
     need = int(math.ceil(need))
     if need > args.max_sieve:
         raise CapacityError(f"needs a sieve to {need}, over --max-sieve {args.max_sieve}")
-    return shared_tables(need, max_limit=args.max_sieve)
+    return need
+
+
+def _tables(args, need: float):
+    return shared_tables(_sieve_top(args, need), max_limit=args.max_sieve)
 
 
 # --- result columns -----------------------------------------------------------
@@ -112,9 +118,9 @@ def _attrs(obj, *names) -> dict:
 
 
 def _sum(args):
-    mt = _tables(args, 2 * args.x)
+    _sieve_top(args, 2 * args.x)
     query = ExpSumQuery(a=args.a, q=args.q, x=args.x)
-    return _value(prime_sum(query, weight=args.weight, tables=mt))
+    return _value(prime_sum(query, weight=args.weight))
 
 
 def _fixed_a_avg(args):
@@ -132,11 +138,18 @@ def _jcount_avg(args):
 def _vaughan_check(args):
     # the resolved truncation replaces None, so params and row both carry it
     args.U = args.U if args.U is not None else args.x ** (1 / 3)
-    mt = _tables(args, 2 * args.x)
-    chk = compare_decomposition(VaughanParams(x=args.x, U=args.U), args.a, args.q, tables=mt)
+    _sieve_top(args, 2 * args.x)
+    params = VaughanParams(x=args.x, U=args.U)
+    mt = _tables(args, decomposition_limit(params))
+    chk = compare_decomposition(params, args.a, args.q, tables=mt)
     return {"direct_real": chk.direct.real, "direct_imag": chk.direct.imag,
             "decomposed_real": chk.decomposed.real, "decomposed_imag": chk.decomposed.imag,
             **_attrs(chk, "abs_error", "rel_error", "components")}
+
+
+def _prime_power_gap(args):
+    _sieve_top(args, 2 * args.x)
+    return _attrs(prime_power_gap(args.a, args.q, args.x), "gap", "envelope", "prime_power_terms")
 
 
 def _baker_root(args):
@@ -240,9 +253,7 @@ COMMANDS = (
             _vaughan_check),
     Command("prime-power-gap", "Lambda-weighted vs prime-only window sums",
             (("a", int), ("q", int), ("x", float)),
-            lambda args: _attrs(prime_power_gap(
-                args.a, args.q, args.x, tables=_tables(args, 2 * args.x)),
-                "gap", "envelope", "prime_power_terms")),
+            _prime_power_gap),
     Command("theorem2-root", "exponent threshold root, near 1.188",
             (_TOL,),
             lambda args: _attrs(ternary_exponent_root(tol=args.tol),

@@ -34,6 +34,7 @@ from .accumulate import (
 from .arith import (
     MultiplicativeTables,
     PrimeTable,
+    PrimeWindow,
     _lanes,
     _prime_divisors,
     batch_inverses,
@@ -41,6 +42,7 @@ from .arith import (
     check_modulus,
     memory_budget,
     prime_inverses,
+    prime_window,
     shared_prime_table,
     shared_tables,
 )
@@ -167,24 +169,24 @@ def prime_sum(
         query: twist, modulus and window start.
         weight: "unit" sums over primes p ~ x; "von_mangoldt" sums
             Lambda(n) * e(a * inv(n) / q) over all n ~ x.
-        tables: tables covering 2x; sieved on demand when omitted.
+        tables: tables covering 2x, sliced for the window; when omitted,
+            the window comes from arith.prime_window, which slices the
+            shared table if it covers 2x and sieves [x, 2x) alone if not.
     """
     if weight not in _WEIGHTS:
         raise ValueError(f"weight must be one of {_WEIGHTS}, got {weight!r}")
-    need = int(math.ceil(2 * query.x))
-    if tables is None:
-        tables = shared_tables(need)
-    table = tables.prime_table
-    table.require_coverage(2 * query.x)
-    if weight == "unit":
-        ns = table.primes_between(query.x, 2 * query.x)
-        return inverse_phase_sum(ns, query.a, query.q)
     lo, hi = int(math.ceil(query.x)), int(math.ceil(2 * query.x))
-    # a view of the window, and the offsets of its prime powers
-    pp = tables.vm_prime[lo:hi]
-    sel = np.flatnonzero(pp > 0)
-    weights = np.log(pp[sel].astype(np.float64))
-    return inverse_phase_sum(lo + sel, query.a, query.q, weights=weights)
+    window = prime_window(lo, hi, None if tables is None else tables.prime_table)
+    return window_sum(window, query.a, query.q, weight)
+
+
+def window_sum(window: PrimeWindow, a: int, q: int, weight: str = "unit") -> ExpSumValue:
+    """prime_sum over the primes ("unit") or the prime powers, weighted by
+    Lambda ("von_mangoldt"), of an arith.prime_window."""
+    if weight == "unit":
+        return inverse_phase_sum(window.primes, a, q)
+    ns, ps = window.von_mangoldt()
+    return inverse_phase_sum(ns, a, q, weights=np.log(ps.astype(np.float64)))
 
 
 def prime_sum_block(

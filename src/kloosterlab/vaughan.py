@@ -19,16 +19,17 @@ labelled type2; the rest keep one unit-or-log side and are type1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .accumulate import exact_sum, fsum_complex
-from .arith import MultiplicativeTables, shared_tables
+from .arith import MultiplicativeTables, prime_window, shared_tables
 from .bilinear import BilinearSpec, _product_window, _value_and_coeffs, dyadic_window
 from .errors import ConsistencyError
-from .expsums import ExpSumQuery, inverse_phase_sum, prime_sum
+from .expsums import ExpSumQuery, inverse_phase_sum, prime_sum, window_sum
 
 KIND_TYPE1 = "type1"
 KIND_TYPE2 = "type2"
@@ -173,6 +174,23 @@ def _add_block(comps: list, x: float, U: float, sign: int, l: tuple, m: tuple) -
     ))
 
 
+def _a4_blocks(x: float, U: float) -> list[tuple[float, list[float]]]:
+    """a4's blocks: each Lambda block Lm >= U that meets a k block Lk >= U
+    with lm ~ x possible, and those Lk, by ascending lower bound."""
+    lam_blocks = _anchored_blocks(U, U, 2 * x / U)
+    pairs = ((Lm, [Lk for Lk in lam_blocks if x < 4 * Lm * Lk and Lm * Lk < 2 * x])
+             for Lm in lam_blocks)
+    return [(Lm, partners) for Lm, partners in pairs if partners]
+
+
+def decomposition_limit(params: VaughanParams) -> int:
+    """The largest n whose mu(n) or Lambda(n) decompose reads: int(U) for a2,
+    a3 and the mu-divisor sums, and the top of a4's Lambda windows, below
+    about 4x/U."""
+    x, U = params.x, params.U
+    return max([int(U), 2] + [math.ceil(2 * Lm) - 1 for Lm, _ in _a4_blocks(x, U)])
+
+
 def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
     """Cut the Lambda-weighted window sum into dyadic bilinear components.
 
@@ -181,20 +199,26 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
     independent of any modulus; evaluate_decomposition attaches a phase
     (a, q) afterwards.  Component order is fixed (identity term by term,
     blocks by ascending lower bound) so sums over components are
-    reproducible run to run.
+    reproducible run to run.  tables must cover decomposition_limit(params),
+    not 2x; the shared tables are asked for that much when omitted.
     """
     x, U = params.x, params.U
-    mt = tables if tables is not None else shared_tables(int(math.ceil(2 * x)))
-    mt.prime_table.require_coverage(2 * x)
+    limit = decomposition_limit(params)
+    mt = tables if tables is not None else shared_tables(limit)
+    mt.prime_table.require_coverage(limit + 1)
 
     comps: list[BilinearComponent] = []
 
     # a2: l carries the double sum of Lambda * mu over products up to U^2,
     # m is a free unit-coefficient variable.  a3: l carries mu(d) for
-    # d <= U, m carries log h.
+    # d <= U, m carries log h.  An L block meets about three M blocks, two
+    # of them shared with the L block before it, so the logs of the last
+    # four M windows are kept.  Every block keeps the M of its own loop:
+    # an int M and a float one of equal value share logs, not a repr.
+    log_window = functools.lru_cache(maxsize=4)(lambda M: np.log(dyadic_window(M).astype(float)))
     terms = (
-        (-1, _head_coefficients(U, mt), min(U * U, x), lambda ms: None),
-        (1, mt.mobius[: int(U) + 1], min(U, x), lambda ms: np.log(ms.astype(float))),
+        (-1, _head_coefficients(U, mt), min(U * U, x), lambda M: None),
+        (1, mt.mobius[: int(U) + 1], min(U, x), log_window),
     )
     for sign, table, hi, m_coefficients in terms:
         for L in _anchored_blocks(U, 1, hi):
@@ -203,18 +227,13 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
             if not raw.any():
                 continue
             for M in _anchored_blocks(U, x / (2 * L), 2 * x / L):
-                ms = dyadic_window(M)
-                _add_block(comps, x, U, sign, (L, ls, raw), (M, ms, m_coefficients(ms)))
+                _add_block(comps, x, U, sign, (L, ls, raw), (M, dyadic_window(M), m_coefficients(M)))
 
     # a4: Lambda(m) for m > U against the truncated mu-divisor sum for
     # k > U.  Both blocks start at U or above, so every block is type2; the
     # side with the smaller block is used as l, which keeps L <= x/U.
     bsums = _mu_divisor_sums(U, int(2 * x / U) + 1, mt)
-    lam_blocks = _anchored_blocks(U, U, 2 * x / U)
-    for Lm in lam_blocks:
-        partners = [Lk for Lk in lam_blocks if x < 4 * Lm * Lk and Lm * Lk < 2 * x]
-        if not partners:
-            continue
+    for Lm, partners in _a4_blocks(x, U):
         # the Lambda window depends on Lm alone, so it is built once per Lm
         ms_lam = dyadic_window(Lm)
         # Lambda(m) = log p for m = p**j: one math.log per distinct p
@@ -289,11 +308,12 @@ def compare_decomposition(
 
     The two must agree up to accumulated rounding; the relative error is
     measured against max(|direct|, 1) so near-cancelling sums do not blow
-    it up artificially.
+    it up artificially.  tables, when given, serve decompose and must cover
+    decomposition_limit(params); the direct sum takes its window from
+    arith.prime_window.
     """
-    mt = tables if tables is not None else shared_tables(int(math.ceil(2 * params.x)))
-    direct = prime_sum(ExpSumQuery(a=a, q=q, x=params.x), weight="von_mangoldt", tables=mt)
-    decomp = decompose(params, tables=mt)
+    direct = prime_sum(ExpSumQuery(a=a, q=q, x=params.x), weight="von_mangoldt")
+    decomp = decompose(params, tables=tables)
     total, _ = evaluate_decomposition(decomp, a, q)
     abs_err = abs(total - direct.value)
     rel_err = abs_err / max(abs(direct.value), 1.0)
@@ -372,25 +392,17 @@ def prime_power_gap(a: int, q: int, x: float, tables: MultiplicativeTables | Non
 
     The difference is exactly the contribution of prime powers p^j, j >= 2,
     in the window, so its magnitude is at most the envelope sum of log p
-    over those terms (roughly sqrt(x) log x in size).
+    over those terms (roughly sqrt(x) log x in size).  The window comes
+    from arith.prime_window, sliced from tables when they are given.
     """
-    query = ExpSumQuery(a=a, q=q, x=x)
-    mt = tables if tables is not None else shared_tables(int(math.ceil(2 * x)))
-    lam = prime_sum(query, weight="von_mangoldt", tables=mt)
-
-    pt = mt.prime_table
-    lo, hi = int(math.ceil(x)), int(math.ceil(2 * x))
-    primes = pt.primes_between(lo, hi)
-    logs = np.log(primes.astype(float))
-    direct = inverse_phase_sum(primes, a, q, weights=logs)
-
-    # prime powers p^j, j >= 2: a von Mangoldt stamp on a nonprime
-    # (primes have spf[n] == n), read from views of the window
-    vp = mt.vm_prime[lo:hi]
-    stamped = np.flatnonzero(vp > 0)
-    ps = vp[stamped][pt.spf[lo:hi][stamped] != lo + stamped]
-    # a prime is coprime to q when it does not divide q
-    ps = ps[q % ps != 0]
+    ExpSumQuery(a=a, q=q, x=x)  # checks q and x
+    window = prime_window(math.ceil(x), math.ceil(2 * x), None if tables is None else tables.prime_table)
+    lam = window_sum(window, a, q, weight="von_mangoldt")
+    primes = window.primes
+    direct = inverse_phase_sum(primes, a, q, weights=np.log(primes.astype(float)))
+    # the prime powers p^j, j >= 2, whose p does not divide q
+    _, bases = window.prime_powers
+    ps = bases[q % bases != 0]
     return PrimePowerGap(
         gap=abs(lam.value - direct.value),
         envelope=exact_sum(np.log(ps.astype(float))),

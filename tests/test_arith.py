@@ -161,6 +161,7 @@ def test_batch_inverses_match_montgomery_twin(q, values):
     assert batch_inverses(values, q).tolist() == _montgomery_inverses(values, q)
 
 
+
 #: Moduli where the inverse routes change shape: prime powers, highly
 #: composite q, and both sides of the 2**16 lane edge.
 _SHAPED_MODULI = [2, 4, 8, 27, 243, 1024, 3125, 16807, 59049, 65536, 131072,
@@ -563,6 +564,130 @@ def test_refused_table_growth_leaves_no_cached_table(monkeypatch):
     with pytest.raises(CapacityError):
         shared_tables(30000)
     assert arith._shared_mult is None
+
+
+#: The tables the window route is checked against.
+_WINDOW_LIMIT = 30000
+_WINDOW_TABLES = build_multiplicative_tables(_WINDOW_LIMIT)
+
+
+def _edges():
+    """p**2, p**3 and p*(p+2) for twin primes p, the window edges most
+    likely to be off by one, below _WINDOW_LIMIT."""
+    primes = _WINDOW_TABLES.prime_table.primes.tolist()
+    twins = set(primes)
+    out = [p ** j for p in primes for j in (2, 3) if p ** j < _WINDOW_LIMIT]
+    return sorted(out + [p * (p + 2) for p in primes if p + 2 in twins and p * (p + 2) < _WINDOW_LIMIT])
+
+
+_EDGES = _edges()
+
+
+@st.composite
+def _window_bounds(draw):
+    """(lo, hi): starting at or below 2, empty or reversed, anywhere below
+    _WINDOW_LIMIT, or with either edge on or next to a prime power or a
+    product of twin primes."""
+    near = st.builds(lambda e, d: e + d, st.sampled_from(_EDGES), st.integers(-1, 1))
+    anywhere = st.integers(0, _WINDOW_LIMIT)
+    lo = draw(st.one_of(st.integers(-3, 3), near, anywhere))
+    hi = draw(st.one_of(st.integers(lo - 3, lo + 3), near, anywhere,
+                        st.integers(lo, min(lo + 3000, _WINDOW_LIMIT))))
+    return lo, min(hi, _WINDOW_LIMIT + 1)
+
+
+def _table_window(lo, hi):
+    """The window read off _WINDOW_TABLES: primes, and the n > p with
+    vm_prime[n] = p > 0, with their p."""
+    lo = max(lo, 2)
+    pt, vm = _WINDOW_TABLES.prime_table, _WINDOW_TABLES.vm_prime
+    ns = np.arange(lo, max(lo, hi))
+    stamped = ns[vm[ns] > 0]
+    powers = stamped[pt.spf[stamped] != stamped]
+    return pt.primes_between(lo, max(lo, hi)), powers, vm[powers].astype(np.int64)
+
+
+@_PROPERTY
+@given(bounds=_window_bounds(), block=st.sampled_from([7, 64, 1000, 1 << 20]))
+@example(bounds=(0, 3), block=7)
+@example(bounds=(2, 3), block=7)
+@example(bounds=(5, 5), block=7)
+@example(bounds=(10, 4), block=7)
+@example(bounds=(4, 5), block=7)
+@example(bounds=(4, 10), block=1 << 20)
+@example(bounds=(0, _WINDOW_LIMIT + 1), block=1000)
+@example(bounds=(121, 169), block=7)
+@example(bounds=(122, 170), block=7)
+@example(bounds=(27, 28), block=7)
+@example(bounds=(143, 144), block=64)
+@example(bounds=(29929, 29930), block=64)
+def test_prime_window_matches_the_tables(bounds, block):
+    lo, hi = bounds
+    primes, powers, bases = _table_window(lo, hi)
+    with mock.patch.object(arith, "_WINDOW_BLOCK", block), \
+            mock.patch.object(arith, "_shared_mult", None):
+        sieved = arith.prime_window(lo, hi)
+        # the sieve builds no shared table
+        assert arith._shared_mult is None
+        sliced = arith.prime_window(lo, hi, _WINDOW_TABLES.prime_table)
+    for got in (sieved, sliced):
+        for arr, want in zip((got.primes, *got.prime_powers), (primes, powers, bases)):
+            assert arr.dtype == np.int64 and np.array_equal(arr, want)
+    # Lambda's window: every n with vm_prime[n] > 0, ascending, with its p
+    ns, ps = sieved.von_mangoldt()
+    vm = _WINDOW_TABLES.vm_prime[max(lo, 2) : max(lo, hi, 2)]
+    assert ns.tolist() == (max(lo, 2) + np.flatnonzero(vm)).tolist()
+    assert ps.tolist() == vm[vm > 0].tolist()
+
+
+def test_prime_window_crosses_blocks_against_the_sieve():
+    # 2**20-flag blocks: [999000, 3100000) spans three boundaries
+    lo, hi = 999000, 3100000
+    with mock.patch.object(arith, "_shared_mult", None):
+        got = arith.prime_window(lo, hi)
+    assert np.array_equal(got.primes, sieve_primes(hi - 1).primes_between(lo, hi))
+    assert got.prime_powers[0].tolist() == sorted(p ** j for p in _brute_primes(1761) for j in range(2, 22)
+                                         if lo <= p ** j < hi)
+
+
+def test_prime_window_slices_a_covering_shared_table():
+    def no_sieve(*args):
+        raise AssertionError("sieved a window the shared table covers")
+
+    with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES), \
+            mock.patch.object(arith, "_sieve_window", no_sieve):
+        got = arith.prime_window(20000, _WINDOW_LIMIT + 1)
+    assert np.shares_memory(got.primes, _WINDOW_TABLES.prime_table.primes)
+    assert np.array_equal(got.primes, _table_window(20000, _WINDOW_LIMIT + 1)[0])
+    # one past the table: sieved, and the table stays as it was
+    with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES):
+        past = arith.prime_window(20000, _WINDOW_LIMIT + 2)
+        assert arith._shared_mult is _WINDOW_TABLES
+    assert not np.shares_memory(past.primes, _WINDOW_TABLES.prime_table.primes)
+    assert np.array_equal(past.primes, got.primes)
+    with pytest.raises(CoverageError):
+        arith.prime_window(20000, _WINDOW_LIMIT + 2, _WINDOW_TABLES.prime_table)
+
+
+def test_prime_window_charges_before_it_sieves(monkeypatch):
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    monkeypatch.setenv(MEMORY_ENV_VAR, "1000000")
+    with mock.patch.object(arith, "_sieve_window") as sieve, \
+            pytest.raises(CapacityError, match=r"prime window \[1000000, 2000000\) needs"):
+        arith.prime_window(10 ** 6, 2 * 10 ** 6)
+    sieve.assert_not_called()
+    with pytest.raises(CapacityError, match="exceeds hard cap"):
+        arith.prime_window(10 ** 9, 2 * 10 ** 9)
+
+
+@pytest.mark.parametrize("lo, hi", [(2 * 10 ** 6, 4 * 10 ** 6), (10 ** 3, 2 * 10 ** 3), (0, 3 * 10 ** 6)])
+def test_prime_window_peak_within_its_charge(monkeypatch, lo, hi):
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    arith._small_primes(1 << 11)  # the base primes are cached apart
+    charged = []
+    monkeypatch.setattr(arith, "charge_budget", lambda need, subject: charged.append(need))
+    _, peak = _traced_peak(lambda: arith.prime_window(lo, hi))
+    assert peak <= charged[0]
 
 
 def test_unit_roots_structure():

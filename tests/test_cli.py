@@ -317,12 +317,55 @@ def test_bilinear_command_with_restriction(capsys):
 def test_fresh_table_stops_at_max_sieve(capsys, monkeypatch):
     # without the ceiling a fresh table grows to the 1 << 16 floor
     monkeypatch.setattr(arith, "_shared_mult", None)
-    assert run(capsys, "sum", "1", "7", "100", "--max-sieve", "1000")[0] == 0
+    assert run(capsys, "max-sum", "7", "100", "--max-sieve", "1000")[0] == 0
     assert arith._shared_mult.limit == 1000
 
 
 def test_table_growth_stops_at_max_sieve(capsys, monkeypatch):
     # without the ceiling a 65,536 table doubles to 131,072
     monkeypatch.setattr(arith, "_shared_mult", arith.build_multiplicative_tables(1 << 16))
-    assert run(capsys, "sum", "1", "7", "35000", "--max-sieve", "75000")[0] == 0
+    assert run(capsys, "max-sum", "7", "35000", "--max-sieve", "75000")[0] == 0
     assert arith._shared_mult.limit == 75000
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "1", "7", "100000"),
+    ("sum", "1", "7", "100000", "--weight", "von_mangoldt"),
+    ("prime-power-gap", "1", "7", "100000"),
+])
+def test_window_commands_build_no_table(capsys, monkeypatch, argv):
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    assert run(capsys, *argv)[0] == 0
+    assert arith._shared_mult is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "1", "7", "1000000"),
+    ("vaughan-check", "1", "7", "1000000"),
+    ("prime-power-gap", "1", "7", "1000000"),
+])
+def test_max_sieve_still_bounds_the_window_top(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-sieve", "1000")
+    assert code == 3 and out == ""
+    assert "needs a sieve to 2000000, over --max-sieve 1000" in err
+
+
+def test_vaughan_check_tables_stop_below_2x(capsys, monkeypatch):
+    # decompose reads mu and Lambda up to U = 100 and over its a4 windows,
+    # the highest of which ends at 25,599
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    assert run(capsys, "vaughan-check", "1", "7", "1000000", "--format", "csv")[0] == 0
+    assert arith._shared_mult is None or arith._shared_mult.limit < 2 * 10 ** 6
+
+
+def test_prime_power_gap_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
+    # a table to 4,000,000 would need about 22,000,000 bytes
+    argv = ("prime-power-gap", "1", "7", "2000000", "--format", "csv")
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    code, free, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "16000000")
+    code, budgeted, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert budgeted == free
+    assert csv_rows(budgeted)[1] == ["1", "7", "2000000", "269.895530331", "640.040642932", "91"]

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab.accumulate import ROUND_EPS, exact_sum
+from kloosterlab.arith import build_multiplicative_tables
 from kloosterlab.bilinear import bilinear_sum
+from kloosterlab.errors import CoverageError
 from kloosterlab.expsums import ExpSumQuery, inverse_phase_sum, prime_sum
 from kloosterlab.vaughan import (
     KIND_TYPE1,
@@ -18,6 +20,7 @@ from kloosterlab.vaughan import (
     _has_support,
     compare_decomposition,
     decompose,
+    decomposition_limit,
     evaluate_decomposition,
     prime_power_gap,
     reconstruct_lambda,
@@ -253,3 +256,23 @@ def test_decomposition_bytes_are_pinned(x, U, count, digest):
     decomp = decompose(VaughanParams(x, U))
     assert len(decomp.components) == count
     assert _components_digest(decomp) == digest
+
+
+@pytest.mark.parametrize("x, U", [(10 ** 6, 100), (20000, 1), (777.5, 3.3), (5000, 17)])
+def test_decomposition_reads_tables_only_to_its_limit(x, U):
+    params = VaughanParams(x, U)
+    limit = decomposition_limit(params)
+    assert limit < max(2 * x, 4 * x / U)
+    exact = decompose(params, build_multiplicative_tables(limit))
+    assert _components_digest(exact) == _components_digest(decompose(params))
+    with pytest.raises(CoverageError):
+        decompose(params, build_multiplicative_tables(limit - 1))
+
+
+def test_truncation_one_reads_lambda_past_2x():
+    # a4's Lambda windows reach 262,143 > 2x; a table to 2x ran out of them
+    params = VaughanParams(10 ** 5, 1)
+    assert decomposition_limit(params) == 262143
+    chk = compare_decomposition(params, 2, 9)
+    assert chk.components == 45
+    assert chk.rel_error <= 1e-12
