@@ -22,8 +22,17 @@ math.fsum returns: the two agree bit for bit, and math.fsum is the twin
 in the tests.  An exactly zero sum is +0.0, as math.fsum gives it.
 Input that is not finite, or so large that math.fsum could overflow on
 the way, is summed by math.fsum itself, so its values and exceptions are
-kept.  The error bound attached to a result therefore only has to cover
+kept, and so are arrays of fewer than _FSUM_TERMS terms, where the fixed
+cost of the binned pass (about fifteen NumPy calls) exceeds math.fsum's.
+The error bound attached to a result therefore only has to cover
 per-term evaluation error plus one final rounding.
+
+exact_sums also takes integer multiplicities: the sum of count_j * x_j
+is the sum of the stream in which x_j appears count_j times, without
+expanding it.  Each count is cut into base-2**13 digits; digit d of
+level k weighs the term x * 2**(13k), which is exact, and multiplies its
+two integer halves, which stay below 2**40.  Blocks of such terms hold
+at most 2**13 of them, so every bin stays below 2**53 as before.
 """
 
 from __future__ import annotations
@@ -103,6 +112,20 @@ def unit_roots(q: int) -> np.ndarray:
 #: cache, and measured as fast as 2**16 on million-term streams.
 _BLOCK = 1 << 14
 
+#: Bits per digit of a multiplicity, and terms per block when counted:
+#: 2**13 terms whose halves (below 2**27) are scaled by a digit below
+#: 2**13 keep every bin below 2**53.
+_DIGIT_BITS = 13
+_COUNTED_BLOCK = 1 << 13
+
+#: Arrays of fewer terms than this, over all rows, are summed by math.fsum
+#: row by row.  Measured with uniform random terms (2-core VM, best of 5
+#: runs of 200 calls): math.fsum overtook the binned pass below about
+#: 1,000 terms in one row, 470 per row in two, 170 per row in eight and
+#: 80 per row in 64; a fixed 512 over all rows never picks the slower
+#: route.  A 10-term fsum_complex took 17 us binned, 0.8 us by math.fsum.
+_FSUM_TERMS = 512
+
 #: Every bin is an integer multiple of 2**-1133: the smallest frexp
 #: exponent, -1073, less 53 mantissa bits and 7 levels of octet padding.
 _SCALE_BITS = 1133
@@ -116,16 +139,17 @@ _TOP = 1021
 #: Weights of eight consecutive levels; the octet sum stays below 2**61.
 _OCTET = 1 << np.arange(7, -1, -1, dtype=np.int64)
 
-def _binned_sums(rows: np.ndarray) -> list[float] | None:
-    """Correctly rounded exact sums of the rows of a 2-D float64 array, or
-    None for input that math.fsum has to sum (not finite, or near overflow)."""
+
+def _binned_sums(rows: np.ndarray, limit: float, digits: np.ndarray | None = None) -> list[float] | None:
+    """Correctly rounded exact sums of the rows of a 2-D float64 array, each
+    term j weighted by digits[j] < 2**13 when digits are given, or None for
+    a block whose largest magnitude is not below limit (not finite, or near
+    overflow): math.fsum has to sum that input."""
     k, n = rows.shape
     totals = [0] * k
-    # below this every exponent e has e + n.bit_length() <= _TOP; inf and
-    # nan fail the test too
-    limit = 2.0 ** (_TOP - n.bit_length())
-    for start in range(0, n, _BLOCK):
-        block = rows[:, start : start + _BLOCK]
+    size = _BLOCK if digits is None else _COUNTED_BLOCK
+    for start in range(0, n, size):
+        block = rows[:, start : start + size]
         amax = float(np.abs(block).max())
         if not amax < limit:
             return None
@@ -139,6 +163,8 @@ def _binned_sums(rows: np.ndarray) -> list[float] | None:
         np.trunc(m, out=w[0])
         np.subtract(m, w[0], out=w[1])
         w[1] *= 2.0 ** 26
+        if digits is not None:
+            w *= digits[start : start + size]
         # each row takes the levels from emax down to emin, padded to whole
         # octets: a term of row j with exponent e adds its top half to bin
         # emax - e of the row and its low half 26 bins further, and bin i of
@@ -156,12 +182,51 @@ def _binned_sums(rows: np.ndarray) -> list[float] | None:
     return [t / _SCALE for t in totals]
 
 
-def exact_sums(rows) -> list[float]:
+def _fsums(rows: np.ndarray) -> list[float]:
+    return [math.fsum(row) for row in rows.tolist()]
+
+
+def exact_sums(rows, counts=None) -> list[float]:
     """The correctly rounded sum of each row of a 2-D array, each bitwise
-    math.fsum(row), from one binned pass over all the rows."""
+    math.fsum(row), from one binned pass over all the rows.
+
+    counts, when given, is a 1-D array of nonnegative integer multiplicities
+    shared by every row, one per column: each sum is then bitwise
+    math.fsum(np.repeat(row, counts)), computed without the repetition.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    sums = _binned_sums(rows)
-    return [math.fsum(row) for row in rows] if sums is None else sums
+    if counts is None:
+        if rows.size < _FSUM_TERMS:
+            return _fsums(rows)
+        # below this limit every exponent e has e + n.bit_length() <= _TOP;
+        # inf and nan fail the test too
+        sums = _binned_sums(rows, 2.0 ** (_TOP - rows.shape[1].bit_length()))
+        return _fsums(rows) if sums is None else sums
+    counts = np.asarray(counts)
+    if counts.shape != rows.shape[1:] or counts.dtype.kind not in "iu":
+        raise ValueError(f"need one integer count per column, got {counts.dtype} {counts.shape}")
+    if counts.size and int(counts.min()) < 0:
+        raise ValueError("counts must be nonnegative")
+    kept = np.flatnonzero(counts)
+    rows, counts = rows[:, kept], counts[kept].astype(np.int64)
+    # the total as a Python int, from two halves whose sums cannot overflow
+    total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+    if total * len(rows) < _FSUM_TERMS or not total:
+        return _fsums(np.repeat(rows, counts, axis=1))
+    # the same limit for the expanded stream of total terms
+    if not float(np.abs(rows).max(initial=0.0)) < 2.0 ** (_TOP - total.bit_length()):
+        return [math.fsum(np.repeat(row, counts).tolist()) for row in rows]
+    # digit level k of every count, with the terms scaled by 2**(13k): a
+    # power of two no larger than the largest count, so the scaled terms
+    # stay below 2**_TOP and scale exactly
+    pieces, digits = [], []
+    for shift in range(0, int(counts.max()).bit_length(), _DIGIT_BITS):
+        d = (counts >> shift) & ((1 << _DIGIT_BITS) - 1)
+        nz = np.flatnonzero(d)
+        pieces.append(rows[:, nz] * 2.0 ** shift)
+        digits.append(d[nz])
+    return _binned_sums(np.concatenate(pieces, axis=1), math.inf,
+                        np.concatenate(digits).astype(np.float64))
 
 
 def exact_sum(values) -> float:

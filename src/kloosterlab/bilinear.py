@@ -6,6 +6,22 @@ dyadic product window l*m ~ x.  Coefficients are normalized: construction
 rejects |alpha| > 1 or |beta| > 1, so measured values can be compared
 against bound cores directly.
 
+A form is evaluated by one of two routes, both giving the correctly
+rounded exact sum of the same terms, so their values agree bit for bit:
+
+- the pair stream: one term alpha_l * beta_m * e(a * inv(l*m) / q) per
+  kept pair, in (l, m) order;
+- grouped: one term per row, value and residue class of the other side,
+  with the number of pairs that share it as its multiplicity.  The rows
+  are the side with many coefficient values; a pair's term depends on the
+  row, the other side's coefficient and its class mod q alone, so equal
+  terms are summed once, times their count, by accumulate.exact_sums.
+
+_grouping takes the grouped route where it expects fewer terms, weighed
+by their cost, than the pair stream has pairs: as for a unit-coefficient
+side against a small modulus.  Both routes charge the byte budget before
+they build their arrays.
+
 The averaged reports sweep q over [Q, 2Q) and compare the measured sums
 (maximal or at a fixed twist) with the monomials of the corresponding
 square-root cancellation bounds.
@@ -19,13 +35,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import accumulation_bound, exact_sum, exact_sums, fsum_complex, unit_roots
-from .arith import _lanes, _prime_divisors, batch_inverses, check_modulus
+from .arith import _lanes, _prime_divisors, batch_inverses, charge_budget, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .reports import BoundReport, make_report
 
 _TERM_CAP = 5 * 10 ** 7
 _COEFF_SLACK = 1.0 + 1e-12
+
+#: Peak bytes per pair of the pair stream, per cell (row x group) of the
+#: grouped route, and per m of the stream's inverted range or entry of a
+#: grouped side with coefficients, charged to the byte budget before
+#: either route builds its arrays.  Over the blocks of decompose at x in
+#: {10**5, 10**6} and q in {7, 30, 101}, both routes forced, tracemalloc
+#: peaks of the route and its sums were at most 0.8 of the charge above
+#: 10 MB; below 1 MB the binned sums' fixed ~2 MB of work arrays dominate.
+_PAIR_BYTES = 64
+_CELL_BYTES = 256
+_COLUMN_BYTES = 64
+
+#: Coefficients sampled to judge how many values a side has.
+_SAMPLE = 512
+
+#: The cost of a grouped cell, and of each entry of a grouped side with
+#: coefficients (its values, classes and sort), in pairs of the stream.
+#: Fitted to both routes timed on every block of decompose at x in
+#: {10**5, 3*10**5, 10**6} and q in {2, 7, 13, 30, 101} (2-core VM): the
+#: rule's total came within 2% of always taking the faster route.
+_CELL_PAIRS = 2
+_SORT_PAIRS = 20
 
 
 def dyadic_window(start: float) -> np.ndarray:
@@ -43,8 +81,9 @@ def _check_coeffs(name: str, coeffs, window: np.ndarray):
         raise ValueError(
             f"{name} has length {arr.shape}, window needs {window.shape}"
         )
-    if arr.size and np.abs(arr).max() > _COEFF_SLACK:
-        raise ValueError(f"{name} entries must satisfy |coefficient| <= 1")
+    # "not <=" also refuses NaN, which compares false with every bound
+    if arr.size and not np.abs(arr).max() <= _COEFF_SLACK:
+        raise ValueError(f"{name} entries must be finite with |coefficient| <= 1")
     return arr
 
 
@@ -98,14 +137,18 @@ def _product_window(ls: np.ndarray, ms: np.ndarray, x) -> tuple[np.ndarray, np.n
     """
     ends = []
     for bound in (x, 2 * x):
-        end = np.searchsorted(ms, bound / ls)
-        if len(ms):
-            # down while the m below end still reaches the bound, then up
-            # while the m at end falls short of it
-            while (down := (end > 0) & (ls * ms[np.maximum(end - 1, 0)] >= bound)).any():
-                end -= down
-            while (up := (end < len(ms)) & (ls * ms[np.minimum(end, len(ms) - 1)] < bound)).any():
-                end += up
+        if not len(ms):
+            ends.append(np.zeros(len(ls), dtype=np.intp))
+            continue
+        # searched as integers, ceil(bound / l) clipped to the window, so
+        # that ms is not cast to float on every call
+        end = np.searchsorted(ms, np.clip(np.ceil(bound / ls), ms[0], ms[-1] + 1).astype(np.int64))
+        # down while the m below end still reaches the bound, then up
+        # while the m at end falls short of it
+        while (down := (end > 0) & (ls * ms[np.maximum(end - 1, 0)] >= bound)).any():
+            end -= down
+        while (up := (end < len(ms)) & (ls * ms[np.minimum(end, len(ms) - 1)] < bound)).any():
+            end += up
         ends.append(end)
     return ends[0], ends[1]
 
@@ -141,6 +184,8 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
     # each row's ends, counted in unit m
     start, stop = np.searchsorted(cols, start), np.searchsorted(cols, stop)
     counts = stop - start
+    pairs = int(counts.sum())
+    charge_budget(pairs * _PAIR_BYTES + (hi - lo) * _COLUMN_BYTES, f"a stream of {pairs} (l, m) pairs needs")
     # pair k of row r sits at first[r] + t and takes unit m start[r] + t
     first = np.cumsum(counts) - counts
     mj = np.repeat(start - first, counts)
@@ -153,9 +198,137 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
     return iv.astype(np.int64, copy=False), a_part * b_part
 
 
-def _value_and_coeffs(spec: BilinearSpec) -> tuple[complex, np.ndarray]:
-    """The value of the form, correctly rounded in each part, and the
-    coefficients of its kept pairs.
+def _sampled_values(coeffs: np.ndarray) -> int:
+    """Distinct values among the first _SAMPLE coefficients.  A run of
+    consecutive entries, not a strided sample: a stride would see only
+    multiples of itself, where arithmetic coefficients such as Lambda
+    look far more uniform than they are."""
+    head = np.sort(coeffs[:_SAMPLE])
+    return int(np.count_nonzero(head[1:] != head[:-1])) + 1 if len(head) else 0
+
+
+def _grouping(q: int, ls, alpha, ms, beta, restrict) -> bool | None:
+    """The side to group by (True for l, False for m), or None when the pair
+    stream is expected to be cheaper.
+
+    A unit side is grouped by, m first; otherwise the side whose first
+    _SAMPLE coefficients have fewer values, l on a strict majority only.
+    The pairs (with alpha_l != 0 where l is the shorter side) and the rows
+    that meet the product window come from the ranges of the shorter side,
+    and a side of v sampled values over n integers has about v * min(q, n)
+    groups.  Grouping is chosen when _CELL_PAIRS * rows * groups, plus
+    _SORT_PAIRS per entry of a grouped side with coefficients, is below
+    the pair count.  The estimate decides the cost only, never a value.
+    """
+    if not (len(ls) and len(ms)):
+        return None
+    if beta is None:
+        by_l = False
+    elif alpha is None:
+        by_l = True
+    else:
+        by_l = _sampled_values(alpha) < _sampled_values(beta)
+    l_short = len(ls) <= len(ms)
+    short, long = (ls, ms) if l_short else (ms, ls)
+    if restrict is None:
+        start = np.zeros(len(short), dtype=np.int64)
+        stop = np.full(len(short), len(long), dtype=np.int64)
+    else:
+        start, stop = _product_window(short, long, restrict)
+    live = alpha != 0 if l_short and alpha is not None else np.ones(len(short), dtype=bool)
+    start, stop = start[live], stop[live]
+    pairs = int((stop - start).sum())
+    if by_l != l_short:
+        rows = len(start)
+    else:
+        rows = int(stop.max(initial=0)) - int(start.min(initial=0))
+    cc, cs = (alpha, ls) if by_l else (beta, ms)
+    groups = (1 if cc is None else _sampled_values(cc)) * min(q, len(cs))
+    cost = _CELL_PAIRS * rows * groups + (0 if cc is None else _SORT_PAIRS * len(cs))
+    return by_l if cost < pairs else None
+
+
+def _unit_classes(window: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residue classes mod q of the window (consecutive integers) that are
+    units, ascending, and their inverses."""
+    classes = np.arange(q) if len(window) >= q else np.sort(window % q)
+    inv = batch_inverses(classes, q)
+    units = np.flatnonzero(inv)
+    return classes[units], inv[units]
+
+
+def _charge_cells(rows: int, groups: int, columns: int) -> None:
+    charge_budget(rows * groups * _CELL_BYTES + columns * _COLUMN_BYTES,
+                  f"{rows} x {groups} grouped terms need")
+
+
+def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool):
+    """The form grouped by the l side (by_l) or the m side: the residues
+    twist * inv(l*m) mod q, the coefficients alpha_l * beta_m and the
+    multiplicities of its distinct terms, as three aligned arrays whose
+    counted sum is the sum of _pairs' stream.
+
+    The rows are the other side: units mod q and, when they are l, with
+    alpha_l != 0.  A group is one coefficient value and one unit class c
+    mod q of the grouped side (a unit side has one value); with l grouped,
+    only nonzero alpha count.  Every pair of a row with an entry of a group
+    has the same residue, twist * inv(row) * inv(c), and the same
+    coefficient, taken in alpha * beta order as the stream takes it.  A
+    unit side counts the integers of class c in each row's range by floor
+    arithmetic.  A side with coefficients sorts its (value, class) keys
+    stably by column, and counts by two searches per row and group.
+    """
+    rs, rc, cs, cc = (ms, beta, ls, alpha) if by_l else (ls, alpha, ms, beta)
+    rows = np.arange(len(rs)) if by_l or rc is None else np.flatnonzero(rc)
+    inv_r = batch_inverses(rs[rows], q)
+    unit = inv_r > 0
+    rows, inv_r = rows[unit], inv_r[unit] * (twist % q) % q
+    if restrict is None:
+        start = np.zeros(len(rows), dtype=np.int64)
+        stop = np.full(len(rows), len(cs), dtype=np.int64)
+    else:
+        start, stop = _product_window(rs[rows], cs, restrict)
+    if cc is None:
+        classes, inv_c = _unit_classes(cs, q)
+        values = None
+        _charge_cells(len(rows), len(classes), 0)
+        # the integers n of class c below a bound t number (t - c + q - 1) // q
+        low = int(cs[0]) if len(cs) else 0
+        below = lambda ends: (ends[:, None] + (low + q - 1) - classes) // q
+        counts = below(stop) - below(start)
+    else:
+        distinct, vid = np.unique(cc, return_inverse=True)
+        inv_all = batch_inverses(cs, q)
+        cols = np.flatnonzero((inv_all > 0) & (cc != 0)) if by_l else np.flatnonzero(inv_all)
+        keys = vid[cols] * q + cs[cols] % q
+        order = np.argsort(keys, kind="stable")
+        keys, cols = keys[order], cols[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        inv_c, values = inv_all[cols[first]], distinct[vid[cols[first]]]
+        _charge_cells(len(rows), len(values), len(cs))
+        # column j of group g marks g * len(cs) + j: ascending, since the
+        # sort is stable and each group's columns ascend
+        marks = (np.cumsum(first) - 1) * len(cs) + cols
+        base = np.arange(len(values)) * len(cs)
+        counts = np.searchsorted(marks, base + stop[:, None]) - np.searchsorted(marks, base + start[:, None])
+    cells = np.flatnonzero(counts)
+    r, g = np.divmod(cells, counts.shape[1])
+    lane = _lanes(q)
+    iv = inv_r[r].astype(lane)
+    iv *= inv_c[g].astype(lane)
+    iv %= lane(q)
+    row_coeff = None if rc is None else rc[rows][r]
+    group_coeff = None if values is None else values[g]
+    a_part, b_part = (group_coeff, row_coeff) if by_l else (row_coeff, group_coeff)
+    a_part = 1.0 if a_part is None else a_part
+    b_part = np.ones(len(cells)) if b_part is None else b_part
+    return iv.astype(np.int64, copy=False), a_part * b_part, counts.ravel()[cells]
+
+
+def _terms_value(iv: np.ndarray, coeff: np.ndarray, q: int, counts=None) -> complex:
+    """The correctly rounded sum, in each part, of the terms
+    coeff * e(iv / q), each taken counts times when counts are given.
 
     Real coefficients scale the gathered real and imaginary parts of the
     unit roots in place, in one (2, n) buffer that is summed as it stands:
@@ -163,16 +336,8 @@ def _value_and_coeffs(spec: BilinearSpec) -> tuple[complex, np.ndarray]:
     the sign of a zero, which no exact sum sees.  Complex coefficients
     take the complex product.
     """
-    ls = spec.l_values
-    ms = spec.m_values
-    if len(ls) * len(ms) > _TERM_CAP:
-        raise CapacityError(
-            f"bilinear form has {len(ls) * len(ms)} candidate terms, cap is {_TERM_CAP}"
-        )
-    q = spec.q
-    iv, coeff = _pairs(q, ls, spec.alpha, ms, spec.beta, spec.restrict_lm, twist=spec.a)
     if len(iv) == 0:
-        return 0j, coeff
+        return 0j
     roots = unit_roots(q)
     if np.iscomplexobj(coeff):
         terms = coeff * roots[iv]
@@ -184,22 +349,49 @@ def _value_and_coeffs(spec: BilinearSpec) -> tuple[complex, np.ndarray]:
         np.take(roots.real, iv, out=parts[0], mode="clip")
         np.take(roots.imag, iv, out=parts[1], mode="clip")
         parts *= coeff
-    return complex(*exact_sums(parts)), coeff
+    return complex(*exact_sums(parts, counts))
+
+
+def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False):
+    """(value, term count, weight sum) of the form on the windows ls and ms,
+    the weight sum of |alpha_l * beta_m| only when weigh is set (else None).
+
+    The coefficients are taken as given: BilinearSpec checks them.  The
+    route, grouped or the pair stream, is _grouping's choice; both give
+    the correctly rounded exact sums of the same terms, bit for bit.
+    """
+    if len(ls) * len(ms) > _TERM_CAP:
+        raise CapacityError(
+            f"bilinear form has {len(ls) * len(ms)} candidate terms, cap is {_TERM_CAP}"
+        )
+    by_l = _grouping(q, ls, alpha, ms, beta, restrict)
+    if by_l is None:
+        iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict, twist=a)
+        counts, count = None, len(coeff)
+    else:
+        iv, coeff, counts = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l)
+        count = int(counts.sum())
+    value = _terms_value(iv, coeff, q, counts)
+    weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0] if weigh else None
+    return value, count, weight
 
 
 def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
-    """Evaluate the bilinear form exactly as defined, term by term.
+    """Evaluate the bilinear form exactly as defined.
 
-    Terms are accumulated with a correctly rounded sum in (l, m) order,
-    so the result is deterministic and, for matching inputs, bitwise
-    reproducible across equivalent call paths.  The weight sum of
-    |alpha_l * beta_m| is a second exact sum over the stream.
+    The value is the correctly rounded sum, in each part, of one term per
+    kept pair, whichever route _evaluate takes, so it is deterministic and,
+    for matching inputs, bitwise reproducible across equivalent call paths.
+    The weight sum of |alpha_l * beta_m| is a second exact sum over the
+    same terms.
     """
-    value, coeff = _value_and_coeffs(spec)
-    weight_sum = exact_sum(np.abs(coeff))
+    value, count, weight_sum = _evaluate(
+        spec.q, spec.a, spec.l_values, spec.alpha, spec.m_values, spec.beta,
+        spec.restrict_lm, weigh=True,
+    )
     return ExpSumValue(
         value=value,
-        term_count=len(coeff),
+        term_count=count,
         weight_sum=weight_sum,
         accumulation_error_bound=accumulation_bound(weight_sum, value),
     )

@@ -15,26 +15,40 @@ signed combination of bilinear forms, each with coefficients normalized
 to [-1, 1] and an exact lm ~ x restriction.  Blocks whose l-variable
 starts at U or above carry bounded coefficients on both sides and are
 labelled type2; the rest keep one unit-or-log side and are type1.
+
+Each side is normalized once and shared, read-only, by all the blocks
+it belongs to.  A block is evaluated by bilinear._evaluate, grouped by
+residue class where that has fewer terms than its pair stream: a2's
+unit side and most of a4's few-valued mu-divisor sums at small q, while
+a3's log windows keep the stream.  Both routes give the same bits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import exact_sum, fsum_complex
-from .arith import MultiplicativeTables, prime_window, shared_tables
-from .bilinear import BilinearSpec, _product_window, _value_and_coeffs, dyadic_window
+from .accumulate import exact_sum, fsum_complex, unit_roots_at
+from .arith import MultiplicativeTables, charge_budget, prime_window, shared_tables
+from .bilinear import BilinearSpec, _evaluate, _product_window, dyadic_window
 from .errors import ConsistencyError
-from .expsums import ExpSumQuery, inverse_phase_sum, prime_sum, window_sum
+from .expsums import ExpSumQuery, _phase_indices, prime_sum
 
 KIND_TYPE1 = "type1"
 KIND_TYPE2 = "type2"
 
 _REL_SLACK = 1 + 1e-9
+
+#: Peak bytes per entry of building one coefficient window (its integers,
+#: raw and normalized coefficients and masks), and of a4's Lambda windows,
+#: whose prime stamps are sorted and gathered too: charged to the byte
+#: budget on top of the 8 bytes per entry of every window built so far.
+#: tracemalloc peaks of decompose were 0.78-0.92 of the largest charge at
+#: x = 10**5 to 4*10**6 and U from 1 to x**(1/3).
+_WINDOW_BYTES = 32
+_LAMBDA_BYTES = 80
 
 
 @dataclass(frozen=True)
@@ -61,8 +75,9 @@ class BilinearComponent:
 
     The block contributes sign * scale * sum_{l ~ L, m ~ M, lm ~ x}
     alpha_l beta_m e(a * inv(lm) / q); the value is produced by to_spec
-    plus bilinear.bilinear_sum (component_value takes the value alone).
-    alpha/beta of None mean unit coefficients.
+    plus bilinear.bilinear_sum (component_value takes the value alone,
+    from the same evaluator).  alpha/beta of None mean unit coefficients.
+    Coefficient arrays are read-only and may be shared between blocks.
     """
 
     kind: str
@@ -153,14 +168,26 @@ def _window_coefficients(table: np.ndarray, window: np.ndarray, floor: float = 0
     return raw
 
 
+def _side(L: float, window: np.ndarray, coefficients: np.ndarray | None) -> tuple:
+    """A block side (L, window, coefficients / scale, scale), the scale being
+    the largest |coefficient|: 1.0 for unit coefficients (None), and 0.0
+    for an all-zero side, which no block keeps.  The normalized array is
+    read-only, so the blocks of one side can share it."""
+    if coefficients is None:
+        return L, window, None, 1.0
+    scale = float(np.max(np.abs(coefficients), initial=0.0))
+    if scale:
+        coefficients = coefficients / scale
+        coefficients.setflags(write=False)
+    return L, window, coefficients, scale
+
+
 def _add_block(comps: list, x: float, U: float, sign: int, l: tuple, m: tuple) -> None:
-    """Append the block of sides l = (L, window, coefficients) and m = (M, ...),
-    coefficients None meaning units, unless a side is all zero or no l*m with
-    nonzero coefficients lies in [x, 2x).  It is type2 when L >= U, and each
-    side is divided by its largest magnitude, the product of the two being
-    the block's scale."""
-    (L, ls, lc), (M, ms, mc) = l, m
-    lscale, mscale = (1.0 if c is None else float(np.max(np.abs(c), initial=0.0)) for c in (lc, mc))
+    """Append the block of sides l = (L, window, coefficients, scale) and
+    m = (M, ...), from _side, unless a side is all zero or no l*m with
+    nonzero coefficients lies in [x, 2x).  It is type2 when L >= U, and
+    the product of the two side scales is the block's scale."""
+    (L, ls, lc, lscale), (M, ms, mc, mscale) = l, m
     if lscale == 0.0 or mscale == 0.0:
         return
     l_ok = np.ones(len(ls), bool) if lc is None else lc != 0.0
@@ -169,9 +196,15 @@ def _add_block(comps: list, x: float, U: float, sign: int, l: tuple, m: tuple) -
         return
     comps.append(BilinearComponent(
         kind=KIND_TYPE2 if L >= U else KIND_TYPE1, sign=sign, scale=lscale * mscale,
-        L=L, M=M, alpha=None if lc is None else lc / lscale,
-        beta=None if mc is None else mc / mscale, restrict=x,
+        L=L, M=M, alpha=lc, beta=mc, restrict=x,
     ))
+
+
+def _meets(ls: np.ndarray, M: float, x: float) -> bool:
+    """Whether some l in ls and some m ~ M can have x <= l*m < 2x, judged
+    from the window ends alone: a block failing this has no support."""
+    lo, hi = math.ceil(M), math.ceil(2 * M) - 1
+    return bool(len(ls)) and lo <= hi and int(ls[0]) * lo < 2 * x and int(ls[-1]) * hi >= x
 
 
 def _a4_blocks(x: float, U: float) -> list[tuple[float, list[float]]]:
@@ -194,8 +227,10 @@ def decomposition_limit(params: VaughanParams) -> int:
 def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
     """Cut the Lambda-weighted window sum into dyadic bilinear components.
 
-    Each identity term builds only the two sides of its blocks; one rule,
-    _add_block, drops, labels and normalizes every block.  The result is
+    Each identity term builds only the two sides of its blocks, each
+    normalized once by _side (a3's logs once per M);
+    one rule, _add_block, drops and labels every block.  Every window is
+    charged to the byte budget before it is built.  The result is
     independent of any modulus; evaluate_decomposition attaches a phase
     (a, q) afterwards.  Component order is fixed (identity term by term,
     blocks by ascending lower bound) so sums over components are
@@ -208,43 +243,67 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
     mt.prime_table.require_coverage(limit + 1)
 
     comps: list[BilinearComponent] = []
+    held = 0
+
+    def charge(entries: int, per_entry: int = _WINDOW_BYTES) -> None:
+        """Refuse a window of this many entries, before it is built, if it
+        and every window built so far pass the byte budget."""
+        nonlocal held
+        charge_budget(held + per_entry * entries,
+                      f"coefficient windows of the decomposition at x = {x} need")
+        held += 8 * entries
 
     # a2: l carries the double sum of Lambda * mu over products up to U^2,
     # m is a free unit-coefficient variable.  a3: l carries mu(d) for
-    # d <= U, m carries log h.  An L block meets about three M blocks, two
-    # of them shared with the L block before it, so the logs of the last
-    # four M windows are kept.  Every block keeps the M of its own loop:
-    # an int M and a float one of equal value share logs, not a repr.
-    log_window = functools.lru_cache(maxsize=4)(lambda M: np.log(dyadic_window(M).astype(float)))
+    # d <= U, m carries log h; the log side of each M is built once, when
+    # a block first meets it, and shared by every block with that M.
+    # Every block keeps the M of its own loop: an int M and a float one of
+    # equal value share a side, not a repr.
+    log_sides: dict = {}
+
+    def log_side(M):
+        if M not in log_sides:
+            charge(math.ceil(2 * M) - math.ceil(M))
+            window = dyadic_window(M)
+            log_sides[M] = _side(M, window, np.log(window.astype(float)))[2:]
+        return (M, dyadic_window(M), *log_sides[M])
+
     terms = (
-        (-1, _head_coefficients(U, mt), min(U * U, x), lambda M: None),
-        (1, mt.mobius[: int(U) + 1], min(U, x), log_window),
+        (-1, _head_coefficients(U, mt), min(U * U, x), lambda M: _side(M, dyadic_window(M), None)),
+        (1, mt.mobius[: int(U) + 1], min(U, x), log_side),
     )
-    for sign, table, hi, m_coefficients in terms:
+    for sign, table, hi, m_side in terms:
         for L in _anchored_blocks(U, 1, hi):
+            charge(math.ceil(2 * L) - math.ceil(L))
             ls = dyadic_window(L)
             raw = _window_coefficients(table, ls)
             if not raw.any():
                 continue
+            l_side = _side(L, ls, raw)
             for M in _anchored_blocks(U, x / (2 * L), 2 * x / L):
-                _add_block(comps, x, U, sign, (L, ls, raw), (M, dyadic_window(M), m_coefficients(M)))
+                if _meets(ls, M, x):
+                    _add_block(comps, x, U, sign, l_side, m_side(M))
 
     # a4: Lambda(m) for m > U against the truncated mu-divisor sum for
     # k > U.  Both blocks start at U or above, so every block is type2; the
     # side with the smaller block is used as l, which keeps L <= x/U.
-    bsums = _mu_divisor_sums(U, int(2 * x / U) + 1, mt)
+    top = int(2 * x / U) + 1
+    charge(top)
+    bsums = _mu_divisor_sums(U, top, mt)
     for Lm, partners in _a4_blocks(x, U):
-        # the Lambda window depends on Lm alone, so it is built once per Lm
+        # the Lambda side depends on Lm alone, so it is built once per Lm
+        charge(math.ceil(2 * Lm) - math.ceil(Lm), _LAMBDA_BYTES)
         ms_lam = dyadic_window(Lm)
         # Lambda(m) = log p for m = p**j: one math.log per distinct p
         stamps, where = np.unique(mt.vm_prime[ms_lam], return_inverse=True)
         logs = np.array([math.log(p) if p else 0.0 for p in stamps.tolist()])
-        lam = (Lm, ms_lam, np.where(ms_lam > U, logs[where], 0.0))
-        if not lam[2].any():
+        lam = _side(Lm, ms_lam, np.where(ms_lam > U, logs[where], 0.0))
+        if lam[3] == 0.0:
             continue
         for Lk in partners:
+            charge(math.ceil(2 * Lk) - math.ceil(Lk))
             ks = dyadic_window(Lk)
-            b = (Lk, ks, _window_coefficients(bsums, ks, U))
+            b = _side(Lk, ks, _window_coefficients(bsums, ks, U))
             _add_block(comps, x, U, -1, *((lam, b) if Lm <= Lk else (b, lam)))
 
     decomp = VaughanDecomposition(params=params, components=tuple(comps))
@@ -275,7 +334,11 @@ def validate_decomposition(decomp: VaughanDecomposition) -> None:
 
 
 def component_value(comp: BilinearComponent, a: int, q: int) -> complex:
-    value, _ = _value_and_coeffs(comp.to_spec(a, q))
+    """sign * scale * the block's value, bitwise bilinear_sum(comp.to_spec(a,
+    q)).value so scaled: the same evaluator, without the spec's checks of
+    coefficients that decompose built and validated."""
+    value, _, _ = _evaluate(q, a, dyadic_window(comp.L), comp.alpha, dyadic_window(comp.M),
+                            comp.beta, comp.restrict)
     return comp.sign * comp.scale * value
 
 
@@ -397,14 +460,21 @@ def prime_power_gap(a: int, q: int, x: float, tables: MultiplicativeTables | Non
     """
     ExpSumQuery(a=a, q=q, x=x)  # checks q and x
     window = prime_window(math.ceil(x), math.ceil(2 * x), None if tables is None else tables.prime_table)
-    lam = window_sum(window, a, q, weight="von_mangoldt")
-    primes = window.primes
-    direct = inverse_phase_sum(primes, a, q, weights=np.log(primes.astype(float)))
+    # one term per n = p**j of the window: Lambda(n) e(a inv(n) / q), which
+    # for n = p is also the term of the log-weighted prime sum.  Exact sums
+    # do not depend on order, so the two sums, all terms and the prime ones,
+    # are bitwise window_sum(..., "von_mangoldt") and the prime sum alone.
+    ns, ps = window.von_mangoldt()
+    kept, idx = _phase_indices(ns, a, q)
+    terms = unit_roots_at(idx, q) * np.log(ps.astype(np.float64))[kept]
+    prime = ns[kept] == ps[kept]
+    lam = fsum_complex(terms.real, terms.imag)
+    direct = fsum_complex(terms.real[prime], terms.imag[prime])
     # the prime powers p^j, j >= 2, whose p does not divide q
     _, bases = window.prime_powers
     ps = bases[q % bases != 0]
     return PrimePowerGap(
-        gap=abs(lam.value - direct.value),
+        gap=abs(lam - direct),
         envelope=exact_sum(np.log(ps.astype(float))),
         prime_power_terms=len(ps),
     )

@@ -1,6 +1,7 @@
 """The binned exact accumulator against its math.fsum twin."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,12 @@ def _same(got: float, want: float) -> bool:
     return got.hex() == want.hex()
 
 
+def _binned(block):
+    """Send every array, however short, through the binned pass, in blocks
+    of block terms, counted or not."""
+    return mock.patch.multiple(accumulate, _BLOCK=block, _COUNTED_BLOCK=block, _FSUM_TERMS=0)
+
+
 @_PROPERTY
 @given(values=_streams(), block=st.sampled_from([1, 3, 7, 1 << 14]))
 @example(values=[], block=1 << 14)
@@ -47,7 +54,7 @@ def _same(got: float, want: float) -> bool:
 @example(values=[0.0, 1e-300, -3e-310, 5e-324, 0.0], block=1 << 14)
 def test_exact_sum_bitwise_fsum(values, block):
     # blocks of 1, 3 and 7 terms put every stream across block boundaries
-    with mock.patch.object(accumulate, "_BLOCK", block):
+    with _binned(block):
         assert _same(exact_sum(np.array(values, dtype=np.float64)), math.fsum(values))
         assert _same(exact_sum(values), math.fsum(values))
 
@@ -58,7 +65,7 @@ def test_exact_sum_bitwise_fsum(values, block):
 def test_fsum_complex_bitwise_fsum_per_part(pairs, block):
     re = [p[0] for p in pairs]
     im = [p[1] for p in pairs]
-    with mock.patch.object(accumulate, "_BLOCK", block):
+    with _binned(block):
         got = fsum_complex(np.array(re), np.array(im))
     assert _same(got.real, math.fsum(re)) and _same(got.imag, math.fsum(im))
 
@@ -83,7 +90,7 @@ def test_exact_sums_rows_of_tiny_terms_beside_zeros(rows):
 
 
 def _check_rows(rows, block):
-    with mock.patch.object(accumulate, "_BLOCK", block):
+    with _binned(block):
         got = exact_sums(np.array(rows, dtype=np.float64).reshape(len(rows), -1))
     assert [g.hex() for g in got] == [math.fsum(row).hex() for row in rows]
 
@@ -116,10 +123,89 @@ def _outcome(fn, values):
     [2.0 ** 1000] * 3,
 ])
 def test_non_finite_and_near_overflow_input_keeps_fsum_outcome(values):
-    # math.fsum sums these itself: same value, or the same exception and message
-    assert _outcome(exact_sum, np.array(values)) == _outcome(math.fsum, values)
-    complex_outcome = _outcome(lambda v: fsum_complex(v, [0.0] * len(v)).real, values)
-    assert complex_outcome == _outcome(math.fsum, values)
+    # math.fsum sums these itself: same value, or the same exception and
+    # message, on the short-array route and after the binned pass refuses them
+    for fsum_terms in (accumulate._FSUM_TERMS, 0):
+        with mock.patch.object(accumulate, "_FSUM_TERMS", fsum_terms):
+            assert _outcome(exact_sum, np.array(values)) == _outcome(math.fsum, values)
+            complex_outcome = _outcome(lambda v: fsum_complex(v, [0.0] * len(v)).real, values)
+            assert complex_outcome == _outcome(math.fsum, values)
+            counted = _outcome(lambda v: exact_sums(np.reshape(v, (1, -1)), [2] * len(v))[0], values)
+            assert counted == _outcome(math.fsum, [v for v in values for _ in range(2)])
+
+
+def test_short_arrays_take_fsum_and_long_ones_the_binned_pass():
+    # both sides of the crossover, in one row and in several
+    rng = np.random.default_rng(11)
+    for shape in [(1, accumulate._FSUM_TERMS - 1), (1, accumulate._FSUM_TERMS), (2, 255), (2, 256), (64, 7), (64, 9)]:
+        rows = rng.uniform(-1, 1, shape) * 2.0 ** rng.integers(-60, 60, shape)
+        binned = accumulate._binned_sums
+        with mock.patch.object(accumulate, "_binned_sums", side_effect=binned) as spy:
+            got = exact_sums(rows)
+        assert spy.called == (rows.size >= accumulate._FSUM_TERMS)
+        assert [g.hex() for g in got] == [math.fsum(row).hex() for row in rows.tolist()]
+
+
+@st.composite
+def _counted(draw):
+    """Rows of finite terms and one multiplicity per column: small, past one
+    base-2**13 digit, or zero (a column that is left out)."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    rows = [draw(st.lists(_FINITE, min_size=n, max_size=n)) for _ in range(k)]
+    counts = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(2 ** 13 - 2, 2 ** 13 + 2),
+                                     st.integers(0, 3 * 2 ** 13)), min_size=n, max_size=n))
+    return rows, counts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=_counted(), block=st.sampled_from([1, 3, 1 << 13]), fsum_terms=st.sampled_from([0, 512]))
+@example(case=([[1.0, 1e-300, -1.0]], [2 ** 13, 2 ** 13 + 1, 2 ** 13]), block=1, fsum_terms=0)
+@example(case=([[5e-324, -0.0], [1e300, -1e300]], [3 * 2 ** 13, 7]), block=3, fsum_terms=0)
+def test_counted_sums_bitwise_fsum_of_the_expanded_stream(case, block, fsum_terms):
+    rows, counts = case
+    expanded = [[v for v, c in zip(row, counts) for _ in range(c)] for row in rows]
+    with _binned(block), mock.patch.object(accumulate, "_FSUM_TERMS", fsum_terms):
+        got = exact_sums(np.array(rows, dtype=np.float64).reshape(len(rows), -1), np.array(counts, dtype=np.int64))
+    assert [g.hex() for g in got] == [math.fsum(row).hex() for row in expanded]
+
+
+@pytest.mark.parametrize("counts", [
+    [2 ** 20 + 3, 2 ** 13, 2 ** 13 - 1, 1, 0],
+    [2 ** 26 + 1, 3, 2 ** 13, 2 ** 26 - 1, 5],
+    [2 ** 40 + 12345, 2 ** 26, 1, 2 ** 52 - 1, 2 ** 39],
+])
+def test_counts_past_2_13_and_2_26_give_the_correctly_rounded_sum(counts):
+    # the expanded stream's exact sum, rounded once: math.fsum of that stream
+    # where it fits in memory, and the exact rational sum in any case
+    rng = np.random.default_rng(len(counts) + counts[0] % 97)
+    rows = rng.uniform(-1, 1, (2, len(counts))) * 2.0 ** rng.integers(-40, 40, (2, len(counts)))
+    got = exact_sums(rows, np.array(counts, dtype=np.int64))
+    want = [float(sum((Fraction(t) * c for t, c in zip(row.tolist(), counts)), Fraction(0))) for row in rows]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    if sum(counts) <= 2 ** 21:
+        assert [g.hex() for g in got] == [math.fsum(np.repeat(row, counts).tolist()).hex() for row in rows]
+
+
+def test_long_counted_streams_keep_every_bin_exact():
+    # 3 * 2**13 + 5 terms of one exponent, just below 1 and odd in the last bit, each
+    # counted 2**13 - 1 times: one block of them would pass 2**53 in a bin
+    n = 3 * 2 ** 13 + 5
+    terms = np.full((1, n), 1 - 2.0 ** -53) - np.arange(n) * 2.0 ** -52
+    counts = np.full(n, 2 ** 13 - 1)
+    want = float(sum((Fraction(t) for t in terms[0].tolist()), Fraction(0)) * (2 ** 13 - 1))
+    assert exact_sums(terms, counts)[0].hex() == want.hex()
+
+
+def test_counts_are_checked():
+    rows = np.ones((2, 3))
+    with pytest.raises(ValueError):
+        exact_sums(rows, [1, 2])
+    with pytest.raises(ValueError):
+        exact_sums(rows, [1, -1, 2])
+    with pytest.raises(ValueError):
+        exact_sums(rows, [1.0, 2.0, 3.0])
+    # a column counted zero times is left out, even an infinite one
+    assert exact_sums(np.array([[math.inf, 0.5, 1.0]]), [0, 3, 1]) == [2.5]
 
 
 @_PROPERTY

@@ -9,17 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kloosterlab import bilinear
-from kloosterlab.accumulate import fsum_complex, unit_roots
+from kloosterlab import arith, bilinear
+from kloosterlab.accumulate import exact_sum, exact_sums, fsum_complex, unit_roots
 from kloosterlab.arith import inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
     _abs_at_twist,
+    _evaluate,
+    _grouped,
+    _grouping,
     _max_abs_over_twists,
     _pairs,
     _phase_histogram,
     _product_window,
-    _value_and_coeffs,
+    _terms_value,
     bilinear_sum,
     dyadic_window,
     type1_report,
@@ -96,6 +99,18 @@ def test_coefficient_validation():
     spec = BilinearSpec(L=4, M=4, a=1, q=7, alpha=[1.0, -1.0, 0.0, 0.5])
     assert isinstance(spec.alpha, np.ndarray)
     assert spec.is_type1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_are_refused(bad):
+    # NaN compares false with every bound, so "|c| > 1" alone lets it through
+    coeffs = [1.0, bad, 0.0, 0.5]
+    with pytest.raises(ValueError, match="finite"):
+        BilinearSpec(L=4, M=4, a=1, q=7, alpha=coeffs)
+    with pytest.raises(ValueError, match="finite"):
+        BilinearSpec(L=4, M=4, a=1, q=7, beta=np.array([complex(0.0, c) for c in coeffs]))
+    with pytest.raises(ValueError, match="finite"):
+        type2_fixed_a_report(1, 4, 4, 8, beta=coeffs)
 
 
 def test_term_cap():
@@ -473,7 +488,8 @@ def test_value_path_bitwise_equals_complex_products(xU, q, turns, shift, coeffs)
         spec = BilinearSpec(L=comp.L, M=comp.M, a=a, q=q, alpha=alpha, beta=beta,
                             restrict_lm=comp.restrict)
         want = _complex_bits(_complex_product_value(spec))
-        assert _complex_bits(_value_and_coeffs(spec)[0]) == want
+        value = _evaluate(q, a, spec.l_values, spec.alpha, spec.m_values, spec.beta, spec.restrict_lm)[0]
+        assert _complex_bits(value) == want
         assert _complex_bits(bilinear_sum(spec).value) == want
 
 
@@ -486,3 +502,91 @@ def test_abs_at_twist_is_the_magnitude_of_an_exact_sum(q, a):
     want = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
     assert _abs_at_twist(h, q, a) == want
     assert _abs_at_twist(np.zeros(q, dtype=np.complex128), q, a) == 0.0
+
+
+@st.composite
+def _grouped_forms(draw):
+    """A form for both routes: q = 2, small primes and composites, or any
+    q to 400; each side unit, +-1 with zeros, few-valued (with zeros),
+    many-valued, int or complex; windows from one integer to hundreds;
+    with or without a product window."""
+    q = draw(st.one_of(st.sampled_from([2, 3, 7, 12, 30, 97, 360]), st.integers(2, 400)))
+    L = draw(st.sampled_from([0.6, 1, 3, 8.5, 25, 64]))
+    M = draw(st.sampled_from([0.3, 1, 9, 30, 100, 300]))
+    ls, ms = dyadic_window(L), dyadic_window(M)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def coeffs(n):
+        kind = draw(st.sampled_from(["unit", "sign", "few", "many", "int", "complex"]))
+        if kind == "unit":
+            return None
+        if kind == "many":
+            return rng.uniform(-1, 1, n) * (rng.random(n) < 0.8)
+        few = {"sign": [-1.0, 0.0, 1.0], "few": [0.0, 0.25, -0.5, 1.0, 0.3], "int": [-1, 0, 1],
+               "complex": [0.0, 0.6 - 0.8j, -0.5j, 0.25]}[kind]
+        return np.array(few)[rng.integers(0, len(few), n)]
+
+    alpha, beta = coeffs(len(ls)), coeffs(len(ms))
+    restrict = draw(st.one_of(st.none(), _bounds(ls, ms)))
+    return q, ls, alpha, ms, beta, restrict
+
+
+def _stream_sums(q, a, ls, alpha, ms, beta, restrict):
+    """(value, term count, weight sum) from the pair stream alone."""
+    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict, twist=a)
+    return _terms_value(iv, coeff, q), len(coeff), exact_sum(np.abs(coeff))
+
+
+def _sums_bits(sums):
+    value, count, weight = sums
+    return _complex_bits(value), count, weight.hex()
+
+
+@_PROPERTY
+@given(_grouped_forms(), st.sampled_from([0, 1, 2, 5, 10 ** 6 + 1]))
+# a unit side against q = 2 and 3: counts past one base-2**13 digit
+@example((2, dyadic_window(1), None, dyadic_window(30000), None, None), 1)
+@example((3, dyadic_window(3), np.array([1.0, -0.5, 0.0]), dyadic_window(30000), None, 45000.5), 5)
+# a few-valued side longer than the rows, and one shorter: both ways of counting
+@example((7, dyadic_window(4), np.array([0.3, 0.1, 0.2, 0.7]), dyadic_window(100),
+          np.resize([1.0, -1.0, 0.0], 100), None), 1)
+@example((12, dyadic_window(200), np.resize([1, 0, -1], 200), dyadic_window(10),
+          np.linspace(-1, 1, 10), 2500), 1)
+def test_grouped_sums_bitwise_equal_the_pair_stream(form, a):
+    # both groupings, forced, and the evaluator, whichever route it takes
+    q, ls, alpha, ms, beta, restrict = form
+    want = _sums_bits(_stream_sums(q, a, ls, alpha, ms, beta, restrict))
+    for by_l in (False, True):
+        iv, coeff, counts = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l)
+        assert counts.dtype.kind == "i" and counts.min(initial=1) > 0
+        weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0]
+        got = _sums_bits((_terms_value(iv, coeff, q, counts), int(counts.sum()), weight))
+        assert got == want, by_l
+    assert _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True)) == want
+
+
+def test_grouping_takes_the_cheaper_route_on_decomposition_blocks():
+    # at q = 7 the blocks of a2 (a unit m side) are grouped by m, all but
+    # the smallest; a3's short mu windows against long log windows stream
+    routes = {}
+    for comp in _components(10 ** 6, 100):
+        ls, ms = dyadic_window(comp.L), dyadic_window(comp.M)
+        route = _grouping(7, ls, comp.alpha, ms, comp.beta, comp.restrict)
+        kind = "a2" if comp.beta is None else ("a3" if comp.sign == 1 else "a4")
+        routes.setdefault(kind, []).append(route)
+    assert routes["a2"].count(False) >= len(routes["a2"]) - 1
+    assert set(routes["a3"]) == {None}
+
+
+def test_routes_charge_the_byte_budget_before_building(monkeypatch):
+    # at q = 10**6 + 3 every pair is its own group, so the form streams; a
+    # unit side at q = 2 is one group, the odd m, so one row is one cell
+    spec = BilinearSpec(L=1, M=2 ** 20, a=1, q=10 ** 6 + 3)
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(2 ** 20 * 64))
+    with pytest.raises(CapacityError, match="pairs needs"):
+        bilinear_sum(spec)
+    grouped = BilinearSpec(L=1, M=2 ** 20, a=1, q=2)
+    assert bilinear_sum(grouped).term_count == 2 ** 19
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(bilinear._CELL_BYTES - 1))
+    with pytest.raises(CapacityError, match="grouped terms need"):
+        bilinear_sum(grouped)

@@ -369,3 +369,28 @@ def test_prime_power_gap_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert budgeted == free
     assert csv_rows(budgeted)[1] == ["1", "7", "2000000", "269.895530331", "640.040642932", "91"]
+
+
+def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):
+    # its coefficient windows at x = 4,000,000 pass 100 MB before they are built
+    argv = ("vaughan-check", "1", "7", "1000000", "--format", "csv")
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "100000000")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert csv_rows(out)[1] == ["1", "7", "1000000", "100", "-166944.896274", "164.010353463",
+                                "-166944.896274", "164.010353463", "8.732044671e-11",
+                                "5.23049260685e-16", "77"]
+    code, out, err = run(capsys, "vaughan-check", "1", "7", "4000000")
+    assert code == 3 and out == ""
+    assert "coefficient windows of the decomposition" in err
+
+
+def test_bilinear_refuses_its_pair_stream_over_the_budget(capsys, monkeypatch):
+    # at q > L*M every pair has its own term: a stream of 10**6 pairs, 64 bytes each
+    argv = ("bilinear", "1000", "1000", "1", "1000003", "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and csv_rows(out)[1][-2] == "1000000"
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "10000000")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "a stream of 1000000 (l, m) pairs needs" in err

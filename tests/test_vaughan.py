@@ -2,23 +2,26 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kloosterlab import arith, vaughan
 from kloosterlab.accumulate import ROUND_EPS, exact_sum
-from kloosterlab.arith import build_multiplicative_tables
-from kloosterlab.bilinear import bilinear_sum
-from kloosterlab.errors import CoverageError
-from kloosterlab.expsums import ExpSumQuery, inverse_phase_sum, prime_sum
+from kloosterlab.arith import build_multiplicative_tables, prime_window
+from kloosterlab.bilinear import bilinear_sum, dyadic_window
+from kloosterlab.errors import CapacityError, CoverageError
+from kloosterlab.expsums import ExpSumQuery, inverse_phase_sum, prime_sum, window_sum
 from kloosterlab.vaughan import (
     KIND_TYPE1,
     KIND_TYPE2,
     VaughanParams,
     _has_support,
     compare_decomposition,
+    component_value,
     decompose,
     decomposition_limit,
     evaluate_decomposition,
@@ -276,3 +279,67 @@ def test_truncation_one_reads_lambda_past_2x():
     chk = compare_decomposition(params, 2, 9)
     assert chk.components == 45
     assert chk.rel_error <= 1e-12
+
+
+def test_a3_blocks_share_one_read_only_log_window_per_M():
+    decomp = decompose(VaughanParams(10 ** 5, 20))
+    a3 = [c for c in decomp.components if c.sign == 1]
+    by_M = {}
+    for c in a3:
+        logs = np.log(dyadic_window(c.M).astype(float))
+        assert c.beta.tobytes() == (logs / logs.max()).tobytes()
+        by_M.setdefault(c.M, set()).add(id(c.beta))
+    assert all(len(ids) == 1 for ids in by_M.values())
+    assert len(a3) > len(by_M)
+    for c in decomp.components:
+        for side in (c.alpha, c.beta):
+            assert side is None or not side.flags.writeable
+
+
+@pytest.mark.parametrize("a, q", [(1, 7), (3, 2), (5, 30), (0, 11), (7, 101)])
+def test_component_value_bitwise_the_spec_route(a, q):
+    # the evaluator without the spec's checks, against bilinear_sum
+    for c in decompose(VaughanParams(5000, 17)).components:
+        want = c.sign * c.scale * bilinear_sum(c.to_spec(a, q)).value
+        got = component_value(c, a, q)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def _charges(monkeypatch):
+    needs = []
+    monkeypatch.setattr(vaughan, "charge_budget", lambda need, subject: needs.append(need))
+    return needs
+
+
+@pytest.mark.parametrize("x, U", [(10 ** 6, 100), (10 ** 5, 1), (2 * 10 ** 5, 10)])
+def test_decompose_peak_within_its_window_charges(monkeypatch, x, U):
+    params = VaughanParams(x, U)
+    tables = build_multiplicative_tables(decomposition_limit(params))
+    needs = _charges(monkeypatch)
+    tracemalloc.start()
+    try:
+        decompose(params, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(needs)
+
+
+def test_decompose_refuses_its_windows_over_the_budget(monkeypatch):
+    params = VaughanParams(4 * 10 ** 6, (4 * 10 ** 6) ** (1 / 3))
+    tables = build_multiplicative_tables(decomposition_limit(params))
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 8))
+    with pytest.raises(CapacityError, match="coefficient windows of the decomposition"):
+        decompose(params, tables)
+
+
+@pytest.mark.parametrize("a, q, x", [(1, 7, 50000.0), (2, 9, 120.0), (3, 30, 2 * 10 ** 5), (0, 13, 3000.5),
+                                     (5, 2, 10 ** 5), (1, 10 ** 6 + 3, 40000.0)])
+def test_prime_power_gap_bitwise_the_two_window_sums(a, q, x):
+    # one pass over the terms, two exact sums: the same bits as the
+    # Lambda-weighted window sum and the log-weighted prime sum taken apart
+    gap = prime_power_gap(a, q, x)
+    window = prime_window(math.ceil(x), math.ceil(2 * x))
+    lam = window_sum(window, a, q, weight="von_mangoldt").value
+    direct = inverse_phase_sum(window.primes, a, q, weights=np.log(window.primes.astype(float))).value
+    assert gap.gap.hex() == abs(lam - direct).hex()
