@@ -10,19 +10,18 @@ import math
 import numpy as np
 
 import kloosterlab as kl
-
-tables = kl.shared_tables(100_000)
+from kloosterlab.arith import prime_window
 
 # A single sum: primes p with 1000 <= p < 2000, phase e(a * pbar / q).
 q, x = 101, 1000.0
 for a in (1, 2, 50):
-    res = kl.prime_sum(kl.ExpSumQuery(a=a, q=q, x=x), tables=tables)
+    res = kl.prime_sum(kl.ExpSumQuery(a=a, q=q, x=x))
     print(f"q={q} a={a:3d}: S = {res.value:.6f}  |S| = {res.magnitude:.4f} "
           f"({res.term_count} primes, err <= {res.accumulation_error_bound:.2e})")
 
 # The twist that maximises |S| for this modulus and window.
-a_star, peak = kl.max_prime_sum(q, x, tables.prime_table)
-count = tables.prime_table.count_dyadic(x)
+a_star, peak = kl.max_prime_sum(q, x)
+count = len(prime_window(int(x), int(2 * x)).primes)
 print(f"\nworst twist a* = {a_star}, |S| = {peak:.4f} "
       f"out of a trivial {count} (ratio {peak / count:.3f})")
 

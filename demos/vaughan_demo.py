@@ -42,7 +42,7 @@ print(f"rel error  = {chk.rel_error:.2e}")
 
 # The prime powers p^j, j >= 2, are the (tiny) gap between the Lambda
 # weighted sum and the log weighted sum over primes alone.
-gap = kl.prime_power_gap(a, q, x, tables)
+gap = kl.prime_power_gap(a, q, x)
 print(f"\nprime power gap at x={x:.0f}: {gap.gap:.6f} "
       f"<= envelope {gap.envelope:.6f} "
       f"({gap.prime_power_terms} prime power terms)")

@@ -19,13 +19,14 @@ covers the residues mod q (batch_inverses):
 Both work in _lanes(q), uint32 below q = 2**16 and int64 above; the
 output is int64 either way.  pow(v, -1, q) is their twin in the tests.
 
-Single-window questions, sums over the primes or the prime powers of
-[x, 2x), take the window route, prime_window, rather than a table to 2x.
-It reuses a covering table: the one it is given, or the shared table when
-that covers the window, sliced.  Otherwise it sieves the window alone, in
-blocks, over the primes up to the square root of its top, and builds or
-grows no shared table.  Such callers ask shared_tables only for prefix
-needs, such as mu and Lambda up to a truncation (vaughan.decompose).
+Two kinds of question take primes.  Window questions, over the primes or
+the prime powers of [x, 2x), take them from prime_window and from nowhere
+else: it slices the shared table when that covers the window, and
+otherwise sieves the window alone, in blocks, over the primes up to the
+square root of its top, building or growing no shared table.  Prefix
+questions take shared_tables: mu and Lambda up to a truncation
+(vaughan.decompose), or the primes up to x
+(experiments.garaev_congruence_count).
 
 All tables are immutable after construction and safe to share between
 threads; construction itself is serialized behind a lock.  Sizes are
@@ -210,10 +211,6 @@ class PrimeTable:
         i = int(np.searchsorted(self.primes, lo, side="left"))
         j = int(np.searchsorted(self.primes, hi, side="left"))
         return self.primes[i:j]
-
-    def count_dyadic(self, x: float) -> int:
-        """Number of primes in the dyadic window [x, 2x)."""
-        return len(self.primes_between(x, 2 * x))
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -801,17 +798,16 @@ def _sieve_window(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
-def prime_window(lo: int, hi: int, table: PrimeTable | None = None) -> PrimeWindow:
+def prime_window(lo: int, hi: int) -> PrimeWindow:
     """The primes and the prime powers of [lo, hi), without building a table
     to hi.
 
-    A table covering hi - 1 is sliced: the given one (which must cover it),
-    else the shared table when it does.  Otherwise [lo, hi) is sieved in
-    blocks of _WINDOW_BLOCK flags over the primes up to sqrt(hi - 1), from a
-    small cached sieve_primes, after the byte budget is charged; no shared
-    table is built or grown.  Either way the window keeps those base primes,
-    from which PrimeWindow.prime_powers finds the p**j, j >= 2, when asked.
-    Both routes give the same arrays.
+    The shared table is sliced when it covers hi - 1.  Otherwise [lo, hi)
+    is sieved in blocks of _WINDOW_BLOCK flags over the primes up to
+    sqrt(hi - 1), from a small cached sieve_primes, after the byte budget
+    is charged; no shared table is built or grown.  Either way the window
+    keeps those base primes, from which PrimeWindow.prime_powers finds the
+    p**j, j >= 2, when asked.  Both routes give the same arrays.
     """
     lo, hi = max(int(lo), 2), int(hi)
     if hi <= lo:
@@ -819,9 +815,8 @@ def prime_window(lo: int, hi: int, table: PrimeTable | None = None) -> PrimeWind
         return PrimeWindow(lo, hi, empty, empty)
     root = math.isqrt(hi - 1)
     shared = _shared_mult
-    if table is None and shared is not None and shared.limit >= hi - 1:
+    if shared is not None and shared.limit >= hi - 1:
         table = shared.prime_table
-    if table is not None:
         primes = table.primes_between(lo, hi)
         base = table.primes[: int(np.searchsorted(table.primes, root, side="right"))]
     else:

@@ -96,7 +96,18 @@ def _sieve_top(args, need: float) -> int:
 
 
 def _tables(args, need: float):
+    """The shared tables to need, for the prefix questions of vaughan-check
+    and garaev, grown no further than --max-sieve."""
     return shared_tables(_sieve_top(args, need), max_limit=args.max_sieve)
+
+
+def _window(run: Callable) -> Callable:
+    """The run of a command over the window [x, 2x), whose top 2x
+    --max-sieve bounds before anything runs."""
+    def bounded(args):
+        _sieve_top(args, 2 * args.x)
+        return run(args)
+    return bounded
 
 
 # --- result columns -----------------------------------------------------------
@@ -117,15 +128,8 @@ def _attrs(obj, *names) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-def _sum(args):
-    _sieve_top(args, 2 * args.x)
-    query = ExpSumQuery(a=args.a, q=args.q, x=args.x)
-    return _value(prime_sum(query, weight=args.weight))
-
-
 def _fixed_a_avg(args):
-    mt = _tables(args, 2 * args.x)
-    rep = fixed_a_avg_report(args.a, args.Q, args.x, tables=mt, workers=args.workers)
+    rep = fixed_a_avg_report(args.a, args.Q, args.x, workers=args.workers)
     return {"size_factor": rep.extra["size_factor"], **_report(rep)}
 
 
@@ -138,18 +142,12 @@ def _jcount_avg(args):
 def _vaughan_check(args):
     # the resolved truncation replaces None, so params and row both carry it
     args.U = args.U if args.U is not None else args.x ** (1 / 3)
-    _sieve_top(args, 2 * args.x)
     params = VaughanParams(x=args.x, U=args.U)
     mt = _tables(args, decomposition_limit(params))
     chk = compare_decomposition(params, args.a, args.q, tables=mt)
     return {"direct_real": chk.direct.real, "direct_imag": chk.direct.imag,
             "decomposed_real": chk.decomposed.real, "decomposed_imag": chk.decomposed.imag,
             **_attrs(chk, "abs_error", "rel_error", "components")}
-
-
-def _prime_power_gap(args):
-    _sieve_top(args, 2 * args.x)
-    return _attrs(prime_power_gap(args.a, args.q, args.x), "gap", "envelope", "prime_power_terms")
 
 
 def _baker_root(args):
@@ -205,20 +203,19 @@ COMMANDS = (
     Command("sum", "one prime sum S_q(a; x) over [x, 2x)",
             (("a", int), ("q", int), ("x", float),
              ("--weight", {"choices": ("unit", "von_mangoldt"), "default": "unit"})),
-            _sum),
+            _window(lambda args: _value(prime_sum(
+                ExpSumQuery(a=args.a, q=args.q, x=args.x), weight=args.weight)))),
     Command("max-sum", "max over numerators a of |S_q(a; x)|",
             (("q", int), ("x", float)),
-            lambda args: dict(zip(("a_star", "magnitude"), max_prime_sum(
-                args.q, args.x, table=_tables(args, 2 * args.x).prime_table,
-                scan_limit=args.max_q_scan)))),
+            _window(lambda args: dict(zip(("a_star", "magnitude"), max_prime_sum(
+                args.q, args.x, scan_limit=args.max_q_scan))))),
     Command("avg-max", "sum over q ~ Q of max_a |S_q(a; x)| vs envelope",
             (("Q", int), ("x", float)),
-            lambda args: _report(avg_max_report(
-                args.Q, args.x, table=_tables(args, 2 * args.x).prime_table,
-                workers=args.workers, scan_limit=args.max_q_scan))),
+            _window(lambda args: _report(avg_max_report(
+                args.Q, args.x, workers=args.workers, scan_limit=args.max_q_scan)))),
     Command("fixed-a-avg", "sum over q ~ Q of |S_q(a; x)| vs envelope",
             (("a", int), ("Q", int), ("x", float)),
-            _fixed_a_avg),
+            _window(_fixed_a_avg)),
     Command("kloosterman", "complete sum K(a, b; q), real-valued",
             (("a", int), ("b", int), ("q", int)),
             lambda args: {"value": kloosterman(args.a, args.b, args.q)}),
@@ -250,10 +247,11 @@ COMMANDS = (
             (("a", int), ("q", int), ("x", float),
              ("--truncation", {"type": float, "default": None, "metavar": "U", "dest": "U",
                                "help": "identity truncation (default x^(1/3))"})),
-            _vaughan_check),
+            _window(_vaughan_check)),
     Command("prime-power-gap", "Lambda-weighted vs prime-only window sums",
             (("a", int), ("q", int), ("x", float)),
-            _prime_power_gap),
+            _window(lambda args: _attrs(prime_power_gap(args.a, args.q, args.x),
+                                        "gap", "envelope", "prime_power_terms"))),
     Command("theorem2-root", "exponent threshold root, near 1.188",
             (_TOL,),
             lambda args: _attrs(ternary_exponent_root(tol=args.tol),
@@ -265,9 +263,8 @@ COMMANDS = (
             _baker_root, repeat=0),
     Command("ternary", "prime triples p ~ x with a rough pairwise-product sum",
             (("x", int), ("theta", float)),
-            lambda args: _attrs(ternary_rough_count(
-                args.x, args.theta, table=_tables(args, 2 * args.x).prime_table),
-                "threshold", "count", "total", "fraction", "scaled")),
+            _window(lambda args: _attrs(ternary_rough_count(args.x, args.theta),
+                                        "threshold", "count", "total", "fraction", "scaled"))),
     Command("garaev", "prime triples p <= x with p1 p2 p3 = lam (mod q)",
             (("x", int), ("q", int), ("lam", int)),
             _garaev),

@@ -2,6 +2,10 @@
 
 Everything here either measures a sum against its predicted size or pins
 down a constant (a root, an exponent) that the size predictions use.
+
+The sweeps over q ~ Q and the ternary counts take the primes of [x, 2x)
+from arith.prime_window, once per call; the Garaev count, a prefix
+question over the primes up to x, takes a prime table.
 """
 
 from __future__ import annotations
@@ -18,13 +22,12 @@ from .arith import (
     HARD_SIEVE_CAP,
     LPF_TABLE_BYTES,
     PrimeTable,
-    MultiplicativeTables,
     check_modulus,
     largest_prime_factor,
     largest_prime_factor_table,
     memory_budget,
+    prime_window,
     shared_prime_table,
-    shared_tables,
 )
 from .errors import ConsistencyError
 from .expsums import (
@@ -41,17 +44,14 @@ _REL_SLACK = 1 + 1e-9
 
 
 def avg_max_report(
-    Q: int,
-    x: float,
-    table: PrimeTable | None = None,
-    workers: int = 1,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    Q: int, x: float, workers: int = 1, scan_limit: int = DEFAULT_SCAN_LIMIT
 ) -> BoundReport:
     """sum_{q ~ Q} max_a |S_q(a; x)| against its three-term envelope.
 
     Every modulus is checked against scan_limit and the byte budget before
-    any work; then the moduli are scanned a block at a time
-    (expsums.max_prime_sum_block), each maximum bitwise max_prime_sum's.
+    any work; then the window's primes are fetched once and the moduli are
+    scanned a block at a time (expsums.max_prime_sum_block), each maximum
+    bitwise max_prime_sum's.
     The envelope Q^(5/4) x^(5/8) + Q x^(9/10) + Q^(7/6) x^(13/18) is
     calibrated for Q^(2/3) <= x <= Q^(3/2); outside that window the report
     is still produced but a warning is issued.
@@ -67,10 +67,10 @@ def avg_max_report(
             stacklevel=2,
         )
     check_twist_scan(range(Q, 2 * Q), scan_limit)
-    pt = table if table is not None else shared_prime_table(int(math.ceil(2 * x)))
-    pi_range = pt.count_dyadic(x)
+    primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
+    pi_range = len(primes)
     per_block = pmap(
-        lambda qs: max_prime_sum_block(qs, x, table=pt, scan_limit=scan_limit),
+        lambda qs: max_prime_sum_block(qs, primes, scan_limit=scan_limit),
         moduli_blocks(Q, 2 * Q, pi_range, scan=True),
         workers=workers,
     )
@@ -89,17 +89,13 @@ def avg_max_report(
     )
 
 
-def fixed_a_avg_report(
-    a: int,
-    Q: int,
-    x: float,
-    tables: MultiplicativeTables | None = None,
-    workers: int = 1,
-) -> BoundReport:
+def fixed_a_avg_report(a: int, Q: int, x: float, workers: int = 1) -> BoundReport:
     """sum_{q ~ Q} |S_q(a; x)| at one numerator against its envelope.
 
-    The two-term envelope carries the common factor (1 + a/(xQ))^(1/2)
-    and is calibrated for Q^(1/2) <= x <= Q^(4/3).
+    The window's primes are fetched once; then the moduli are summed a
+    block at a time (expsums.prime_sum_block), each sum bitwise
+    prime_sum's.  The two-term envelope carries the common factor
+    (1 + a/(xQ))^(1/2) and is calibrated for Q^(1/2) <= x <= Q^(4/3).
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
@@ -113,10 +109,10 @@ def fixed_a_avg_report(
             f"[{Q ** 0.5:.4g}, {Q ** (4/3):.4g}]; the envelope is uncalibrated there",
             stacklevel=2,
         )
-    mt = tables if tables is not None else shared_tables(int(math.ceil(2 * x)))
-    pi_range = mt.prime_table.count_dyadic(x)
+    primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
+    pi_range = len(primes)
     per_block = pmap(
-        lambda qs: prime_sum_block(a, qs, x, tables=mt),
+        lambda qs: prime_sum_block(a, qs, primes),
         moduli_blocks(Q, 2 * Q, pi_range),
         workers=workers,
     )
@@ -257,7 +253,7 @@ class TernaryCount:
         return self.count * math.log(self.x) ** 3 / self.x ** 3
 
 
-def ternary_rough_count(x: int, theta: float, table: PrimeTable | None = None) -> TernaryCount:
+def ternary_rough_count(x: int, theta: float) -> TernaryCount:
     """Count ordered prime triples p1, p2, p3 ~ x with
     P(p1 p2 + p1 p3 + p2 p3) > x^theta, P = largest prime factor.
 
@@ -269,8 +265,7 @@ def ternary_rough_count(x: int, theta: float, table: PrimeTable | None = None) -
         raise ValueError(f"need x >= 2, got {x}")
     if theta < 0:
         raise ValueError(f"need theta >= 0, got {theta}")
-    pt = table if table is not None else shared_prime_table(int(math.ceil(2 * x)))
-    primes = pt.primes_between(int(math.ceil(x)), int(math.ceil(2 * x)))
+    primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     n = len(primes)
     threshold = float(x) ** theta
     if n == 0:

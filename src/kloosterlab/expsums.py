@@ -13,6 +13,11 @@ whose values still come from the table, and as the result in
 kloosterman_grid.  Sweeps over many moduli take them a block at a time:
 prime_sum_block at one twist, and max_prime_sum_block over all twists,
 one row of _twist_max per modulus (max_prime_sum is a block of one).
+
+The primes of a window [x, 2x) come from arith.prime_window alone:
+prime_sum and max_prime_sum fetch their window, and the block kernels
+take the window's primes from their caller, which fetches them once for
+a whole sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from .accumulate import (
     unit_roots_at,
 )
 from .arith import (
-    MultiplicativeTables,
-    PrimeTable,
     PrimeWindow,
     _lanes,
     _prime_divisors,
@@ -43,8 +46,6 @@ from .arith import (
     memory_budget,
     prime_inverses,
     prime_window,
-    shared_prime_table,
-    shared_tables,
 )
 from .errors import CapacityError, ConsistencyError
 from .reports import BoundReport, make_report
@@ -158,25 +159,19 @@ def inverse_phase_sum(ns, a: int, q: int, weights=None) -> ExpSumValue:
     )
 
 
-def prime_sum(
-    query: ExpSumQuery,
-    weight: str = "unit",
-    tables: MultiplicativeTables | None = None,
-) -> ExpSumValue:
+def prime_sum(query: ExpSumQuery, weight: str = "unit") -> ExpSumValue:
     """Exponential sum over the dyadic prime window of the query.
 
     Args:
         query: twist, modulus and window start.
         weight: "unit" sums over primes p ~ x; "von_mangoldt" sums
             Lambda(n) * e(a * inv(n) / q) over all n ~ x.
-        tables: tables covering 2x, sliced for the window; when omitted,
-            the window comes from arith.prime_window, which slices the
-            shared table if it covers 2x and sieves [x, 2x) alone if not.
+
+    The window comes from arith.prime_window.
     """
     if weight not in _WEIGHTS:
         raise ValueError(f"weight must be one of {_WEIGHTS}, got {weight!r}")
-    lo, hi = int(math.ceil(query.x)), int(math.ceil(2 * query.x))
-    window = prime_window(lo, hi, None if tables is None else tables.prime_table)
+    window = prime_window(math.ceil(query.x), math.ceil(2 * query.x))
     return window_sum(window, query.a, query.q, weight)
 
 
@@ -189,11 +184,10 @@ def window_sum(window: PrimeWindow, a: int, q: int, weight: str = "unit") -> Exp
     return inverse_phase_sum(ns, a, q, weights=np.log(ps.astype(np.float64)))
 
 
-def prime_sum_block(
-    a: int, moduli, x: float, tables: MultiplicativeTables | None = None
-) -> list[complex]:
+def prime_sum_block(a: int, moduli, primes) -> list[complex]:
     """prime_sum(ExpSumQuery(a, q, x)).value at every modulus q of a block,
-    each bitwise the per-q value, from one pass over the block.
+    each bitwise the per-q value, from one pass over the block; primes are
+    those of the window, prime_window(ceil(x), ceil(2x)).primes.
 
     Three steps, each one array pass over the moduli x primes block:
     prime_inverses takes every inverse by batch inversion, unit_roots_at
@@ -203,15 +197,9 @@ def prime_sum_block(
     the sums are the correctly rounded sums of the per-q terms.  Cost and
     memory grow with len(moduli) * pi-range; moduli_blocks bounds both.
     """
-    if not x >= 2:
-        raise ValueError(f"need x >= 2, got {x}")
-    if tables is None:
-        tables = shared_tables(int(math.ceil(2 * x)))
-    table = tables.prime_table
-    table.require_coverage(2 * x)
     qs = np.asarray(moduli, dtype=np.int64)
     col = qs[:, None]
-    invs = prime_inverses(table.primes_between(x, 2 * x), qs)
+    invs = prime_inverses(primes, qs)
     terms = unit_roots_at(a % col * invs % col, col)
     terms[invs == 0] = 0
     rows = np.concatenate((terms.real, terms.imag))
@@ -385,12 +373,7 @@ def _prime_twist_max(
     return _twist_max(h, qs, invs, counts, None, err, divisors)
 
 
-def max_prime_sum(
-    q: int,
-    x: float,
-    table: PrimeTable | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
-) -> tuple[int, float]:
+def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, float]:
     """Maximum of |prime_sum| over twists a coprime to q, with its argmax.
 
     Scans only 1 <= a <= q/2 and relies on exact conjugate symmetry for
@@ -399,30 +382,26 @@ def max_prime_sum(
     the survivors by the direct sum, so the result is bitwise the full
     direct scan's.  A block of one modulus: its inverses come from
     batch_inverses, which beats the lanes of prime_inverses at one modulus.
-    The modulus is checked against scan_limit and the byte budget first.
+    The modulus is checked against scan_limit and the byte budget before
+    the window is fetched from arith.prime_window.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     if not x >= 2:
         raise ValueError(f"need x >= 2, got {x}")
     check_twist_scan([q], scan_limit)
-    if table is None:
-        table = shared_prime_table(int(math.ceil(2 * x)))
-    table.require_coverage(2 * x)
-    ps = table.primes_between(x, 2 * x)
+    ps = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     invs = batch_inverses(ps[q % ps != 0], q)
     qs = np.array([q], dtype=np.int64)
     return _prime_twist_max(qs, invs, np.array([len(invs)]), [_prime_divisors(q)])[0]
 
 
 def max_prime_sum_block(
-    moduli,
-    x: float,
-    table: PrimeTable | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    moduli, primes, scan_limit: int = DEFAULT_SCAN_LIMIT
 ) -> list[tuple[int, float]]:
     """max_prime_sum(q, x) at every modulus q of a block, each bitwise the
-    per-q result, from one pass of _twist_max over the block.
+    per-q result, from one pass of _twist_max over the block; primes are
+    those of the window, prime_window(ceil(x), ceil(2x)).primes.
 
     Every modulus is checked against scan_limit and the byte budget before
     any work.  prime_inverses takes the inverses of the window's primes mod
@@ -431,15 +410,10 @@ def max_prime_sum_block(
     unit mask of _twist_max alike.  moduli_blocks(..., scan=True) bounds
     the block's residues.
     """
-    if not x >= 2:
-        raise ValueError(f"need x >= 2, got {x}")
     qs = np.asarray(moduli, dtype=np.int64)
     check_twist_scan(qs.tolist(), scan_limit)
-    if table is None:
-        table = shared_prime_table(int(math.ceil(2 * x)))
-    table.require_coverage(2 * x)
     divisors = [_prime_divisors(q) for q in qs.tolist()]
-    invs = prime_inverses(table.primes_between(x, 2 * x), qs, divisors)
+    invs = prime_inverses(primes, qs, divisors)
     units = invs != 0
     return _prime_twist_max(qs, invs[units], units.sum(axis=1), divisors)
 

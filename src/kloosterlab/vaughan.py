@@ -312,8 +312,12 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
 
 
 def validate_decomposition(decomp: VaughanDecomposition) -> None:
-    """Structural invariants every decomposition must satisfy."""
+    """Structural invariants every decomposition must satisfy.
+
+    Blocks share coefficient arrays (a3's log sides once per M), so each
+    distinct array is checked once, at the first block that holds it."""
     x, U = decomp.params.x, decomp.params.U
+    normalized = set()
     for i, c in enumerate(decomp.components):
         if c.kind not in (KIND_TYPE1, KIND_TYPE2):
             raise ConsistencyError(f"component {i}: unknown kind {c.kind!r}")
@@ -324,8 +328,11 @@ def validate_decomposition(decomp: VaughanDecomposition) -> None:
         if c.restrict != x:
             raise ConsistencyError(f"component {i}: restriction {c.restrict} != x")
         for arr, side in ((c.alpha, "alpha"), (c.beta, "beta")):
-            if arr is not None and np.max(np.abs(arr)) > 1 + 1e-12:
+            if arr is None or id(arr) in normalized:
+                continue
+            if np.max(np.abs(arr)) > 1 + 1e-12:
                 raise ConsistencyError(f"component {i}: {side} not normalized")
+            normalized.add(id(arr))
         if c.kind == KIND_TYPE2:
             if not (U / _REL_SLACK <= c.L <= x / U * _REL_SLACK):
                 raise ConsistencyError(
@@ -450,16 +457,16 @@ class PrimePowerGap:
     prime_power_terms: int
 
 
-def prime_power_gap(a: int, q: int, x: float, tables: MultiplicativeTables | None = None) -> PrimePowerGap:
+def prime_power_gap(a: int, q: int, x: float) -> PrimePowerGap:
     """|Lambda-weighted sum minus log-weighted prime sum| over n ~ x.
 
     The difference is exactly the contribution of prime powers p^j, j >= 2,
     in the window, so its magnitude is at most the envelope sum of log p
     over those terms (roughly sqrt(x) log x in size).  The window comes
-    from arith.prime_window, sliced from tables when they are given.
+    from arith.prime_window.
     """
     ExpSumQuery(a=a, q=q, x=x)  # checks q and x
-    window = prime_window(math.ceil(x), math.ceil(2 * x), None if tables is None else tables.prime_table)
+    window = prime_window(math.ceil(x), math.ceil(2 * x))
     # one term per n = p**j of the window: Lambda(n) e(a inv(n) / q), which
     # for n = p is also the term of the log-weighted prime sum.  Exact sums
     # do not depend on order, so the two sums, all terms and the prime ones,

@@ -77,7 +77,6 @@ def test_pi_and_windows(prime_table):
     assert prime_table.pi(2) == 1
     window = prime_table.primes_between(10, 20)
     assert window.tolist() == [11, 13, 17, 19]
-    assert prime_table.count_dyadic(10) == 4
 
 
 def test_coverage_errors(prime_table):
@@ -596,6 +595,10 @@ def _window_bounds(draw):
     return lo, min(hi, _WINDOW_LIMIT + 1)
 
 
+def _no_sieve(*args):
+    raise AssertionError("sieved a window the shared table covers")
+
+
 def _table_window(lo, hi):
     """The window read off _WINDOW_TABLES: primes, and the n > p with
     vm_prime[n] = p > 0, with their p."""
@@ -629,7 +632,9 @@ def test_prime_window_matches_the_tables(bounds, block):
         sieved = arith.prime_window(lo, hi)
         # the sieve builds no shared table
         assert arith._shared_mult is None
-        sliced = arith.prime_window(lo, hi, _WINDOW_TABLES.prime_table)
+    with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES), \
+            mock.patch.object(arith, "_sieve_window", _no_sieve):
+        sliced = arith.prime_window(lo, hi)
     for got in (sieved, sliced):
         for arr, want in zip((got.primes, *got.prime_powers), (primes, powers, bases)):
             assert arr.dtype == np.int64 and np.array_equal(arr, want)
@@ -651,11 +656,8 @@ def test_prime_window_crosses_blocks_against_the_sieve():
 
 
 def test_prime_window_slices_a_covering_shared_table():
-    def no_sieve(*args):
-        raise AssertionError("sieved a window the shared table covers")
-
     with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES), \
-            mock.patch.object(arith, "_sieve_window", no_sieve):
+            mock.patch.object(arith, "_sieve_window", _no_sieve):
         got = arith.prime_window(20000, _WINDOW_LIMIT + 1)
     assert np.shares_memory(got.primes, _WINDOW_TABLES.prime_table.primes)
     assert np.array_equal(got.primes, _table_window(20000, _WINDOW_LIMIT + 1)[0])
@@ -665,8 +667,6 @@ def test_prime_window_slices_a_covering_shared_table():
         assert arith._shared_mult is _WINDOW_TABLES
     assert not np.shares_memory(past.primes, _WINDOW_TABLES.prime_table.primes)
     assert np.array_equal(past.primes, got.primes)
-    with pytest.raises(CoverageError):
-        arith.prime_window(20000, _WINDOW_LIMIT + 2, _WINDOW_TABLES.prime_table)
 
 
 def test_prime_window_charges_before_it_sieves(monkeypatch):

@@ -317,14 +317,14 @@ def test_bilinear_command_with_restriction(capsys):
 def test_fresh_table_stops_at_max_sieve(capsys, monkeypatch):
     # without the ceiling a fresh table grows to the 1 << 16 floor
     monkeypatch.setattr(arith, "_shared_mult", None)
-    assert run(capsys, "max-sum", "7", "100", "--max-sieve", "1000")[0] == 0
+    assert run(capsys, "garaev", "500", "7", "3", "--max-sieve", "1000")[0] == 0
     assert arith._shared_mult.limit == 1000
 
 
 def test_table_growth_stops_at_max_sieve(capsys, monkeypatch):
     # without the ceiling a 65,536 table doubles to 131,072
     monkeypatch.setattr(arith, "_shared_mult", arith.build_multiplicative_tables(1 << 16))
-    assert run(capsys, "max-sum", "7", "35000", "--max-sieve", "75000")[0] == 0
+    assert run(capsys, "garaev", "70000", "7", "3", "--max-sieve", "75000")[0] == 0
     assert arith._shared_mult.limit == 75000
 
 
@@ -332,6 +332,10 @@ def test_table_growth_stops_at_max_sieve(capsys, monkeypatch):
     ("sum", "1", "7", "100000"),
     ("sum", "1", "7", "100000", "--weight", "von_mangoldt"),
     ("prime-power-gap", "1", "7", "100000"),
+    ("max-sum", "7", "100000"),
+    ("avg-max", "64", "500"),
+    ("fixed-a-avg", "1", "64", "200"),
+    ("ternary", "50", "1.1"),
 ])
 def test_window_commands_build_no_table(capsys, monkeypatch, argv):
     monkeypatch.setattr(arith, "_shared_mult", None)
@@ -343,6 +347,10 @@ def test_window_commands_build_no_table(capsys, monkeypatch, argv):
     ("sum", "1", "7", "1000000"),
     ("vaughan-check", "1", "7", "1000000"),
     ("prime-power-gap", "1", "7", "1000000"),
+    ("max-sum", "7", "1000000"),
+    ("avg-max", "16", "1000000"),
+    ("fixed-a-avg", "1", "16", "1000000"),
+    ("ternary", "1000000", "1.1"),
 ])
 def test_max_sieve_still_bounds_the_window_top(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-sieve", "1000")
@@ -369,6 +377,16 @@ def test_prime_power_gap_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert budgeted == free
     assert csv_rows(budgeted)[1] == ["1", "7", "2000000", "269.895530331", "640.040642932", "91"]
+
+
+def test_max_sum_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
+    # a table to 2,000,000 would need about 11,000,000 bytes
+    monkeypatch.setattr(arith, "_shared_mult", None)
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "8000000")
+    code, out, err = run(capsys, "max-sum", "1009", "1000000", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert csv_rows(out) == [["q", "x", "a_star", "magnitude"],
+                             ["1009", "1000000", "82", "527.371153253"]]
 
 
 def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):

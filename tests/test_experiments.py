@@ -202,7 +202,7 @@ def test_avg_max_report_small(prime_table):
     rep = avg_max_report(16, 16.0)
     assert rep.lhs < rep.trivial_bound
     assert set(rep.rhs_terms) == {"Q^(5/4)*x^(5/8)", "Q*x^(9/10)", "Q^(7/6)*x^(13/18)"}
-    assert rep.extra["pi_range"] == prime_table.count_dyadic(16)
+    assert rep.extra["pi_range"] == len(prime_table.primes_between(16, 32))
     assert rep.trivial_bound == 16.0 * rep.extra["pi_range"]
 
 

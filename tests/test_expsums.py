@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab import expsums
+from kloosterlab import arith, expsums
 from kloosterlab.accumulate import exact_sum, fsum_complex, unit_roots
-from kloosterlab.arith import batch_inverses, build_multiplicative_tables
-from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
+from kloosterlab.arith import batch_inverses, build_multiplicative_tables, prime_window
+from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.arith import MEMORY_ENV_VAR
 from kloosterlab.experiments import avg_max_report, fixed_a_avg_report
 from kloosterlab.expsums import (
@@ -110,9 +110,9 @@ def test_prime_sum_oracle_small_window(prime_table):
     assert got.term_count == 4
 
 
-def test_von_mangoldt_weight_includes_prime_powers(tables):
+def test_von_mangoldt_weight_includes_prime_powers():
     query = ExpSumQuery(a=1, q=5, x=8)
-    got = prime_sum(query, weight="von_mangoldt", tables=tables)
+    got = prime_sum(query, weight="von_mangoldt")
     # window [8, 16): 8 = 2^3, 9 = 3^2, 11, 13 contribute log 2, log 3, log 11, log 13
     ns = [8, 9, 11, 13]
     ws = [math.log(2), math.log(3), math.log(11), math.log(13)]
@@ -126,20 +126,14 @@ def test_prime_sum_rejects_unknown_weight():
         prime_sum(ExpSumQuery(a=1, q=5, x=10), weight="log")
 
 
-def test_prime_sum_coverage_error():
-    tiny = build_multiplicative_tables(100)
-    with pytest.raises(CoverageError):
-        prime_sum(ExpSumQuery(a=1, q=5, x=90), tables=tiny)
-
-
 @pytest.mark.parametrize("q", [5, 8, 12, 13, 30, 47])
-def test_max_prime_sum_against_full_scan(q, prime_table):
+def test_max_prime_sum_against_full_scan(q):
     x = 30.0
-    a_star, mag = max_prime_sum(q, x, table=prime_table)
+    a_star, mag = max_prime_sum(q, x)
     assert 1 <= a_star <= q // 2
     assert math.gcd(a_star, q) == 1
     mags = {
-        a: prime_sum(ExpSumQuery(a=a, q=q, x=x), tables=None).magnitude
+        a: prime_sum(ExpSumQuery(a=a, q=q, x=x)).magnitude
         for a in range(1, q)
         if math.gcd(a, q) == 1
     }
@@ -178,7 +172,7 @@ def _direct_max_prime_sum(q, x, table):
 @pytest.mark.parametrize("x", [2, 10, 30, 100, 1024])
 def test_max_prime_sum_bitwise_equals_direct_scan(x, prime_table):
     for q in range(2, 401):
-        got = max_prime_sum(q, x, table=prime_table)
+        got = max_prime_sum(q, x)
         want = _direct_max_prime_sum(q, x, prime_table)
         assert got == want, (q, x)
         assert type(got[0]) is int and type(got[1]) is float
@@ -187,14 +181,14 @@ def test_max_prime_sum_bitwise_equals_direct_scan(x, prime_table):
 def test_max_prime_sum_near_tie_keeps_direct_argmax(prime_table):
     # a = 481 and a = 1019 = 481 * 1499 (1499^2 = 1 mod 3000) differ by
     # ~2e-14; the spectrum alone would pick 1019
-    got = max_prime_sum(3000, 2500, table=prime_table)
+    got = max_prime_sum(3000, 2500)
     assert got == _direct_max_prime_sum(3000, 2500, prime_table)
     assert got[0] == 481
 
 
 def test_max_prime_sum_every_twist_ties(prime_table):
     # the window [2, 4) keeps only p = 3 for q = 2^5 5^5: |S(a)| = 1 for all a
-    got = max_prime_sum(100000, 2, table=prime_table)
+    got = max_prime_sum(100000, 2)
     assert got == _direct_max_prime_sum(100000, 2, prime_table)
 
 
@@ -203,21 +197,21 @@ def test_max_prime_sum_first_maximum_across_chunks(monkeypatch, prime_table):
     # chunks; the strict maximum keeps the first, as one chunk would
     want = _direct_max_prime_sum(100000, 2, prime_table)
     monkeypatch.setattr(expsums, "_CHUNK_CELLS", 1000)
-    assert max_prime_sum(100000, 2, table=prime_table) == want
+    assert max_prime_sum(100000, 2) == want
 
 
 def test_max_prime_sum_without_usable_primes(prime_table):
     # both primes of [2, 4) divide 6
-    assert max_prime_sum(6, 2, table=prime_table) == (1, 0.0)
+    assert max_prime_sum(6, 2) == (1, 0.0)
     assert _direct_max_prime_sum(6, 2, prime_table) == (1, 0.0)
 
 
-def test_twist_consistency_check_fires_with_zero_bound(monkeypatch, prime_table):
+def test_twist_consistency_check_fires_with_zero_bound(monkeypatch):
     # the spectrum and the direct sums round differently, so a zero bound
     # must trip the check
     monkeypatch.setattr(expsums, "_twist_error_bound", lambda *args: 0.0)
     with pytest.raises(ConsistencyError):
-        max_prime_sum(3000, 2500, table=prime_table)
+        max_prime_sum(3000, 2500)
 
 
 def test_max_prime_sum_capacity():
@@ -310,10 +304,10 @@ def _bits(z: complex) -> tuple[str, str]:
 
 @_PROPERTY
 @given(case=_twisted_windows(), weight=st.sampled_from(["unit", "von_mangoldt"]))
-def test_prime_sum_twist_q_minus_a_is_the_bitwise_conjugate(case, weight, tables):
+def test_prime_sum_twist_q_minus_a_is_the_bitwise_conjugate(case, weight):
     a, q, x = case
-    plus = prime_sum(ExpSumQuery(a=a, q=q, x=x), weight=weight, tables=tables).value
-    minus = prime_sum(ExpSumQuery(a=q - a, q=q, x=x), weight=weight, tables=tables).value
+    plus = prime_sum(ExpSumQuery(a=a, q=q, x=x), weight=weight).value
+    minus = prime_sum(ExpSumQuery(a=q - a, q=q, x=x), weight=weight).value
     # an exactly zero imaginary part is +0.0 on both sides
     want = complex(plus.real, -plus.imag if plus.imag else 0.0)
     assert _bits(minus) == _bits(want)
@@ -355,23 +349,28 @@ def test_twist_spectrum_within_its_bound_of_the_direct_sum(case):
     assert float(np.abs(spectrum - direct).max()) <= err
 
 
-def test_von_mangoldt_prime_sum_reads_its_window_as_views():
-    # the window [x, 2x) is read in place: no length-x int64 copy of it
+def test_von_mangoldt_prime_sum_reads_its_window_as_views(monkeypatch):
+    # the window [x, 2x) is read in place from a covering shared table: no
+    # length-x int64 copy of it
     x = 500_000
-    tables = build_multiplicative_tables(2 * x)
+    monkeypatch.setattr(arith, "_shared_mult", build_multiplicative_tables(2 * x))
     query = ExpSumQuery(a=1, q=7, x=x)
-    prime_sum(query, weight="von_mangoldt", tables=tables)
+    prime_sum(query, weight="von_mangoldt")
     tracemalloc.start()
     try:
-        prime_sum(query, weight="von_mangoldt", tables=tables)
+        prime_sum(query, weight="von_mangoldt")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 14 * x
 
 
-def _per_q_values(a, moduli, x, tables):
-    return [prime_sum(ExpSumQuery(a=a, q=int(q), x=x), tables=tables).value for q in moduli]
+def _window_primes(x):
+    return prime_window(math.ceil(x), math.ceil(2 * x)).primes
+
+
+def _per_q_values(a, moduli, x):
+    return [prime_sum(ExpSumQuery(a=a, q=int(q), x=x)).value for q in moduli]
 
 
 @st.composite
@@ -394,28 +393,28 @@ def _moduli_blocks(draw, tables):
 @given(data=st.data())
 def test_prime_sum_block_bitwise_per_q(data, tables):
     a, moduli, x = data.draw(_moduli_blocks(tables))
-    got = prime_sum_block(a, moduli, x, tables=tables)
-    assert [_bits(v) for v in got] == [_bits(v) for v in _per_q_values(a, moduli, x, tables)]
+    got = prime_sum_block(a, moduli, _window_primes(x))
+    assert [_bits(v) for v in got] == [_bits(v) for v in _per_q_values(a, moduli, x)]
 
 
 @_PROPERTY
 @given(a=st.integers(1, 10 ** 4), Q=st.sampled_from([2, 5, _BLOCK_MODULI - 1, _BLOCK_MODULI,
                                                      _BLOCK_MODULI + 1, 2 * _BLOCK_MODULI + 7]),
        x=st.floats(2.0, 400.0))
-def test_fixed_a_avg_sweep_bitwise_per_q(a, Q, x, tables):
+def test_fixed_a_avg_sweep_bitwise_per_q(a, Q, x):
     # sweeps below, at and above one block of moduli
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = fixed_a_avg_report(a, Q, x, tables=tables)
-    want = exact_sum([abs(v) for v in _per_q_values(a, range(Q, 2 * Q), x, tables)])
+        rep = fixed_a_avg_report(a, Q, x)
+    want = exact_sum([abs(v) for v in _per_q_values(a, range(Q, 2 * Q), x)])
     assert rep.lhs.hex() == want.hex()
 
 
-def test_prime_sum_block_across_2_16(tables):
+def test_prime_sum_block_across_2_16():
     moduli = list(range((1 << 16) - 3, (1 << 16) + 3)) + [65521 * 2, 3 * 21851]
     for a in (1, 65536, 65521 * 2):
-        got = prime_sum_block(a, moduli, 20000.0, tables=tables)
-        want = _per_q_values(a, moduli, 20000.0, tables)
+        got = prime_sum_block(a, moduli, _window_primes(20000.0))
+        want = _per_q_values(a, moduli, 20000.0)
         assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
@@ -428,13 +427,12 @@ def test_moduli_blocks_cover_the_sweep_in_order():
     assert len(moduli_blocks(10, 20, 0)) == 1
 
 
-def test_prime_sum_block_checks_coverage_and_moduli(tables):
-    with pytest.raises(CoverageError):
-        prime_sum_block(1, [7], 600.0, tables=build_multiplicative_tables(1000))
+def test_prime_sum_block_checks_its_moduli():
+    primes = _window_primes(100.0)
     with pytest.raises(ValueError):
-        prime_sum_block(1, [7, 1], 100.0, tables=tables)
+        prime_sum_block(1, [7, 1], primes)
     with pytest.raises(CapacityError):
-        prime_sum_block(1, [2 ** 31], 100.0, tables=tables)
+        prime_sum_block(1, [2 ** 31], primes)
 
 
 @st.composite
@@ -460,7 +458,7 @@ def _scan_blocks(draw, prime_table):
 @given(data=st.data())
 def test_max_prime_sum_block_rows_bitwise_direct_scan(data, prime_table):
     moduli, x = data.draw(_scan_blocks(prime_table))
-    got = max_prime_sum_block(moduli, x, table=prime_table)
+    got = max_prime_sum_block(moduli, _window_primes(x))
     assert got == [_direct_max_prime_sum(q, x, prime_table) for q in moduli]
     assert all(type(a) is int and type(m) is float for a, m in got)
 
@@ -469,22 +467,22 @@ def test_max_prime_sum_block_known_near_tie_and_empty_rows(prime_table):
     # a block holding the near tie of q = 3000, the exact ties of even
     # moduli, and rows with no usable prime (both primes of [2, 4) divide 6)
     moduli = [3000, 2998, 6, 7, 12]
-    got = max_prime_sum_block(moduli, 2500, table=prime_table)
+    got = max_prime_sum_block(moduli, _window_primes(2500))
     assert got == [_direct_max_prime_sum(q, 2500, prime_table) for q in moduli]
     assert got[0][0] == 481
-    assert max_prime_sum_block([6, 12, 5], 2, table=prime_table)[:2] == [(1, 0.0), (1, 0.0)]
+    assert max_prime_sum_block([6, 12, 5], _window_primes(2))[:2] == [(1, 0.0), (1, 0.0)]
 
 
 @_PROPERTY
 @given(Q=st.sampled_from([2, 5, _BLOCK_MODULI - 1, _BLOCK_MODULI, _BLOCK_MODULI + 1,
                           2 * _BLOCK_MODULI + 7]),
        x=st.floats(2.0, 400.0))
-def test_avg_max_sweep_bitwise_per_q(Q, x, prime_table):
+def test_avg_max_sweep_bitwise_per_q(Q, x):
     # sweeps below, at and above one block, with partial last blocks
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = avg_max_report(Q, x, table=prime_table)
-    want = exact_sum([max_prime_sum(q, x, table=prime_table)[1] for q in range(Q, 2 * Q)])
+        rep = avg_max_report(Q, x)
+    want = exact_sum([max_prime_sum(q, x)[1] for q in range(Q, 2 * Q)])
     assert rep.lhs.hex() == want.hex()
 
 
@@ -499,13 +497,13 @@ def test_scan_blocks_cap_their_residues(monkeypatch):
     assert {len(b) for b in moduli_blocks(2048, 4096, 1, scan=True)} == {1}
 
 
-def test_max_prime_sum_block_checks_every_modulus_first(monkeypatch, prime_table):
+def test_max_prime_sum_block_checks_every_modulus_first(monkeypatch):
     # the first modulus past the limit is named, before any inverse is taken
     monkeypatch.setattr(expsums, "prime_inverses", None)
     with pytest.raises(CapacityError, match="modulus 101 exceeds the twist-scan limit 100"):
-        max_prime_sum_block([99, 100, 101, 102], 50.0, table=prime_table, scan_limit=100)
+        max_prime_sum_block([99, 100, 101, 102], _window_primes(50.0), scan_limit=100)
     with pytest.raises(CapacityError, match="modulus 101 exceeds"):
-        avg_max_report(60, 50.0, table=prime_table, scan_limit=100)
+        avg_max_report(60, 50.0, scan_limit=100)
 
 
 def test_kloosterman_grid_index_stays_within_its_bytes():

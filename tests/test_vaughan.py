@@ -1,5 +1,6 @@
 """The four-term identity, its block decomposition, and the prime-power gap."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from kloosterlab import arith, vaughan
 from kloosterlab.accumulate import ROUND_EPS, exact_sum
 from kloosterlab.arith import build_multiplicative_tables, prime_window
 from kloosterlab.bilinear import bilinear_sum, dyadic_window
-from kloosterlab.errors import CapacityError, CoverageError
+from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
 from kloosterlab.expsums import ExpSumQuery, inverse_phase_sum, prime_sum, window_sum
 from kloosterlab.vaughan import (
     KIND_TYPE1,
@@ -68,6 +69,26 @@ def test_decomposition_structure(tables):
         else:
             assert comp.kind == KIND_TYPE1
             assert comp.L < U
+
+
+def test_validation_refuses_a_shared_array_past_one(tables):
+    # blocks share coefficient arrays, and validation checks each one once,
+    # at the first block that holds it: a bad shared array is refused there
+    decomp = decompose(VaughanParams(x=600.0, U=600 ** (1 / 3)), tables)
+    holders = {}
+    for i, c in enumerate(decomp.components):
+        if c.beta is not None:
+            holders.setdefault(id(c.beta), []).append(i)
+    shared = max(holders.values(), key=len)
+    assert len(shared) > 1
+    bad = decomp.components[shared[0]].beta * 1.5
+    for holders in (shared, shared[1:2]):
+        # every holder sharing one bad array, or a later holder alone
+        # given a bad copy of the array its neighbours share
+        comps = tuple(dataclasses.replace(c, beta=bad) if i in holders else c
+                      for i, c in enumerate(decomp.components))
+        with pytest.raises(ConsistencyError, match=f"component {holders[0]}: beta not normalized"):
+            validate_decomposition(dataclasses.replace(decomp, components=comps))
 
 
 def test_decomposition_is_deterministic(tables):
@@ -134,26 +155,26 @@ def test_truncation_cases_cover_identity(tables):
         assert chk.rel_error <= 1e-9
 
 
-def test_prime_power_gap_window(tables):
-    gap = prime_power_gap(1, 5, 50.0, tables)
+def test_prime_power_gap_window():
+    gap = prime_power_gap(1, 5, 50.0)
     # [50, 100) holds exactly 64 = 2^6 and 81 = 3^4
     assert gap.prime_power_terms == 2
     assert gap.envelope == pytest.approx(math.log(2) + math.log(3), abs=1e-12)
     assert gap.gap <= gap.envelope + 1e-12
 
 
-def test_prime_power_gap_envelope_bound(tables):
+def test_prime_power_gap_envelope_bound():
     for x in (50.0, 200.0, 1000.0):
         for (a, q) in [(1, 5), (3, 14)]:
-            gap = prime_power_gap(a, q, x, tables)
+            gap = prime_power_gap(a, q, x)
             assert gap.gap <= gap.envelope + 1e-12
             assert gap.envelope <= 2 * math.sqrt(2 * x) * math.log(2 * x)
 
 
 def test_direct_gap_equals_weighted_difference(tables):
     a, q, x = 2, 9, 120.0
-    gap = prime_power_gap(a, q, x, tables)
-    lam = prime_sum(ExpSumQuery(a=a, q=q, x=x), weight="von_mangoldt", tables=tables)
+    gap = prime_power_gap(a, q, x)
+    lam = prime_sum(ExpSumQuery(a=a, q=q, x=x), weight="von_mangoldt")
     pt = tables.prime_table
     primes = pt.primes_between(x, 2 * x)
     logs = np.log(primes.astype(float))
