@@ -3,42 +3,46 @@
 Phases are always reduced to rationals k/q in [0, 1) and looked up in a
 unit-root table, so the per-term evaluation error does not grow with the
 modulus.  Term streams are summed by exact_sums, one stream per row of an
-array (exact_sum for a single stream), a binned accumulator in the style
-of Demmel and Hida ("Accurate and efficient floating point
-summation", SIAM J. Sci. Comput. 25, 2003):
+array (exact_sum for a single stream), by error-free level extraction
+(Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+SIAM J. Sci. Comput. 31(1), 2008).  Each block of at most _BLOCK terms
+per row is taken in levels:
 
-- np.frexp writes each term as x = m * 2**e with a 53-bit mantissa m,
-  which is cut into two integers: its top 27 bits and its low 26 bits;
-- np.bincount adds the halves into one bin per exponent level, the top
-  half of a term 26 levels above its low half;
-- a block of at most 2**26 terms per stream puts at most 2**26 integers
-  below 2**27 into any bin, so every bin, and every partial sum bincount
-  forms on the way, is an integer below 2**53: no addition rounds;
-- the bins are combined as Python ints, and one int/int true division,
-  which Python rounds correctly, rounds the exact total once.
+- with 2**e above the block's largest magnitude and 2**t above twice
+  its terms per row, sigma = 2**(e + t);
+- q = (sigma + x) - sigma keeps the bits of each term x at or above
+  2**(e + t - 53), and r = x - q the rest; both are exact;
+- every q is a multiple of 2**(e + t - 53) (or of the smallest
+  subnormal) of magnitude at most 2**e, so a row's sum of q is below
+  2**(e + t - 1) at every partial sum: it is exact in any order, and
+  it is added to the row's level sums;
+- the next level takes r in place of x, until r is all zero.
 
-So the result is the correctly rounded exact sum, which is also what
-math.fsum returns: the two agree bit for bit, and math.fsum is the twin
-in the tests.  An exactly zero sum is +0.0, as math.fsum gives it.
-Input that is not finite, or so large that math.fsum could overflow on
-the way, is summed by math.fsum itself, so its values and exceptions are
-kept, and so are arrays of fewer than _FSUM_TERMS terms, where the fixed
-cost of the binned pass (about fifteen NumPy calls) exceeds math.fsum's.
-The error bound attached to a result therefore only has to cover
-per-term evaluation error plus one final rounding.
+Subnormal levels need no special case: there, too, q and r are exact
+and every partial sum is a multiple of the smallest subnormal below
+2**-1021, which is representable.  One math.fsum per row rounds the
+exact total of that row's level sums once, so the result is the
+correctly rounded exact sum, which is also what math.fsum of the stream
+returns: the two agree bit for bit, and math.fsum is the twin in the
+tests.  An exactly zero sum is +0.0, as math.fsum gives it.  Input that
+is not finite, or so large that math.fsum could overflow on the way, is
+summed by math.fsum itself, so its values and exceptions are kept, and
+so are arrays of fewer than _FSUM_TERMS terms, where the fixed cost of
+the extraction (about ten NumPy calls) exceeds math.fsum's.  The error
+bound attached to a result therefore only has to cover per-term
+evaluation error plus one final rounding.
 
 exact_sums also takes integer multiplicities: the sum of count_j * x_j
 is the sum of the stream in which x_j appears count_j times, without
 expanding it.  Each count is cut into base-2**13 digits; digit d of
-level k weighs the term x * 2**(13k), which is exact, and multiplies its
-two integer halves, which stay below 2**40.  Blocks of such terms hold
-at most 2**13 of them, so every bin stays below 2**53 as before.
+level k weighs the term x * 2**(13k), which is exact.  The same levels
+are extracted with t raised by the bit length of the block's largest
+digit, so each q * d and each row's sum of them stay exact.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -107,79 +111,69 @@ def unit_roots(q: int) -> np.ndarray:
     return np.concatenate([lower, np.conj(lower[1 : (q + 1) // 2][::-1])])
 
 
-#: Terms per stream binned at once.  Exactness holds for any block of at
-#: most 2**26 terms; 2**14 keeps the ~50 bytes of work arrays per term in
-#: cache, and measured as fast as 2**16 on million-term streams.
+#: Terms per stream in one block of the level extraction.  Exactness holds
+#: for any block short enough that t stays below 53, so that a level keeps
+#: a bit; 2**14 keeps a block's two work arrays in cache.
 _BLOCK = 1 << 14
 
-#: Bits per digit of a multiplicity, and terms per block when counted:
-#: 2**13 terms whose halves (below 2**27) are scaled by a digit below
-#: 2**13 keep every bin below 2**53.
+#: Bits per digit of a multiplicity.
 _DIGIT_BITS = 13
-_COUNTED_BLOCK = 1 << 13
 
 #: Arrays of fewer terms than this, over all rows, are summed by math.fsum
-#: row by row.  Measured with uniform random terms (2-core VM, best of 5
-#: runs of 200 calls): math.fsum overtook the binned pass below about
-#: 1,000 terms in one row, 470 per row in two, 170 per row in eight and
-#: 80 per row in 64; a fixed 512 over all rows never picks the slower
-#: route.  A 10-term fsum_complex took 17 us binned, 0.8 us by math.fsum.
+#: row by row.  Measured against the level extraction (2-core VM, best of
+#: 7 runs of 300 calls, uniform terms scaled by 2**-8 to 2**8, 1 to 64
+#: rows, twice): math.fsum was 10-30% faster at 512 terms over all rows,
+#: the two tied within 5% at 640 (9% at 64 rows), and the extraction was
+#: faster from 768 up and 1.3-1.6x faster at 1,024.  So 512 costs at most
+#: ~2 us per call against the exact crossover.  A 10-term fsum_complex
+#: took 12 us extracted, 1.4 us by math.fsum.
 _FSUM_TERMS = 512
 
-#: Every bin is an integer multiple of 2**-1133: the smallest frexp
-#: exponent, -1073, less 53 mantissa bits and 7 levels of octet padding.
-_SCALE_BITS = 1133
-_SCALE = 1 << _SCALE_BITS
-
-#: A stream of n terms below 2**e in magnitude stays on the binned path
-#: while e + n.bit_length() <= _TOP: its partial sums then stay below
-#: 2**1022, so math.fsum cannot overflow on it either.
+#: A stream of n terms below 2**e in magnitude is extracted while
+#: e + n.bit_length() <= _TOP: its partial sums then stay below 2**1022,
+#: so math.fsum cannot overflow on it either, and the level scale of an
+#: uncounted stream stays at most 2**1022.
 _TOP = 1021
 
-#: Weights of eight consecutive levels; the octet sum stays below 2**61.
-_OCTET = 1 << np.arange(7, -1, -1, dtype=np.int64)
 
-
-def _binned_sums(rows: np.ndarray, limit: float, digits: np.ndarray | None = None) -> list[float] | None:
+def _level_sums(rows: np.ndarray, limit: float, digits: np.ndarray | None = None) -> list[float] | None:
     """Correctly rounded exact sums of the rows of a 2-D float64 array, each
     term j weighted by digits[j] < 2**13 when digits are given, or None for
     a block whose largest magnitude is not below limit (not finite, or near
-    overflow): math.fsum has to sum that input."""
+    overflow) or whose level scale would overflow: math.fsum has to sum that
+    input."""
     k, n = rows.shape
-    totals = [0] * k
-    size = _BLOCK if digits is None else _COUNTED_BLOCK
-    for start in range(0, n, size):
-        block = rows[:, start : start + size]
-        amax = float(np.abs(block).max())
+    # two work arrays, shared by the blocks, and unit weights
+    work = np.empty((2, k, min(n, _BLOCK)))
+    ones = np.ones(min(n, _BLOCK))
+    levels = []
+    for start in range(0, n, _BLOCK):
+        x = rows[:, start : start + _BLOCK]
+        w = ones[: x.shape[1]] if digits is None else digits[start : start + _BLOCK]
+        q, r = work[:, :, : x.shape[1]]
+        # abs and max propagate nan, so a nan fails the test
+        amax = float(np.maximum.reduce(np.abs(x, out=q), axis=None))
         if not amax < limit:
             return None
-        m, e = np.frexp(block)
-        # the largest exponent of a nonzero term, but at least that of a
-        # zero (frexp gives zeros exponent 0, and they add 0 wherever they
-        # land), and the smallest of any term
-        emax, emin = max(math.frexp(amax)[1], 0), int(e.min())
-        m *= 2.0 ** 27
-        w = np.empty((2,) + m.shape)
-        np.trunc(m, out=w[0])
-        np.subtract(m, w[0], out=w[1])
-        w[1] *= 2.0 ** 26
-        if digits is not None:
-            w *= digits[start : start + size]
-        # each row takes the levels from emax down to emin, padded to whole
-        # octets: a term of row j with exponent e adds its top half to bin
-        # emax - e of the row and its low half 26 bins further, and bin i of
-        # a row is in units of 2**(emax - 27 - i)
-        levels = (emax - emin + 34) & -8
-        bases = np.add.outer((emax, emax + 26), levels * np.arange(k))[:, :, None]
-        bins = np.bincount(np.subtract(bases, e).ravel(), weights=w.ravel(), minlength=k * levels)
-        octets = (bins.astype(np.int64).reshape(k, -1, 8) @ _OCTET).tolist()
-        # octet g is in units of 2**(emax - 34 - 8g); Horner in small shifts,
-        # then one shift of the row to units of 2**-_SCALE_BITS
-        top = levels - 8
-        steps = range(top, -1, -8)
-        for j, row in enumerate(octets):
-            totals[j] += sum(map(operator.lshift, row, steps)) << (emax + _SCALE_BITS - 34 - top)
-    return [t / _SCALE for t in totals]
+        # 2**t > 2 * (terms per row) * (largest weight)
+        t = (2 * len(w) * (1 if digits is None else int(w.max()))).bit_length()
+        while amax:
+            scale = math.frexp(amax)[1] + t
+            if scale > 1023:
+                return None
+            sigma = 2.0 ** scale
+            # q keeps the bits of x at or above 2**(scale - 53) and r the
+            # rest, both exactly; |q| <= 2**(scale - t), so a row's sum of
+            # q, or of q times a digit, is a multiple of 2**(scale - 53) (or
+            # of the smallest subnormal) below 2**(scale - 1) at every
+            # partial sum: none rounds
+            np.add(x, sigma, out=q)
+            q -= sigma
+            x = np.subtract(x, q, out=r)
+            levels.append(q @ w)
+            amax = float(np.maximum.reduce(np.abs(r, out=q), axis=None))
+    # each level sum is exact, so their math.fsum rounds the exact total once
+    return [math.fsum(row) for row in zip(*[level.tolist() for level in levels])] if levels else [0.0] * k
 
 
 def _fsums(rows: np.ndarray) -> list[float]:
@@ -188,7 +182,7 @@ def _fsums(rows: np.ndarray) -> list[float]:
 
 def exact_sums(rows, counts=None) -> list[float]:
     """The correctly rounded sum of each row of a 2-D array, each bitwise
-    math.fsum(row), from one binned pass over all the rows.
+    math.fsum(row), from one level extraction over all the rows.
 
     counts, when given, is a 1-D array of nonnegative integer multiplicities
     shared by every row, one per column: each sum is then bitwise
@@ -200,7 +194,7 @@ def exact_sums(rows, counts=None) -> list[float]:
             return _fsums(rows)
         # below this limit every exponent e has e + n.bit_length() <= _TOP;
         # inf and nan fail the test too
-        sums = _binned_sums(rows, 2.0 ** (_TOP - rows.shape[1].bit_length()))
+        sums = _level_sums(rows, 2.0 ** (_TOP - rows.shape[1].bit_length()))
         return _fsums(rows) if sums is None else sums
     counts = np.asarray(counts)
     if counts.shape != rows.shape[1:] or counts.dtype.kind not in "iu":
@@ -225,8 +219,10 @@ def exact_sums(rows, counts=None) -> list[float]:
         nz = np.flatnonzero(d)
         pieces.append(rows[:, nz] * 2.0 ** shift)
         digits.append(d[nz])
-    return _binned_sums(np.concatenate(pieces, axis=1), math.inf,
-                        np.concatenate(digits).astype(np.float64))
+    sums = _level_sums(np.concatenate(pieces, axis=1), math.inf,
+                       np.concatenate(digits).astype(np.float64))
+    # a level scale past 2**1023 leaves the expanded stream to math.fsum
+    return [math.fsum(np.repeat(row, counts).tolist()) for row in rows] if sums is None else sums
 
 
 def exact_sum(values) -> float:

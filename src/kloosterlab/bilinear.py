@@ -49,7 +49,8 @@ _COEFF_SLACK = 1.0 + 1e-12
 #: either route builds its arrays.  Over the blocks of decompose at x in
 #: {10**5, 10**6} and q in {7, 30, 101}, both routes forced, tracemalloc
 #: peaks of the route and its sums were at most 0.8 of the charge above
-#: 10 MB; below 1 MB the binned sums' fixed ~2 MB of work arrays dominate.
+#: 10 MB; below 1 MB the exact sums' work arrays (two of at most 2 x 2**14
+#: doubles, 0.5 MB) dominate, and peaks stayed below 1.1 MB.
 _PAIR_BYTES = 64
 _CELL_BYTES = 256
 _COLUMN_BYTES = 64
@@ -133,7 +134,10 @@ def _product_window(ls: np.ndarray, ms: np.ndarray, x) -> tuple[np.ndarray, np.n
     ms ascends, so each range is contiguous.  Each end is estimated from
     the quotient bound / l and then moved down, then up, until the int64
     products l*m compared against the bound agree with it: the products
-    decide, never a rounded quotient alone.
+    decide, never a rounded quotient alone.  They are compared with the
+    integer ceil(bound), which an integer l*m reaches exactly when it
+    reaches the bound: a float bound would cast them to float64, which
+    rounds products past 2**53.
     """
     ends = []
     for bound in (x, 2 * x):
@@ -143,11 +147,12 @@ def _product_window(ls: np.ndarray, ms: np.ndarray, x) -> tuple[np.ndarray, np.n
         # searched as integers, ceil(bound / l) clipped to the window, so
         # that ms is not cast to float on every call
         end = np.searchsorted(ms, np.clip(np.ceil(bound / ls), ms[0], ms[-1] + 1).astype(np.int64))
+        least = math.ceil(bound)
         # down while the m below end still reaches the bound, then up
         # while the m at end falls short of it
-        while (down := (end > 0) & (ls * ms[np.maximum(end - 1, 0)] >= bound)).any():
+        while (down := (end > 0) & (ls * ms[np.maximum(end - 1, 0)] >= least)).any():
             end -= down
-        while (up := (end < len(ms)) & (ls * ms[np.minimum(end, len(ms) - 1)] < bound)).any():
+        while (up := (end < len(ms)) & (ls * ms[np.minimum(end, len(ms) - 1)] < least)).any():
             end += up
         ends.append(end)
     return ends[0], ends[1]

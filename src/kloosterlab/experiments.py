@@ -58,7 +58,7 @@ def avg_max_report(
     """
     if Q < 2:
         raise ValueError(f"need Q >= 2, got {Q}")
-    if x < 2:
+    if not (x >= 2 and math.isfinite(x)):
         raise ValueError(f"need x >= 2, got {x}")
     if not (Q ** (2 / 3) / _REL_SLACK <= x <= Q ** 1.5 * _REL_SLACK):
         warnings.warn(
@@ -101,7 +101,7 @@ def fixed_a_avg_report(a: int, Q: int, x: float, workers: int = 1) -> BoundRepor
         raise ValueError(f"need a >= 1, got {a}")
     if Q < 2:
         raise ValueError(f"need Q >= 2, got {Q}")
-    if x < 2:
+    if not (x >= 2 and math.isfinite(x)):
         raise ValueError(f"need x >= 2, got {x}")
     if not (Q ** 0.5 / _REL_SLACK <= x <= Q ** (4 / 3) * _REL_SLACK):
         warnings.warn(

@@ -78,8 +78,9 @@ _FFT_ERROR_C = 8.0
 _WEIGHTS = ("unit", "von_mangoldt")
 
 #: Moduli per prime_sum_block call, and the most moduli x primes cells a
-#: block may have.  A block peaks at about 115 bytes per cell (tracemalloc:
-#: 1.7 MB at 32 moduli x 464 primes), so the cell cap keeps it near 4 MB.
+#: block may have.  A block peaks at about 58 bytes per cell (tracemalloc:
+#: 0.86 MB at 32 moduli x 464 primes, 74 bytes at 32 x 135), so the cell
+#: cap keeps it near 2 MB.
 #: Of 8, 16 and 32 moduli per block, 32 ran the Q = x = 4096 sweep fastest
 #: (2-core VM).
 _BLOCK_MODULI = 32
@@ -104,7 +105,7 @@ class ExpSumQuery:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError(f"need modulus >= 2, got {self.q}")
-        if not self.x >= 2:
+        if not (self.x >= 2 and math.isfinite(self.x)):
             raise ValueError(f"need x >= 2, got {self.x}")
 
 
@@ -387,7 +388,7 @@ def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tup
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    if not x >= 2:
+    if not (x >= 2 and math.isfinite(x)):
         raise ValueError(f"need x >= 2, got {x}")
     check_twist_scan([q], scan_limit)
     ps = prime_window(math.ceil(x), math.ceil(2 * x)).primes
@@ -426,6 +427,22 @@ def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
     return ns[keep], invs[keep]
 
 
+def _kloosterman_phases(a: int, b: int, q: int, ns: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """(a*n + b*inv(n)) mod q for the units n and their inverses, in
+    arith._lanes(q): a*n is reduced first, so a*n mod q + b*inv(n) stays
+    below q + q**2, which fits the lane."""
+    lanes = _lanes(q)
+    mod = lanes(q)
+    idx = ns.astype(lanes)
+    idx *= lanes(a % q)
+    idx %= mod
+    binv = invs.astype(lanes)
+    binv *= lanes(b % q)
+    idx += binv
+    idx %= mod
+    return idx
+
+
 def kloosterman(a: int, b: int, q: int) -> float:
     """Complete sum of e((a*n + b*inv(n)) / q) over units n modulo q.
 
@@ -435,11 +452,10 @@ def kloosterman(a: int, b: int, q: int) -> float:
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     # the unit arrays, the terms and the accumulator's work arrays, which
-    # tracemalloc measured at under 100 bytes per residue for q >= 4096
+    # tracemalloc measured at 45-84 bytes per residue for q from 4096 to 10**6
     check_modulus(q, bytes_per_entry=112)
-    roots = unit_roots(q)
     ns, invs = _units(q)
-    terms = roots[(a % q * ns % q + b % q * invs % q) % q]
+    terms = unit_roots(q)[_kloosterman_phases(a, b, q, ns, invs)]
     value = fsum_complex(terms.real, terms.imag)
     if abs(value.imag) >= 1e-9:
         raise ConsistencyError(

@@ -1,4 +1,4 @@
-"""The binned exact accumulator against its math.fsum twin."""
+"""The exact accumulator, by error-free level extraction, against its math.fsum twin."""
 
 import math
 from fractions import Fraction
@@ -40,10 +40,10 @@ def _same(got: float, want: float) -> bool:
     return got.hex() == want.hex()
 
 
-def _binned(block):
-    """Send every array, however short, through the binned pass, in blocks
-    of block terms, counted or not."""
-    return mock.patch.multiple(accumulate, _BLOCK=block, _COUNTED_BLOCK=block, _FSUM_TERMS=0)
+def _extracted(block):
+    """Send every array, however short, through the level extraction, in
+    blocks of block terms, counted or not."""
+    return mock.patch.multiple(accumulate, _BLOCK=block, _FSUM_TERMS=0)
 
 
 @_PROPERTY
@@ -52,9 +52,19 @@ def _binned(block):
 @example(values=[-0.0, -0.0], block=1 << 14)
 @example(values=[1e300, 1.0, -1e300, 5e-324], block=1)
 @example(values=[0.0, 1e-300, -3e-310, 5e-324, 0.0], block=1 << 14)
+# 1.0 beside full-mantissa terms near 1e-30: three levels or more
+@example(values=[1.0, 1e-30, -3.3333333333333333e-30, 7.77e-31, 1.0 + 2.0 ** -52], block=1 << 14)
+@example(values=[1.0, 1e-30, 2e-60, 3e-90, 4e-120, -1.0], block=3)
+# a level scale 2**(e + t) that falls among the subnormals, alone or
+# below a normal first level
+@example(values=[1e-310, -3e-320, 5e-324, 2.5e-315], block=1 << 14)
+@example(values=[2.0 ** -1000 * (1 + 2.0 ** -52), 5e-324, -2.0 ** -1060], block=1 << 14)
+# rows of only -0.0 sum to +0.0, as math.fsum gives them
+@example(values=[-0.0] * 600, block=1 << 14)
+@example(values=[-0.0, -0.0, -0.0], block=1)
 def test_exact_sum_bitwise_fsum(values, block):
     # blocks of 1, 3 and 7 terms put every stream across block boundaries
-    with _binned(block):
+    with _extracted(block):
         assert _same(exact_sum(np.array(values, dtype=np.float64)), math.fsum(values))
         assert _same(exact_sum(values), math.fsum(values))
 
@@ -65,7 +75,7 @@ def test_exact_sum_bitwise_fsum(values, block):
 def test_fsum_complex_bitwise_fsum_per_part(pairs, block):
     re = [p[0] for p in pairs]
     im = [p[1] for p in pairs]
-    with _binned(block):
+    with _extracted(block):
         got = fsum_complex(np.array(re), np.array(im))
     assert _same(got.real, math.fsum(re)) and _same(got.imag, math.fsum(im))
 
@@ -85,12 +95,12 @@ def test_exact_sums_of_rows_bitwise_fsum_per_row(k, data, block):
     [[-0.0], [5e-324]],
 ])
 def test_exact_sums_rows_of_tiny_terms_beside_zeros(rows):
-    # zeros have frexp exponent 0, above every exponent of a tiny term
+    # zeros beside tiny terms: the level scale follows the largest magnitude
     _check_rows(rows, 1 << 14)
 
 
 def _check_rows(rows, block):
-    with _binned(block):
+    with _extracted(block):
         got = exact_sums(np.array(rows, dtype=np.float64).reshape(len(rows), -1))
     assert [g.hex() for g in got] == [math.fsum(row).hex() for row in rows]
 
@@ -124,7 +134,7 @@ def _outcome(fn, values):
 ])
 def test_non_finite_and_near_overflow_input_keeps_fsum_outcome(values):
     # math.fsum sums these itself: same value, or the same exception and
-    # message, on the short-array route and after the binned pass refuses them
+    # message, on the short-array route and after the level extraction refuses them
     for fsum_terms in (accumulate._FSUM_TERMS, 0):
         with mock.patch.object(accumulate, "_FSUM_TERMS", fsum_terms):
             assert _outcome(exact_sum, np.array(values)) == _outcome(math.fsum, values)
@@ -134,13 +144,13 @@ def test_non_finite_and_near_overflow_input_keeps_fsum_outcome(values):
             assert counted == _outcome(math.fsum, [v for v in values for _ in range(2)])
 
 
-def test_short_arrays_take_fsum_and_long_ones_the_binned_pass():
+def test_short_arrays_take_fsum_and_long_ones_the_level_extraction():
     # both sides of the crossover, in one row and in several
     rng = np.random.default_rng(11)
     for shape in [(1, accumulate._FSUM_TERMS - 1), (1, accumulate._FSUM_TERMS), (2, 255), (2, 256), (64, 7), (64, 9)]:
         rows = rng.uniform(-1, 1, shape) * 2.0 ** rng.integers(-60, 60, shape)
-        binned = accumulate._binned_sums
-        with mock.patch.object(accumulate, "_binned_sums", side_effect=binned) as spy:
+        kernel = accumulate._level_sums
+        with mock.patch.object(accumulate, "_level_sums", side_effect=kernel) as spy:
             got = exact_sums(rows)
         assert spy.called == (rows.size >= accumulate._FSUM_TERMS)
         assert [g.hex() for g in got] == [math.fsum(row).hex() for row in rows.tolist()]
@@ -161,10 +171,13 @@ def _counted(draw):
 @given(case=_counted(), block=st.sampled_from([1, 3, 1 << 13]), fsum_terms=st.sampled_from([0, 512]))
 @example(case=([[1.0, 1e-300, -1.0]], [2 ** 13, 2 ** 13 + 1, 2 ** 13]), block=1, fsum_terms=0)
 @example(case=([[5e-324, -0.0], [1e300, -1e300]], [3 * 2 ** 13, 7]), block=3, fsum_terms=0)
+# counts at the 2**13 digit edge: the largest digit, and the first counts of two digits
+@example(case=([[0.1, -1.0 / 3, 1e-30]], [2 ** 13 - 1, 2 ** 13, 2 ** 13 + 1]), block=1 << 14, fsum_terms=0)
+@example(case=([[-0.0, -0.0], [-0.0, 0.0]], [2 ** 13 - 1, 2 ** 13]), block=1, fsum_terms=0)
 def test_counted_sums_bitwise_fsum_of_the_expanded_stream(case, block, fsum_terms):
     rows, counts = case
     expanded = [[v for v, c in zip(row, counts) for _ in range(c)] for row in rows]
-    with _binned(block), mock.patch.object(accumulate, "_FSUM_TERMS", fsum_terms):
+    with _extracted(block), mock.patch.object(accumulate, "_FSUM_TERMS", fsum_terms):
         got = exact_sums(np.array(rows, dtype=np.float64).reshape(len(rows), -1), np.array(counts, dtype=np.int64))
     assert [g.hex() for g in got] == [math.fsum(row).hex() for row in expanded]
 
@@ -173,6 +186,8 @@ def test_counted_sums_bitwise_fsum_of_the_expanded_stream(case, block, fsum_term
     [2 ** 20 + 3, 2 ** 13, 2 ** 13 - 1, 1, 0],
     [2 ** 26 + 1, 3, 2 ** 13, 2 ** 26 - 1, 5],
     [2 ** 40 + 12345, 2 ** 26, 1, 2 ** 52 - 1, 2 ** 39],
+    # the 2**26 digit edge: digits of 2**13 - 1 and a digit 1 at the third level
+    [2 ** 26 - 1, 2 ** 26, 2 ** 26 + 1, 2 ** 13 - 1, 2 ** 13],
 ])
 def test_counts_past_2_13_and_2_26_give_the_correctly_rounded_sum(counts):
     # the expanded stream's exact sum, rounded once: math.fsum of that stream
@@ -188,7 +203,8 @@ def test_counts_past_2_13_and_2_26_give_the_correctly_rounded_sum(counts):
 
 def test_long_counted_streams_keep_every_bin_exact():
     # 3 * 2**13 + 5 terms of one exponent, just below 1 and odd in the last bit, each
-    # counted 2**13 - 1 times: one block of them would pass 2**53 in a bin
+    # counted 2**13 - 1 times: without 13 bits of headroom for the digit, a level's
+    # products and their sums would pass 2**53 units
     n = 3 * 2 ** 13 + 5
     terms = np.full((1, n), 1 - 2.0 ** -53) - np.arange(n) * 2.0 ** -52
     counts = np.full(n, 2 ** 13 - 1)

@@ -236,8 +236,9 @@ def _restricted(l, ms, beta, x):
     window: the mask bilinear applied per l before _product_window."""
     if x is None:
         return ms, beta
+    # the int64 products against integer bounds, never cast to float
     prod = l * ms
-    mask = (prod >= x) & (prod < 2 * x)
+    mask = (prod >= math.ceil(x)) & (prod < math.ceil(2 * x))
     return ms[mask], (None if beta is None else beta[mask])
 
 
@@ -307,10 +308,11 @@ def _windows(draw):
 
 def _check_window(ls, ms, x):
     start, stop = _product_window(ls, ms, x)
+    lo, hi = math.ceil(x), math.ceil(2 * x)
     for i, l in enumerate(ls.tolist()):
-        prod = l * ms
-        kept = np.flatnonzero((prod >= x) & (prod < 2 * x))
-        assert kept.tolist() == list(range(start[i], stop[i])), (l, x)
+        # Python int products against the integer bounds: nothing rounds
+        kept = [j for j, m in enumerate(ms.tolist()) if lo <= l * m < hi]
+        assert kept == list(range(start[i], stop[i])), (l, x)
 
 
 @_PROPERTY
@@ -330,6 +332,17 @@ def test_product_window_matches_the_per_l_mask(block):
 def test_product_window_corrects_the_quotient_estimate(l, m0, x):
     ls = np.array([l - 1, l, l + 1], dtype=np.int64)
     _check_window(ls, np.arange(m0, m0 + 7, dtype=np.int64), x)
+
+
+def test_product_window_compares_products_as_integers():
+    # float(l*m) is 32 above l*m, past 2^53: cast to float64, l*m would
+    # round up to it and reach the bound, so the window would start at m
+    l, m = 738360466, 758650480
+    x = float(l * m)
+    ms = np.arange(m - 3, m + 4, dtype=np.int64)
+    start, stop = _product_window(np.array([l], dtype=np.int64), ms, x)
+    assert (ms[start[0]], stop[0]) == (m + 1, len(ms))
+    _check_window(np.array([l - 1, l, l + 1], dtype=np.int64), ms, x)
 
 
 @st.composite

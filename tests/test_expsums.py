@@ -126,6 +126,19 @@ def test_prime_sum_rejects_unknown_weight():
         prime_sum(ExpSumQuery(a=1, q=5, x=10), weight="log")
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda x: ExpSumQuery(1, 7, x),
+    lambda x: max_prime_sum(7, x),
+    lambda x: avg_max_report(4, x),
+    lambda x: fixed_a_avg_report(1, 4, x),
+], ids=["ExpSumQuery", "max_prime_sum", "avg_max_report", "fixed_a_avg_report"])
+def test_non_finite_x_is_refused(entry, x):
+    # refused up front as VaughanParams refuses it, before math.ceil(x)
+    with pytest.raises(ValueError, match="need x >= 2"):
+        entry(x)
+
+
 @pytest.mark.parametrize("q", [5, 8, 12, 13, 30, 47])
 def test_max_prime_sum_against_full_scan(q):
     x = 30.0
@@ -233,6 +246,16 @@ def test_kloosterman_symmetry():
         for a in (1, 2, 3):
             for b in (1, 2):
                 assert kloosterman(a, b, q) == pytest.approx(kloosterman(b, a, q), abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [19787, (1 << 16) - 1, 65521, 1 << 16, 65537, 131071])
+def test_kloosterman_phases_match_the_int64_expression(q):
+    # uint32 lanes below 2**16, int64 from there; twists past q and negative
+    ns, invs = expsums._units(q)
+    for a, b in [(4384, 10939), (q - 1, q - 1), (1, 0), (3 * q + 5, -7), (-q - 2, 2 * q - 1)]:
+        got = expsums._kloosterman_phases(a, b, q, ns, invs)
+        assert got.dtype == arith._lanes(q)
+        assert np.array_equal(got.astype(np.int64), (a % q * ns % q + b % q * invs % q) % q)
 
 
 def test_kloosterman_grid_matches_scalar():
