@@ -24,13 +24,27 @@ and every partial sum is a multiple of the smallest subnormal below
 exact total of that row's level sums once, so the result is the
 correctly rounded exact sum, which is also what math.fsum of the stream
 returns: the two agree bit for bit, and math.fsum is the twin in the
-tests.  An exactly zero sum is +0.0, as math.fsum gives it.  Input that
-is not finite, or so large that math.fsum could overflow on the way, is
-summed by math.fsum itself, so its values and exceptions are kept, and
-so are arrays of fewer than _FSUM_TERMS terms, where the fixed cost of
-the extraction (about ten NumPy calls) exceeds math.fsum's.  The error
-bound attached to a result therefore only has to cover per-term
-evaluation error plus one final rounding.
+tests.  An exactly zero sum is +0.0, as math.fsum gives it.
+
+The level sums of a block are exact whatever came before it, so they
+can be carried: CarriedSums takes a stream a chunk at a time, keeps only
+each chunk's level sums (a few per _BLOCK terms and row), and rounds
+once when asked, bitwise math.fsum of the whole stream however it was
+cut.  Callers that build their terms in chunks of _CHUNK hold that many
+terms, not the stream; exact_sums is CarriedSums fed one chunk.
+
+The extraction takes a block only while the sum, over the blocks taken,
+of terms per row times 2**e stays below 2**_TOP: every partial sum of
+the terms, and of their level sums, then stays below 2**1022, so
+neither math.fsum can overflow.  A chunk that is not finite, or would
+pass that limit, keeps its terms for the final math.fsum, and so does a
+chunk of fewer than _FSUM_TERMS terms, where the fixed cost of the
+extraction (about ten NumPy calls) exceeds math.fsum's.  math.fsum then
+sees every non-finite term, in order, so its value or exception is kept;
+the one outcome that can depend on the cuts is its OverflowError, for a
+running sum within rounding of the largest double.  The error bound
+attached to a result therefore only has to cover per-term evaluation
+error plus one final rounding.
 
 exact_sums also takes integer multiplicities: the sum of count_j * x_j
 is the sum of the stream in which x_j appears count_j times, without
@@ -67,8 +81,8 @@ def unit_roots_at(idx, q) -> np.ndarray:
     up to rounding.  Each value depends only on (k, q): it is bitwise the
     entry k of unit_roots(q), whichever other residues and moduli are
     asked for.  No length-q table is built unless q is one modulus and idx
-    has more than q/2 + 1 entries, of any shape, when tabulating the lower
-    half is the cheaper route.
+    has more than q/2 + 1 entries, of any shape: those are gathered from
+    the table of unit_roots(q), whose upper half is already mirrored.
     """
     moduli = np.asarray(q, dtype=np.int64)
     if moduli.size and int(moduli.min()) < 1:
@@ -77,12 +91,10 @@ def unit_roots_at(idx, q) -> np.ndarray:
     q = int(q) if moduli.ndim == 0 else moduli
     half = q // 2
     idx = np.asarray(idx, dtype=np.int64)
+    if isinstance(q, int) and idx.size > half + 1:
+        return _table(q)[idx]
     upper = idx > half
-    k = np.where(upper, q - idx, idx)
-    if isinstance(q, int) and k.size > half + 1:
-        roots = _lower_roots(np.arange(half + 1), q)[k]
-    else:
-        roots = _lower_roots(k, q)
+    roots = _lower_roots(np.where(upper, q - idx, idx), q)
     return np.conjugate(roots, out=roots, where=upper)
 
 
@@ -107,6 +119,11 @@ def unit_roots(q: int) -> np.ndarray:
         raise ValueError(f"modulus must be >= 1, got {q}")
     # the table plus its lower half and work arrays
     check_modulus(q, bytes_per_entry=32)
+    return _table(q)
+
+
+def _table(q: int) -> np.ndarray:
+    """The table of unit_roots(q), for a checked modulus q >= 1."""
     lower = _lower_roots(np.arange(q // 2 + 1), q)
     return np.concatenate([lower, np.conj(lower[1 : (q + 1) // 2][::-1])])
 
@@ -119,8 +136,8 @@ _BLOCK = 1 << 14
 #: Bits per digit of a multiplicity.
 _DIGIT_BITS = 13
 
-#: Arrays of fewer terms than this, over all rows, are summed by math.fsum
-#: row by row.  Measured against the level extraction (2-core VM, best of
+#: Chunks of fewer terms than this, over all rows, keep their terms for
+#: math.fsum rather than their level sums.  Measured against the level extraction (2-core VM, best of
 #: 7 runs of 300 calls, uniform terms scaled by 2**-8 to 2**8, 1 to 64
 #: rows, twice): math.fsum was 10-30% faster at 512 terms over all rows,
 #: the two tied within 5% at 640 (9% at 64 rows), and the extraction was
@@ -129,32 +146,46 @@ _DIGIT_BITS = 13
 #: took 12 us extracted, 1.4 us by math.fsum.
 _FSUM_TERMS = 512
 
-#: A stream of n terms below 2**e in magnitude is extracted while
-#: e + n.bit_length() <= _TOP: its partial sums then stay below 2**1022,
-#: so math.fsum cannot overflow on it either, and the level scale of an
-#: uncounted stream stays at most 2**1022.
+#: The extraction takes blocks while the sum over them of terms per row
+#: times 2**e stays below 2**_TOP: partial sums of the terms and of their
+#: level sums then stay below 2**1022, so math.fsum cannot overflow on
+#: either, and a level scale stays at most 2**1022.
 _TOP = 1021
 
+#: The weights of _level_sums count multiples of the smallest subnormal.
+_TINY_BITS = 1074
 
-def _level_sums(rows: np.ndarray, limit: float, digits: np.ndarray | None = None) -> list[float] | None:
-    """Correctly rounded exact sums of the rows of a 2-D float64 array, each
-    term j weighted by digits[j] < 2**13 when digits are given, or None for
-    a block whose largest magnitude is not below limit (not finite, or near
-    overflow) or whose level scale would overflow: math.fsum has to sum that
-    input."""
+#: Terms per row in one chunk of a carried stream: the callers of
+#: CarriedSums build their terms this many at a time.
+_CHUNK = 1 << 16
+
+
+def _level_sums(rows: np.ndarray, room: int | None, digits: np.ndarray | None = None):
+    """The exact level sums of each row of a 2-D float64 array, one tuple
+    per row, each term j weighted by digits[j] < 2**13 when digits are
+    given, and the weight they took: the sum over blocks of terms per row
+    times 2**e, 2**e above the block's largest magnitude, in units of
+    2**-_TINY_BITS.  None for a block whose largest magnitude is not finite,
+    that would take the weight to room (None: no limit), or whose level
+    scale would overflow: math.fsum has to sum that input."""
     k, n = rows.shape
     # two work arrays, shared by the blocks, and unit weights
     work = np.empty((2, k, min(n, _BLOCK)))
     ones = np.ones(min(n, _BLOCK))
     levels = []
+    weight = 0
     for start in range(0, n, _BLOCK):
         x = rows[:, start : start + _BLOCK]
         w = ones[: x.shape[1]] if digits is None else digits[start : start + _BLOCK]
         q, r = work[:, :, : x.shape[1]]
         # abs and max propagate nan, so a nan fails the test
         amax = float(np.maximum.reduce(np.abs(x, out=q), axis=None))
-        if not amax < limit:
+        if not amax < math.inf:
             return None
+        if room is not None and amax:
+            weight += x.shape[1] << (math.frexp(amax)[1] + _TINY_BITS)
+            if weight >= room:
+                return None
         # 2**t > 2 * (terms per row) * (largest weight)
         t = (2 * len(w) * (1 if digits is None else int(w.max()))).bit_length()
         while amax:
@@ -172,12 +203,43 @@ def _level_sums(rows: np.ndarray, limit: float, digits: np.ndarray | None = None
             x = np.subtract(x, q, out=r)
             levels.append(q @ w)
             amax = float(np.maximum.reduce(np.abs(r, out=q), axis=None))
-    # each level sum is exact, so their math.fsum rounds the exact total once
-    return [math.fsum(row) for row in zip(*[level.tolist() for level in levels])] if levels else [0.0] * k
+    return (list(zip(*[level.tolist() for level in levels])) if levels else [()] * k), weight
 
 
-def _fsums(rows: np.ndarray) -> list[float]:
-    return [math.fsum(row) for row in rows.tolist()]
+class CarriedSums:
+    """Correctly rounded sums of k streams fed a chunk at a time.
+
+    add(chunk) takes a (k, n) array: the next n terms of each stream.
+    sums() returns each stream's sum so far, bitwise math.fsum of its
+    chunks concatenated, however the stream was cut.  A chunk keeps only
+    its level sums, or its terms when it is shorter than _FSUM_TERMS or
+    the extraction refuses it (see the module notes).
+    """
+
+    def __init__(self, rows: int):
+        self._parts: list[list[float]] = [[] for _ in range(rows)]
+        self._room = 1 << (_TOP + _TINY_BITS)
+
+    @property
+    def rows(self) -> int:
+        return len(self._parts)
+
+    def add(self, chunk) -> None:
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim != 2 or len(chunk) != len(self._parts):
+            raise ValueError(f"need {len(self._parts)} rows of terms, got shape {chunk.shape}")
+        found = _level_sums(chunk, self._room) if chunk.size >= _FSUM_TERMS else None
+        if found is None:
+            kept = chunk.tolist()
+        else:
+            kept, weight = found
+            self._room -= weight
+        for part, terms in zip(self._parts, kept):
+            part.extend(terms)
+
+    def sums(self) -> list[float]:
+        # each level sum is exact, so their math.fsum rounds the exact total once
+        return [math.fsum(part) for part in self._parts]
 
 
 def exact_sums(rows, counts=None) -> list[float]:
@@ -190,12 +252,9 @@ def exact_sums(rows, counts=None) -> list[float]:
     """
     rows = np.asarray(rows, dtype=np.float64)
     if counts is None:
-        if rows.size < _FSUM_TERMS:
-            return _fsums(rows)
-        # below this limit every exponent e has e + n.bit_length() <= _TOP;
-        # inf and nan fail the test too
-        sums = _level_sums(rows, 2.0 ** (_TOP - rows.shape[1].bit_length()))
-        return _fsums(rows) if sums is None else sums
+        carried = CarriedSums(len(rows))
+        carried.add(rows)
+        return carried.sums()
     counts = np.asarray(counts)
     if counts.shape != rows.shape[1:] or counts.dtype.kind not in "iu":
         raise ValueError(f"need one integer count per column, got {counts.dtype} {counts.shape}")
@@ -205,11 +264,13 @@ def exact_sums(rows, counts=None) -> list[float]:
     rows, counts = rows[:, kept], counts[kept].astype(np.int64)
     # the total as a Python int, from two halves whose sums cannot overflow
     total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+    fsums = lambda: [math.fsum(np.repeat(row, counts).tolist()) for row in rows]
     if total * len(rows) < _FSUM_TERMS or not total:
-        return _fsums(np.repeat(rows, counts, axis=1))
-    # the same limit for the expanded stream of total terms
+        return fsums()
+    # below this limit the expanded stream of total terms keeps every
+    # partial sum below 2**_TOP; inf and nan fail the test too
     if not float(np.abs(rows).max(initial=0.0)) < 2.0 ** (_TOP - total.bit_length()):
-        return [math.fsum(np.repeat(row, counts).tolist()) for row in rows]
+        return fsums()
     # digit level k of every count, with the terms scaled by 2**(13k): a
     # power of two no larger than the largest count, so the scaled terms
     # stay below 2**_TOP and scale exactly
@@ -219,10 +280,9 @@ def exact_sums(rows, counts=None) -> list[float]:
         nz = np.flatnonzero(d)
         pieces.append(rows[:, nz] * 2.0 ** shift)
         digits.append(d[nz])
-    sums = _level_sums(np.concatenate(pieces, axis=1), math.inf,
-                       np.concatenate(digits).astype(np.float64))
+    found = _level_sums(np.concatenate(pieces, axis=1), None, np.concatenate(digits).astype(np.float64))
     # a level scale past 2**1023 leaves the expanded stream to math.fsum
-    return [math.fsum(np.repeat(row, counts).tolist()) for row in rows] if sums is None else sums
+    return fsums() if found is None else [math.fsum(levels) for levels in found[0]]
 
 
 def exact_sum(values) -> float:

@@ -750,20 +750,6 @@ class PrimeWindow:
         pairs = np.array(found, dtype=np.int64).reshape(-1, 2)
         return pairs[:, 0].copy(), pairs[:, 1].copy()
 
-    def von_mangoldt(self) -> tuple[np.ndarray, np.ndarray]:
-        """The n of the window with Lambda(n) > 0, ascending, and the prime
-        p of each n = p**j, so that Lambda(n) = log p."""
-        powers, bases = self.prime_powers
-        # each power's slot in the merged order; the primes fill the rest
-        slots = np.searchsorted(self.primes, powers) + np.arange(len(powers))
-        ns = np.empty(len(self.primes) + len(powers), dtype=np.int64)
-        ps = np.empty_like(ns)
-        rest = np.ones(len(ns), dtype=bool)
-        rest[slots] = False
-        ns[rest] = ps[rest] = self.primes
-        ns[slots], ps[slots] = powers, bases
-        return ns, ps
-
 
 def _window_count_bound(y: int) -> float:
     """At most this many primes lie in any interval of length y:

@@ -19,8 +19,13 @@ rounded exact sum of the same terms, so their values agree bit for bit:
 
 _grouping takes the grouped route where it expects fewer terms, weighed
 by their cost, than the pair stream has pairs: as for a unit-coefficient
-side against a small modulus.  Both routes charge the byte budget before
-they build their arrays.
+side against a small modulus.  The pair stream is built and summed in
+chunks of at most _CHUNK pairs from at most _CHUNK consecutive m, whose
+exact level sums are carried (accumulate.CarriedSums), so a form holds
+one chunk of its stream, never the whole of it or of its m window:
+windows may be ranges, and a side's coefficients SlicedCoefficients,
+made a slice at a time.  Both routes charge the byte budget before they
+build their arrays, the stream for its largest chunk.
 
 The averaged reports sweep q over [Q, 2Q) and compare the measured sums
 (maximal or at a fixed twist) with the monomials of the corresponding
@@ -30,30 +35,38 @@ square-root cancellation bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import accumulation_bound, exact_sum, exact_sums, fsum_complex, unit_roots
+from .accumulate import _CHUNK, CarriedSums, accumulation_bound, exact_sum, exact_sums, fsum_complex, unit_roots
 from .arith import _lanes, _prime_divisors, batch_inverses, charge_budget, check_modulus
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .reports import BoundReport, make_report
 
+#: Pairs in the product window of one form that _evaluate takes on.  The
+#: stream is built in chunks, so this bounds time, not memory.
 _TERM_CAP = 5 * 10 ** 7
 _COEFF_SLACK = 1.0 + 1e-12
 
-#: Peak bytes per pair of the pair stream, per cell (row x group) of the
-#: grouped route, and per m of the stream's inverted range or entry of a
-#: grouped side with coefficients, charged to the byte budget before
-#: either route builds its arrays.  Over the blocks of decompose at x in
-#: {10**5, 10**6} and q in {7, 30, 101}, both routes forced, tracemalloc
-#: peaks of the route and its sums were at most 0.8 of the charge above
-#: 10 MB; below 1 MB the exact sums' work arrays (two of at most 2 x 2**14
-#: doubles, 0.5 MB) dominate, and peaks stayed below 1.1 MB.
+#: Peak bytes per pair of a chunk of the pair stream, per cell (row x
+#: group) of the grouped route, and per l row, m of a chunk's inverted
+#: range or entry of a grouped side with coefficients, charged to the
+#: byte budget before either route builds its arrays.  Over the blocks of
+#: decompose at x in {10**5, 10**6} and q in {7, 30, 101}, both routes
+#: forced, tracemalloc peaks of the route and its sums were at most 0.8
+#: of the charge above 10 MB (the stream then built whole); below 1 MB
+#: the exact sums' work arrays (two of at most 2 x 2**14 doubles, 0.5 MB)
+#: dominate, and peaks stayed below 1.1 MB.  At x = 10**6 and q = 7 a
+#: chunk of a3's longest streams peaked at 6.1 MB, charged 8.4 MB.
 _PAIR_BYTES = 64
 _CELL_BYTES = 256
 _COLUMN_BYTES = 64
+
+#: The largest charge of one chunk of a pair stream, besides its rows.
+_CHUNK_BYTES = _CHUNK * (_PAIR_BYTES + _COLUMN_BYTES)
 
 #: Coefficients sampled to judge how many values a side has.
 _SAMPLE = 512
@@ -67,11 +80,41 @@ _CELL_PAIRS = 2
 _SORT_PAIRS = 20
 
 
-def dyadic_window(start: float) -> np.ndarray:
-    """Integers n with start <= n < 2*start, as an int64 array."""
+def dyadic_range(start: float) -> range:
+    """Integers n with start <= n < 2*start, as a range."""
     if not 0 < start < math.inf:
         raise ValueError(f"need a positive finite range start, got {start}")
-    return np.arange(math.ceil(start), math.ceil(2 * start), dtype=np.int64)
+    return range(math.ceil(start), math.ceil(2 * start))
+
+
+def dyadic_window(start: float) -> np.ndarray:
+    """Integers n with start <= n < 2*start, as an int64 array."""
+    return _ints(dyadic_range(start))
+
+
+def _ints(window) -> np.ndarray:
+    """A window of consecutive integers, an int64 array or a range, as an
+    int64 array."""
+    if isinstance(window, np.ndarray):
+        return window
+    return np.arange(window.start, window.stop, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class SlicedCoefficients:
+    """Coefficients of a window made a slice at a time: take(lo, hi) returns
+    entries lo to hi - 1, bitwise that slice of the whole array.  Only
+    slices are taken (coeffs[lo:hi]); coeffs[:] builds the whole array."""
+
+    length: int
+    take: Callable[[int, int], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        lo, hi, _ = part.indices(self.length)
+        return self.take(lo, max(lo, hi))
 
 
 def _check_coeffs(name: str, coeffs, window: np.ndarray):
@@ -127,35 +170,101 @@ class BilinearSpec:
         return self.beta is None
 
 
-def _product_window(ls: np.ndarray, ms: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """For each l in ls, the index range [start, stop) of the m in ms with
+def _product_window(ls: np.ndarray, ms, x) -> tuple[np.ndarray, np.ndarray]:
+    """For each l in ls, the index range [start, stop) of the m in the
+    window ms (consecutive integers, an array or a range) with
     x <= l*m < 2x.
 
-    ms ascends, so each range is contiguous.  Each end is estimated from
-    the quotient bound / l and then moved down, then up, until the int64
-    products l*m compared against the bound agree with it: the products
-    decide, never a rounded quotient alone.  They are compared with the
-    integer ceil(bound), which an integer l*m reaches exactly when it
-    reaches the bound: a float bound would cast them to float64, which
-    rounds products past 2**53.
+    An integer l*m reaches a bound exactly when it reaches b = ceil(bound),
+    so the first m that does is ceil(b / l): integer floor division takes
+    it, and no quotient or product is rounded, however large.
     """
-    ends = []
-    for bound in (x, 2 * x):
-        if not len(ms):
-            ends.append(np.zeros(len(ls), dtype=np.intp))
-            continue
-        # searched as integers, ceil(bound / l) clipped to the window, so
-        # that ms is not cast to float on every call
-        end = np.searchsorted(ms, np.clip(np.ceil(bound / ls), ms[0], ms[-1] + 1).astype(np.int64))
-        least = math.ceil(bound)
-        # down while the m below end still reaches the bound, then up
-        # while the m at end falls short of it
-        while (down := (end > 0) & (ls * ms[np.maximum(end - 1, 0)] >= least)).any():
-            end -= down
-        while (up := (end < len(ms)) & (ls * ms[np.minimum(end, len(ms) - 1)] < least)).any():
-            end += up
-        ends.append(end)
+    first = int(ms[0]) if len(ms) else 0
+    ends = [np.clip(-(-math.ceil(bound) // ls) - first, 0, len(ms)) for bound in (x, 2 * x)]
     return ends[0], ends[1]
+
+
+def _row_ranges(ls: np.ndarray, ms, restrict) -> tuple[np.ndarray, np.ndarray]:
+    """Each l's range [start, stop) of m indices: the product window, or all
+    of ms without restriction."""
+    if restrict is None:
+        return np.zeros(len(ls), dtype=np.int64), np.full(len(ls), len(ms), dtype=np.int64)
+    return _product_window(ls, ms, restrict)
+
+
+def _cut(starts: np.ndarray, counts: np.ndarray, size: int | None):
+    """Cut the runs [starts[r], starts[r] + counts[r]), taken in order, into
+    pieces of at most size entries in all (size None: one piece).  Yields,
+    per piece, the slice of the runs it meets and the starts and counts of
+    its parts of them."""
+    if size is None:
+        yield slice(0, len(counts)), starts, counts
+        return
+    ends = np.cumsum(counts)
+    for p0 in range(0, int(ends[-1]) if len(ends) else 0, size):
+        p1 = min(p0 + size, int(ends[-1]))
+        part = slice(int(np.searchsorted(ends, p0, side="right")), int(np.searchsorted(ends, p1)) + 1)
+        begin = ends[part] - counts[part]
+        lo, hi = np.maximum(begin, p0), np.minimum(ends[part], p1)
+        yield part, starts[part] + (lo - begin), hi - lo
+
+
+def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
+                 size: int | None = _CHUNK, held: int = 0):
+    """The pair stream of _pairs in chunks of at most size pairs from at most
+    size consecutive m (size None: one chunk, the whole stream in (l, m)
+    order): (residues, coefficients) per chunk.
+
+    The m range the rows meet is cut into slices of size m; in each, the
+    slice's m are inverted once and its pairs, in (l, m) order, are cut
+    into chunks.  Only a chunk's slice of ms and of beta (an array or
+    SlicedCoefficients) is built.  Every pair of the stream is in exactly
+    one chunk, with the residue and coefficient it has there.  The byte
+    budget is charged, with held bytes besides, for the largest chunk
+    when this is called, before any chunk is built.
+    """
+    rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
+    inv_l = batch_inverses(ls[rows], q)
+    unit = inv_l > 0
+    rows, inv_l = rows[unit], inv_l[unit] * (twist % q) % q
+    start, stop = _row_ranges(ls[rows], ms, restrict)
+    lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
+    pairs = int((stop - start).sum())
+    width = max(hi - lo, 1) if size is None else size
+    chunk = pairs if size is None else min(pairs, size)
+    charge_budget(held + chunk * _PAIR_BYTES + (min(hi - lo, width) + len(rows)) * _COLUMN_BYTES,
+                  f"a stream of {pairs} (l, m) pairs needs")
+    lane = _lanes(q)
+    inv_l = inv_l.astype(lane)
+    a_rows = None if alpha is None else alpha[rows]
+
+    def chunks():
+        for k0 in range(lo, hi, width):
+            s, e = np.clip(start, k0, k0 + width), np.clip(stop, k0, k0 + width)
+            live = np.flatnonzero(e > s)
+            if not len(live):
+                continue
+            s, e = s[live], e[live]
+            m_lo, m_hi = int(s.min()), int(e.max())
+            inv_m = batch_inverses(_ints(ms[m_lo:m_hi]), q)
+            units = np.flatnonzero(inv_m)
+            inv_m = inv_m[units].astype(lane)
+            b_units = None if beta is None else beta[m_lo:m_hi][units]
+            # each row's ends, counted in the slice's unit m
+            s, e = np.searchsorted(units, s - m_lo), np.searchsorted(units, e - m_lo)
+            for part, first, counts in _cut(s, e - s, size):
+                # pair t of a piece sits at offset[r] + t and takes unit m first[r] + t
+                offset = np.cumsum(counts) - counts
+                mj = np.repeat(first - offset, counts)
+                mj += np.arange(len(mj))
+                iv = np.repeat(inv_l[live[part]], counts)
+                iv *= inv_m[mj]
+                iv %= lane(q)
+                a_part = 1.0 if a_rows is None else np.repeat(a_rows[live[part]], counts)
+                b_part = np.ones(len(mj)) if b_units is None else b_units[mj]
+                yield iv.astype(np.int64, copy=False), a_part * b_part
+
+    return chunks()
 
 
 def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
@@ -171,39 +280,12 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
     scales the l inverses.  The products are taken in arith._lanes(q);
     the residues are int64.
     """
-    rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
-    inv_l = batch_inverses(ls[rows], q)
-    unit = inv_l > 0
-    rows, inv_l = rows[unit], inv_l[unit] * (twist % q) % q
-    if restrict is None:
-        start = np.zeros(len(rows), dtype=np.int64)
-        stop = np.full(len(rows), len(ms), dtype=np.int64)
-    else:
-        start, stop = _product_window(ls[rows], ms, restrict)
-    lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
-    inv_m = batch_inverses(ms[lo:hi], q)
-    units = np.flatnonzero(inv_m)
-    lane = _lanes(q)
-    inv_m = inv_m[units].astype(lane)
-    cols = units + lo
-    # each row's ends, counted in unit m
-    start, stop = np.searchsorted(cols, start), np.searchsorted(cols, stop)
-    counts = stop - start
-    pairs = int(counts.sum())
-    charge_budget(pairs * _PAIR_BYTES + (hi - lo) * _COLUMN_BYTES, f"a stream of {pairs} (l, m) pairs needs")
-    # pair k of row r sits at first[r] + t and takes unit m start[r] + t
-    first = np.cumsum(counts) - counts
-    mj = np.repeat(start - first, counts)
-    mj += np.arange(len(mj))
-    iv = np.repeat(inv_l.astype(lane), counts)
-    iv *= inv_m[mj]
-    iv %= lane(q)
-    a_part = 1.0 if alpha is None else np.repeat(alpha[rows], counts)
-    b_part = np.ones(len(mj)) if beta is None else beta[cols][mj]
-    return iv.astype(np.int64, copy=False), a_part * b_part
+    for chunk in _pair_chunks(q, ls, alpha, ms, beta, restrict, twist, size=None):
+        return chunk
+    return np.empty(0, dtype=np.int64), np.empty(0)
 
 
-def _sampled_values(coeffs: np.ndarray) -> int:
+def _sampled_values(coeffs) -> int:
     """Distinct values among the first _SAMPLE coefficients.  A run of
     consecutive entries, not a strided sample: a stride would see only
     multiples of itself, where arithmetic coefficients such as Lambda
@@ -235,11 +317,7 @@ def _grouping(q: int, ls, alpha, ms, beta, restrict) -> bool | None:
         by_l = _sampled_values(alpha) < _sampled_values(beta)
     l_short = len(ls) <= len(ms)
     short, long = (ls, ms) if l_short else (ms, ls)
-    if restrict is None:
-        start = np.zeros(len(short), dtype=np.int64)
-        stop = np.full(len(short), len(long), dtype=np.int64)
-    else:
-        start, stop = _product_window(short, long, restrict)
+    start, stop = _row_ranges(_ints(short), long, restrict)
     live = alpha != 0 if l_short and alpha is not None else np.ones(len(short), dtype=bool)
     start, stop = start[live], stop[live]
     pairs = int((stop - start).sum())
@@ -253,21 +331,21 @@ def _grouping(q: int, ls, alpha, ms, beta, restrict) -> bool | None:
     return by_l if cost < pairs else None
 
 
-def _unit_classes(window: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_classes(window, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The residue classes mod q of the window (consecutive integers) that are
     units, ascending, and their inverses."""
-    classes = np.arange(q) if len(window) >= q else np.sort(window % q)
+    classes = np.arange(q) if len(window) >= q else np.sort(_ints(window) % q)
     inv = batch_inverses(classes, q)
     units = np.flatnonzero(inv)
     return classes[units], inv[units]
 
 
-def _charge_cells(rows: int, groups: int, columns: int) -> None:
-    charge_budget(rows * groups * _CELL_BYTES + columns * _COLUMN_BYTES,
+def _charge_cells(rows: int, groups: int, columns: int, held: int) -> None:
+    charge_budget(held + rows * groups * _CELL_BYTES + columns * _COLUMN_BYTES,
                   f"{rows} x {groups} grouped terms need")
 
 
-def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool):
+def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held: int = 0):
     """The form grouped by the l side (by_l) or the m side: the residues
     twist * inv(l*m) mod q, the coefficients alpha_l * beta_m and the
     multiplicities of its distinct terms, as three aligned arrays whose
@@ -280,28 +358,27 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool):
     has the same residue, twist * inv(row) * inv(c), and the same
     coefficient, taken in alpha * beta order as the stream takes it.  A
     unit side counts the integers of class c in each row's range by floor
-    arithmetic.  A side with coefficients sorts its (value, class) keys
-    stably by column, and counts by two searches per row and group.
+    arithmetic, without building its window.  A side with coefficients
+    sorts its (value, class) keys stably by column, and counts by two
+    searches per row and group.  The charges add held bytes.
     """
     rs, rc, cs, cc = (ms, beta, ls, alpha) if by_l else (ls, alpha, ms, beta)
+    rs, rc = _ints(rs), None if rc is None else rc[:]
     rows = np.arange(len(rs)) if by_l or rc is None else np.flatnonzero(rc)
     inv_r = batch_inverses(rs[rows], q)
     unit = inv_r > 0
     rows, inv_r = rows[unit], inv_r[unit] * (twist % q) % q
-    if restrict is None:
-        start = np.zeros(len(rows), dtype=np.int64)
-        stop = np.full(len(rows), len(cs), dtype=np.int64)
-    else:
-        start, stop = _product_window(rs[rows], cs, restrict)
+    start, stop = _row_ranges(rs[rows], cs, restrict)
     if cc is None:
         classes, inv_c = _unit_classes(cs, q)
         values = None
-        _charge_cells(len(rows), len(classes), 0)
+        _charge_cells(len(rows), len(classes), 0, held)
         # the integers n of class c below a bound t number (t - c + q - 1) // q
         low = int(cs[0]) if len(cs) else 0
         below = lambda ends: (ends[:, None] + (low + q - 1) - classes) // q
         counts = below(stop) - below(start)
     else:
+        cs, cc = _ints(cs), cc[:]
         distinct, vid = np.unique(cc, return_inverse=True)
         inv_all = batch_inverses(cs, q)
         cols = np.flatnonzero((inv_all > 0) & (cc != 0)) if by_l else np.flatnonzero(inv_all)
@@ -311,7 +388,7 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool):
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         inv_c, values = inv_all[cols[first]], distinct[vid[cols[first]]]
-        _charge_cells(len(rows), len(values), len(cs))
+        _charge_cells(len(rows), len(values), len(cs), held)
         # column j of group g marks g * len(cs) + j: ascending, since the
         # sort is stable and each group's columns ascend
         marks = (np.cumsum(first) - 1) * len(cs) + cols
@@ -331,54 +408,69 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool):
     return iv.astype(np.int64, copy=False), a_part * b_part, counts.ravel()[cells]
 
 
-def _terms_value(iv: np.ndarray, coeff: np.ndarray, q: int, counts=None) -> complex:
-    """The correctly rounded sum, in each part, of the terms
-    coeff * e(iv / q), each taken counts times when counts are given.
+def _term_parts(iv: np.ndarray, coeff: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of the terms coeff * e(iv / q), roots
+    being unit_roots(q), as one (2, n) array.
 
     Real coefficients scale the gathered real and imaginary parts of the
-    unit roots in place, in one (2, n) buffer that is summed as it stands:
-    bitwise the real and imaginary parts of the complex products, up to
-    the sign of a zero, which no exact sum sees.  Complex coefficients
-    take the complex product.
+    unit roots in place, in one (2, n) buffer: bitwise the real and
+    imaginary parts of the complex products, up to the sign of a zero,
+    which no exact sum sees.  Complex coefficients take the complex
+    product.
     """
-    if len(iv) == 0:
-        return 0j
-    roots = unit_roots(q)
     if np.iscomplexobj(coeff):
         terms = coeff * roots[iv]
-        parts = np.array((terms.real, terms.imag))
-    else:
-        parts = np.empty((2, len(iv)))
-        # every residue is in range, so "clip" changes nothing; it only
-        # spares take the buffered copy that mode="raise" makes of out
-        np.take(roots.real, iv, out=parts[0], mode="clip")
-        np.take(roots.imag, iv, out=parts[1], mode="clip")
-        parts *= coeff
-    return complex(*exact_sums(parts, counts))
+        return np.array((terms.real, terms.imag))
+    parts = np.empty((2, len(iv)))
+    # every residue is in range, so "clip" changes nothing; it only
+    # spares take the buffered copy that mode="raise" makes of out
+    np.take(roots.real, iv, out=parts[0], mode="clip")
+    np.take(roots.imag, iv, out=parts[1], mode="clip")
+    parts *= coeff
+    return parts
 
 
-def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False):
+def _terms_value(iv: np.ndarray, coeff: np.ndarray, q: int, counts=None) -> complex:
+    """The correctly rounded sum, in each part, of the terms
+    coeff * e(iv / q), each taken counts times when counts are given."""
+    if len(iv) == 0:
+        return 0j
+    return complex(*exact_sums(_term_parts(iv, coeff, unit_roots(q)), counts))
+
+
+def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False, held: int = 0):
     """(value, term count, weight sum) of the form on the windows ls and ms,
     the weight sum of |alpha_l * beta_m| only when weigh is set (else None).
 
-    The coefficients are taken as given: BilinearSpec checks them.  The
-    route, grouped or the pair stream, is _grouping's choice; both give
-    the correctly rounded exact sums of the same terms, bit for bit.
+    Windows are consecutive integers, as int64 arrays or ranges; beta may
+    be SlicedCoefficients.  The coefficients are taken as given:
+    BilinearSpec checks them.  The route, grouped or the pair stream, is
+    _grouping's choice; both give the correctly rounded exact sums of the
+    same terms, bit for bit.  The stream is summed a chunk at a time, its
+    level sums carried, so it never holds more than a chunk of terms.
+    The byte charges add held bytes, which the caller holds meanwhile.
     """
-    if len(ls) * len(ms) > _TERM_CAP:
-        raise CapacityError(
-            f"bilinear form has {len(ls) * len(ms)} candidate terms, cap is {_TERM_CAP}"
-        )
+    ls = _ints(ls)
+    start, stop = _row_ranges(ls, ms, restrict)
+    pairs = int((stop - start).sum())
+    if pairs > _TERM_CAP:
+        raise CapacityError(f"bilinear form has {pairs} pairs in its product window, cap is {_TERM_CAP}")
     by_l = _grouping(q, ls, alpha, ms, beta, restrict)
-    if by_l is None:
-        iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict, twist=a)
-        counts, count = None, len(coeff)
-    else:
-        iv, coeff, counts = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l)
-        count = int(counts.sum())
-    value = _terms_value(iv, coeff, q, counts)
-    weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0] if weigh else None
-    return value, count, weight
+    if by_l is not None:
+        iv, coeff, counts = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l, held)
+        value = _terms_value(iv, coeff, q, counts)
+        weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0] if weigh else None
+        return value, int(counts.sum()), weight
+    chunks = _pair_chunks(q, ls, alpha, ms, beta, restrict, a, _CHUNK, held)
+    roots = unit_roots(q)
+    carried = CarriedSums(3 if weigh else 2)
+    count = 0
+    for iv, coeff in chunks:
+        parts = _term_parts(iv, coeff, roots)
+        carried.add(np.vstack((parts, np.abs(coeff))) if weigh else parts)
+        count += len(iv)
+    sums = carried.sums()
+    return complex(sums[0], sums[1]), count, sums[2] if weigh else None
 
 
 def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import (
+    _CHUNK,
     TERM_EPS,
+    CarriedSums,
     accumulation_bound,
-    exact_sum,
     exact_sums,
     fsum_complex,
     unit_roots,
@@ -130,6 +131,45 @@ def _phase_indices(ns, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return kept, (a % q) * invs[kept] % q
 
 
+def _add_terms(carried: CarriedSums, ns, a: int, q: int, weights=None, log: bool = False) -> int:
+    """Add to carried, _CHUNK entries of ns at a time, the real and imaginary
+    parts of w_n * e(a * inv(n) / q) over the n coprime to q, and, for
+    weights and a carried of three rows, |w_n|; return how many terms there
+    were.
+
+    w_n is 1, or the entry of weights aligned with n, or with log set its
+    natural log.  Each term is computed entry by entry, so a chunk's terms
+    are bitwise the same slice of the terms of the whole array.
+    """
+    count = 0
+    for lo in range(0, len(ns), _CHUNK):
+        kept, idx = _phase_indices(ns[lo : lo + _CHUNK], a, q)
+        roots = unit_roots_at(idx, q)
+        if weights is None:
+            carried.add((roots.real, roots.imag))
+        else:
+            w = np.asarray(weights[lo : lo + _CHUNK], dtype=np.float64)[kept]
+            if log:
+                w = np.log(w)
+            carried.add((roots.real * w, roots.imag * w, np.abs(w))[: carried.rows])
+        count += len(kept)
+    return count
+
+
+def _weighted_value(carried: CarriedSums, count: int) -> ExpSumValue:
+    """The ExpSumValue of the count terms summed in carried, whose third row,
+    if any, holds their weights (else the weights are 1)."""
+    sums = carried.sums()
+    value = complex(sums[0], sums[1])
+    weight_sum = sums[2] if len(sums) == 3 else float(count)
+    return ExpSumValue(
+        value=value,
+        term_count=count,
+        weight_sum=weight_sum,
+        accumulation_error_bound=accumulation_bound(weight_sum, value),
+    )
+
+
 def inverse_phase_sum(ns, a: int, q: int, weights=None) -> ExpSumValue:
     """Sum of w_n * e(a * inv(n) / q) over the given integers.
 
@@ -137,27 +177,13 @@ def inverse_phase_sum(ns, a: int, q: int, weights=None) -> ExpSumValue:
     sequence aligned with ns; omitted means unit weights.  The terms are
     unit_roots_at the phase residues, bitwise the entries of unit_roots(q),
     so no length-q table is built: the cost is O(len(ns) * log q) whatever
-    the modulus.
+    the modulus.  They are built and summed _CHUNK at a time.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
-    kept, idx = _phase_indices(ns, a, q)
-    if len(kept) == 0:
-        return ExpSumValue(0j, 0, 0.0, 0.0)
-    terms = unit_roots_at(idx, q)
-    if weights is None:
-        weight_sum = float(len(kept))
-    else:
-        w = np.asarray(weights, dtype=np.float64)[kept]
-        terms = terms * w
-        weight_sum = exact_sum(np.abs(w))
-    value = fsum_complex(terms.real, terms.imag)
-    return ExpSumValue(
-        value=value,
-        term_count=len(kept),
-        weight_sum=weight_sum,
-        accumulation_error_bound=accumulation_bound(weight_sum, value),
-    )
+    ns = np.asarray(ns, dtype=np.int64)
+    carried = CarriedSums(2 if weights is None else 3)
+    return _weighted_value(carried, _add_terms(carried, ns, a, q, weights))
 
 
 def prime_sum(query: ExpSumQuery, weight: str = "unit") -> ExpSumValue:
@@ -178,11 +204,16 @@ def prime_sum(query: ExpSumQuery, weight: str = "unit") -> ExpSumValue:
 
 def window_sum(window: PrimeWindow, a: int, q: int, weight: str = "unit") -> ExpSumValue:
     """prime_sum over the primes ("unit") or the prime powers, weighted by
-    Lambda ("von_mangoldt"), of an arith.prime_window."""
+    Lambda ("von_mangoldt"), of an arith.prime_window.  The weighted sum
+    carries the primes' terms, then the powers', so it is bitwise
+    inverse_phase_sum over the window's n with Lambda(n) > 0."""
     if weight == "unit":
         return inverse_phase_sum(window.primes, a, q)
-    ns, ps = window.von_mangoldt()
-    return inverse_phase_sum(ns, a, q, weights=np.log(ps.astype(np.float64)))
+    carried = CarriedSums(3)
+    count = _add_terms(carried, window.primes, a, q, window.primes, log=True)
+    powers, bases = window.prime_powers
+    count += _add_terms(carried, powers, a, q, bases, log=True)
+    return _weighted_value(carried, count)
 
 
 def prime_sum_block(a: int, moduli, primes) -> list[complex]:

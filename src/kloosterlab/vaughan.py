@@ -16,11 +16,17 @@ to [-1, 1] and an exact lm ~ x restriction.  Blocks whose l-variable
 starts at U or above carry bounded coefficients on both sides and are
 labelled type2; the rest keep one unit-or-log side and are type1.
 
-Each side is normalized once and shared, read-only, by all the blocks
-it belongs to.  A block is evaluated by bilinear._evaluate, grouped by
-residue class where that has fewer terms than its pair stream: a2's
-unit side and most of a4's few-valued mu-divisor sums at small q, while
-a3's log windows keep the stream.  Both routes give the same bits.
+Each side is normalized once and shared by all the blocks it belongs
+to.  The blocks come from one generator, _blocks, in a fixed order.
+decompose collects them with every side built whole and read-only;
+compare_decomposition evaluates each block as it comes and keeps only its
+value, so it holds the sides of one block at a time, and a3's log
+windows, the longest, are never built whole: they are
+bilinear.SlicedCoefficients, made a chunk of the pair stream at a time.
+A block is evaluated by bilinear._evaluate, grouped by residue class
+where that has fewer terms than its pair stream: a2's unit side and most
+of a4's few-valued mu-divisor sums at small q, while a3's log windows
+keep the stream.  Both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -30,11 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import exact_sum, fsum_complex, unit_roots_at
+from .accumulate import _CHUNK, CarriedSums, exact_sum, fsum_complex
 from .arith import MultiplicativeTables, charge_budget, prime_window, shared_tables
-from .bilinear import BilinearSpec, _evaluate, _product_window, dyadic_window
+from .bilinear import (
+    _CHUNK_BYTES,
+    BilinearSpec,
+    SlicedCoefficients,
+    _evaluate,
+    _product_window,
+    dyadic_range,
+    dyadic_window,
+)
 from .errors import ConsistencyError
-from .expsums import ExpSumQuery, _phase_indices, prime_sum
+from .expsums import ExpSumQuery, _add_terms, prime_sum
 
 KIND_TYPE1 = "type1"
 KIND_TYPE2 = "type2"
@@ -44,9 +58,10 @@ _REL_SLACK = 1 + 1e-9
 #: Peak bytes per entry of building one coefficient window (its integers,
 #: raw and normalized coefficients and masks), and of a4's Lambda windows,
 #: whose prime stamps are sorted and gathered too: charged to the byte
-#: budget on top of the 8 bytes per entry of every window built so far.
-#: tracemalloc peaks of decompose were 0.78-0.92 of the largest charge at
-#: x = 10**5 to 4*10**6 and U from 1 to x**(1/3).
+#: budget on top of what is held, which for decompose is 8 bytes per
+#: entry of every window built so far.  tracemalloc peaks of decompose
+#: were 0.78-0.92 of the largest charge at x = 10**5 to 4*10**6 and U
+#: from 1 to x**(1/3).
 _WINDOW_BYTES = 32
 _LAMBDA_BYTES = 80
 
@@ -77,7 +92,9 @@ class BilinearComponent:
     alpha_l beta_m e(a * inv(lm) / q); the value is produced by to_spec
     plus bilinear.bilinear_sum (component_value takes the value alone,
     from the same evaluator).  alpha/beta of None mean unit coefficients.
-    Coefficient arrays are read-only and may be shared between blocks.
+    Coefficient arrays are read-only and may be shared between blocks;
+    the blocks that compare_decomposition streams may carry a3's log side
+    as bilinear.SlicedCoefficients, which to_spec builds whole.
     """
 
     kind: str
@@ -86,13 +103,13 @@ class BilinearComponent:
     L: float
     M: float
     alpha: np.ndarray | None
-    beta: np.ndarray | None
+    beta: np.ndarray | SlicedCoefficients | None
     restrict: float
 
     def to_spec(self, a: int, q: int) -> BilinearSpec:
         return BilinearSpec(
-            L=self.L, M=self.M, a=a, q=q,
-            alpha=self.alpha, beta=self.beta, restrict_lm=self.restrict,
+            L=self.L, M=self.M, a=a, q=q, alpha=self.alpha,
+            beta=None if self.beta is None else self.beta[:], restrict_lm=self.restrict,
         )
 
 
@@ -149,12 +166,11 @@ def _mu_divisor_sums(U: float, top: int, mt: MultiplicativeTables) -> np.ndarray
     return b
 
 
-def _has_support(
-    ls: np.ndarray, l_ok: np.ndarray, ms: np.ndarray, m_ok: np.ndarray, x: float
-) -> bool:
-    """Whether some l in ls[l_ok] and m in ms[m_ok] have x <= l*m < 2x."""
+def _has_support(ls: np.ndarray, l_ok: np.ndarray, ms, m_ok: np.ndarray | None, x: float) -> bool:
+    """Whether some l in ls[l_ok] and m in ms[m_ok] (every m of the window
+    ms, an array or a range, when m_ok is None) have x <= l*m < 2x."""
     start, stop = _product_window(ls[l_ok], ms, x)
-    if m_ok.all():
+    if m_ok is None or m_ok.all():
         return bool((stop > start).any())
     ok_before = np.concatenate(([0], np.cumsum(m_ok)))
     return bool((ok_before[stop] > ok_before[start]).any())
@@ -168,7 +184,7 @@ def _window_coefficients(table: np.ndarray, window: np.ndarray, floor: float = 0
     return raw
 
 
-def _side(L: float, window: np.ndarray, coefficients: np.ndarray | None) -> tuple:
+def _side(L: float, window, coefficients: np.ndarray | None) -> tuple:
     """A block side (L, window, coefficients / scale, scale), the scale being
     the largest |coefficient|: 1.0 for unit coefficients (None), and 0.0
     for an all-zero side, which no block keeps.  The normalized array is
@@ -182,22 +198,38 @@ def _side(L: float, window: np.ndarray, coefficients: np.ndarray | None) -> tupl
     return L, window, coefficients, scale
 
 
-def _add_block(comps: list, x: float, U: float, sign: int, l: tuple, m: tuple) -> None:
-    """Append the block of sides l = (L, window, coefficients, scale) and
-    m = (M, ...), from _side, unless a side is all zero or no l*m with
-    nonzero coefficients lies in [x, 2x).  It is type2 when L >= U, and
-    the product of the two side scales is the block's scale."""
+def _log_side(M: float, sliced: bool) -> tuple:
+    """a3's side log h on h ~ M, from _side, or with sliced the same side as
+    SlicedCoefficients: each slice is the logs of its integers over the
+    scale, and the scale, the largest log (log h >= 0), the max of a
+    first pass over slices of _CHUNK, which is exact, so bitwise _side's
+    np.max.  Logs and quotients are taken entry by entry, so a slice is
+    bitwise that slice of the whole side."""
+    window = dyadic_range(M)
+    logs = lambda lo, hi: np.log(np.arange(window.start + lo, window.start + hi, dtype=np.int64).astype(float))
+    if not sliced:
+        return _side(M, window, logs(0, len(window)))
+    scale = max(float(logs(lo, min(lo + _CHUNK, len(window))).max()) for lo in range(0, len(window), _CHUNK))
+    return M, window, SlicedCoefficients(len(window), lambda lo, hi: logs(lo, hi) / scale), scale
+
+
+def _block(x: float, U: float, sign: int, l: tuple, m: tuple) -> BilinearComponent | None:
+    """The block of sides l = (L, window, coefficients, scale) and
+    m = (M, ...), from _side or _log_side, or None when a side is all zero
+    or no l*m with nonzero coefficients lies in [x, 2x).  It is type2 when
+    L >= U, and the product of the two side scales is the block's scale.
+    Sliced sides, logs of h >= 2, have no zero entry."""
     (L, ls, lc, lscale), (M, ms, mc, mscale) = l, m
     if lscale == 0.0 or mscale == 0.0:
-        return
+        return None
     l_ok = np.ones(len(ls), bool) if lc is None else lc != 0.0
-    m_ok = np.ones(len(ms), bool) if mc is None else mc != 0.0
+    m_ok = None if mc is None or isinstance(mc, SlicedCoefficients) else mc != 0.0
     if not _has_support(ls, l_ok, ms, m_ok, x):
-        return
-    comps.append(BilinearComponent(
+        return None
+    return BilinearComponent(
         kind=KIND_TYPE2 if L >= U else KIND_TYPE1, sign=sign, scale=lscale * mscale,
         L=L, M=M, alpha=lc, beta=mc, restrict=x,
-    ))
+    )
 
 
 def _meets(ls: np.ndarray, M: float, x: float) -> bool:
@@ -224,38 +256,46 @@ def decomposition_limit(params: VaughanParams) -> int:
     return max([int(U), 2] + [math.ceil(2 * Lm) - 1 for Lm, _ in _a4_blocks(x, U)])
 
 
-def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
-    """Cut the Lambda-weighted window sum into dyadic bilinear components.
+def _blocks(params: VaughanParams, tables: MultiplicativeTables | None, keep: bool):
+    """Yield (block, held) for every block of the decomposition, in
+    decompose's order, held being the bytes of the sides and tables live
+    while the block is used.
 
     Each identity term builds only the two sides of its blocks, each
-    normalized once by _side (a3's logs once per M);
-    one rule, _add_block, drops and labels every block.  Every window is
-    charged to the byte budget before it is built.  The result is
-    independent of any modulus; evaluate_decomposition attaches a phase
-    (a, q) afterwards.  Component order is fixed (identity term by term,
-    blocks by ascending lower bound) so sums over components are
-    reproducible run to run.  tables must cover decomposition_limit(params),
-    not 2x; the shared tables are asked for that much when omitted.
+    normalized once (a3's logs once per M); one rule, _block, drops and
+    labels every block.  Every window is charged to the byte budget before
+    it is built.  With keep, for a caller that keeps every block, the
+    sides are built whole and a window is charged with every window built
+    before it.  Otherwise a3's log sides are sliced, and a window is
+    charged with the sides live beside it and a chunk of the pair stream
+    of bilinear._evaluate: held counts only those sides.
     """
     x, U = params.x, params.U
     limit = decomposition_limit(params)
     mt = tables if tables is not None else shared_tables(limit)
     mt.prime_table.require_coverage(limit + 1)
+    kept = 0
+    live: dict = {}
 
-    comps: list[BilinearComponent] = []
-    held = 0
+    def held() -> int:
+        return kept + sum(arr.nbytes for arrays in live.values() for arr in arrays if arr is not None)
+
+    def hold(role: str, *arrays) -> None:
+        if not keep:
+            live[role] = arrays
 
     def charge(entries: int, per_entry: int = _WINDOW_BYTES) -> None:
         """Refuse a window of this many entries, before it is built, if it
-        and every window built so far pass the byte budget."""
-        nonlocal held
-        charge_budget(held + per_entry * entries,
+        and what is held pass the byte budget."""
+        nonlocal kept
+        charge_budget(held() + per_entry * entries + (0 if keep else _CHUNK_BYTES),
                       f"coefficient windows of the decomposition at x = {x} need")
-        held += 8 * entries
+        if keep:
+            kept += 8 * entries
 
     # a2: l carries the double sum of Lambda * mu over products up to U^2,
     # m is a free unit-coefficient variable.  a3: l carries mu(d) for
-    # d <= U, m carries log h; the log side of each M is built once, when
+    # d <= U, m carries log h; the log side of each M is made once, when
     # a block first meets it, and shared by every block with that M.
     # Every block keeps the M of its own loop: an int M and a float one of
     # equal value share a side, not a repr.
@@ -263,26 +303,29 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
 
     def log_side(M):
         if M not in log_sides:
-            charge(math.ceil(2 * M) - math.ceil(M))
-            window = dyadic_window(M)
-            log_sides[M] = _side(M, window, np.log(window.astype(float)))[2:]
-        return (M, dyadic_window(M), *log_sides[M])
+            entries = math.ceil(2 * M) - math.ceil(M)
+            sliced = not keep and math.ceil(M) >= 2
+            charge(min(entries, _CHUNK) if sliced else entries)
+            log_sides[M] = _log_side(M, sliced)
+        return (M, *log_sides[M][1:])
 
     terms = (
-        (-1, _head_coefficients(U, mt), min(U * U, x), lambda M: _side(M, dyadic_window(M), None)),
+        (-1, _head_coefficients(U, mt), min(U * U, x), lambda M: (M, dyadic_range(M), None, 1.0)),
         (1, mt.mobius[: int(U) + 1], min(U, x), log_side),
     )
     for sign, table, hi, m_side in terms:
+        hold("table", table)
         for L in _anchored_blocks(U, 1, hi):
             charge(math.ceil(2 * L) - math.ceil(L))
             ls = dyadic_window(L)
-            raw = _window_coefficients(table, ls)
-            if not raw.any():
+            l_side = _side(L, ls, _window_coefficients(table, ls))
+            if l_side[3] == 0.0:
                 continue
-            l_side = _side(L, ls, raw)
+            hold("l", ls, l_side[2])
             for M in _anchored_blocks(U, x / (2 * L), 2 * x / L):
-                if _meets(ls, M, x):
-                    _add_block(comps, x, U, sign, l_side, m_side(M))
+                if _meets(ls, M, x) and (block := _block(x, U, sign, l_side, m_side(M))):
+                    yield block, held()
+    live.clear()
 
     # a4: Lambda(m) for m > U against the truncated mu-divisor sum for
     # k > U.  Both blocks start at U or above, so every block is type2; the
@@ -290,6 +333,7 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
     top = int(2 * x / U) + 1
     charge(top)
     bsums = _mu_divisor_sums(U, top, mt)
+    hold("bsums", bsums)
     for Lm, partners in _a4_blocks(x, U):
         # the Lambda side depends on Lm alone, so it is built once per Lm
         charge(math.ceil(2 * Lm) - math.ceil(Lm), _LAMBDA_BYTES)
@@ -300,53 +344,83 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
         lam = _side(Lm, ms_lam, np.where(ms_lam > U, logs[where], 0.0))
         if lam[3] == 0.0:
             continue
+        hold("lambda", ms_lam, lam[2])
         for Lk in partners:
             charge(math.ceil(2 * Lk) - math.ceil(Lk))
             ks = dyadic_window(Lk)
             b = _side(Lk, ks, _window_coefficients(bsums, ks, U))
-            _add_block(comps, x, U, -1, *((lam, b) if Lm <= Lk else (b, lam)))
+            hold("k", ks, b[2])
+            if block := _block(x, U, -1, *((lam, b) if Lm <= Lk else (b, lam))):
+                yield block, held()
 
-    decomp = VaughanDecomposition(params=params, components=tuple(comps))
+
+def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
+    """Cut the Lambda-weighted window sum into dyadic bilinear components.
+
+    The blocks of _blocks, every side built whole, normalized once and
+    read-only.  Every window is charged to the byte budget, with every
+    window built before it, before it is built.  The result is
+    independent of any modulus; evaluate_decomposition attaches a phase
+    (a, q) afterwards.  Component order is fixed (identity term by term,
+    blocks by ascending lower bound) so sums over components are
+    reproducible run to run.  tables must cover decomposition_limit(params),
+    not 2x; the shared tables are asked for that much when omitted.
+    """
+    blocks = tuple(block for block, _ in _blocks(params, tables, keep=True))
+    decomp = VaughanDecomposition(params=params, components=blocks)
     validate_decomposition(decomp)
     return decomp
 
 
 def validate_decomposition(decomp: VaughanDecomposition) -> None:
-    """Structural invariants every decomposition must satisfy.
-
-    Blocks share coefficient arrays (a3's log sides once per M), so each
-    distinct array is checked once, at the first block that holds it."""
-    x, U = decomp.params.x, decomp.params.U
-    normalized = set()
+    """Structural invariants every decomposition must satisfy, block by
+    block (_check_block)."""
+    normalized: set = set()
     for i, c in enumerate(decomp.components):
-        if c.kind not in (KIND_TYPE1, KIND_TYPE2):
-            raise ConsistencyError(f"component {i}: unknown kind {c.kind!r}")
-        if c.sign not in (-1, 1):
-            raise ConsistencyError(f"component {i}: sign must be +-1, got {c.sign}")
-        if not (c.scale > 0 and math.isfinite(c.scale)):
-            raise ConsistencyError(f"component {i}: bad scale {c.scale}")
-        if c.restrict != x:
-            raise ConsistencyError(f"component {i}: restriction {c.restrict} != x")
-        for arr, side in ((c.alpha, "alpha"), (c.beta, "beta")):
-            if arr is None or id(arr) in normalized:
-                continue
-            if np.max(np.abs(arr)) > 1 + 1e-12:
-                raise ConsistencyError(f"component {i}: {side} not normalized")
-            normalized.add(id(arr))
-        if c.kind == KIND_TYPE2:
-            if not (U / _REL_SLACK <= c.L <= x / U * _REL_SLACK):
-                raise ConsistencyError(
-                    f"component {i}: type2 block L={c.L} outside [U, x/U]"
-                )
+        _check_block(i, c, decomp.params, normalized)
 
 
-def component_value(comp: BilinearComponent, a: int, q: int) -> complex:
+def _check_block(i: int, c: BilinearComponent, params: VaughanParams, normalized: set) -> None:
+    """The invariants of block i.  Blocks share coefficient arrays (a3's log
+    sides once per M), so each distinct array is checked once, at the
+    first block that holds it, and its id is added to normalized.  Sliced
+    coefficients are normalized by construction: each entry is divided by
+    the largest magnitude of the whole window."""
+    x, U = params.x, params.U
+    if c.kind not in (KIND_TYPE1, KIND_TYPE2):
+        raise ConsistencyError(f"component {i}: unknown kind {c.kind!r}")
+    if c.sign not in (-1, 1):
+        raise ConsistencyError(f"component {i}: sign must be +-1, got {c.sign}")
+    if not (c.scale > 0 and math.isfinite(c.scale)):
+        raise ConsistencyError(f"component {i}: bad scale {c.scale}")
+    if c.restrict != x:
+        raise ConsistencyError(f"component {i}: restriction {c.restrict} != x")
+    for arr, side in ((c.alpha, "alpha"), (c.beta, "beta")):
+        if arr is None or isinstance(arr, SlicedCoefficients) or id(arr) in normalized:
+            continue
+        if np.max(np.abs(arr)) > 1 + 1e-12:
+            raise ConsistencyError(f"component {i}: {side} not normalized")
+        normalized.add(id(arr))
+    if c.kind == KIND_TYPE2:
+        if not (U / _REL_SLACK <= c.L <= x / U * _REL_SLACK):
+            raise ConsistencyError(
+                f"component {i}: type2 block L={c.L} outside [U, x/U]"
+            )
+
+
+def component_value(comp: BilinearComponent, a: int, q: int, held: int = 0) -> complex:
     """sign * scale * the block's value, bitwise bilinear_sum(comp.to_spec(a,
     q)).value so scaled: the same evaluator, without the spec's checks of
-    coefficients that decompose built and validated."""
-    value, _, _ = _evaluate(q, a, dyadic_window(comp.L), comp.alpha, dyadic_window(comp.M),
-                            comp.beta, comp.restrict)
+    coefficients that decompose built and validated.  held bytes, which
+    the caller holds meanwhile, are added to the evaluator's charges."""
+    value, _, _ = _evaluate(q, a, dyadic_window(comp.L), comp.alpha, dyadic_range(comp.M),
+                            comp.beta, comp.restrict, held=held)
     return comp.sign * comp.scale * value
+
+
+def _total(vals: list[complex]) -> complex:
+    parts = np.array(vals, dtype=np.complex128)
+    return fsum_complex(parts.real, parts.imag)
 
 
 def evaluate_decomposition(
@@ -354,9 +428,7 @@ def evaluate_decomposition(
 ) -> tuple[complex, list[complex]]:
     """Total and per-component values of the decomposed sum at phase a/q."""
     vals = [component_value(c, a, q) for c in decomp.components]
-    parts = np.array(vals, dtype=np.complex128)
-    total = fsum_complex(parts.real, parts.imag)
-    return total, vals
+    return _total(vals), vals
 
 
 @dataclass(frozen=True)
@@ -378,20 +450,28 @@ def compare_decomposition(
 
     The two must agree up to accumulated rounding; the relative error is
     measured against max(|direct|, 1) so near-cancelling sums do not blow
-    it up artificially.  tables, when given, serve decompose and must cover
+    it up artificially.  The blocks are those of decompose, streamed: each
+    is checked and evaluated as _blocks yields it, and only its value is
+    kept, so the decomposed total is bitwise evaluate_decomposition's.
+    tables, when given, serve the blocks and must cover
     decomposition_limit(params); the direct sum takes its window from
     arith.prime_window.
     """
-    direct = prime_sum(ExpSumQuery(a=a, q=q, x=params.x), weight="von_mangoldt")
-    decomp = decompose(params, tables=tables)
-    total, _ = evaluate_decomposition(decomp, a, q)
+    query = ExpSumQuery(a=a, q=q, x=params.x)
+    vals = []
+    for i, (block, held) in enumerate(_blocks(params, tables, keep=False)):
+        # streamed arrays are freed and their ids reused: check every block's
+        _check_block(i, block, params, set())
+        vals.append(component_value(block, a, q, held))
+    total = _total(vals)
+    direct = prime_sum(query, weight="von_mangoldt")
     abs_err = abs(total - direct.value)
     rel_err = abs_err / max(abs(direct.value), 1.0)
     return DecompositionCheck(
         params=params, a=a, q=q,
         direct=direct.value, decomposed=total,
         abs_error=abs_err, rel_error=rel_err,
-        components=len(decomp.components),
+        components=len(vals),
     )
 
 
@@ -467,18 +547,17 @@ def prime_power_gap(a: int, q: int, x: float) -> PrimePowerGap:
     """
     ExpSumQuery(a=a, q=q, x=x)  # checks q and x
     window = prime_window(math.ceil(x), math.ceil(2 * x))
-    # one term per n = p**j of the window: Lambda(n) e(a inv(n) / q), which
-    # for n = p is also the term of the log-weighted prime sum.  Exact sums
-    # do not depend on order, so the two sums, all terms and the prime ones,
-    # are bitwise window_sum(..., "von_mangoldt") and the prime sum alone.
-    ns, ps = window.von_mangoldt()
-    kept, idx = _phase_indices(ns, a, q)
-    terms = unit_roots_at(idx, q) * np.log(ps.astype(np.float64))[kept]
-    prime = ns[kept] == ps[kept]
-    lam = fsum_complex(terms.real, terms.imag)
-    direct = fsum_complex(terms.real[prime], terms.imag[prime])
+    # Lambda(n) e(a inv(n) / q) for n = p, which is also the term of the
+    # log-weighted prime sum, then for n = p**j, j >= 2.  Exact sums do not
+    # depend on order, so the two sums, the primes' and all terms', are
+    # bitwise the prime sum alone and window_sum(..., "von_mangoldt").
+    carried = CarriedSums(2)
+    _add_terms(carried, window.primes, a, q, window.primes, log=True)
+    direct = complex(*carried.sums())
+    powers, bases = window.prime_powers
+    _add_terms(carried, powers, a, q, bases, log=True)
+    lam = complex(*carried.sums())
     # the prime powers p^j, j >= 2, whose p does not divide q
-    _, bases = window.prime_powers
     ps = bases[q % bases != 0]
     return PrimePowerGap(
         gap=abs(lam - direct),

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import accumulate
-from kloosterlab.accumulate import exact_sum, exact_sums, fsum_complex, unit_roots, unit_roots_at
+from kloosterlab.accumulate import CarriedSums, exact_sum, exact_sums, fsum_complex, unit_roots, unit_roots_at
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -262,3 +262,88 @@ def test_unit_roots_at_sizes_two_dimensional_gathers_by_entries(monkeypatch):
     assert lengths == [(31,)]
     assert got.shape == (2, 40)
     assert np.array_equal(got.view(np.int64), unit_roots(61)[idx].view(np.int64))
+
+
+def _carried(rows, cuts):
+    """CarriedSums of the rows fed in chunks cut at the given columns."""
+    carried = CarriedSums(len(rows))
+    edges = [0, *sorted(cuts), len(rows[0]) if rows else 0]
+    for lo, hi in zip(edges, edges[1:]):
+        carried.add(np.array([row[lo:hi] for row in rows], dtype=np.float64).reshape(len(rows), -1))
+    return carried.sums()
+
+
+@st.composite
+def _cut_streams(draw):
+    """One to three rows of finite terms, subnormal to 2**1000, and cuts
+    anywhere, repeated cuts making empty chunks."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(0, 50))
+    terms = st.one_of(_FINITE, st.sampled_from([2.0 ** 1000, -(2.0 ** 1000), 2.0 ** -1074]))
+    rows = [draw(st.lists(terms, min_size=n, max_size=n)) for _ in range(k)]
+    cuts = draw(st.lists(st.integers(0, n), max_size=8))
+    return rows, cuts
+
+
+@_PROPERTY
+@given(case=_cut_streams(), block=st.sampled_from([1, 3, 7, 1 << 14]), fsum_terms=st.sampled_from([0, 5, 512]))
+@example(case=([[-0.0] * 40, [-0.0] * 40], [0, 0, 13, 40]), block=3, fsum_terms=0)
+@example(case=([[2.0 ** 1000] * 30 + [-(2.0 ** 1000)] * 29 + [5e-324]], [7, 29, 29]), block=7, fsum_terms=0)
+@example(case=([[1.0, 1e-30, -1.0, 2.0 ** -1074] * 6], [1, 2, 5, 23]), block=1, fsum_terms=0)
+def test_carried_sums_bitwise_fsum_of_the_whole_stream(case, block, fsum_terms):
+    # chunks cut on and off the block grid, empty ones, and chunks either
+    # side of the short-chunk crossover: one final rounding of the stream
+    rows, cuts = case
+    with mock.patch.multiple(accumulate, _BLOCK=block, _FSUM_TERMS=fsum_terms):
+        got = _carried(rows, cuts)
+    assert [g.hex() for g in got] == [math.fsum(row).hex() for row in rows]
+
+
+def test_carried_rows_of_negative_zeros_sum_to_positive_zero():
+    with _extracted(5):
+        got = _carried([[-0.0] * 12, [-0.0] * 3 + [0.0] * 9], [0, 4, 4, 11])
+    assert [g.hex() for g in got] == [(0.0).hex()] * 2
+
+
+@_PROPERTY
+@given(values=_streams(), special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3),
+       at=st.integers(0, 60), cuts=st.lists(st.integers(0, 70), max_size=5),
+       fsum_terms=st.sampled_from([0, 512]))
+@example(values=[1e300, 1.0], special=[math.inf, -math.inf], at=1, cuts=[1, 2], fsum_terms=0)
+@example(values=[2.0 ** 1000] * 4, special=[math.nan], at=2, cuts=[2, 3], fsum_terms=0)
+def test_carried_non_finite_chunk_keeps_the_fsum_outcome(values, special, at, cuts, fsum_terms):
+    # a chunk with inf or nan keeps its terms: the same value, or the same
+    # exception and message, as math.fsum of the whole stream
+    stream = values[:at] + special + values[at:]
+    cuts = [min(c, len(stream)) for c in cuts]
+    with mock.patch.multiple(accumulate, _BLOCK=3, _FSUM_TERMS=fsum_terms):
+        got = _outcome(lambda s: _carried([s], cuts)[0], stream)
+    assert got == _outcome(math.fsum, stream)
+
+
+def test_carried_sums_refuse_chunks_of_another_row_count():
+    carried = CarriedSums(2)
+    with pytest.raises(ValueError):
+        carried.add(np.zeros((3, 4)))
+    with pytest.raises(ValueError):
+        carried.add(np.zeros(4))
+
+
+def _half_table_roots(idx, q):
+    """unit_roots_at as it gathered a dense request from the lower half of
+    the table and conjugated the upper entries."""
+    idx = np.asarray(idx, dtype=np.int64)
+    upper = idx > q // 2
+    roots = accumulate._lower_roots(np.arange(q // 2 + 1), q)[np.where(upper, q - idx, idx)]
+    return np.conjugate(roots, out=roots, where=upper)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 61, 64, 1000, 18037, 2 ** 16 + 1])
+def test_dense_unit_roots_at_gathers_the_half_table_route_bitwise(q):
+    # more than q/2 + 1 residues of one modulus, odd or even, come from the
+    # whole table of unit_roots(q): the bits of the lower-half route
+    rng = np.random.default_rng(q)
+    for shape in ((q // 2 + 2,), (2, q // 2 + 1), (3 * q,)):
+        idx = rng.integers(0, q, shape)
+        got = unit_roots_at(idx, q)
+        assert got.shape == idx.shape
+        assert np.array_equal(got.view(np.int64), _half_table_roots(idx, q).view(np.int64))

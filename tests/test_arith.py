@@ -638,11 +638,13 @@ def test_prime_window_matches_the_tables(bounds, block):
     for got in (sieved, sliced):
         for arr, want in zip((got.primes, *got.prime_powers), (primes, powers, bases)):
             assert arr.dtype == np.int64 and np.array_equal(arr, want)
-    # Lambda's window: every n with vm_prime[n] > 0, ascending, with its p
-    ns, ps = sieved.von_mangoldt()
+    # Lambda's window: the primes and the prime powers are every n with
+    # vm_prime[n] > 0, each with its p
+    powers, bases = sieved.prime_powers
+    merged = sorted(zip(sieved.primes.tolist() + powers.tolist(), sieved.primes.tolist() + bases.tolist()))
     vm = _WINDOW_TABLES.vm_prime[max(lo, 2) : max(lo, hi, 2)]
-    assert ns.tolist() == (max(lo, 2) + np.flatnonzero(vm)).tolist()
-    assert ps.tolist() == vm[vm > 0].tolist()
+    assert [n for n, _ in merged] == (max(lo, 2) + np.flatnonzero(vm)).tolist()
+    assert [p for _, p in merged] == vm[vm > 0].tolist()
 
 
 def test_prime_window_crosses_blocks_against_the_sieve():

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from kloosterlab.bilinear import (
     _grouped,
     _grouping,
     _max_abs_over_twists,
+    _pair_chunks,
     _pairs,
     _phase_histogram,
     _product_window,
     _terms_value,
+    SlicedCoefficients,
     bilinear_sum,
+    dyadic_range,
     dyadic_window,
     type1_report,
     type2_avg_max_report,
@@ -595,11 +599,67 @@ def test_routes_charge_the_byte_budget_before_building(monkeypatch):
     # at q = 10**6 + 3 every pair is its own group, so the form streams; a
     # unit side at q = 2 is one group, the odd m, so one row is one cell
     spec = BilinearSpec(L=1, M=2 ** 20, a=1, q=10 ** 6 + 3)
-    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(2 ** 20 * 64))
-    with pytest.raises(CapacityError, match="pairs needs"):
+    # the stream is charged one chunk: 2**16 pairs, 2**16 m and one row
+    chunk = bilinear._CHUNK_BYTES + bilinear._COLUMN_BYTES
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(chunk - 1))
+    with pytest.raises(CapacityError, match=r"a stream of 1048576 \(l, m\) pairs needs"):
         bilinear_sum(spec)
+    # a budget below the whole stream's 2**20 * 128 bytes fits the chunks
+    # and the unit-root table mod q; of the m ~ 2**20, only q is no unit
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(2 ** 20 * 64))
+    assert bilinear_sum(spec).term_count == 2 ** 20 - 1
     grouped = BilinearSpec(L=1, M=2 ** 20, a=1, q=2)
     assert bilinear_sum(grouped).term_count == 2 ** 19
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(bilinear._CELL_BYTES - 1))
     with pytest.raises(CapacityError, match="grouped terms need"):
         bilinear_sum(grouped)
+
+
+def _stream_key(iv, coeff):
+    """The pairs of a stream as a sorted list of (residue, coefficient bits)."""
+    coeff = np.asarray(coeff, dtype=np.complex128)
+    return sorted(zip(iv.tolist(), coeff.real.tolist(), coeff.imag.tolist()))
+
+
+@_PROPERTY
+@given(_forms(), st.sampled_from([1, 2, 5, 16, 2 ** 16]), st.sampled_from(["array", "range", "sliced"]))
+@example((65537, 16, 32, _form_window(16, "int"), _form_window(32, "float"), 700), 3, "sliced")
+def test_pair_chunks_hold_the_stream_in_bounded_chunks(form, size, side):
+    # every pair once, chunks of at most size pairs, with the m window as
+    # an array or a range and beta as an array or made slice by slice
+    q, L, M, alpha, beta, restrict = form
+    ls = dyadic_window(L)
+    ms = dyadic_window(M) if side == "array" else dyadic_range(M)
+    if side == "sliced" and beta is not None:
+        whole = beta
+        beta = SlicedCoefficients(len(whole), lambda lo, hi: whole[lo:hi] * 1)
+    want = _pairs(q, ls, alpha, dyadic_window(M), None if beta is None else beta[:], restrict, twist=3)
+    chunks = list(_pair_chunks(q, ls, alpha, ms, beta, restrict, 3, size))
+    assert all(0 < len(iv) <= size and len(iv) == len(c) for iv, c in chunks)
+    got = [p for iv, c in chunks for p in _stream_key(iv, c)]
+    assert sorted(got) == _stream_key(*want)
+
+
+@_PROPERTY
+@given(_grouped_forms(), st.sampled_from([0, 1, 5]), st.sampled_from([1, 3, 64]))
+def test_evaluate_bitwise_whatever_the_chunk_size(form, a, size):
+    # the carried sums of small chunks against one chunk of the whole stream
+    q, ls, alpha, ms, beta, restrict = form
+    want = _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True))
+    with mock.patch.object(bilinear, "_CHUNK", size):
+        got = _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True))
+    assert got == want
+
+
+def test_term_cap_counts_the_pairs_of_the_product_window(monkeypatch):
+    # l ~ 10 and m ~ 1000 make a rectangle of 10**4 pairs, and x = 15000 a
+    # product window of fewer: the cap counts the window's
+    ls, ms = dyadic_window(10), dyadic_window(1000)
+    window = sum(1 for l in ls.tolist() for m in ms.tolist() if 15000 <= l * m < 30000)
+    assert window < len(ls) * len(ms)
+    spec = BilinearSpec(L=10, M=1000, a=1, q=7, restrict_lm=15000)
+    monkeypatch.setattr(bilinear, "_TERM_CAP", len(ls) * len(ms) - 1)
+    assert bilinear_sum(spec).term_count > 0
+    monkeypatch.setattr(bilinear, "_TERM_CAP", window - 1)
+    with pytest.raises(CapacityError, match=f"bilinear form has {window} pairs in its product window"):
+        bilinear_sum(spec)

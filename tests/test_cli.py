@@ -390,7 +390,8 @@ def test_max_sum_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
 
 
 def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):
-    # its coefficient windows at x = 4,000,000 pass 100 MB before they are built
+    # the check holds one block's sides and one chunk of its pair stream at
+    # a time, so x = 4,000,000 fits 100 MB, with the row of an unbudgeted run
     argv = ("vaughan-check", "1", "7", "1000000", "--format", "csv")
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, "100000000")
     code, out, err = run(capsys, *argv)
@@ -398,17 +399,26 @@ def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):
     assert csv_rows(out)[1] == ["1", "7", "1000000", "100", "-166944.896274", "164.010353463",
                                 "-166944.896274", "164.010353463", "8.732044671e-11",
                                 "5.23049260685e-16", "77"]
+    code, out, err = run(capsys, "vaughan-check", "1", "7", "4000000", "--format", "csv")
+    assert code == 0
+    assert csv_rows(out)[1] == ["1", "7", "4000000", "158.740105197", "-665480.333465", "-3062.17936976",
+                                "-665480.333465", "-3062.17936976", "1.1644729186e-10",
+                                "1.74980466335e-16", "87"]
+    # a3's first log window, with a chunk of the stream beside it, passes 10 MB
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "10000000")
     code, out, err = run(capsys, "vaughan-check", "1", "7", "4000000")
     assert code == 3 and out == ""
     assert "coefficient windows of the decomposition" in err
 
 
 def test_bilinear_refuses_its_pair_stream_over_the_budget(capsys, monkeypatch):
-    # at q > L*M every pair has its own term: a stream of 10**6 pairs, 64 bytes each
+    # at q > L*M every pair has its own term: a stream of 10**6 pairs, built
+    # 2**16 at a time, 64 bytes each, with 64 bytes per l and per m of a
+    # chunk: 4,322,304 bytes
     argv = ("bilinear", "1000", "1000", "1", "1000003", "--format", "csv")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and csv_rows(out)[1][-2] == "1000000"
-    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "10000000")
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "4000000")
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert "a stream of 1000000 (l, m) pairs needs" in err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kloosterlab import arith, vaughan
+from kloosterlab import arith, bilinear, expsums, vaughan
 from kloosterlab.accumulate import ROUND_EPS, exact_sum
 from kloosterlab.arith import build_multiplicative_tables, prime_window
 from kloosterlab.bilinear import bilinear_sum, dyadic_window
@@ -347,11 +347,67 @@ def test_decompose_peak_within_its_window_charges(monkeypatch, x, U):
 
 
 def test_decompose_refuses_its_windows_over_the_budget(monkeypatch):
+    # decompose keeps every window, past 100 MB at x = 4,000,000; the
+    # check holds one block's sides and a chunk of its stream at a time,
+    # and gives the values of an unbudgeted run
     params = VaughanParams(4 * 10 ** 6, (4 * 10 ** 6) ** (1 / 3))
     tables = build_multiplicative_tables(decomposition_limit(params))
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 8))
     with pytest.raises(CapacityError, match="coefficient windows of the decomposition"):
         decompose(params, tables)
+    chk = compare_decomposition(params, 1, 7, tables)
+    assert (chk.direct.real.hex(), chk.direct.imag.hex()) == ("-0x1.44f10aabbf189p+19", "-0x1.7ec5bd65a93cep+11")
+    assert (chk.decomposed.real.hex(), chk.decomposed.imag.hex()) == ("-0x1.44f10aabbf188p+19", "-0x1.7ec5bd65a93d4p+11")
+    assert chk.components == 87
+    # a3's first log window, with a chunk of the stream beside it, passes 10 MB
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 7))
+    with pytest.raises(CapacityError, match="coefficient windows of the decomposition"):
+        compare_decomposition(params, 1, 7, tables)
+
+
+@pytest.mark.parametrize("x, U, a, q", [
+    (10 ** 5, 10 ** (5 / 3), 1, 7), (10 ** 5, 1, 2, 9), (3 * 10 ** 5, 30, 5, 1024),
+    (10 ** 6, 100, 3, 65537), (777.5, 3.3, 4, 30),
+])
+def test_streamed_check_bitwise_the_collected_blocks(x, U, a, q):
+    # the blocks streamed with sliced log sides, against decompose's blocks
+    # built whole and evaluate_decomposition
+    params = VaughanParams(x, U)
+    chk = compare_decomposition(params, a, q)
+    decomp = decompose(params)
+    total, _ = evaluate_decomposition(decomp, a, q)
+    assert (chk.decomposed.real.hex(), chk.decomposed.imag.hex()) == (total.real.hex(), total.imag.hex())
+    assert chk.components == len(decomp.components)
+
+
+def test_sliced_log_sides_are_slices_of_the_whole_side():
+    # at cuts on and off the chunk grid, and the scale of the first pass
+    for M in (3, 1000.5, 204800, 3 * 2 ** 16 + 7):
+        _, _, whole, scale = vaughan._log_side(M, sliced=False)
+        _, window, sliced, sliced_scale = vaughan._log_side(M, sliced=True)
+        assert sliced_scale.hex() == scale.hex()
+        n = len(window)
+        for lo, hi in ((0, n), (1, n - 1), (2 ** 16 - 3, 2 ** 16 + 5), (n // 3, n // 2), (n, n)):
+            assert sliced[lo:hi].tobytes() == whole[lo:hi].tobytes()
+
+
+def test_streamed_check_peaks_within_its_charges(monkeypatch):
+    # the check at x = 10**6 holds one block's sides and one chunk of its
+    # stream at a time: its peak is within its largest charge, and far
+    # below the 25.6 MB of coefficient windows that decompose keeps
+    params = VaughanParams(10 ** 6, 100)
+    tables = build_multiplicative_tables(decomposition_limit(params))
+    needs = []
+    for module in (arith, bilinear, expsums, vaughan):
+        monkeypatch.setattr(module, "charge_budget", lambda need, subject: needs.append(need))
+    tracemalloc.start()
+    try:
+        compare_decomposition(params, 1, 7, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(needs)
+    assert peak < 16 * 10 ** 6
 
 
 @pytest.mark.parametrize("a, q, x", [(1, 7, 50000.0), (2, 9, 120.0), (3, 30, 2 * 10 ** 5), (0, 13, 3000.5),
