@@ -110,6 +110,11 @@ def _lower_roots(k: np.ndarray, q) -> np.ndarray:
     return roots
 
 
+#: Peak bytes per residue of unit_roots: the table plus its lower half and
+#: work arrays.
+_ROOTS_BYTES = 32
+
+
 def unit_roots(q: int) -> np.ndarray:
     """Return the table e(k/q) for k = 0 .. q-1, bitwise unit_roots_at(arange(q), q).
 
@@ -117,8 +122,7 @@ def unit_roots(q: int) -> np.ndarray:
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    # the table plus its lower half and work arrays
-    check_modulus(q, bytes_per_entry=32)
+    check_modulus(q, bytes_per_entry=_ROOTS_BYTES)
     return _table(q)
 
 

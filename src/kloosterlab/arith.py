@@ -36,7 +36,6 @@ requests fail fast instead of thrashing.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import threading
@@ -100,9 +99,21 @@ _SPARSE_BYTES = 29
 #: every q below 2**24, and a bounded peak above it.
 _TRIAL_CHUNK = 1 << 12
 
-#: Primes per lane of prime_inverses: each lane chains this many residues
-#: into prefix products and inverts only their product.
-_LANE_PRIMES = 16
+#: Values per lane of block_inverses: each lane chains this many residues
+#: into prefix products and inverts only their product.  Of 4, 8, 10, 12,
+#: 16, 24 and 32, 8 inverted fastest both the window primes of the
+#: Q = x = 4096 sweep (49.5 ms against 54 ms at 16) and the values 1..256
+#: mod q in [1024, 2048) (9.4 ms against 11.0), in blocks of 32 moduli
+#: (2-core VM, best of 3, four rounds).
+_LANE_VALUES = 8
+
+#: Peak bytes per n of factor_window: its cofactor, prime count, bound and
+#: slot, its primes, and the pass over the multiples of 2.
+_FACTOR_BYTES = 80
+
+#: n per window of factor_spans: 5.2 MB at _FACTOR_BYTES, whatever the
+#: length of the sweep.
+_FACTOR_SPAN = 1 << 16
 
 #: Flags per block of prime_window's segmented sieve: 1 MB of bools.
 _WINDOW_BLOCK = 1 << 20
@@ -122,10 +133,12 @@ def memory_budget() -> int:
     return value
 
 
-def charge_budget(need: float, subject: str) -> None:
+def charge_budget(need: float, subject: str, budget: int | None = None) -> None:
     """Refuse, before allocating, work whose peak need in bytes exceeds the
-    byte budget; subject names the work and its verb ("tables mod 7 need")."""
-    budget = memory_budget()
+    byte budget; subject names the work and its verb ("tables mod 7 need").
+    budget, when given, is memory_budget() as the caller read it."""
+    if budget is None:
+        budget = memory_budget()
     if int(need) > budget:
         raise CapacityError(f"{subject} about {int(need)} bytes, budget is {budget} "
                             f"(set {MEMORY_ENV_VAR} to raise it)")
@@ -137,12 +150,13 @@ def _check_capacity(limit: int, bytes_per_entry: float, what: str) -> None:
     charge_budget(limit * bytes_per_entry, f"{what} to {limit} needs")
 
 
-def check_modulus(q: int, bytes_per_entry: float = 0) -> None:
+def check_modulus(q: int, bytes_per_entry: float = 0, budget: int | None = None) -> None:
     """Refuse a modulus q >= MODULUS_CAP, or one whose length-q arrays, at
-    their peak bytes_per_entry bytes per residue, would exceed the byte budget."""
+    their peak bytes_per_entry bytes per residue, would exceed the byte
+    budget (charge_budget, which takes budget as given)."""
     if q >= MODULUS_CAP:
         raise CapacityError(f"modulus {q} is not below {MODULUS_CAP}")
-    charge_budget(q * bytes_per_entry, f"tables mod {q} need")
+    charge_budget(q * bytes_per_entry, f"tables mod {q} need", budget)
 
 
 @dataclass(frozen=True)
@@ -284,8 +298,9 @@ def _totient(q: int, divisors: list[int] | None = None) -> int:
     return phi
 
 
-def _fermat_inverses(vals: np.ndarray, q: int) -> np.ndarray:
-    """v**(phi(q) - 1) mod q for residues 0 <= v < q, as int64, 0 at non-units.
+def _fermat_inverses(vals: np.ndarray, q: int, divisors=None) -> np.ndarray:
+    """v**(phi(q) - 1) mod q for residues 0 <= v < q, as int64, 0 at non-units;
+    divisors, when given, are the primes of q.
 
     About 2 * log2(q) array operations whatever the length, in _lanes(q).
     Every step names its dtype and writes into an out= array, so the
@@ -296,7 +311,7 @@ def _fermat_inverses(vals: np.ndarray, q: int) -> np.ndarray:
     v = vals.astype(dtype, copy=False)
     base = v.copy()
     out = np.ones_like(base)
-    e = _totient(q) - 1
+    e = _totient(q, divisors) - 1
     while e:
         if e & 1:
             np.multiply(out, base, out=out)
@@ -313,8 +328,9 @@ def _fermat_inverses(vals: np.ndarray, q: int) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
-def _build_inverse_table(q: int) -> np.ndarray:
-    """Array t of length q >= 2 with t[r] = inverse of r mod q for units, 0 elsewhere.
+def _build_inverse_table(q: int, divisors=None) -> np.ndarray:
+    """Array t of length q >= 2 with t[r] = inverse of r mod q for units, 0
+    elsewhere; divisors, when given, are the primes of q.
 
     Fermat runs below _TABLE_HEAD and at the primes up to q/2.  The other
     entries up to q/2 follow from complete multiplicativity, inv(n) =
@@ -335,7 +351,7 @@ def _build_inverse_table(q: int) -> np.ndarray:
     if half > head:
         sieve = sieve_primes(half - 1)
         seeds = np.concatenate((seeds, sieve.primes[np.searchsorted(sieve.primes, head) :]))
-    table[seeds] = _fermat_inverses(seeds, q)
+    table[seeds] = _fermat_inverses(seeds, q, divisors)
     if half > head:
         for lo, hi, p, cof in _cofactor_chunks(sieve.spf, half - 1, start=head):
             chunk = table[lo:hi]
@@ -350,8 +366,10 @@ def _build_inverse_table(q: int) -> np.ndarray:
     return table.astype(np.int64, copy=False)
 
 
-def batch_inverses(values, q: int) -> np.ndarray:
+def batch_inverses(values, q: int, divisors=None) -> np.ndarray:
     """Inverses modulo q of a sequence of integers, as int64, 0 where not invertible.
+    divisors, when given, are the primes of q, so that a sweep that has
+    factored its moduli does not factor q again (for phi(q)).
 
     Two routes, chosen by how densely the request covers the residues:
 
@@ -370,9 +388,9 @@ def batch_inverses(values, q: int) -> np.ndarray:
     check_modulus(q)
     vals = np.asarray(values, dtype=np.int64)
     if _DENSE_RATIO * vals.size >= q and q * _TABLE_BYTES <= memory_budget():
-        return _build_inverse_table(q)[np.remainder(vals, q)]
+        return _build_inverse_table(q, divisors)[np.remainder(vals, q)]
     charge_budget(vals.size * _SPARSE_BYTES, f"inverses of {vals.size} values mod {q} need")
-    return _fermat_inverses(np.remainder(vals, q), q)
+    return _fermat_inverses(np.remainder(vals, q), q, divisors)
 
 
 def _lane_powers(base: np.ndarray, exps: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -393,63 +411,84 @@ def _lane_powers(base: np.ndarray, exps: np.ndarray, mod: np.ndarray) -> np.ndar
     return out
 
 
-def prime_inverses(primes, moduli, divisors=None) -> np.ndarray:
-    """Inverses of distinct ascending primes modulo each of a block of moduli.
+def _nonunit_cells(vals: np.ndarray, divisors) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every value of vals that shares a prime with its
+    row's modulus, divisors[j] holding the primes of row j's.  vals is a
+    run of consecutive integers, where each prime p marks its multiples, or
+    a set of primes, where p marks itself if it is one of them.  Either way
+    the cost is the number of cells marked plus one step per prime."""
+    lens = [len(d) for d in divisors]
+    rows = np.repeat(np.arange(len(divisors)), lens)
+    ps = np.fromiter((p for d in divisors for p in d), dtype=np.int64, count=sum(lens))
+    n = len(vals)
+    if not n:
+        return rows[:0], rows[:0]
+    lo, hi = int(vals[0]), int(vals[-1])
+    if hi - lo == n - 1:
+        first = -(-lo // ps)
+        count = np.maximum(hi // ps - first + 1, 0)
+        step = np.arange(int(count.sum())) - np.repeat(count.cumsum() - count, count)
+        return np.repeat(rows, count), (np.repeat(first, count) + step) * np.repeat(ps, count) - lo
+    at = np.minimum(np.searchsorted(vals, ps), n - 1)
+    hit = vals[at] == ps
+    return rows[hit], at[hit]
 
-    Returns an int64 array of shape (len(moduli), len(primes)) whose entry
-    [j, i] is the inverse of primes[i] mod moduli[j], and 0 where primes[i]
-    divides moduli[j].  divisors, when given, holds _prime_divisors of each
-    modulus, so that a caller that needs them too factors each modulus once.
+
+def block_inverses(values, moduli, divisors=None) -> np.ndarray:
+    """Inverses of ascending values v >= 1 modulo each of a block of moduli:
+    a run of consecutive integers, or distinct primes.
+
+    Returns an int64 array of shape (len(moduli), len(values)) whose entry
+    [j, i] is the inverse of values[i] mod moduli[j], and 0 where the two
+    share a prime.  divisors, when given, holds the distinct primes of each
+    modulus (_prime_divisors, or FactorWindow.divisors for a sweep), so that a
+    caller that needs them too factors each modulus once; the non-units are
+    marked from them (_nonunit_cells).
 
     Montgomery's batch inversion ("Speeding the Pollard and elliptic curve
     methods of factorization", Math. Comp. 48, 1987), with lanes of
-    _LANE_PRIMES consecutive primes under one modulus: the prefix products
+    _LANE_VALUES consecutive values under one modulus: the prefix products
     of every lane advance together, one array operation per step; each
     lane's product is inverted once, by square-and-multiply with exponent
     phi(q) - 1; a backward pass then gives every inverse.  That is about
-    three products per inverse in place of 2 * log2(q).  A prime dividing q
-    enters its lane as the factor 1, so the lane product stays a unit.
-    The lanes are _lanes of the largest modulus.  pow(p, -1, q) is the
-    twin in the tests.
+    three products per inverse in place of 2 * log2(q).  A non-unit enters
+    its lane as the factor 1, so the lane product stays a unit.  The lanes
+    are _lanes of the largest modulus.  pow(v, -1, q) is the twin in the
+    tests.
     """
-    ps = np.asarray(primes, dtype=np.int64)
+    vs = np.asarray(values, dtype=np.int64)
     qs = np.asarray(moduli, dtype=np.int64)
     if qs.size and int(qs.min()) < 2:
         raise ValueError(f"need moduli >= 2, got {int(qs.min())}")
-    if np.any(ps[1:] <= ps[:-1]):
-        raise ValueError("primes must be distinct and ascending")
+    if np.any(vs[1:] <= vs[:-1]):
+        raise ValueError("values must be distinct and ascending")
+    if vs.size and int(vs[0]) < 1:
+        raise ValueError(f"need values >= 1, got {int(vs[0])}")
     top = int(qs.max(initial=2))
     check_modulus(top)
+    if divisors is None:
+        divisors = [_prime_divisors(q) for q in qs.tolist()]
     dtype = _lanes(top)
-    k, n = len(qs), len(ps)
-    lanes = -(-n // _LANE_PRIMES)
+    k, n = len(qs), len(vs)
+    lanes = -(-n // _LANE_VALUES)
     col = qs[:, None]
     mod = col.astype(dtype)
-    # residues, padded with 1 to whole lanes, and 1 at the primes dividing q
-    grid = np.ones((k, lanes * _LANE_PRIMES), dtype=dtype)
-    grid[:, :n] = ps % col
-    phi = np.empty(k, dtype=np.int64)
-    rows, cols = [], []
-    window = ps.tolist()
-    for j, q in enumerate(qs.tolist()):
-        primes_of_q = _prime_divisors(q) if divisors is None else divisors[j]
-        phi[j] = _totient(q, primes_of_q)
-        for p in primes_of_q:
-            i = bisect.bisect_left(window, p)
-            if i < n and window[i] == p:
-                rows.append(j)
-                cols.append(i)
+    # residues, padded with 1 to whole lanes, and 1 at the non-units
+    grid = np.ones((k, lanes * _LANE_VALUES), dtype=dtype)
+    grid[:, :n] = vs % col
+    phi = np.array([_totient(q, d) for q, d in zip(qs.tolist(), divisors)], dtype=np.int64)
+    rows, cols = _nonunit_cells(vs, divisors)
     grid[rows, cols] = 1
-    grid = grid.reshape(k, lanes, _LANE_PRIMES)
+    grid = grid.reshape(k, lanes, _LANE_VALUES)
     prefix = np.empty_like(grid)
     prefix[:, :, 0] = grid[:, :, 0]
-    for t in range(1, _LANE_PRIMES):
+    for t in range(1, _LANE_VALUES):
         np.multiply(prefix[:, :, t - 1], grid[:, :, t], out=prefix[:, :, t])
         np.remainder(prefix[:, :, t], mod, out=prefix[:, :, t])
     # cur runs through the inverses of the prefix products, last to first
     cur = _lane_powers(prefix[:, :, -1], (phi - 1)[:, None], mod)
     out = np.empty_like(grid)
-    for t in range(_LANE_PRIMES - 1, 0, -1):
+    for t in range(_LANE_VALUES - 1, 0, -1):
         np.multiply(cur, prefix[:, :, t - 1], out=out[:, :, t])
         np.remainder(out[:, :, t], mod, out=out[:, :, t])
         np.multiply(cur, grid[:, :, t], out=cur)
@@ -458,6 +497,80 @@ def prime_inverses(primes, moduli, divisors=None) -> np.ndarray:
     inverses = out.reshape(k, -1)[:, :n].astype(np.int64)
     inverses[rows, cols] = 0
     return inverses
+
+
+@dataclass(frozen=True)
+class FactorWindow:
+    """The distinct primes of every n in [lo, hi), from factor_window: those
+    of n are primes[bounds[n - lo] : bounds[n - lo + 1]], ascending."""
+
+    lo: int
+    hi: int
+    primes: np.ndarray
+    bounds: np.ndarray
+
+    def divisors(self, moduli: range) -> list[list[int]]:
+        """The lists of primes of the n of moduli, a range inside the window,
+        in the form _prime_divisors gives them."""
+        cut = self.bounds[moduli.start - self.lo : moduli.stop - self.lo + 1].tolist()
+        primes = self.primes[cut[0] : cut[-1]].tolist()
+        return [primes[a - cut[0] : b - cut[0]] for a, b in zip(cut[:-1], cut[1:])]
+
+
+def factor_window(lo: int, hi: int) -> FactorWindow:
+    """The distinct primes of every n in [lo, hi), 1 <= lo, by one sieve over
+    the window.
+
+    Every prime p up to sqrt(hi - 1) is taken at its multiples in [lo, hi),
+    whose cofactors drop every power of p; what is left above 1 is the one
+    prime factor above sqrt(hi - 1).  The cost is O((hi - lo) log log hi)
+    in array passes, with no trial division per n.  A sweep over the moduli
+    q ~ Q factors them a span at a time here (factor_spans).
+    _prime_divisors is the twin in the tests.
+    """
+    if lo < 1:
+        raise ValueError(f"need lo >= 1, got {lo}")
+    check_modulus(hi - 1)
+    size = max(hi - lo, 0)
+    charge_budget(size * _FACTOR_BYTES, f"factor window [{lo}, {hi}) needs")
+    root = math.isqrt(max(hi - 1, 1))
+    small = _small_primes(max(2, 1 << root.bit_length()))
+    base = small[: int(np.searchsorted(small, root, side="right"))].tolist()
+    # first pass: how many primes each n has, and its cofactor free of them
+    rest = np.arange(lo, lo + size, dtype=np.int64)
+    count = np.zeros(size, dtype=np.int64)
+    for p in base:
+        count[(-lo) % p :: p] += 1
+        cof = rest[(-lo) % p :: p]
+        cof //= p
+        again = np.flatnonzero(cof % p == 0)
+        while len(again):
+            cof[again] //= p
+            again = again[cof[again] % p == 0]
+    big = np.flatnonzero(rest > 1)
+    count[big] += 1
+    big_primes = rest[big]
+    del rest
+    bounds = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(count, out=bounds[1:])
+    del count
+    # second pass: each n's primes in ascending order, the large one last
+    primes = np.empty(int(bounds[-1]), dtype=np.int64)
+    slot = bounds[:-1].copy()
+    for p in base:
+        at = slot[(-lo) % p :: p]
+        primes[at] = p
+        at += 1
+    primes[slot[big]] = big_primes
+    return FactorWindow(lo, hi, primes, bounds)
+
+
+def factor_spans(lo: int, hi: int):
+    """factor_window over [lo, hi) in consecutive spans of at most
+    _FACTOR_SPAN n, one at a time, so that a sweep holds one span's
+    factors whatever its length."""
+    for start in range(lo, hi, _FACTOR_SPAN):
+        yield factor_window(start, min(start + _FACTOR_SPAN, hi))
 
 
 @lru_cache(maxsize=32)

@@ -40,8 +40,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import _CHUNK, CarriedSums, accumulation_bound, exact_sum, exact_sums, fsum_complex, unit_roots
-from .arith import _lanes, _prime_divisors, batch_inverses, charge_budget, check_modulus
+from .accumulate import (
+    _CHUNK,
+    _ROOTS_BYTES,
+    CarriedSums,
+    accumulation_bound,
+    exact_sum,
+    exact_sums,
+    fsum_complex,
+    unit_roots,
+    unit_roots_at,
+)
+from .arith import (
+    _lanes,
+    _prime_divisors,
+    batch_inverses,
+    charge_budget,
+    check_modulus,
+    factor_spans,
+    memory_budget,
+)
 from .errors import CapacityError
 from .expsums import ExpSumValue, _twist_error_bound, _twist_max
 from .reports import BoundReport, make_report
@@ -210,7 +228,7 @@ def _cut(starts: np.ndarray, counts: np.ndarray, size: int | None):
 
 
 def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
-                 size: int | None = _CHUNK, held: int = 0):
+                 size: int | None = _CHUNK, held: int = 0, divisors=None):
     """The pair stream of _pairs in chunks of at most size pairs from at most
     size consecutive m (size None: one chunk, the whole stream in (l, m)
     order): (residues, coefficients) per chunk.
@@ -221,10 +239,11 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     SlicedCoefficients) is built.  Every pair of the stream is in exactly
     one chunk, with the residue and coefficient it has there.  The byte
     budget is charged, with held bytes besides, for the largest chunk
-    when this is called, before any chunk is built.
+    when this is called, before any chunk is built.  divisors, when given,
+    are the primes of q, for batch_inverses.
     """
     rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
-    inv_l = batch_inverses(ls[rows], q)
+    inv_l = batch_inverses(ls[rows], q, divisors)
     unit = inv_l > 0
     rows, inv_l = rows[unit], inv_l[unit] * (twist % q) % q
     start, stop = _row_ranges(ls[rows], ms, restrict)
@@ -246,7 +265,7 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
                 continue
             s, e = s[live], e[live]
             m_lo, m_hi = int(s.min()), int(e.max())
-            inv_m = batch_inverses(_ints(ms[m_lo:m_hi]), q)
+            inv_m = batch_inverses(_ints(ms[m_lo:m_hi]), q, divisors)
             units = np.flatnonzero(inv_m)
             inv_m = inv_m[units].astype(lane)
             b_units = None if beta is None else beta[m_lo:m_hi][units]
@@ -267,7 +286,7 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     return chunks()
 
 
-def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
+def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1, divisors=None):
     """The residues twist * inv(l*m) mod q of the kept pairs, in (l, m)
     order, and their coefficients alpha_l * beta_m, as two aligned arrays.
 
@@ -280,7 +299,7 @@ def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1):
     scales the l inverses.  The products are taken in arith._lanes(q);
     the residues are int64.
     """
-    for chunk in _pair_chunks(q, ls, alpha, ms, beta, restrict, twist, size=None):
+    for chunk in _pair_chunks(q, ls, alpha, ms, beta, restrict, twist, size=None, divisors=divisors):
         return chunk
     return np.empty(0, dtype=np.int64), np.empty(0)
 
@@ -408,34 +427,41 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
     return iv.astype(np.int64, copy=False), a_part * b_part, counts.ravel()[cells]
 
 
-def _term_parts(iv: np.ndarray, coeff: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The real and imaginary parts of the terms coeff * e(iv / q), roots
-    being unit_roots(q), as one (2, n) array.
+def _term_parts(iv: np.ndarray, coeff: np.ndarray, q: int, table=None) -> np.ndarray:
+    """The real and imaginary parts of the terms coeff * e(iv / q), as one
+    (2, n) array.  The unit roots are gathered from table, unit_roots(q),
+    when it is given; otherwise they are unit_roots_at(iv, q), the table's
+    entries bit for bit, with no length-q table built.
 
-    Real coefficients scale the gathered real and imaginary parts of the
-    unit roots in place, in one (2, n) buffer: bitwise the real and
-    imaginary parts of the complex products, up to the sign of a zero,
-    which no exact sum sees.  Complex coefficients take the complex
-    product.
+    Real coefficients scale the real and imaginary parts of the unit roots
+    in place, in one (2, n) buffer: bitwise the real and imaginary parts of
+    the complex products, up to the sign of a zero, which no exact sum
+    sees.  Complex coefficients take the complex product.
     """
+    roots = unit_roots_at(iv, q) if table is None else None
     if np.iscomplexobj(coeff):
-        terms = coeff * roots[iv]
+        terms = coeff * (table[iv] if roots is None else roots)
         return np.array((terms.real, terms.imag))
     parts = np.empty((2, len(iv)))
-    # every residue is in range, so "clip" changes nothing; it only
-    # spares take the buffered copy that mode="raise" makes of out
-    np.take(roots.real, iv, out=parts[0], mode="clip")
-    np.take(roots.imag, iv, out=parts[1], mode="clip")
+    if roots is None:
+        # every residue is in range, so "clip" changes nothing; it only
+        # spares take the buffered copy that mode="raise" makes of out
+        np.take(table.real, iv, out=parts[0], mode="clip")
+        np.take(table.imag, iv, out=parts[1], mode="clip")
+    else:
+        parts[0], parts[1] = roots.real, roots.imag
     parts *= coeff
     return parts
 
 
 def _terms_value(iv: np.ndarray, coeff: np.ndarray, q: int, counts=None) -> complex:
     """The correctly rounded sum, in each part, of the terms
-    coeff * e(iv / q), each taken counts times when counts are given."""
+    coeff * e(iv / q), each taken counts times when counts are given; the
+    unit roots are unit_roots_at's, which gathers more than q/2 + 1 of
+    them from a table."""
     if len(iv) == 0:
         return 0j
-    return complex(*exact_sums(_term_parts(iv, coeff, unit_roots(q)), counts))
+    return complex(*exact_sums(_term_parts(iv, coeff, q), counts))
 
 
 def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False, held: int = 0):
@@ -447,7 +473,9 @@ def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False
     BilinearSpec checks them.  The route, grouped or the pair stream, is
     _grouping's choice; both give the correctly rounded exact sums of the
     same terms, bit for bit.  The stream is summed a chunk at a time, its
-    level sums carried, so it never holds more than a chunk of terms.
+    level sums carried, so it never holds more than a chunk of terms, nor,
+    where q exceeds twice the product window's pair count or the table
+    would not fit the byte budget, a length-q table of unit roots.
     The byte charges add held bytes, which the caller holds meanwhile.
     """
     ls = _ints(ls)
@@ -462,11 +490,14 @@ def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False
         weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0] if weigh else None
         return value, int(counts.sum()), weight
     chunks = _pair_chunks(q, ls, alpha, ms, beta, restrict, a, _CHUNK, held)
-    roots = unit_roots(q)
+    # a product window of q/2 pairs or more shares one table of unit roots,
+    # which costs about what q/2 roots taken alone do; a shorter stream, or
+    # a table over the byte budget, takes each chunk's roots by unit_roots_at
+    table = unit_roots(q) if q <= 2 * pairs and q * _ROOTS_BYTES <= memory_budget() else None
     carried = CarriedSums(3 if weigh else 2)
     count = 0
     for iv, coeff in chunks:
-        parts = _term_parts(iv, coeff, roots)
+        parts = _term_parts(iv, coeff, q, table)
         carried.add(np.vstack((parts, np.abs(coeff))) if weigh else parts)
         count += len(iv)
     sums = carried.sums()
@@ -494,7 +525,7 @@ def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
     )
 
 
-def _phase_histogram(q, ls, alpha, ms, beta, restrict):
+def _phase_histogram(q, ls, alpha, ms, beta, restrict, divisors=None):
     """Bucket the coefficients by the residue class of inv(l*m) modulo q.
 
     Returns (complex histogram of length q, sum of |alpha_l * beta_m| over
@@ -508,16 +539,17 @@ def _phase_histogram(q, ls, alpha, ms, beta, restrict):
     """
     # two real histograms, a bincount and the complex result
     check_modulus(q, bytes_per_entry=32)
-    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict)
+    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict, divisors=divisors)
     h = np.bincount(iv, weights=coeff.real, minlength=q)
     if np.any(coeff.imag):
         h = h + 1j * np.bincount(iv, weights=coeff.imag, minlength=q)
     return h.astype(np.complex128, copy=False), float(np.abs(coeff).sum())
 
 
-def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
+def _max_abs_over_twists(h: np.ndarray, q: int, divisors=None) -> float:
     """max over units a of |sum_r h[r] e(a r / q)|, bitwise the full direct
-    scan's: one complex row of expsums._twist_max.
+    scan's: one complex row of expsums._twist_max; divisors, when given,
+    are the primes of q.
 
     E is expsums._twist_error_bound with weight sum |h[r]| and, over the s
     support points, s - 1 additions plus one complex product per term.
@@ -527,8 +559,8 @@ def _max_abs_over_twists(h: np.ndarray, q: int) -> float:
         return 0.0
     vals = h[support]
     err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
-    divisors = [_prime_divisors(q)]
-    return _twist_max(h, [q], support, [len(support)], vals, err, divisors)[0][1]
+    primes = _prime_divisors(q) if divisors is None else divisors
+    return _twist_max(h, [q], support, [len(support)], vals, err, [primes])[0][1]
 
 
 def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
@@ -542,16 +574,19 @@ def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
 def _sweep(L, M, Q, a, alpha, beta) -> tuple[float, float]:
     """(lhs, trivial) over the moduli Q <= q < 2Q: the exact sums of |W| and of
     the weight sum |alpha_l * beta_m|, where |W| is the maximum over twists
-    when a is None and the value at the twist a otherwise.
+    when a is None and the value at the twist a otherwise.  The moduli are
+    factored a span at a time, by arith.factor_spans.
     """
     ls, ms = dyadic_window(L), dyadic_window(M)
     alpha = _check_coeffs("alpha", alpha, ls)
     beta = _check_coeffs("beta", beta, ms)
     sizes, weights = [], []
-    for q in range(Q, 2 * Q):
-        h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
-        sizes.append(_max_abs_over_twists(h, q) if a is None else _abs_at_twist(h, q, a))
-        weights.append(weight)
+    for factors in factor_spans(Q, 2 * Q):
+        moduli = range(factors.lo, factors.hi)
+        for q, primes in zip(moduli, factors.divisors(moduli)):
+            h, weight = _phase_histogram(q, ls, alpha, ms, beta, None, primes)
+            sizes.append(_max_abs_over_twists(h, q, primes) if a is None else _abs_at_twist(h, q, a))
+            weights.append(weight)
     return exact_sum(sizes), exact_sum(weights)
 
 

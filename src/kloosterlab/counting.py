@@ -2,21 +2,40 @@
 
 Counts here are exact integers.  Unit-fraction counts bucket the k-fold
 sums by exact rational value.  Inverse-congruence counts pick their route
-from their inputs: few k-fold sums are enumerated and sorted, otherwise the
-residue histogram of the inverses is folded by FFT, rounding every entry to
-an integer under a written-down error bound that must stay below 1/2.  The
-tests hold the enumeration of unit fractions and pure-Python twins of both
-congruence routes.
+per modulus: few k-fold sums are enumerated and sorted, one modulus at a
+time; otherwise the residue histogram of the inverses is folded k - 1
+times with itself by FFT (_fold_rows), a block of moduli at once.  The
+block's histograms are the rows of one array, zero-padded to one shared
+5-smooth length n >= 2 * max q - 1; each fold is one 2-D rfft/irfft
+product, and each row's linear convolution is wrapped mod its own q.
+Each row is rounded to integers under its own written-down error bound,
+at the shared length n, which must stay below 1/2, and no entry may lie
+further than that bound from its integer.  A single count is a block of
+one, charged per residue.  A sweep over q ~ Q factors its moduli a span
+at a time (arith.factor_spans), and inverts (arith.block_inverses), bins
+and folds them _FOLD_CELLS cells at a time; a block left with one modulus
+to fold folds it as a single count.  The tests hold the enumeration of
+unit fractions, pure-Python twins of both congruence routes, and the
+per-modulus fold as the twin of the block fold.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import _prime_divisors, batch_inverses, charge_budget, check_modulus
+from .arith import (
+    _prime_divisors,
+    batch_inverses,
+    block_inverses,
+    charge_budget,
+    check_modulus,
+    factor_spans,
+    memory_budget,
+)
 from .errors import CapacityError, ConsistencyError
 from .expsums import _FFT_ERROR_C, _UNIT_ROUNDOFF
 from .reports import BoundReport, make_report
@@ -39,6 +58,39 @@ _ENUM_BYTES = 32
 #: two forward transforms, one inverse and the pointwise product, each
 #: within expsums' per-transform constant.
 _CONVOLVE_ERROR_C = 3 * _FFT_ERROR_C
+
+#: Cells (moduli x fold length) per block of sum_congruence_counts, fewer
+#: where the byte budget asks: 32 moduli at the Q = 1024 sweep's length
+#: 4096.
+_FOLD_CELLS = 1 << 17
+
+#: Peak bytes per cell of a fold block of two moduli or more, its
+#: histograms and their inversion included: tracemalloc measured at most
+#: 14, 33, 41 and 41 for k = 1..4, over the first and last blocks of sweeps
+#: with Q from 40 to 20,000 and M from 3 to 3Q.  A fold of one modulus
+#: (_folded_count) is charged per residue instead.
+_FOLD_BYTES = 56
+
+
+def _smooth_numbers(top: int) -> list[int]:
+    """The numbers up to top with no prime factor above 5, ascending."""
+    found = []
+    p5 = 1
+    while p5 <= top:
+        p35 = p5
+        while p35 <= top:
+            n = p35
+            while n <= top:
+                found.append(n)
+                n *= 2
+            p35 *= 3
+        p5 *= 5
+    return sorted(found)
+
+
+#: Every fold length a modulus below arith.MODULUS_CAP = 2**31 can ask for:
+#: the 5-smooth numbers up to 2**32, 1,500 or so.
+_SMOOTH = _smooth_numbers(1 << 32)
 
 
 def count_unit_fraction_solutions(k: int, N: int) -> int:
@@ -113,7 +165,7 @@ def _inverse_histogram(M: int, q: int, primes: list[int]) -> np.ndarray:
     and memory, whatever M.
     """
     periods, rest = divmod(M, q)
-    invs = batch_inverses(np.arange(1, rest + 1, dtype=np.int64), q)
+    invs = batch_inverses(np.arange(1, rest + 1, dtype=np.int64), q, primes)
     hist = np.bincount(invs[invs != 0], minlength=q)
     if periods:
         units = np.ones(q, dtype=bool)
@@ -126,24 +178,16 @@ def _inverse_histogram(M: int, q: int, primes: list[int]) -> np.ndarray:
 def _smooth_length(m: int) -> int:
     """The least n >= m with no prime factor above 5, a length pocketfft
     transforms directly rather than by Bluestein's algorithm."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power-of-two multiple of p35 that reaches m
-            best = min(best, p35 << ((m - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, m)]
 
 
-def _convolve_error_bound(u: np.ndarray, v: np.ndarray) -> float:
+def _convolve_error_bound(u: np.ndarray, v: np.ndarray, n: int):
     """Bound E on |computed - exact| at every entry of the cyclic convolution
-    mod q of two length-q vectors u and v, computed as their linear
-    convolution irfft(rfft(u, n) * rfft(v, n), n) with n = _smooth_length(2q - 1),
-    wrapped mod q by adding entry r + q onto entry r.  In the style of
-    expsums._twist_error_bound.
+    mod q of two integer vectors u and v of length q, computed as their
+    linear convolution irfft(rfft(u, n) * rfft(v, n), n) for an n >= 2q - 1,
+    wrapped mod q by adding entry r + q onto entry r.  u and v may be the
+    rows of a block, zero-padded to any common length: E is then one bound
+    per row.  In the style of expsums._twist_error_bound.
 
     Each length-n transform is off by at most eps = _FFT_ERROR_C *
     ceil(log2 n) * u times the 2-norm of its exact output; zero padding
@@ -158,9 +202,16 @@ def _convolve_error_bound(u: np.ndarray, v: np.ndarray) -> float:
     integer vectors, nonzero (E = 0 when either is zero, and all is exact):
     E = (2 * c * ceil(log2 n) + 2) * u * |u|_1 * |v|_2.
     """
-    n = _smooth_length(2 * len(u) - 1)
-    return ((2 * _CONVOLVE_ERROR_C * math.ceil(math.log2(n)) + 2) * _UNIT_ROUNDOFF
-            * float(np.sum(np.abs(u))) * float(np.linalg.norm(v)))
+    return ((2 * _CONVOLVE_ERROR_C * (n - 1).bit_length() + 2) * _UNIT_ROUNDOFF
+            * np.abs(u).sum(axis=-1) * np.sqrt(np.square(v).sum(axis=-1)))
+
+
+def _check_count(k: int, M: int) -> None:
+    """Refuse a k or an M that no congruence count takes."""
+    if not 1 <= k <= 4:
+        raise ValueError(f"need 1 <= k <= 4, got {k}")
+    if M < 1:
+        raise ValueError(f"need M >= 1, got {M}")
 
 
 def count_congruence_solutions(k: int, M: int, q: int) -> int:
@@ -173,36 +224,35 @@ def count_congruence_solutions(k: int, M: int, q: int) -> int:
     both routes refuse over their caps before allocating anything of
     length M.  The n^k k-fold sums are enumerated (_enumerated_count) when
     n^k <= q and n^k <= _STATE_CAP; otherwise the residue histogram is
-    folded by FFT (_folded_count), at O(q log q) whatever n.  Over the 150
-    jcount queries of the seed-1 benchmark query stream (best of 5 each,
-    2-core VM, two runs) the FFT route alone took 35-37 ms in total, this
-    rule 28-29 ms, and the faster route for each query 18-24 ms.
+    folded by FFT (_folded_count, a block of one), at O(q log q) whatever
+    n.  Over the 150 jcount queries of the seed-1 benchmark query stream
+    (best of 5 each, 2-core VM, two runs) the FFT route alone took 35-37 ms
+    in total, this rule 28-29 ms, and the faster route for each query
+    18-24 ms.
     Enumeration also runs counts whose length-q histogram would not fit the
     byte budget: (k, M, q) = (2, 10, 10**9 + 7) takes 100 sums.
     """
-    if not 1 <= k <= 4:
-        raise ValueError(f"need 1 <= k <= 4, got {k}")
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    _check_count(k, M)
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     check_modulus(q)
     primes = _prime_divisors(q)
     n = _unit_count(M, primes)
     if n ** k <= min(q, _STATE_CAP):
-        return _enumerated_count(k, M, q, n)
+        return _enumerated_count(k, M, q, n, primes)
     return _folded_count(k, M, q, primes, n)
 
 
-def _enumerated_count(k: int, M: int, q: int, n: int) -> int:
+def _enumerated_count(k: int, M: int, q: int, n: int, primes=None) -> int:
     """The congruence count from the n^k k-fold sums of the inverses of the
-    n units m <= M, sorted in place and counted by runs of equal sums."""
+    n units m <= M, sorted in place and counted by runs of equal sums;
+    primes, when given, are those of q."""
     sums_n = n ** k
     if sums_n > _STATE_CAP:
         raise CapacityError(f"enumeration of {sums_n} sums is over the cap {_STATE_CAP}")
     charge_budget((sums_n + min(M, q)) * _ENUM_BYTES, f"enumeration of {sums_n} sums needs")
     # the units m <= M in order: whole periods of 1..q, then a prefix
-    invs = batch_inverses(np.arange(1, min(M, q) + 1, dtype=np.int64), q)
+    invs = batch_inverses(np.arange(1, min(M, q) + 1, dtype=np.int64), q, primes)
     invs = np.resize(invs[invs != 0], n)
     sums = invs
     for _ in range(k - 1):
@@ -215,52 +265,138 @@ def _enumerated_count(k: int, M: int, q: int, n: int) -> int:
     return int(np.dot(runs, runs))
 
 
-def _folded_count(k: int, M: int, q: int, primes: list[int], n: int) -> int:
-    """The congruence count from the residue histogram h of the inverses of
-    the n units m <= M, folded k - 1 times with itself, each fold one
-    zero-padded rfft/irfft product of a 5-smooth length at least 2q - 1
-    (_smooth_length), whose linear convolution is wrapped mod q and rounded
-    to int64; the count is the sum of the squared entries in exact integer
-    arithmetic.  Before rounding, each fold checks that its error bound E is
-    below 1/2 and that no entry is more than E from its integer; otherwise
-    ConsistencyError.
-    """
+def _check_fold(k: int, M: int, n: int) -> None:
+    """Refuse a fold whose bucket sizes, up to n**k, could overflow its sums."""
     if n ** (2 * k) >= 2 ** 62:
         raise CapacityError(f"bucket sizes for (k={k}, M={M}) would overflow the dense path")
-    # the histogram and the fold, plus the length-n spectrum, product and
-    # inverse transform with its work copy, for lengths up to 2.14 q; tracemalloc
-    # measured at most 61 and 86 bytes per residue for k = 2 and k >= 3
-    # (the fold's own spectrum), over q in [1000, 1100) and at q = 1351,
-    # the worst n / (2q - 1) for q in [1000, 10**6)
-    check_modulus(q, bytes_per_entry=64 if k <= 2 else 88)
-    hist = _inverse_histogram(M, q, primes)
+
+
+def _folded_count(k: int, M: int, q: int, primes: list[int], n: int) -> int:
+    """The congruence count by _fold_rows, as a block of one, from the
+    residue histogram of the inverses of the n units m <= M
+    (_inverse_histogram)."""
+    _check_fold(k, M, n)
     size = _smooth_length(2 * q - 1)
-    spectrum = np.fft.rfft(hist, size)
+    # the histogram and its inversion, the spectrum, the product for k >= 3,
+    # and the inverse transform with its work copy, for lengths up to 2.14 q;
+    # tracemalloc measured at most 61 and 87 bytes per residue for k <= 2 and
+    # k >= 3, over q in [1000, 1100), 1351 (the worst n / (2q - 1) below
+    # 10**6), 4999, 2**16, 65537, 100003 and 255255, and M below and above q
+    check_modulus(q, bytes_per_entry=64 if k <= 2 else 88)
+    hist = _inverse_histogram(M, q, primes).astype(np.float64)
+    return _fold_rows(k, hist[None], [q], size)[0]
+
+
+def _fold_rows(k: int, hist: np.ndarray, qs: list[int], n: int) -> list[int]:
+    """The congruence count of every modulus of a block from its residue
+    histogram: row j of hist (float64, of integers, max(qs) columns) mod
+    qs[j], zero from qs[j] on.
+
+    Each row is folded k - 1 times with itself, every fold one rfft/irfft
+    product over the whole block at one length n >= 2 * max(qs) - 1.  Each
+    row's linear convolution is wrapped mod its own q in place, entry r + q
+    added onto r, and rounded to integers.  Before rounding, each row
+    checks that its error bound E (_convolve_error_bound at length n) is
+    below 1/2, and that no entry is more than E from its integer; otherwise
+    ConsistencyError, naming the row's modulus.  A count is the sum of the
+    row's squared entries in exact integer arithmetic.
+    """
+    rows, width = hist.shape
+    spectrum = np.fft.rfft(hist, n, axis=1)
     folded = hist
-    for _ in range(k - 1):
+    for fold in range(k - 1):
         # entries stay below n**k < 2**31, so E stays below about 4e-4
-        err = _convolve_error_bound(folded, hist)
-        if not err < 0.5:
-            raise ConsistencyError(f"fold error bound {err} mod {q} is not below 1/2")
-        if folded is hist:
-            product = spectrum * spectrum
-        else:
-            product = np.fft.rfft(folded, size)
+        err = np.zeros(rows) + _convolve_error_bound(folded, hist, n)
+        bad = np.flatnonzero(~(err < 0.5))
+        if len(bad):
+            j = bad[0]
+            raise ConsistencyError(f"fold error bound {err[j]} mod {qs[j]} is not below 1/2")
+        if fold:
+            product = np.fft.rfft(folded, n, axis=1)
             product *= spectrum
-        linear = np.fft.irfft(product, size)
+        else:
+            # a single fold needs the spectrum no more: square it in place
+            product = np.multiply(spectrum, spectrum, out=spectrum if k == 2 else None)
+        linear = np.fft.irfft(product, n, axis=1)
         del product
-        raw = linear[:q]
-        raw[: q - 1] += linear[q : 2 * q - 1]
+        for row, q in zip(linear, qs):
+            row[: q - 1] += row[q : 2 * q - 1]
+            row[q:width] = 0
+        raw = linear[:, :width]
         folded = np.rint(raw)
         # raw becomes the distance of each entry from its integer
         np.abs(np.subtract(raw, folded, out=raw), out=raw)
-        off = float(raw.max())
-        if off > err:
+        off = raw.max(axis=1)
+        del raw, linear
+        bad = np.flatnonzero(off > err)
+        if len(bad):
+            j = bad[0]
             raise ConsistencyError(
-                f"fold mod {q} is {off} off an integer, over its error bound {err}"
+                f"fold mod {qs[j]} is {off[j]} off an integer, over its error bound {err[j]}"
             )
-        folded = folded.astype(np.int64)
-    return int(np.dot(folded, folded))
+    entries = folded.astype(np.int64)
+    return np.einsum("ij,ij->i", entries, entries).tolist()
+
+
+def _block_histograms(M: int, qs: list[int], divisors) -> np.ndarray:
+    """The residue histograms of the inverses of the units m <= M mod each
+    of the moduli qs, divisors[j] the primes of qs[j], as the rows of one
+    float64 array of max(qs) columns, from one block_inverses and one
+    bincount.
+
+    Each m < q that is a unit stands for the m' <= M in its class: M // q
+    of them, and one more when m <= M mod q.  So the values 1 .. min(M,
+    max q - 1) are inverted once for the whole block, and each inverse is
+    binned with that weight, whole periods included: O(q) per modulus,
+    whatever M.
+    """
+    q = np.asarray(qs, dtype=np.int64)[:, None]
+    width = int(q.max())
+    vals = np.arange(1, min(M, width - 1) + 1, dtype=np.int64)
+    invs = block_inverses(vals, q.ravel(), divisors)
+    weight = (vals <= M % q) + M // q
+    weight[(vals >= q) | (invs == 0)] = 0
+    invs += np.arange(len(qs))[:, None] * width
+    return np.bincount(invs.ravel(), weight.ravel(), len(qs) * width).reshape(len(qs), width)
+
+
+def _congruence_block(k: int, M: int, qs: list[int], divisors) -> list[int]:
+    """count_congruence_solutions(k, M, q) at every modulus of qs, ascending,
+    divisors[j] holding the primes of qs[j]: the moduli that enumeration
+    takes one at a time, the others folded at once (_fold_rows), or as a
+    single count (_folded_count, whose batch_inverses beats the lanes of
+    block_inverses at one modulus) when one is left.  Every cap is checked,
+    and the fold charged, before its arrays are built."""
+    counts = [0] * len(qs)
+    fold, units = [], []
+    for j, (q, primes) in enumerate(zip(qs, divisors)):
+        n = _unit_count(M, primes)
+        if n ** k <= min(q, _STATE_CAP):
+            counts[j] = _enumerated_count(k, M, q, n, primes)
+        else:
+            _check_fold(k, M, n)
+            fold.append(j)
+            units.append(n)
+    if len(fold) == 1:
+        j = fold[0]
+        counts[j] = _folded_count(k, M, qs[j], divisors[j], units[0])
+    elif fold:
+        moduli = [qs[j] for j in fold]
+        size = _smooth_length(2 * moduli[-1] - 1)
+        charge_budget(len(moduli) * size * _FOLD_BYTES, f"tables mod {moduli[0]} to {moduli[-1]} need")
+        hist = _block_histograms(M, moduli, [divisors[j] for j in fold])
+        for j, count in zip(fold, _fold_rows(k, hist, moduli, size)):
+            counts[j] = count
+    return counts
+
+
+def _fold_blocks(lo: int, hi: int) -> list[range]:
+    """The moduli lo <= q < hi cut into consecutive blocks of at most
+    _FOLD_CELLS cells at the length of the largest, fewer where that would
+    pass the byte budget, but at least one modulus."""
+    size = _smooth_length(2 * (hi - 1) - 1)
+    rows = max(1, min(_FOLD_CELLS, memory_budget() // _FOLD_BYTES) // size)
+    return [range(q, min(q + rows, hi)) for q in range(lo, hi, rows)]
 
 
 def classify_tuple(ms) -> int:
@@ -288,11 +424,19 @@ def sum_congruence_counts(k: int, M: int, Q: int) -> BoundReport:
     """Sum of congruence counts over moduli q ~ Q, versus Q*M^k + M^(2k).
 
     The left side is the exact integer sum over Q <= q < 2Q; it is also
-    exposed in extra["total"] without float rounding.
+    exposed in extra["total"] without float rounding.  Each count is
+    count_congruence_solutions(k, M, q); the moduli are factored a span at
+    a time (arith.factor_spans) and counted a block of _fold_blocks at a
+    time (_congruence_block).
     """
     if Q < 2:
         raise ValueError(f"need Q >= 2, got {Q}")
-    total = sum(count_congruence_solutions(k, M, q) for q in range(Q, 2 * Q))
+    _check_count(k, M)
+    check_modulus(2 * Q - 1)
+    total = 0
+    for factors in factor_spans(Q, 2 * Q):
+        for block in _fold_blocks(factors.lo, factors.hi):
+            total += sum(_congruence_block(k, M, list(block), factors.divisors(block)))
     return make_report(
         name="jcount-avg",
         params={"k": k, "M": M, "Q": Q},

@@ -23,6 +23,7 @@ from .arith import (
     LPF_TABLE_BYTES,
     PrimeTable,
     check_modulus,
+    factor_spans,
     largest_prime_factor,
     largest_prime_factor_table,
     memory_budget,
@@ -49,9 +50,9 @@ def avg_max_report(
     """sum_{q ~ Q} max_a |S_q(a; x)| against its three-term envelope.
 
     Every modulus is checked against scan_limit and the byte budget before
-    any work; then the window's primes are fetched once and the moduli are
-    scanned a block at a time (expsums.max_prime_sum_block), each maximum
-    bitwise max_prime_sum's.
+    any work; then the window's primes are fetched once, and the moduli are
+    factored a span at a time (arith.factor_spans) and scanned a block at a
+    time (expsums.max_prime_sum_block), each maximum bitwise max_prime_sum's.
     The envelope Q^(5/4) x^(5/8) + Q x^(9/10) + Q^(7/6) x^(13/18) is
     calibrated for Q^(2/3) <= x <= Q^(3/2); outside that window the report
     is still produced but a warning is issued.
@@ -69,11 +70,13 @@ def avg_max_report(
     check_twist_scan(range(Q, 2 * Q), scan_limit)
     primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     pi_range = len(primes)
-    per_block = pmap(
-        lambda qs: max_prime_sum_block(qs, primes, scan_limit=scan_limit),
-        moduli_blocks(Q, 2 * Q, pi_range, scan=True),
-        workers=workers,
-    )
+    per_block = []
+    for factors in factor_spans(Q, 2 * Q):
+        per_block += pmap(
+            lambda qs: max_prime_sum_block(qs, primes, scan_limit, factors.divisors(qs)),
+            moduli_blocks(factors.lo, factors.hi, pi_range, scan=True),
+            workers=workers,
+        )
     lhs = exact_sum([mag for block in per_block for _, mag in block])
     return make_report(
         name="avg-max",
@@ -92,10 +95,11 @@ def avg_max_report(
 def fixed_a_avg_report(a: int, Q: int, x: float, workers: int = 1) -> BoundReport:
     """sum_{q ~ Q} |S_q(a; x)| at one numerator against its envelope.
 
-    The window's primes are fetched once; then the moduli are summed a
-    block at a time (expsums.prime_sum_block), each sum bitwise
-    prime_sum's.  The two-term envelope carries the common factor
-    (1 + a/(xQ))^(1/2) and is calibrated for Q^(1/2) <= x <= Q^(4/3).
+    The window's primes are fetched once; then the moduli are factored a
+    span at a time (arith.factor_spans) and summed a block at a time
+    (expsums.prime_sum_block), each sum bitwise prime_sum's.  The
+    two-term envelope carries the common factor (1 + a/(xQ))^(1/2) and is
+    calibrated for Q^(1/2) <= x <= Q^(4/3).
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
@@ -111,11 +115,13 @@ def fixed_a_avg_report(a: int, Q: int, x: float, workers: int = 1) -> BoundRepor
         )
     primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     pi_range = len(primes)
-    per_block = pmap(
-        lambda qs: prime_sum_block(a, qs, primes),
-        moduli_blocks(Q, 2 * Q, pi_range),
-        workers=workers,
-    )
+    per_block = []
+    for factors in factor_spans(Q, 2 * Q):
+        per_block += pmap(
+            lambda qs: prime_sum_block(a, qs, primes, factors.divisors(qs)),
+            moduli_blocks(factors.lo, factors.hi, pi_range),
+            workers=workers,
+        )
     lhs = exact_sum([abs(value) for block in per_block for value in block])
     factor = math.sqrt(1 + a / (x * Q))
     return make_report(

@@ -42,10 +42,10 @@ from .arith import (
     _lanes,
     _prime_divisors,
     batch_inverses,
+    block_inverses,
     charge_budget,
     check_modulus,
     memory_budget,
-    prime_inverses,
     prime_window,
 )
 from .errors import CapacityError, ConsistencyError
@@ -216,13 +216,15 @@ def window_sum(window: PrimeWindow, a: int, q: int, weight: str = "unit") -> Exp
     return _weighted_value(carried, count)
 
 
-def prime_sum_block(a: int, moduli, primes) -> list[complex]:
+def prime_sum_block(a: int, moduli, primes, divisors=None) -> list[complex]:
     """prime_sum(ExpSumQuery(a, q, x)).value at every modulus q of a block,
     each bitwise the per-q value, from one pass over the block; primes are
-    those of the window, prime_window(ceil(x), ceil(2x)).primes.
+    those of the window, prime_window(ceil(x), ceil(2x)).primes, and
+    divisors, when given, the primes of each modulus (a sweep's
+    FactorWindow.divisors).
 
     Three steps, each one array pass over the moduli x primes block:
-    prime_inverses takes every inverse by batch inversion, unit_roots_at
+    block_inverses takes every inverse by batch inversion, unit_roots_at
     the terms with a column of moduli, and exact_sums sums the real and the
     imaginary row of every modulus at once.  A prime dividing q has
     inverse 0 and leaves a term 0, which does not change an exact sum: so
@@ -231,7 +233,7 @@ def prime_sum_block(a: int, moduli, primes) -> list[complex]:
     """
     qs = np.asarray(moduli, dtype=np.int64)
     col = qs[:, None]
-    invs = prime_inverses(primes, qs)
+    invs = block_inverses(primes, qs, divisors)
     terms = unit_roots_at(a % col * invs % col, col)
     terms[invs == 0] = 0
     rows = np.concatenate((terms.real, terms.imag))
@@ -387,11 +389,12 @@ def _twist_max(
 
 def check_twist_scan(moduli, scan_limit: int = DEFAULT_SCAN_LIMIT) -> None:
     """Refuse the first of the moduli that exceeds scan_limit, or whose twist
-    scan would exceed the byte budget."""
+    scan would exceed the byte budget, which is read once for them all."""
+    budget = memory_budget()
     for q in moduli:
         if q > scan_limit:
             raise CapacityError(f"modulus {q} exceeds the twist-scan limit {scan_limit}")
-        check_modulus(q, bytes_per_entry=_SCAN_BYTES)
+        check_modulus(q, bytes_per_entry=_SCAN_BYTES, budget=budget)
 
 
 def _prime_twist_max(
@@ -413,7 +416,7 @@ def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tup
     twists by one FFT of the histogram of inverse residues and re-scores
     the survivors by the direct sum, so the result is bitwise the full
     direct scan's.  A block of one modulus: its inverses come from
-    batch_inverses, which beats the lanes of prime_inverses at one modulus.
+    batch_inverses, which beats the lanes of block_inverses at one modulus.
     The modulus is checked against scan_limit and the byte budget before
     the window is fetched from arith.prime_window.
     """
@@ -429,23 +432,26 @@ def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tup
 
 
 def max_prime_sum_block(
-    moduli, primes, scan_limit: int = DEFAULT_SCAN_LIMIT
+    moduli, primes, scan_limit: int = DEFAULT_SCAN_LIMIT, divisors=None
 ) -> list[tuple[int, float]]:
     """max_prime_sum(q, x) at every modulus q of a block, each bitwise the
     per-q result, from one pass of _twist_max over the block; primes are
-    those of the window, prime_window(ceil(x), ceil(2x)).primes.
+    those of the window, prime_window(ceil(x), ceil(2x)).primes, and
+    divisors, when given, the primes of each modulus (a sweep's
+    FactorWindow.divisors).
 
     Every modulus is checked against scan_limit and the byte budget before
-    any work.  prime_inverses takes the inverses of the window's primes mod
+    any work.  block_inverses takes the inverses of the window's primes mod
     every q at once; a prime dividing q has inverse 0 and is left out of
-    its row.  Each modulus is factored once, for prime_inverses and the
+    its row.  Each modulus is factored once, for block_inverses and the
     unit mask of _twist_max alike.  moduli_blocks(..., scan=True) bounds
     the block's residues.
     """
     qs = np.asarray(moduli, dtype=np.int64)
     check_twist_scan(qs.tolist(), scan_limit)
-    divisors = [_prime_divisors(q) for q in qs.tolist()]
-    invs = prime_inverses(primes, qs, divisors)
+    if divisors is None:
+        divisors = [_prime_divisors(q) for q in qs.tolist()]
+    invs = block_inverses(primes, qs, divisors)
     units = invs != 0
     return _prime_twist_max(qs, invs[units], units.sum(axis=1), divisors)
 

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 from kloosterlab import arith
 from kloosterlab.accumulate import accumulation_bound, fsum_complex, unit_roots, unit_roots_at
 from kloosterlab.arith import (
+    HARD_SIEVE_CAP,
     MEMORY_ENV_VAR,
     MODULUS_CAP,
     batch_inverses,
+    block_inverses,
     build_multiplicative_tables,
+    factor_spans,
+    factor_window,
     inverse_table,
     is_prime_deterministic,
     is_squarefull,
@@ -25,7 +29,6 @@ from kloosterlab.arith import (
     largest_prime_factor_table,
     memory_budget,
     mod_inverse,
-    prime_inverses,
     shared_tables,
     sieve_primes,
 )
@@ -211,7 +214,8 @@ def test_batch_inverses_gathers_exactly_when_dense(request):
     q, values = request
     builds = []
     build = arith._build_inverse_table
-    with mock.patch.object(arith, "_build_inverse_table", lambda m: builds.append(m) or build(m)):
+    with mock.patch.object(arith, "_build_inverse_table",
+                           lambda m, *rest: builds.append(m) or build(m, *rest)):
         got = batch_inverses(values, q)
     assert got.dtype == np.int64
     assert got.tolist() == _pow_inverses(values, q)
@@ -304,7 +308,7 @@ def _prime_windows(draw):
                [7, 65521, 65535, 65537, MODULUS_CAP - 1]))
 def test_prime_inverses_match_pow(case):
     window, moduli = case
-    got = prime_inverses(np.array(window, dtype=np.int64), moduli)
+    got = block_inverses(np.array(window, dtype=np.int64), moduli)
     assert got.dtype == np.int64 and got.shape == (len(moduli), len(window))
     expected = [[pow(p, -1, q) if q % p else 0 for p in window] for q in moduli]
     assert got.tolist() == expected
@@ -312,13 +316,89 @@ def test_prime_inverses_match_pow(case):
 
 def test_prime_inverses_refuse_bad_input():
     with pytest.raises(ValueError):
-        prime_inverses([5, 3], [7])
+        block_inverses([5, 3], [7])
     with pytest.raises(ValueError):
-        prime_inverses([3, 3], [7])
+        block_inverses([3, 3], [7])
     with pytest.raises(ValueError):
-        prime_inverses([3], [7, 1])
+        block_inverses([3], [7, 1])
+    with pytest.raises(ValueError):
+        block_inverses([0, 1], [7])
     with pytest.raises(CapacityError):
-        prime_inverses([3], [7, MODULUS_CAP])
+        block_inverses([3], [7, MODULUS_CAP])
+
+
+@st.composite
+def _value_runs(draw):
+    """A run of consecutive values from 1 or past it, and moduli of every
+    kind: prime, prime power, even, highly composite, and near 2**16 and
+    2**31."""
+    start = draw(st.one_of(st.just(1), st.integers(1, 10 ** 6), st.integers(2 ** 32, 2 ** 32 + 10 ** 4)))
+    run = list(range(start, start + draw(st.integers(0, 90))))
+    modulus = st.one_of(
+        st.integers(2, 6000),
+        st.sampled_from([2, 64, 729, 2048, 3 ** 10, 30, 210, 2310, 30030, 510510, 9973]),
+        st.integers((1 << 16) - 40, (1 << 16) + 40),
+        st.integers(MODULUS_CAP - 1000, MODULUS_CAP - 1),
+    )
+    return run, draw(st.lists(modulus, min_size=1, max_size=8))
+
+
+@_PROPERTY
+@given(case=_value_runs())
+@example(case=(list(range(1, 2048)), [1024, 1025, 2047, 2048, 2310]))
+def test_block_inverses_of_a_run_match_pow(case):
+    run, moduli = case
+    got = block_inverses(run, moduli)
+    assert got.dtype == np.int64 and got.shape == (len(moduli), len(run))
+    expected = [[pow(v, -1, q) if math.gcd(v, q) == 1 else 0 for v in run] for q in moduli]
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 20000), (1, 2), (2, 3), (7, 7), (99991, 100100),
+                                   (HARD_SIEVE_CAP - 50, HARD_SIEVE_CAP + 1)])
+def test_factor_window_matches_prime_divisors(lo, hi):
+    window = factor_window(lo, hi)
+    assert window.divisors(range(lo, hi)) == [arith._prime_divisors(q) for q in range(lo, hi)]
+    # any sub-range of the window reads the same lists
+    mid = (lo + hi) // 2
+    assert window.divisors(range(mid, hi)) == [arith._prime_divisors(q) for q in range(mid, hi)]
+
+
+def test_factor_window_charges_its_bytes_first(monkeypatch):
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(10 ** 5 * arith._FACTOR_BYTES - 1))
+
+    def refused():
+        with pytest.raises(CapacityError, match=r"factor window \[100000, 200000\) needs"):
+            factor_window(10 ** 5, 2 * 10 ** 5)
+
+    _, peak = _traced_peak(refused)
+    assert peak < 10 ** 5
+    monkeypatch.delenv("KLOOSTERLAB_MAX_BYTES")
+    _, peak = _traced_peak(lambda: factor_window(10 ** 5, 2 * 10 ** 5))
+    assert peak <= 10 ** 5 * arith._FACTOR_BYTES
+
+
+def test_factor_spans_cut_the_window_into_bounded_spans(monkeypatch):
+    monkeypatch.setattr(arith, "_FACTOR_SPAN", 1000)
+    spans = list(factor_spans(5, 3500))
+    assert [(w.lo, w.hi) for w in spans] == [(5, 1005), (1005, 2005), (2005, 3005), (3005, 3500)]
+    got = [d for w in spans for d in w.divisors(range(w.lo, w.hi))]
+    assert got == [arith._prime_divisors(n) for n in range(5, 3500)]
+    assert list(factor_spans(7, 7)) == []
+    # a budget that holds one span runs a window three spans long
+    monkeypatch.setattr(arith, "_FACTOR_SPAN", 2 ** 14)
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(2 ** 14 * arith._FACTOR_BYTES))
+    assert sum(w.hi - w.lo for w in factor_spans(1, 3 * 2 ** 14 + 1)) == 3 * 2 ** 14
+    with pytest.raises(CapacityError, match=r"factor window \[1, 49153\) needs"):
+        factor_window(1, 3 * 2 ** 14 + 1)
+
+
+def test_factor_window_refuses_numbers_from_2_31():
+    assert factor_window(MODULUS_CAP - 3, MODULUS_CAP).divisors(range(MODULUS_CAP - 1, MODULUS_CAP)) == [
+        arith._prime_divisors(MODULUS_CAP - 1)
+    ]
+    with pytest.raises(CapacityError, match=f"modulus {MODULUS_CAP} is not below {MODULUS_CAP}"):
+        factor_window(MODULUS_CAP - 3, MODULUS_CAP + 1)
 
 
 def test_batch_inverses_refuse_moduli_from_2_31():
@@ -687,7 +767,7 @@ def test_prime_window_peak_within_its_charge(monkeypatch, lo, hi):
     monkeypatch.setattr(arith, "_shared_mult", None)
     arith._small_primes(1 << 11)  # the base primes are cached apart
     charged = []
-    monkeypatch.setattr(arith, "charge_budget", lambda need, subject: charged.append(need))
+    monkeypatch.setattr(arith, "charge_budget", lambda need, subject, budget=None: charged.append(need))
     _, peak = _traced_peak(lambda: arith.prime_window(lo, hi))
     assert peak <= charged[0]
 

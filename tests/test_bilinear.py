@@ -651,6 +651,30 @@ def test_evaluate_bitwise_whatever_the_chunk_size(form, a, size):
     assert got == want
 
 
+@pytest.mark.parametrize("q,budget,tables", [(97, None, [97]), (256, None, [256]), (257, None, []),
+                                             (97, 97 * 32, [97]), (97, 97 * 32 - 1, [])])
+def test_evaluate_decides_its_roots_table_once_per_stream(monkeypatch, q, budget, tables):
+    # 8 x 16 = 128 pairs in chunks of 5: a stream of at least q/2 pairs
+    # builds one table for every chunk, if it fits the budget; otherwise no
+    # chunk builds one, and both give the correctly rounded sums of the
+    # table's terms
+    if budget is not None:
+        monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(budget))
+    built = []
+    monkeypatch.setattr(bilinear, "unit_roots", lambda q: built.append(q) or unit_roots(q))
+    monkeypatch.setattr(bilinear, "_grouping", lambda *args: None)
+    monkeypatch.setattr(bilinear, "_CHUNK", 5)
+    ls, ms = dyadic_window(8), dyadic_window(16)
+    alpha, beta = np.linspace(-1, 2, len(ls)), np.sqrt(np.arange(1.0, len(ms) + 1))
+    value, count, _ = _evaluate(q, 3, ls, alpha, ms, beta, None)
+    assert built == tables
+    monkeypatch.delenv("KLOOSTERLAB_MAX_BYTES", raising=False)
+    iv, coeff = _pairs(q, ls, alpha, ms, beta, None, twist=3)
+    table = unit_roots(q)
+    assert count == len(iv)
+    assert value == complex(math.fsum(table.real[iv] * coeff), math.fsum(table.imag[iv] * coeff))
+
+
 def test_term_cap_counts_the_pairs_of_the_product_window(monkeypatch):
     # l ~ 10 and m ~ 1000 make a rectangle of 10**4 pairs, and x = 15000 a
     # product window of fewer: the cap counts the window's

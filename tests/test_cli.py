@@ -154,7 +154,8 @@ def test_modulus_at_or_above_2_31_exits_3(capsys, argv):
     ("kloosterman", "1", "1", "2000000000"),
     # 40,000 units give 1.6e9 sums, over the enumeration cap: the FFT route
     ("jcount", "2", "100000", "2000000000"),
-    ("bilinear", "2", "2", "1", "2000000000"),
+    # 800 units give 5.12e8 triple sums, over the enumeration cap: the FFT route
+    ("jcount", "3", "2000", "2000000000"),
     ("garaev", "100", "2000000000", "3"),
     ("max-sum", "2000000000", "10", "--max-q-scan", "2000000000"),
 ])
@@ -163,6 +164,16 @@ def test_length_q_tables_over_budget_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("capacity: tables mod 2000000000 need about ")
+
+
+def test_bilinear_below_2_31_builds_no_length_q_table(capsys):
+    # four pairs, one of them a unit mod 2 * 10**9: its root by unit_roots_at
+    code, out, err = run(capsys, "bilinear", "2", "2", "1", "2000000000", "--format", "csv")
+    assert (code, err) == (0, "")
+    row = csv_rows(out)[1]
+    assert row[-2] == "1"
+    assert complex(float(row[5]), float(row[6])) == pytest.approx(
+        cmath.exp(2j * math.pi * pow(9, -1, 2 * 10 ** 9) / (2 * 10 ** 9)), abs=1e-11)
 
 
 def test_prime_sum_below_2_31_builds_no_length_q_table(capsys):
@@ -409,6 +420,17 @@ def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "vaughan-check", "1", "7", "4000000")
     assert code == 3 and out == ""
     assert "coefficient windows of the decomposition" in err
+
+
+def test_bilinear_stream_past_its_modulus_fits_without_the_roots_table(capsys, monkeypatch):
+    # the length-q roots table, 32,000,096 bytes, does not fit the budget,
+    # so each chunk of 2**16 pairs takes its roots by unit_roots_at
+    argv = ("bilinear", "1000", "1000", "1", "1000003", "--format", "csv")
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "10000000")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_bilinear_refuses_its_pair_stream_over_the_budget(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import counting
@@ -73,6 +73,37 @@ def twin_congruence(k, M, q):
     for _ in range(k - 1):
         folded = _cyclic_convolve(folded, hist, q)
     return int(np.dot(folded, folded))
+
+
+def twin_folded_count(k, M, q):
+    """The per-modulus fold that the block fold replaced: one histogram,
+    folded k - 1 times by 1-D rfft/irfft at a 5-smooth length >= 2q - 1,
+    wrapped mod q and rounded, then the sum of its squared entries."""
+    hist = counting._inverse_histogram(M, q, _prime_divisors(q))
+    size = counting._smooth_length(2 * q - 1)
+    spectrum = np.fft.rfft(hist, size)
+    folded = hist
+    for _ in range(k - 1):
+        product = spectrum * spectrum if folded is hist else np.fft.rfft(folded, size) * spectrum
+        linear = np.fft.irfft(product, size)
+        raw = linear[:q]
+        raw[: q - 1] += linear[q : 2 * q - 1]
+        assert np.abs(raw - np.rint(raw)).max() < 0.01
+        folded = np.rint(raw).astype(np.int64)
+    return int(np.dot(folded, folded))
+
+
+def twin_smooth_length(m):
+    """The least 5-smooth n >= m, by searching the powers of 3 and 5."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((m - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def congruence_routes(k, M, q):
@@ -223,6 +254,7 @@ def test_congruence_routes_agree(case):
     assert count_congruence_solutions(k, M, q) == want
     routes = congruence_routes(k, M, q)
     assert routes["fold"]() == want
+    assert twin_folded_count(k, M, q) == want
     n = sum(1 for m in range(1, M + 1) if math.gcd(m, q) == 1)
     if n ** k <= _ENUM_TEST_SUMS:
         assert routes["enumerate"]() == want
@@ -234,8 +266,8 @@ def test_congruence_cap_extremes_match_twin(monkeypatch, k, M, q):
     bounds = []
     bound = counting._convolve_error_bound
 
-    def recorded(u, v):
-        bounds.append(bound(u, v))
+    def recorded(u, v, n):
+        bounds.append(bound(u, v, n))
         return bounds[-1]
 
     monkeypatch.setattr(counting, "_convolve_error_bound", recorded)
@@ -246,13 +278,13 @@ def test_congruence_cap_extremes_match_twin(monkeypatch, k, M, q):
 
 def test_congruence_consistency_check_fires_with_zero_bound(monkeypatch):
     # q = 1031 leaves a nonzero rounding residue on its fold
-    monkeypatch.setattr(counting, "_convolve_error_bound", lambda u, v: 0.0)
+    monkeypatch.setattr(counting, "_convolve_error_bound", lambda u, v, n: 0.0)
     with pytest.raises(ConsistencyError, match="off an integer"):
         count_congruence_solutions(2, 200, 1031)
 
 
 def test_congruence_refuses_a_bound_of_one_half(monkeypatch):
-    monkeypatch.setattr(counting, "_convolve_error_bound", lambda u, v: 0.5)
+    monkeypatch.setattr(counting, "_convolve_error_bound", lambda u, v, n: 0.5)
     with pytest.raises(ConsistencyError, match="not below 1/2"):
         count_congruence_solutions(2, 8, 13)
 
@@ -376,6 +408,150 @@ def test_enumeration_peak_is_within_its_charge(k, M, q):
     n = counting._unit_count(M, primes)
     _, peak = _traced_peak(lambda: counting._enumerated_count(k, M, q, n))
     assert peak <= (n ** k + min(M, q)) * counting._ENUM_BYTES
+
+
+#: Moduli of every kind for the block tests: primes, prime powers, even
+#: and highly composite numbers.
+_MODULUS_KINDS = [2, 3, 4, 6, 7, 8, 9, 12, 30, 64, 97, 128, 210, 243, 360, 720, 729,
+                  997, 1009, 1024, 2048, 2310, 2520]
+
+
+@st.composite
+def _congruence_blocks(draw):
+    """k, an M below the least modulus or up to past the largest, and an
+    ascending block of moduli, many with both routes in one block."""
+    k = draw(st.integers(1, 4))
+    kinds = st.one_of(st.sampled_from(_MODULUS_KINDS), st.integers(2, 2600))
+    qs = sorted(set(draw(st.lists(kinds, min_size=1, max_size=12))))
+    M = draw(st.one_of(st.integers(1, qs[0]), st.integers(1, 3 * qs[-1])))
+    return k, min(M, _DENSE_M[k]), qs
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_congruence_blocks())
+@example((2, 40, [30, 64, 1009, 2048, 2310]))  # 30 and 1009 fold, 2048 and 2310 enumerate
+@example((1, 5000, [2, 7, 2048, 2310]))        # whole periods of every modulus
+@example((4, 215, [2, 3, 1024, 2520]))         # bucket sizes near the dense cap
+def test_congruence_block_equals_each_count(case):
+    k, M, qs = case
+    got = counting._congruence_block(k, M, qs, [_prime_divisors(q) for q in qs])
+    assert got == [count_congruence_solutions(k, M, q) for q in qs]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 300), st.integers(1, 400), st.sampled_from([1 << 17, 4096, 1]))
+def test_sum_congruence_counts_equals_the_sum_of_counts(k, Q, M, cells):
+    M = min(M, _DENSE_M[k])
+    # small cell caps cut the sweep into many blocks, down to one modulus each
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_FOLD_CELLS", cells)
+        total = sum_congruence_counts(k, M, Q).extra["total"]
+    assert total == sum(count_congruence_solutions(k, M, q) for q in range(Q, 2 * Q))
+
+
+def test_sum_congruence_counts_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="need Q >= 2"):
+        sum_congruence_counts(2, 8, 1)
+    with pytest.raises(ValueError, match="need 1 <= k <= 4"):
+        sum_congruence_counts(5, 8, 16)
+    with pytest.raises(ValueError, match="need M >= 1"):
+        sum_congruence_counts(2, 0, 16)
+    with pytest.raises(CapacityError, match="modulus 2147483649 is not below"):
+        sum_congruence_counts(2, 8, 2 ** 30 + 1)
+
+
+def test_a_broken_fold_bound_names_its_modulus(monkeypatch):
+    k, M, Q = 2, 60, 64
+    # every q in [64, 128) folds, in one block at length 256
+    size = counting._smooth_length(2 * (2 * Q - 1) - 1)
+    assert counting._fold_blocks(Q, 2 * Q) == [range(Q, 2 * Q)] and size == 256
+    monkeypatch.setattr(counting, "_CONVOLVE_ERROR_C", 1e20)
+    with pytest.raises(ConsistencyError, match=r"fold error bound \S+ mod 64 is not below 1/2"):
+        sum_congruence_counts(k, M, Q)
+    # a constant that breaks only the bounds of the larger histograms: the
+    # first of their moduli is named, wherever it sits in the block
+    norms = {}
+    for q in range(Q, 2 * Q):
+        h = counting._inverse_histogram(M, q, _prime_divisors(q)).astype(float)
+        norms[q] = h.sum() * math.sqrt(np.dot(h, h))
+    ranked = sorted(set(norms.values()))
+    cut = (ranked[len(ranked) // 2] + ranked[len(ranked) // 2 + 1]) / 2
+    first = min(q for q in norms if norms[q] > cut)
+    assert first > Q
+    levels = (size - 1).bit_length()
+    monkeypatch.setattr(counting, "_CONVOLVE_ERROR_C", (0.5 / (cut * 2.0 ** -53) - 2) / (2 * levels))
+    with pytest.raises(ConsistencyError, match=rf"fold error bound \S+ mod {first} is not below 1/2"):
+        sum_congruence_counts(k, M, Q)
+
+
+def test_fold_blocks_cut_under_the_cell_cap_and_the_budget(monkeypatch):
+    blocks = counting._fold_blocks(1024, 2048)
+    assert [q for b in blocks for q in b] == list(range(1024, 2048))
+    assert {len(b) for b in blocks} == {32}
+    assert {len(b) for b in counting._fold_blocks(10 ** 5, 2 * 10 ** 5)} == {1}
+    # a small byte budget cuts blocks down to one modulus, never to none
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(4096 * counting._FOLD_BYTES * 3))
+    assert {len(b) for b in counting._fold_blocks(1024, 2048)[:-1]} == {3}
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", "1000")
+    assert {len(b) for b in counting._fold_blocks(1024, 2048)} == {1}
+
+
+def test_sum_congruence_counts_refuses_a_fold_over_the_budget(monkeypatch):
+    want = sum_congruence_counts(2, 256, 64).extra["total"]
+    # one modulus of [64, 128) at a time, each a single fold charged 64
+    # bytes per residue, as count_congruence_solutions charges it
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(256 * counting._FOLD_BYTES))
+    assert {len(b) for b in counting._fold_blocks(64, 128)} == {1}
+    assert sum_congruence_counts(2, 256, 64).extra["total"] == want
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(127 * 64))
+    assert sum_congruence_counts(2, 256, 64).extra["total"] == want
+    # 127 is the first modulus whose fold no longer fits
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(127 * 64 - 1))
+    with pytest.raises(CapacityError, match="tables mod 127 need about 8128 bytes"):
+        sum_congruence_counts(2, 256, 64)
+
+
+@pytest.mark.parametrize("k,M,per_residue", [(2, 3000, 64), (3, 400, 88), (4, 100, 88)])
+def test_a_single_fold_is_charged_its_bytes_per_residue(monkeypatch, k, M, per_residue):
+    # a fold of one modulus is charged per_residue bytes a residue, so a
+    # count that fits that runs, and one byte less refuses it
+    q = 100_003
+    assert counting._unit_count(M, _prime_divisors(q)) ** k > q
+    want = count_congruence_solutions(k, M, q)
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(q * per_residue))
+    assert count_congruence_solutions(k, M, q) == want
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(q * per_residue - 1))
+    with pytest.raises(CapacityError, match=f"tables mod {q} need about {q * per_residue} bytes"):
+        count_congruence_solutions(k, M, q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [1025, 1351, 4999, 2 ** 16, 65537])
+def test_a_single_fold_peaks_within_its_charge(k, q):
+    M = {1: 5 * q, 2: min(3 * q + 7, 40_000), 3: 400, 4: 100}[k]
+    primes = _prime_divisors(q)
+    n = counting._unit_count(M, primes)
+    count = lambda: counting._folded_count(k, M, q, primes, n)
+    count()
+    _, peak = _traced_peak(count)
+    assert peak <= q * (64 if k <= 2 else 88)
+
+
+@pytest.mark.parametrize("k,M,Q", [(1, 3000, 1000), (2, 256, 1024), (3, 40, 300), (4, 20, 100)])
+def test_fold_block_peak_is_within_its_charge(k, M, Q):
+    block = counting._fold_blocks(Q, 2 * Q)[-1]
+    qs = list(block)
+    divisors = [_prime_divisors(q) for q in qs]
+    size = counting._smooth_length(2 * qs[-1] - 1)
+    counting._congruence_block(k, M, qs, divisors)
+    _, peak = _traced_peak(lambda: counting._congruence_block(k, M, qs, divisors))
+    assert peak <= len(qs) * size * counting._FOLD_BYTES
+
+
+def test_smooth_length_matches_its_search_twin():
+    for m in list(range(1, 5000)) + [2 ** 31 - 1, 2 ** 32 - 3, 2 ** 32 - 1, 2 ** 32]:
+        assert counting._smooth_length(m) == twin_smooth_length(m), m
+    assert counting._smooth_length(2 * (2 ** 31 - 1) - 1) == 2 ** 32
 
 
 def test_jcount_beyond_any_histogram_matches_brute(capsys):

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from kloosterlab import arith, bilinear, counting, expsums
 from kloosterlab.arith import largest_prime_factor
+from kloosterlab.bilinear import type1_report, type2_avg_max_report
+from kloosterlab.counting import sum_congruence_counts
 from kloosterlab.errors import ConsistencyError
 from kloosterlab.experiments import (
     avg_max_report,
@@ -224,3 +227,33 @@ def test_report_worker_determinism():
     one = avg_max_report(8, 8.0, workers=1)
     many = avg_max_report(8, 8.0, workers=8)
     assert one.lhs == many.lhs
+
+
+def test_q_sweeps_factor_their_moduli_once_without_trial_division(monkeypatch):
+    # every modulus of a sweep takes its primes from arith.factor_spans
+    def refused(q):
+        raise AssertionError(f"modulus {q} was trial-divided")
+
+    for module in (arith, bilinear, counting, expsums):
+        monkeypatch.setattr(module, "_prime_divisors", refused)
+    avg_max_report(64, 64.0)
+    fixed_a_avg_report(1, 64, 64.0)
+    # k = 1, M = 40 < q enumerates, by the table below q = 80 and square-and-multiply above
+    sum_congruence_counts(1, 40, 64)
+    # n^2 against q: highly composite moduli enumerate, the others fold
+    sum_congruence_counts(2, 20, 64)
+    type2_avg_max_report(8, 8, 64, 2)
+    type1_report(8, 8, 32, a=3)
+
+
+def test_q_sweeps_read_the_same_whatever_the_factor_span(monkeypatch):
+    # the moduli are factored a span at a time; spans of 5 moduli cut every
+    # sweep's blocks differently and change no value
+    def sweeps():
+        return [avg_max_report(64, 64.0).lhs, fixed_a_avg_report(1, 64, 64.0).lhs,
+                sum_congruence_counts(2, 20, 64).extra["total"],
+                type2_avg_max_report(8, 8, 64, 2).lhs, type1_report(8, 8, 32, a=3).lhs]
+
+    want = sweeps()
+    monkeypatch.setattr(arith, "_FACTOR_SPAN", 5)
+    assert sweeps() == want

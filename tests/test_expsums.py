@@ -24,6 +24,7 @@ from kloosterlab.expsums import (
     ExpSumQuery,
     _twist_error_bound,
     _twist_spectrum,
+    check_twist_scan,
     inverse_phase_sum,
     kloosterman,
     kloosterman_grid,
@@ -522,11 +523,32 @@ def test_scan_blocks_cap_their_residues(monkeypatch):
 
 def test_max_prime_sum_block_checks_every_modulus_first(monkeypatch):
     # the first modulus past the limit is named, before any inverse is taken
-    monkeypatch.setattr(expsums, "prime_inverses", None)
+    monkeypatch.setattr(expsums, "block_inverses", None)
     with pytest.raises(CapacityError, match="modulus 101 exceeds the twist-scan limit 100"):
         max_prime_sum_block([99, 100, 101, 102], _window_primes(50.0), scan_limit=100)
     with pytest.raises(CapacityError, match="modulus 101 exceeds"):
         avg_max_report(60, 50.0, scan_limit=100)
+
+
+def test_twist_scan_refuses_over_a_small_budget_reading_it_once(monkeypatch):
+    # 64 bytes per residue: moduli up to 150 fit 9,600 bytes, 151 does not
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(64 * 150))
+    reads = []
+    budget = expsums.memory_budget
+    for module in (arith, expsums):
+        monkeypatch.setattr(module, "memory_budget", lambda: reads.append(1) or budget())
+    check_twist_scan(range(100, 151))
+    assert len(reads) == 1
+    with pytest.raises(CapacityError) as refused:
+        check_twist_scan(range(100, 200), scan_limit=175)
+    assert str(refused.value) == (
+        f"tables mod 151 need about 9664 bytes, budget is 9600 (set {MEMORY_ENV_VAR} to raise it)"
+    )
+    # the limit is still checked first, modulus by modulus
+    with pytest.raises(CapacityError, match="modulus 141 exceeds the twist-scan limit 140"):
+        check_twist_scan(range(100, 200), scan_limit=140)
+    with pytest.raises(CapacityError, match="tables mod 151 need about 9664 bytes"):
+        avg_max_report(100, 100.0)
 
 
 def test_kloosterman_grid_index_stays_within_its_bytes():

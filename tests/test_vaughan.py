@@ -328,7 +328,7 @@ def test_component_value_bitwise_the_spec_route(a, q):
 
 def _charges(monkeypatch):
     needs = []
-    monkeypatch.setattr(vaughan, "charge_budget", lambda need, subject: needs.append(need))
+    monkeypatch.setattr(vaughan, "charge_budget", lambda need, subject, budget=None: needs.append(need))
     return needs
 
 
@@ -399,7 +399,7 @@ def test_streamed_check_peaks_within_its_charges(monkeypatch):
     tables = build_multiplicative_tables(decomposition_limit(params))
     needs = []
     for module in (arith, bilinear, expsums, vaughan):
-        monkeypatch.setattr(module, "charge_budget", lambda need, subject: needs.append(need))
+        monkeypatch.setattr(module, "charge_budget", lambda need, subject, budget=None: needs.append(need))
     tracemalloc.start()
     try:
         compare_decomposition(params, 1, 7, tables)
