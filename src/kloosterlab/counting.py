@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    FactorWindow,
     _prime_divisors,
     batch_inverses,
     block_inverses,
@@ -63,6 +64,12 @@ _CONVOLVE_ERROR_C = 3 * _FFT_ERROR_C
 #: where the byte budget asks: 32 moduli at the Q = 1024 sweep's length
 #: 4096.
 _FOLD_CELLS = 1 << 17
+
+#: Peak bytes per cell (an n and a subset of its primes) of _unit_counts,
+#: with int64 floors and with the Python-int floors of an M past int64:
+#: tracemalloc measured 23.1 and 103.8 over the span [2**19, 2**19 + 2**16),
+#: whose largest group is the 24,773 n with three primes.
+_UNIT_BYTES = (24, 112)
 
 #: Peak bytes per cell of a fold block of two moduli or more, its
 #: histograms and their inversion included: tracemalloc measured at most
@@ -154,6 +161,32 @@ def _unit_count(M: int, primes: list[int]) -> int:
     for p in primes:
         terms += [(d * p, -sign) for d, sign in terms]
     return sum(sign * (M // d) for d, sign in terms)
+
+
+def _unit_counts(M: int, factors: FactorWindow) -> list[int]:
+    """_unit_count(M, primes) for the primes of every n of a factor window,
+    at once for all the n with w primes, for each w.
+
+    Each prime p doubles every row's floors M // d, d running over the
+    products of distinct primes, since floor(floor(M / d) / p) is
+    floor(M / (d p)); a row's count is the sum of its floors, those of odd
+    subsets negated.  Each group of rows is charged before it is built.
+    """
+    lengths = np.diff(factors.bounds)
+    # an M past int64 takes Python-int floors
+    wide = M >= 2 ** 63
+    counts = np.empty(len(lengths), dtype=object if wide else np.int64)
+    for w in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == w)
+        charge_budget(_UNIT_BYTES[wide] * (len(rows) << w), f"unit counts of {len(rows)} moduli need")
+        primes = factors.primes[factors.bounds[rows, None] + np.arange(w)]
+        floors, sign = np.full((len(rows), 1), M, dtype=counts.dtype), np.ones(1, dtype=np.int64)
+        for p in primes.T:
+            floors = np.hstack((floors, floors // p[:, None]))
+            sign = np.hstack((sign, -sign))
+        # int64 partial sums may wrap, but each count lies in [0, M]
+        counts[rows] = floors @ sign
+    return counts.tolist()
 
 
 def _inverse_histogram(M: int, q: int, primes: list[int]) -> np.ndarray:
@@ -360,26 +393,25 @@ def _block_histograms(M: int, qs: list[int], divisors) -> np.ndarray:
     return np.bincount(invs.ravel(), weight.ravel(), len(qs) * width).reshape(len(qs), width)
 
 
-def _congruence_block(k: int, M: int, qs: list[int], divisors) -> list[int]:
+def _congruence_block(k: int, M: int, qs: list[int], divisors, ns) -> list[int]:
     """count_congruence_solutions(k, M, q) at every modulus of qs, ascending,
-    divisors[j] holding the primes of qs[j]: the moduli that enumeration
+    divisors[j] holding the primes of qs[j] and ns[j] the count of units
+    m <= M mod qs[j] (_unit_counts): the moduli that enumeration
     takes one at a time, the others folded at once (_fold_rows), or as a
     single count (_folded_count, whose batch_inverses beats the lanes of
     block_inverses at one modulus) when one is left.  Every cap is checked,
     and the fold charged, before its arrays are built."""
     counts = [0] * len(qs)
-    fold, units = [], []
-    for j, (q, primes) in enumerate(zip(qs, divisors)):
-        n = _unit_count(M, primes)
+    fold = []
+    for j, (q, primes, n) in enumerate(zip(qs, divisors, ns)):
         if n ** k <= min(q, _STATE_CAP):
             counts[j] = _enumerated_count(k, M, q, n, primes)
         else:
             _check_fold(k, M, n)
             fold.append(j)
-            units.append(n)
     if len(fold) == 1:
         j = fold[0]
-        counts[j] = _folded_count(k, M, qs[j], divisors[j], units[0])
+        counts[j] = _folded_count(k, M, qs[j], divisors[j], ns[j])
     elif fold:
         moduli = [qs[j] for j in fold]
         size = _smooth_length(2 * moduli[-1] - 1)
@@ -426,8 +458,9 @@ def sum_congruence_counts(k: int, M: int, Q: int) -> BoundReport:
     The left side is the exact integer sum over Q <= q < 2Q; it is also
     exposed in extra["total"] without float rounding.  Each count is
     count_congruence_solutions(k, M, q); the moduli are factored a span at
-    a time (arith.factor_spans) and counted a block of _fold_blocks at a
-    time (_congruence_block).
+    a time (arith.factor_spans), their unit counts taken for the whole span
+    (_unit_counts), and counted a block of _fold_blocks at a time
+    (_congruence_block).
     """
     if Q < 2:
         raise ValueError(f"need Q >= 2, got {Q}")
@@ -435,8 +468,12 @@ def sum_congruence_counts(k: int, M: int, Q: int) -> BoundReport:
     check_modulus(2 * Q - 1)
     total = 0
     for factors in factor_spans(Q, 2 * Q):
+        ns = _unit_counts(M, factors)
         for block in _fold_blocks(factors.lo, factors.hi):
-            total += sum(_congruence_block(k, M, list(block), factors.divisors(block)))
+            at = block.start - factors.lo
+            counts = _congruence_block(k, M, list(block), factors.divisors(block),
+                                       ns[at : at + len(block)])
+            total += sum(counts)
     return make_report(
         name="jcount-avg",
         params={"k": k, "M": M, "Q": Q},

@@ -10,9 +10,12 @@ indexes a unit-root table, so results are reproducible bit for bit, and
 conjugate symmetry in the twist parameter holds exactly.  Scans over all
 twists take one FFT of the residue histogram: as a filter in _twist_max,
 whose values still come from the table, and as the result in
-kloosterman_grid.  Sweeps over many moduli take them a block at a time:
-prime_sum_block at one twist, and max_prime_sum_block over all twists,
-one row of _twist_max per modulus (max_prime_sum is a block of one).
+kloosterman_grid.  The filter's FFT has length q/2 at an even q: every
+unit mod q is odd, and a histogram on the units (which _twist_max
+checks) has the spectrum of its odd residues.  Sweeps over many moduli
+take them a block at a time: prime_sum_block at one twist, and
+max_prime_sum_block over all twists, one row of _twist_max per modulus
+(max_prime_sum is a block of one).
 
 The primes of a window [x, 2x) come from arith.prime_window alone:
 prime_sum and max_prime_sum fetch their window, and the block kernels
@@ -308,6 +311,35 @@ def _twist_spectrum(h: np.ndarray, twists: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(h))[np.minimum(twists, q - twists)]
 
 
+def _row_spectrum(row: np.ndarray, out: np.ndarray) -> None:
+    """Write |S(a)| = |sum_r row[r] e(a r / q)|, q = len(row), into out for
+    0 <= a < len(out): q // 2 + 1 twists for a real row, q for a complex one.
+
+    An odd q takes the length-q transform of _twist_spectrum.  An even q
+    takes one of length q/2: every unit mod q is odd, so for a row that is
+    zero at the even residues, S(a) = e(a/q) * sum_s row[2s+1] e(a s / (q/2)),
+    and |S(a)| is the spectrum of row[1::2] at a mod q/2, mirrored (a real
+    row's half spectrum at min(a, q/2 - a)) or read at -a (numpy's sign) for
+    a complex one.  Its error is within the length-q bound of
+    _twist_error_bound: the same norm at a shorter length.
+    """
+    q = len(row)
+    if q % 2:
+        if np.iscomplexobj(row):
+            out[:] = _twist_spectrum(row, np.arange(q))
+        else:
+            np.abs(np.fft.rfft(row), out=out)
+        return
+    m = q // 2
+    if np.iscomplexobj(row):
+        spec = np.abs(np.fft.fft(row[1::2]))
+        out.reshape(2, m)[:] = spec[(-np.arange(m)) % m]
+    else:
+        k = m // 2 + 1
+        np.abs(np.fft.rfft(row[1::2]), out=out[:k])
+        out[k:] = out[m - k :: -1]
+
+
 def _twist_max(
     h: np.ndarray, qs, terms: np.ndarray, counts, vals, err, divisors
 ) -> list[tuple[int, float]]:
@@ -321,24 +353,35 @@ def _twist_max(
     _prime_divisors(qs[j]).  A real histogram has |S(q - a)| = |S(a)|, so
     its row scans 1 <= a <= q/2; a complex one scans 1 <= a < q.
 
-    One FFT per row writes the spectrum |sum_r h[r] e(a r / q)| of every
-    twist into one buffer, and strided stores over the primes dividing q
-    mask the twists that are not units.  Each direct magnitude is within
-    err of its spectrum, so a twist more than 2 * err below its row's top
-    cannot carry the row's largest direct magnitude, nor tie with it.  The
-    others, the survivors, are re-scored by the direct sum of unit-root
-    table entries, all rows at once: the survivors of rows with the same
-    term count stack into one matrix, at most _CHUNK_CELLS cells at a time,
-    with the row expression of a direct scan, so every magnitude is bitwise
-    the direct scan's.  Each row's first strict maximum wins.  Cost is
-    O(q log q) per row plus O(counts[j]) per survivor; when every twist
-    ties it is the direct scan plus one FFT.
+    One FFT per row (_row_spectrum) writes the spectrum
+    |sum_r h[r] e(a r / q)| of every twist into one buffer, and strided
+    stores over the primes dividing q mask the twists that are not units.
+    The FFT has length q for an odd q and q/2 for an even one, whose units
+    are the odd residues; so an even row with a term at an even residue
+    raises ConsistencyError before any transform.  The spectrum is only a
+    filter.  Each direct magnitude is within err of its spectrum, so a
+    twist more than 2 * err below its row's top cannot carry the row's
+    largest direct magnitude, nor tie with it.  The others, the survivors,
+    are re-scored by the direct sum of unit-root table entries, all rows at
+    once: the survivors of rows with the same term count stack into one
+    matrix, at most _CHUNK_CELLS cells at a time, with the row expression
+    of a direct scan, so every magnitude is bitwise the direct scan's.
+    Each row's first strict maximum wins.  Cost is O(q log q) per row plus
+    O(counts[j]) per survivor; when every twist ties it is the direct scan
+    plus one FFT.
 
     Raises ConsistencyError if a survivor is more than its row's err off
     its spectrum.
     """
     qs = np.asarray(qs, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
+    moduli = np.repeat(qs, counts)
+    even = np.flatnonzero((moduli | terms) & 1 == 0)
+    if len(even):
+        i = even[0]
+        raise ConsistencyError(
+            f"twist row mod {moduli[i]} has a term at the even residue {terms[i]}, not a unit"
+        )
     half = not np.iscomplexobj(h)
     stops = qs // 2 + 1 if half else qs
     starts, spans = _row_starts(qs), _row_starts(stops)
@@ -346,11 +389,8 @@ def _twist_max(
     for j, (q, lo, at, stop) in enumerate(
         zip(qs.tolist(), starts.tolist(), spans.tolist(), stops.tolist())
     ):
-        row, out = h[lo : lo + q], spectrum[at : at + stop]
-        if half:
-            np.abs(np.fft.rfft(row), out=out)
-        else:
-            out[:] = _twist_spectrum(row, np.arange(q))
+        out = spectrum[at : at + stop]
+        _row_spectrum(h[lo : lo + q], out)
         for p in divisors[j]:
             out[::p] = -np.inf
     err = np.zeros(len(qs)) + err
@@ -413,12 +453,13 @@ def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tup
 
     Scans only 1 <= a <= q/2 and relies on exact conjugate symmetry for
     the upper half; ties go to the smallest a.  _twist_max filters the
-    twists by one FFT of the histogram of inverse residues and re-scores
-    the survivors by the direct sum, so the result is bitwise the full
-    direct scan's.  A block of one modulus: its inverses come from
-    batch_inverses, which beats the lanes of block_inverses at one modulus.
-    The modulus is checked against scan_limit and the byte budget before
-    the window is fetched from arith.prime_window.
+    twists by one FFT of the histogram of inverse residues, of length q/2
+    over the odd residues when q is even (the inverses are units, so odd),
+    and re-scores the survivors by the direct sum, so the result is
+    bitwise the full direct scan's.  A block of one modulus: its inverses
+    come from batch_inverses, which beats the lanes of block_inverses at
+    one modulus.  The modulus is checked against scan_limit and the byte
+    budget before the window is fetched from arith.prime_window.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")

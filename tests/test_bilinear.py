@@ -229,10 +229,21 @@ def test_max_abs_over_twists_edge_cases(q, x):
 
 
 def test_max_abs_consistency_check_fires_with_zero_bound(monkeypatch):
+    # on the full-length route (3001) and the half-length one (3000)
     monkeypatch.setattr(bilinear, "_twist_error_bound", lambda *args: 0.0)
-    h = next(_histograms(3001, 2500))
-    with pytest.raises(ConsistencyError):
-        _max_abs_over_twists(h, 3001)
+    for q in (3001, 3000):
+        h = next(_histograms(q, 2500))
+        with pytest.raises(ConsistencyError):
+            _max_abs_over_twists(h, q)
+
+
+def test_max_abs_refuses_an_even_histogram_off_the_units():
+    # a complex row mod an even q takes the half-length spectrum, which
+    # needs h zero at the even residues
+    h = np.zeros(10, dtype=np.complex128)
+    h[[3, 4]] = [0.5j, 1.0]
+    with pytest.raises(ConsistencyError, match="mod 10 has a term at the even residue 4"):
+        _max_abs_over_twists(h, 10)
 
 
 def _restricted(l, ms, beta, x):

@@ -19,7 +19,7 @@ from kloosterlab.counting import (
     count_unit_fraction_solutions,
     sum_congruence_counts,
 )
-from kloosterlab.arith import _prime_divisors, is_squarefull
+from kloosterlab.arith import _prime_divisors, factor_window, is_squarefull
 from kloosterlab.errors import CapacityError, ConsistencyError
 
 
@@ -331,6 +331,34 @@ def test_unit_count_by_inclusion_exclusion(M, q):
     assert counting._unit_count(M, primes) == want
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    lo=st.one_of(st.integers(2, 10 ** 6), st.sampled_from([510510 - 3, 9699690 - 3, 2 ** 20])),
+    size=st.integers(0, 40),
+    M=st.one_of(st.integers(1, 3000), st.integers(1, 2 ** 63 - 1), st.integers(2 ** 63, 10 ** 30)),
+)
+def test_unit_counts_of_a_span_equal_each_count(lo, size, M):
+    # the one array step per span of sum_congruence_counts, M past int64 included
+    got = counting._unit_counts(M, factor_window(lo, lo + size))
+    assert got == [counting._unit_count(M, _prime_divisors(n)) for n in range(lo, lo + size)]
+    assert all(type(n) is int for n in got)
+
+
+@pytest.mark.parametrize("M", [256, 2 ** 64])
+def test_unit_counts_peak_within_their_charge(monkeypatch, M):
+    # each group of n with w primes is charged _UNIT_BYTES per cell before
+    # it is built; the largest group bounds the peak
+    factors = factor_window(2 ** 19, 2 ** 19 + 2 ** 14)
+    lengths = np.diff(factors.bounds)
+    cells = max(int(np.count_nonzero(lengths == w)) << w for w in set(lengths.tolist()))
+    charge = counting._UNIT_BYTES[M >= 2 ** 63] * cells
+    _, peak = _traced_peak(lambda: counting._unit_counts(M, factors))
+    assert peak <= charge
+    monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(charge - 1))
+    with pytest.raises(CapacityError, match="unit counts of"):
+        counting._unit_counts(M, factors)
+
+
 def _near_balance(draw, k, q):
     """An M whose unit count n has n**k within a few steps of q."""
     phi = sum(1 for m in range(1, q + 1) if math.gcd(m, q) == 1)
@@ -434,7 +462,9 @@ def _congruence_blocks(draw):
 @example((4, 215, [2, 3, 1024, 2520]))         # bucket sizes near the dense cap
 def test_congruence_block_equals_each_count(case):
     k, M, qs = case
-    got = counting._congruence_block(k, M, qs, [_prime_divisors(q) for q in qs])
+    divisors = [_prime_divisors(q) for q in qs]
+    ns = [counting._unit_count(M, primes) for primes in divisors]
+    got = counting._congruence_block(k, M, qs, divisors, ns)
     assert got == [count_congruence_solutions(k, M, q) for q in qs]
 
 
@@ -543,8 +573,9 @@ def test_fold_block_peak_is_within_its_charge(k, M, Q):
     qs = list(block)
     divisors = [_prime_divisors(q) for q in qs]
     size = counting._smooth_length(2 * qs[-1] - 1)
-    counting._congruence_block(k, M, qs, divisors)
-    _, peak = _traced_peak(lambda: counting._congruence_block(k, M, qs, divisors))
+    ns = [counting._unit_count(M, primes) for primes in divisors]
+    counting._congruence_block(k, M, qs, divisors, ns)
+    _, peak = _traced_peak(lambda: counting._congruence_block(k, M, qs, divisors, ns))
     assert peak <= len(qs) * size * counting._FOLD_BYTES
 
 

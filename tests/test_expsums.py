@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import arith, expsums
@@ -22,6 +22,7 @@ from kloosterlab.expsums import (
     _CHUNK_CELLS,
     _SCAN_RESIDUES,
     ExpSumQuery,
+    _row_spectrum,
     _twist_error_bound,
     _twist_spectrum,
     check_twist_scan,
@@ -222,10 +223,25 @@ def test_max_prime_sum_without_usable_primes(prime_table):
 
 def test_twist_consistency_check_fires_with_zero_bound(monkeypatch):
     # the spectrum and the direct sums round differently, so a zero bound
-    # must trip the check
+    # must trip the check: on the half-length route (3000) and the full one
     monkeypatch.setattr(expsums, "_twist_error_bound", lambda *args: 0.0)
-    with pytest.raises(ConsistencyError):
-        max_prime_sum(3000, 2500)
+    for q in (3000, 3001):
+        with pytest.raises(ConsistencyError):
+            max_prime_sum(q, 2500)
+
+
+def test_even_row_with_a_term_at_an_even_residue_is_refused():
+    # the half-length spectrum holds only for rows on the units: the block's
+    # even rows are checked from its terms, while an odd modulus takes any
+    # residue
+    qs, counts = np.array([9, 10, 12]), np.array([2, 2, 1])
+    divisors = [[3], [2, 5], [2, 3]]
+    with pytest.raises(ConsistencyError, match="mod 12 has a term at the even residue 6"):
+        expsums._prime_twist_max(qs, np.array([2, 4, 1, 3, 6]), counts, divisors)
+    got = expsums._prime_twist_max(qs[:1], np.array([2, 4]), counts[:1], divisors[:1])
+    roots = unit_roots(9)
+    mags = {a: abs(roots[2 * a % 9] + roots[4 * a % 9]) for a in (1, 2, 4)}
+    assert got[0][0] == max(mags, key=mags.get) and got[0][1] == pytest.approx(max(mags.values()))
 
 
 def test_max_prime_sum_capacity():
@@ -371,6 +387,84 @@ def test_twist_spectrum_within_its_bound_of_the_direct_sum(case):
     table = unit_roots(q)[(twists[:, None] * terms[None, :]) % q]
     direct = np.abs((table if vals is None else table * vals).sum(axis=1))
     assert float(np.abs(spectrum - direct).max()) <= err
+
+
+def _units_mod(q):
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+
+
+def _row_histogram(q, terms, vals):
+    """The histogram and bound E of max_prime_sum (counts of terms) or of
+    _max_abs_over_twists (weights vals on the support terms)."""
+    if vals is None:
+        h = np.bincount(terms, minlength=q).astype(np.float64)
+        return h, _twist_error_bound(h, len(terms), len(terms) - 1)
+    h = np.zeros(q, dtype=np.complex128)
+    h[terms] = vals
+    return h, _twist_error_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
+
+
+@st.composite
+def _even_unit_histograms(draw):
+    """A histogram on the units mod an even q: q = 2, 4, or 2 or 0 mod 4
+    up to 1500; counts of random unit terms, or complex weights in the
+    unit disk on a random set of units."""
+    mod_4 = st.builds(lambda n, r: 4 * n + r, st.integers(1, 374), st.sampled_from([0, 2]))
+    q = draw(st.one_of(st.sampled_from([2, 4]), mod_4))
+    units = _units_mod(q)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return q, rng.choice(units, draw(st.integers(1, 400))), None
+    support = units[rng.random(len(units)) < draw(st.floats(0.01, 1.0))]
+    if len(support) == 0:
+        support = units[:1]
+    vals = rng.random(len(support)) * np.exp(2j * np.pi * rng.random(len(support)))
+    return q, support, vals
+
+
+@_PROPERTY
+@given(case=_even_unit_histograms())
+@example(case=(2, np.array([1, 1]), None))
+@example(case=(4, np.array([1, 3, 3]), None))
+@example(case=(2, np.array([1]), np.array([0.5 - 0.5j])))
+@example(case=(4, np.array([1, 3]), np.array([0.3j, 0.9])))
+def test_half_length_row_spectrum_within_its_bound_of_the_direct_sum(case):
+    # every twist of the buffer _twist_max fills: 0 <= a <= q/2 for a real
+    # row, 0 <= a < q for a complex one
+    q, terms, vals = case
+    h, err = _row_histogram(q, terms, vals)
+    spectrum = np.empty(q // 2 + 1 if vals is None else q)
+    _row_spectrum(h, spectrum)
+    twists = np.arange(len(spectrum))
+    table = unit_roots(q)[(twists[:, None] * terms[None, :]) % q]
+    direct = np.abs((table if vals is None else table * vals).sum(axis=1))
+    assert float(np.abs(spectrum - direct).max()) <= err
+
+
+@pytest.mark.parametrize("q", [8190, 8191, 8192, 8194, 8198, 8209])
+def test_row_spectra_keep_parseval_within_the_bound_of_e(q):
+    # an integer histogram h has sum over a mod q of |S(a)|^2 = q * |h|_2^2
+    # exactly; spectra s(a) within E of every |S(a)| keep the sum of their
+    # squares within 2 E q |h|_2 + q E^2 of it (Cauchy-Schwarz: the |S(a)|
+    # sum to at most q |h|_2), and rounding each square adds u per square.
+    # 8191 and 8209 are prime and take length q; 8192 halves to 2^12, 8190
+    # to 3^2 * 5 * 7 * 13, 8194 to 17 * 241 and 8198 to the prime 4099
+    rng = np.random.default_rng(q)
+    units = _units_mod(q)
+    counts = rng.choice(units, 6000)
+    support = np.unique(rng.choice(units, 3000))
+    gauss = rng.integers(-3, 4, len(support)) + 1j * rng.integers(-3, 4, len(support))
+    for terms, vals in ((counts, None), (support, gauss)):
+        h, err = _row_histogram(q, terms, vals)
+        squares = int((h.real * h.real + h.imag * h.imag).sum())
+        spectrum = np.empty(q // 2 + 1 if vals is None else q)
+        _row_spectrum(h, spectrum)
+        if vals is None:
+            a = np.arange(q)
+            spectrum = spectrum[np.minimum(a, q - a)]
+        total = math.fsum((spectrum * spectrum).tolist())
+        bound = 2 * err * q * math.sqrt(squares) + q * err ** 2 + 2 ** -52 * q * squares
+        assert abs(total - q * squares) <= bound, (q, vals is None)
 
 
 def test_von_mangoldt_prime_sum_reads_its_window_as_views(monkeypatch):
