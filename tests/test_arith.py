@@ -1,7 +1,10 @@
 """Sieves, inverses, multiplicative tables, and the accumulation helpers."""
 
+import ctypes
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from unittest import mock
@@ -878,3 +881,92 @@ def test_make_report_validation():
         make_report("demo", {}, -1.0, {"t": 1.0})
     with pytest.raises(ValueError):
         make_report("demo", {}, 1.0, {"t": 0.0})
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+needs_mallopt = pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+
+# Runs one call twice in a fresh process and prints the minor page faults
+# of the second call.
+_SECOND_CALL_FAULTS = """
+import resource, sys
+from kloosterlab.experiments import fixed_a_avg_report
+from kloosterlab.vaughan import VaughanParams, compare_decomposition
+call = {
+    "fixed-a-avg": lambda: fixed_a_avg_report(1, 4096, 4096),
+    "vaughan-check": lambda: compare_decomposition(VaughanParams(x=1e6, U=100), 1, 7),
+}[sys.argv[1]]
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _child(script: str, *args: str, **env: str) -> str:
+    """stdout of script run in a fresh interpreter that imports this package,
+    with no malloc setting of the caller's environment and env added."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in arith._MALLOC_ENV and k != "GLIBC_TUNABLES"}
+    src = os.path.dirname(os.path.dirname(arith.__file__))
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env={**base, **env},
+                          capture_output=True, text=True, check=True, timeout=300)
+    return done.stdout
+
+
+@needs_mallopt
+@pytest.mark.parametrize("call", ["fixed-a-avg", "vaughan-check"])
+def test_pinned_thresholds_keep_a_second_call_from_faulting(call):
+    # measured 3 and 1 faults; 21,890 and 28,683 without the pinned thresholds
+    assert int(_child(_SECOND_CALL_FAULTS, call)) < 200
+
+
+@needs_mallopt
+@pytest.mark.parametrize("env", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
+                                 {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}],
+                         ids=["env", "tunables"])
+@pytest.mark.parametrize("call", ["fixed-a-avg", "vaughan-check"])
+def test_a_malloc_setting_of_the_environment_is_left_alone(call, env):
+    # the user's trim threshold disables glibc's dynamic mmap threshold, so
+    # the work arrays are mapped afresh by every call (measured 41,347 and
+    # 138,913 faults)
+    assert int(_child(_SECOND_CALL_FAULTS, call, **env)) > 5000
+
+
+@pytest.mark.parametrize("env, pinned", [
+    ({}, True),
+    ({"MALLOC_ARENA_MAX": "2"}, True),
+    ({"GLIBC_TUNABLES": "glibc.malloc.arena_max=2"}, True),
+    ({"MALLOC_MMAP_THRESHOLD_": "131072"}, False),
+    ({"MALLOC_TRIM_THRESHOLD_": "131072"}, False),
+    ({"MALLOC_TOP_PAD_": "0"}, False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.arena_max=2:glibc.malloc.mmap_threshold=131072"}, False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.top_pad=0"}, False),
+])
+def test_pin_malloc_thresholds_skips_a_set_parameter(monkeypatch, env, pinned):
+    for name in (*arith._MALLOC_ENV, "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert arith.pin_malloc_thresholds() is (pinned and _has_mallopt())
+
+
+@pytest.mark.parametrize("lookup", ["raise OSError('no libc')", "return object()"],
+                         ids=["no-library", "no-mallopt"])
+def test_import_survives_a_failed_mallopt_lookup(lookup):
+    script = f"""
+import ctypes
+def cdll(name):
+    {lookup}
+ctypes.CDLL = cdll
+from kloosterlab import arith, expsums
+print(arith.pin_malloc_thresholds(), expsums.max_prime_sum(101, 1000)[0])
+"""
+    assert _child(script).split()[0] == "False"
