@@ -36,11 +36,11 @@ for x in (50, 100):
 # The congruence histogram behind the triple counts: how the products
 # p1*p2*p3 distribute over residues mod q.
 x, q = 200, 12
-pt = kl.shared_prime_table(2 * x)
+pt = kl.sieve_primes(x)
 print(f"\nproduct residue histogram, primes <= {x}, mod {q}:")
 total = 0
 for lam in range(q):
-    c = kl.garaev_congruence_count(x, q, lam, pt)
+    c = kl.garaev_congruence_count(x, q, lam)
     total += c
     bar = "#" * (c * 40 // 6000 or (1 if c else 0))
     print(f"  {lam:2d}: {c:6d} {bar}")

@@ -12,19 +12,19 @@ import math
 
 import kloosterlab as kl
 
-tables = kl.shared_tables(100_000)
+tables = kl.build_multiplicative_tables(100_000)
 
 # Pointwise: the four terms recombine to Lambda(n) exactly.
 print("pointwise reconstruction, U = n^(1/3):")
 for n in (97, 128, 243, 1000, 1024):
-    got = kl.reconstruct_lambda(n, n ** (1 / 3), tables)
+    got = kl.reconstruct_lambda(n, n ** (1 / 3))
     want = tables.lam(n)
     print(f"  n={n:5d}: rebuilt {got:.12f}  Lambda {want:.12f}")
 
 # Window sum over primes-and-powers x <= n < 2x, twisted by e(a*nbar/q).
 a, q, x = 2, 11, 2000.0
 params = kl.VaughanParams(x=x, U=x ** (1 / 3))
-dec = kl.decompose(params, tables)
+dec = kl.decompose(params)
 print(f"\ndecomposition at x={x:.0f}, U={params.U:.2f}: "
       f"{dec.type1_count} type I blocks, {dec.type2_count} type II blocks")
 
@@ -35,7 +35,7 @@ for comp, val in zip(dec.components, pieces):
     print(f"  {comp.kind:6s} {comp.sign:+d}  {comp.scale:9.3f} "
           f"{comp.L:8.1f} {comp.M:8.1f}  {val:+.6f}")
 
-chk = kl.compare_decomposition(params, a, q, tables)
+chk = kl.compare_decomposition(params, a, q)
 print(f"\nassembled  = {chk.decomposed:.10f}")
 print(f"direct     = {chk.direct:.10f}")
 print(f"rel error  = {chk.rel_error:.2e}")

@@ -15,12 +15,7 @@ from .arith import (
     PrimeTable,
     batch_inverses,
     build_multiplicative_tables,
-    inverse_table,
-    is_squarefull,
     largest_prime_factor,
-    mod_inverse,
-    shared_prime_table,
-    shared_tables,
     sieve_primes,
 )
 from .bilinear import (
@@ -38,13 +33,7 @@ from .counting import (
     count_unit_fraction_solutions,
     sum_congruence_counts,
 )
-from .errors import (
-    CapacityError,
-    ConsistencyError,
-    CoverageError,
-    KloosterlabError,
-    NotInvertibleError,
-)
+from .errors import CapacityError, ConsistencyError, KloosterlabError
 from .experiments import (
     ComparisonRow,
     ExponentFit,
@@ -57,10 +46,8 @@ from .experiments import (
     fixed_a_avg_report,
     garaev_congruence_count,
     sieve_exponent_root,
-    sieve_threshold_function,
     ternary_exponent_root,
     ternary_rough_count,
-    ternary_threshold_function,
 )
 from .expsums import (
     ExpSumQuery,
@@ -85,7 +72,6 @@ from .vaughan import (
     evaluate_decomposition,
     prime_power_gap,
     reconstruct_lambda,
-    validate_decomposition,
 )
 
 __version__ = "0.1.0"
@@ -97,14 +83,12 @@ __all__ = [
     "CapacityError",
     "ComparisonRow",
     "ConsistencyError",
-    "CoverageError",
     "DecompositionCheck",
     "ExpSumQuery",
     "ExpSumValue",
     "ExponentFit",
     "KloosterlabError",
     "MultiplicativeTables",
-    "NotInvertibleError",
     "PrimePowerGap",
     "PrimeTable",
     "RootResult",
@@ -132,32 +116,24 @@ __all__ = [
     "fsum_complex",
     "garaev_congruence_count",
     "inverse_phase_sum",
-    "inverse_table",
-    "is_squarefull",
     "kloosterman",
     "kloosterman_grid",
     "largest_prime_factor",
     "make_report",
     "max_prime_sum",
-    "mod_inverse",
     "prime_power_gap",
     "prime_sum",
     "reconstruct_lambda",
-    "shared_prime_table",
-    "shared_tables",
     "short_inverse_sum",
     "sieve_exponent_root",
     "sieve_primes",
-    "sieve_threshold_function",
     "sum_congruence_counts",
     "ternary_exponent_root",
     "ternary_rough_count",
-    "ternary_threshold_function",
     "type1_report",
     "type2_avg_max_report",
     "type2_fixed_a_report",
     "unit_roots",
     "unit_roots_at",
-    "validate_decomposition",
     "weil_ratio",
 ]

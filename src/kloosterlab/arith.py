@@ -21,17 +21,15 @@ output is int64 either way.  pow(v, -1, q) is their twin in the tests.
 
 Two kinds of question take primes.  Window questions, over the primes or
 the prime powers of [x, 2x), take them from prime_window and from nowhere
-else: it slices the shared table when that covers the window, and
-otherwise sieves the window alone, in blocks, over the primes up to the
-square root of its top, building or growing no shared table.  Prefix
-questions take shared_tables: mu and Lambda up to a truncation
-(vaughan.decompose), or the primes up to x
-(experiments.garaev_congruence_count).
+else: it sieves the window alone, in blocks, over the primes up to the
+square root of its top.  Prefix questions build what they need per call
+and keep nothing: build_multiplicative_tables for mu and Lambda up to a
+truncation (vaughan.decompose), prime_window(2, x + 1) for the primes up
+to x (experiments.garaev_congruence_count).
 
-All tables are immutable after construction and safe to share between
-threads; construction itself is serialized behind a lock.  Sizes are
-checked against a byte budget before anything is allocated, so oversized
-requests fail fast instead of thrashing.
+Tables are not modified after construction, so threads may share them.
+Sizes are checked against a byte budget before anything is allocated,
+so oversized requests fail fast instead of thrashing.
 
 Importing this module, which every other module does, pins glibc's mmap
 threshold at 8 MiB and its trim threshold at 16 MiB for the whole process
@@ -48,13 +46,12 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, CoverageError, NotInvertibleError
+from .errors import CapacityError, NotInvertibleError
 
 HARD_SIEVE_CAP = 10 ** 9
 DEFAULT_MEMORY_BYTES = 2 * 1024 ** 3
@@ -221,17 +218,11 @@ class PrimeTable:
     primes: np.ndarray
     spf: np.ndarray
 
-    def require_coverage(self, needed: float) -> None:
-        if self.limit < needed - 1:
-            raise CoverageError(
-                f"table covers up to {self.limit}, need at least {needed - 1:.0f}"
-            )
-
     def is_prime(self, n: int) -> bool:
         if n < 2:
             return False
         if n > self.limit:
-            raise CoverageError(f"{n} is beyond the table limit {self.limit}")
+            raise ValueError(f"{n} is beyond the table limit {self.limit}")
         return int(self.spf[n]) == n
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
@@ -239,7 +230,7 @@ class PrimeTable:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if n > self.limit:
-            raise CoverageError(f"{n} is beyond the table limit {self.limit}")
+            raise ValueError(f"{n} is beyond the table limit {self.limit}")
         out = []
         while n > 1:
             p = int(self.spf[n])
@@ -265,12 +256,13 @@ class PrimeTable:
     def pi(self, x: float) -> int:
         """Number of primes <= x."""
         if x > self.limit:
-            raise CoverageError(f"{x} is beyond the table limit {self.limit}")
+            raise ValueError(f"{x} is beyond the table limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="right"))
 
     def primes_between(self, lo: float, hi: float) -> np.ndarray:
         """Primes p with lo <= p < hi, as an int64 array."""
-        self.require_coverage(hi)
+        if hi - 1 > self.limit:
+            raise ValueError(f"{hi - 1} is beyond the table limit {self.limit}")
         i = int(np.searchsorted(self.primes, lo, side="left"))
         j = int(np.searchsorted(self.primes, hi, side="left"))
         return self.primes[i:j]
@@ -775,14 +767,14 @@ class MultiplicativeTables:
     def lam(self, n: int) -> float:
         """Von Mangoldt Lambda(n): log p when n = p**a, else 0."""
         if not 1 <= n <= self.limit:
-            raise CoverageError(f"{n} outside [1, {self.limit}]")
+            raise ValueError(f"{n} outside [1, {self.limit}]")
         p = int(self.vm_prime[n])
         return math.log(p) if p else 0.0
 
     def prime_power(self, n: int) -> tuple[int, int] | None:
         """(p, a) when n = p**a with a >= 1, else None."""
         if not 1 <= n <= self.limit:
-            raise CoverageError(f"{n} outside [1, {self.limit}]")
+            raise ValueError(f"{n} outside [1, {self.limit}]")
         p = int(self.vm_prime[n])
         if p == 0:
             return None
@@ -848,40 +840,9 @@ def build_multiplicative_tables(limit_or_table) -> MultiplicativeTables:
     return MultiplicativeTables(prime_table=table, mobius=mobius, vm_prime=vm_prime)
 
 
-_shared_lock = threading.Lock()
-_shared_mult: MultiplicativeTables | None = None
-
-
-def shared_tables(min_limit: int, max_limit: int = HARD_SIEVE_CAP) -> MultiplicativeTables:
-    """Process-wide multiplicative tables covering at least min_limit.
-
-    Grows geometrically so repeated calls with slowly increasing limits do
-    not resieve from scratch each time.  The growth stops at max_limit and
-    at the largest limit the byte budget admits; min_limit itself is never
-    cut, so a request beyond either still fails in the capacity checks.
-    The old table is dropped before the larger one is built, so the peak
-    is the new table alone, as the capacity checks charge it; a refused
-    growth leaves no cached table.
-    """
-    global _shared_mult
-    min_limit = max(int(min_limit), 2)
-    with _shared_lock:
-        if _shared_mult is None or _shared_mult.limit < min_limit:
-            target = max(min_limit, 1 << 16)
-            if _shared_mult is not None:
-                target = max(target, 2 * _shared_mult.limit)
-            # the sieve costs the most per entry; its spf entries are int32 below
-            # HARD_SIEVE_CAP
-            admitted = int(memory_budget() // (4 + _SIEVE_SCRATCH_BYTES))
-            target = max(min_limit, min(target, max_limit, admitted))
-            # the capacity checks charge the new table alone
-            _shared_mult = None
-            _shared_mult = build_multiplicative_tables(target)
-        return _shared_mult
-
-
-def shared_prime_table(min_limit: int) -> PrimeTable:
-    return shared_tables(min_limit).prime_table
+#: No package caller.  bench/tracer.py binds this name and inverse_table's
+#: cache_info by name, so both stay until tracing moves into the package.
+shared_tables = build_multiplicative_tables
 
 
 @dataclass(frozen=True)
@@ -950,32 +911,23 @@ def prime_window(lo: int, hi: int) -> PrimeWindow:
     """The primes and the prime powers of [lo, hi), without building a table
     to hi.
 
-    The shared table is sliced when it covers hi - 1.  Otherwise [lo, hi)
-    is sieved in blocks of _WINDOW_BLOCK flags over the primes up to
-    sqrt(hi - 1), from a small cached sieve_primes, after the byte budget
-    is charged; no shared table is built or grown.  Either way the window
-    keeps those base primes, from which PrimeWindow.prime_powers finds the
-    p**j, j >= 2, when asked.  Both routes give the same arrays.
+    [lo, hi) is sieved in blocks of _WINDOW_BLOCK flags over the primes up
+    to sqrt(hi - 1), from a small cached sieve_primes, after the byte
+    budget is charged.  The window keeps those base primes, from which
+    PrimeWindow.prime_powers finds the p**j, j >= 2, when asked.
     """
     lo, hi = max(int(lo), 2), int(hi)
     if hi <= lo:
         empty = np.empty(0, dtype=np.int64)
         return PrimeWindow(lo, hi, empty, empty)
+    if hi - 1 > HARD_SIEVE_CAP:
+        raise CapacityError(f"prime window limit {hi - 1} exceeds hard cap {HARD_SIEVE_CAP}")
+    block = min(hi - lo, _WINDOW_BLOCK)
+    # the output and its concatenation, and per block the flags, their
+    # negation, and the block's primes before and after the offset
+    charge_budget(2 * block + 16 * (_window_count_bound(hi - lo) + _window_count_bound(block)),
+                  f"prime window [{lo}, {hi}) needs")
     root = math.isqrt(hi - 1)
-    shared = _shared_mult
-    if shared is not None and shared.limit >= hi - 1:
-        table = shared.prime_table
-        primes = table.primes_between(lo, hi)
-        base = table.primes[: int(np.searchsorted(table.primes, root, side="right"))]
-    else:
-        if hi - 1 > HARD_SIEVE_CAP:
-            raise CapacityError(f"prime window limit {hi - 1} exceeds hard cap {HARD_SIEVE_CAP}")
-        block = min(hi - lo, _WINDOW_BLOCK)
-        # the output and its concatenation, and per block the flags, their
-        # negation, and the block's primes before and after the offset
-        charge_budget(2 * block + 16 * (_window_count_bound(hi - lo) + _window_count_bound(block)),
-                      f"prime window [{lo}, {hi}) needs")
-        small = _small_primes(max(2, 1 << root.bit_length()))
-        base = small[: int(np.searchsorted(small, root, side="right"))]
-        primes = _sieve_window(lo, hi, base)
-    return PrimeWindow(lo, hi, primes, base)
+    small = _small_primes(max(2, 1 << root.bit_length()))
+    base = small[: int(np.searchsorted(small, root, side="right"))]
+    return PrimeWindow(lo, hi, _sieve_window(lo, hi, base), base)

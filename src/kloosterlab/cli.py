@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .arith import MEMORY_ENV_VAR, shared_tables
+from .arith import MEMORY_ENV_VAR
 from .bilinear import BilinearSpec, bilinear_sum
 from .counting import (
     count_congruence_solutions,
@@ -53,7 +53,7 @@ from .experiments import (
     comparison_table,
     exponent_fit,
     fixed_a_avg_report,
-    garaev_congruence_count,
+    garaev_counts,
     sieve_exponent_root,
     ternary_exponent_root,
     ternary_rough_count,
@@ -93,12 +93,6 @@ def _sieve_top(args, need: float) -> int:
     if need > args.max_sieve:
         raise CapacityError(f"needs a sieve to {need}, over --max-sieve {args.max_sieve}")
     return need
-
-
-def _tables(args, need: float):
-    """The shared tables to need, for the prefix questions of vaughan-check
-    and garaev, grown no further than --max-sieve."""
-    return shared_tables(_sieve_top(args, need), max_limit=args.max_sieve)
 
 
 def _window(run: Callable) -> Callable:
@@ -143,8 +137,10 @@ def _vaughan_check(args):
     # the resolved truncation replaces None, so params and row both carry it
     args.U = args.U if args.U is not None else args.x ** (1 / 3)
     params = VaughanParams(x=args.x, U=args.U)
-    mt = _tables(args, decomposition_limit(params))
-    chk = compare_decomposition(params, args.a, args.q, tables=mt)
+    # mu and Lambda are tabled to the decomposition's limit, which passes 2x
+    # for small U
+    _sieve_top(args, decomposition_limit(params))
+    chk = compare_decomposition(params, args.a, args.q)
     return {"direct_real": chk.direct.real, "direct_imag": chk.direct.imag,
             "decomposed_real": chk.decomposed.real, "decomposed_imag": chk.decomposed.imag,
             **_attrs(chk, "abs_error", "rel_error", "components")}
@@ -160,9 +156,9 @@ def _baker_root(args):
 
 
 def _garaev(args):
-    pt = _tables(args, args.x + 1).prime_table
-    count = garaev_congruence_count(args.x, args.q, args.lam, table=pt)
-    return {"count": count, "pi_x": pt.pi(args.x)}
+    _sieve_top(args, args.x + 1)
+    count, pi_x = garaev_counts(args.x, args.q, args.lam)
+    return {"count": count, "pi_x": pi_x}
 
 
 def _exponent_fit(args):

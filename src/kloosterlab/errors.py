@@ -9,10 +9,6 @@ class CapacityError(KloosterlabError):
     """A requested computation exceeds a configured size or memory budget."""
 
 
-class CoverageError(KloosterlabError, ValueError):
-    """A precomputed table does not cover the requested range."""
-
-
 class NotInvertibleError(KloosterlabError, ValueError):
     """Modular inverse requested for a residue that is not a unit."""
 

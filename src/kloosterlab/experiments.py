@@ -4,8 +4,8 @@ Everything here either measures a sum against its predicted size or pins
 down a constant (a root, an exponent) that the size predictions use.
 
 The sweeps over q ~ Q and the ternary counts take the primes of [x, 2x)
-from arith.prime_window, once per call; the Garaev count, a prefix
-question over the primes up to x, takes a prime table.
+from arith.prime_window, once per call; so does the Garaev count, a
+prefix question, for the primes up to x: prime_window(2, x + 1).
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from .accumulate import exact_sum
 from .arith import (
     HARD_SIEVE_CAP,
     LPF_TABLE_BYTES,
-    PrimeTable,
     check_modulus,
     factor_spans,
     largest_prime_factor,
     largest_prime_factor_table,
     memory_budget,
     prime_window,
-    shared_prime_table,
 )
 from .errors import ConsistencyError
 from .expsums import (
@@ -306,7 +304,7 @@ def ternary_rough_count(x: int, theta: float) -> TernaryCount:
 
 # --- residue statistics of prime triples -----------------------------------
 
-def garaev_congruence_count(x: int, q: int, lam: int, table: PrimeTable | None = None) -> int:
+def garaev_congruence_count(x: int, q: int, lam: int) -> int:
     """Number of prime triples p1, p2, p3 <= x with p1 p2 p3 = lam (mod q).
 
     Exact, via the residue histogram of primes up to x: the pair product
@@ -314,16 +312,20 @@ def garaev_congruence_count(x: int, q: int, lam: int, table: PrimeTable | None =
     solved per residue class (gcd(r, q) classes included, so small prime
     factors of q are handled uniformly).
     """
+    return garaev_counts(x, q, lam)[0]
+
+
+def garaev_counts(x: int, q: int, lam: int) -> tuple[int, int]:
+    """garaev_congruence_count(x, q, lam) and pi(x), from one sieve of the
+    primes up to x, which runs after q is checked against the byte budget."""
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
     lam %= q
-    pt = table if table is not None else shared_prime_table(int(x) + 1)
-    pt.require_coverage(x + 1)
-    primes = pt.primes[: np.searchsorted(pt.primes, x, side="right")]
     # the prime and pair-product histograms and their work arrays
     check_modulus(q, bytes_per_entry=40)
+    primes = prime_window(2, int(x) + 1).primes
     hist = np.bincount(primes % q, minlength=q).astype(np.int64)
     # distribution of p2 * p3 mod q (multiplicative, so no FFT shortcut;
     # this is O(q^2) over the occupied residues)
@@ -348,7 +350,7 @@ def garaev_congruence_count(x: int, q: int, lam: int, table: PrimeTable | None =
             continue
         t0 = (lam // g) * pow((r // g) % q2, -1, q2) % q2
         total += c * int(pair2[t0::q2].sum())
-    return total
+    return total, len(primes)
 
 
 # --- exponent fitting and comparisons --------------------------------------

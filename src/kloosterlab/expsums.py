@@ -17,10 +17,11 @@ take them a block at a time: prime_sum_block at one twist, and
 max_prime_sum_block over all twists, one row of _twist_max per modulus
 (max_prime_sum is a block of one).
 
-The primes of a window [x, 2x) come from arith.prime_window alone:
-prime_sum and max_prime_sum fetch their window, and the block kernels
-take the window's primes from their caller, which fetches them once for
-a whole sweep.
+The primes of a window [x, 2x) come from arith.prime_window alone, which
+sieves the window itself and keeps nothing between calls: prime_sum and
+max_prime_sum fetch their window, and the block kernels take the
+window's primes from their caller, which fetches them once for a whole
+sweep.
 """
 
 from __future__ import annotations

@@ -37,7 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import _CHUNK, CarriedSums, exact_sum, fsum_complex
-from .arith import MultiplicativeTables, charge_budget, prime_window, shared_tables
+from .arith import (
+    MultiplicativeTables,
+    _prime_divisors,
+    build_multiplicative_tables,
+    charge_budget,
+    prime_window,
+)
 from .bilinear import (
     _CHUNK_BYTES,
     BilinearSpec,
@@ -256,12 +262,14 @@ def decomposition_limit(params: VaughanParams) -> int:
     return max([int(U), 2] + [math.ceil(2 * Lm) - 1 for Lm, _ in _a4_blocks(x, U)])
 
 
-def _blocks(params: VaughanParams, tables: MultiplicativeTables | None, keep: bool):
+def _blocks(params: VaughanParams, keep: bool):
     """Yield (block, held) for every block of the decomposition, in
     decompose's order, held being the bytes of the sides and tables live
     while the block is used.
 
-    Each identity term builds only the two sides of its blocks, each
+    mu and Lambda come from tables built for this call, to
+    decomposition_limit(params), and dropped with the generator.  Each
+    identity term builds only the two sides of its blocks, each
     normalized once (a3's logs once per M); one rule, _block, drops and
     labels every block.  Every window is charged to the byte budget before
     it is built.  With keep, for a caller that keeps every block, the
@@ -271,9 +279,7 @@ def _blocks(params: VaughanParams, tables: MultiplicativeTables | None, keep: bo
     of bilinear._evaluate: held counts only those sides.
     """
     x, U = params.x, params.U
-    limit = decomposition_limit(params)
-    mt = tables if tables is not None else shared_tables(limit)
-    mt.prime_table.require_coverage(limit + 1)
+    mt = build_multiplicative_tables(decomposition_limit(params))
     kept = 0
     live: dict = {}
 
@@ -354,7 +360,7 @@ def _blocks(params: VaughanParams, tables: MultiplicativeTables | None, keep: bo
                 yield block, held()
 
 
-def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None) -> VaughanDecomposition:
+def decompose(params: VaughanParams) -> VaughanDecomposition:
     """Cut the Lambda-weighted window sum into dyadic bilinear components.
 
     The blocks of _blocks, every side built whole, normalized once and
@@ -363,10 +369,10 @@ def decompose(params: VaughanParams, tables: MultiplicativeTables | None = None)
     independent of any modulus; evaluate_decomposition attaches a phase
     (a, q) afterwards.  Component order is fixed (identity term by term,
     blocks by ascending lower bound) so sums over components are
-    reproducible run to run.  tables must cover decomposition_limit(params),
-    not 2x; the shared tables are asked for that much when omitted.
+    reproducible run to run.  mu and Lambda are read up to
+    decomposition_limit(params), not 2x, from tables built for the call.
     """
-    blocks = tuple(block for block, _ in _blocks(params, tables, keep=True))
+    blocks = tuple(block for block, _ in _blocks(params, keep=True))
     decomp = VaughanDecomposition(params=params, components=blocks)
     validate_decomposition(decomp)
     return decomp
@@ -443,9 +449,7 @@ class DecompositionCheck:
     components: int
 
 
-def compare_decomposition(
-    params: VaughanParams, a: int, q: int, tables: MultiplicativeTables | None = None
-) -> DecompositionCheck:
+def compare_decomposition(params: VaughanParams, a: int, q: int) -> DecompositionCheck:
     """Evaluate the Lambda-weighted sum directly and through the blocks.
 
     The two must agree up to accumulated rounding; the relative error is
@@ -453,13 +457,11 @@ def compare_decomposition(
     it up artificially.  The blocks are those of decompose, streamed: each
     is checked and evaluated as _blocks yields it, and only its value is
     kept, so the decomposed total is bitwise evaluate_decomposition's.
-    tables, when given, serve the blocks and must cover
-    decomposition_limit(params); the direct sum takes its window from
-    arith.prime_window.
+    The direct sum takes its window from arith.prime_window.
     """
     query = ExpSumQuery(a=a, q=q, x=params.x)
     vals = []
-    for i, (block, held) in enumerate(_blocks(params, tables, keep=False)):
+    for i, (block, held) in enumerate(_blocks(params, keep=False)):
         # streamed arrays are freed and their ids reused: check every block's
         _check_block(i, block, params, set())
         vals.append(component_value(block, a, q, held))
@@ -475,55 +477,54 @@ def compare_decomposition(
     )
 
 
-def reconstruct_lambda(n: int, U: float, tables: MultiplicativeTables | None = None) -> float:
+def reconstruct_lambda(n: int, U: float) -> float:
     """Evaluate a1 + a2 + a3 + a4 at a single integer by direct divisor sums.
 
     For n > U the result must equal Lambda(n); for 2 <= n <= U the a1 term
     makes the identity hold there too.  This is the scalar ground truth the
-    block decomposition is tested against.
+    block decomposition is tested against.  Every divisor sum runs over
+    the divisors of n, whose mu and Lambda follow from n's own
+    factorization, so no table is built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    mt = tables if tables is not None else shared_tables(int(n) + 1)
     if n == 1:
         return 0.0
-    mt.prime_table.require_coverage(n + 1)
-    divisors = mt.prime_table.divisors
+    # mu(d) and Lambda(d) for every divisor d of n, extended one prime p of
+    # n at a time to the d * p**k, k up to the exponent of p in n
+    mu, lam = {1: 1}, {1: 0.0}
+    for p in _prime_divisors(n):
+        e = 1
+        while n % p ** (e + 1) == 0:
+            e += 1
+        for d in list(mu):
+            for k in range(1, e + 1):
+                mu[d * p ** k] = -mu[d] if k == 1 else 0
+                lam[d * p ** k] = math.log(p) if d == 1 else 0.0
+    divisors = list(mu)
 
     terms = []
     if n <= U:
-        terms.append(mt.lam(n))
+        terms.append(lam[n])
 
-    for m in divisors(n):
-        if m < 2 or m > U:
+    for m in divisors:
+        if m > U or not lam[m]:
             continue
-        lam = mt.lam(m)
-        if lam == 0.0:
-            continue
-        for d in divisors(n // m):
-            if d <= U:
-                mu = int(mt.mobius[d])
-                if mu:
-                    terms.append(-lam * mu)
+        for d in divisors:
+            if d <= U and mu[d] and (n // m) % d == 0:
+                terms.append(-lam[m] * mu[d])
 
-    for d in divisors(n):
-        if d <= U:
-            mu = int(mt.mobius[d])
-            if mu:
-                terms.append(mu * math.log(n // d))
+    for d in divisors:
+        if d <= U and mu[d]:
+            terms.append(mu[d] * math.log(n // d))
 
-    for m in divisors(n):
-        if m <= U:
-            continue
-        lam = mt.lam(m)
-        if lam == 0.0:
-            continue
+    for m in divisors:
         k = n // m
-        if k <= U:
+        if m <= U or k <= U or not lam[m]:
             continue
-        b = sum(int(mt.mobius[d]) for d in divisors(k) if d <= U)
+        b = sum(mu[d] for d in divisors if d <= U and k % d == 0)
         if b:
-            terms.append(-lam * b)
+            terms.append(-lam[m] * b)
 
     return exact_sum(terms)
 

@@ -1,12 +1,12 @@
 import pytest
 
-from kloosterlab.arith import shared_tables
+from kloosterlab.arith import build_multiplicative_tables
 
 
 @pytest.fixture(scope="session")
 def tables():
     # one sieve for the whole run; big enough for every dyadic window used here
-    return shared_tables(50000)
+    return build_multiplicative_tables(50000)
 
 
 @pytest.fixture(scope="session")

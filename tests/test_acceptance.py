@@ -65,7 +65,7 @@ def test_acceptance_3_identity_and_decomposition(tables):
     # pointwise identity for every n up to 2e4 under four truncations
     for n in range(2, 20001):
         for U in (2.0, 5.0, n ** 0.25, n ** (1 / 3)):
-            got = kl.reconstruct_lambda(n, U, tables)
+            got = kl.reconstruct_lambda(n, U)
             want = tables.lam(n)
             assert abs(got - want) <= 1e-9, (n, U, got, want)
     # block decomposition against the direct window sum on a 20-point grid
@@ -82,7 +82,7 @@ def test_acceptance_3_identity_and_decomposition(tables):
     ]
     assert len(grid) == 20
     for a, q, x, U in grid:
-        chk = kl.compare_decomposition(kl.VaughanParams(x=x, U=U), a, q, tables)
+        chk = kl.compare_decomposition(kl.VaughanParams(x=x, U=U), a, q)
         assert chk.rel_error <= 1e-7, (a, q, x, U, chk.rel_error)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -158,7 +158,7 @@ def test_acceptance_7_product_congruence_histogram(prime_table):
                     brute[lam] = brute.get(lam, 0) + 1
         total = 0
         for lam in range(q):
-            got = kl.garaev_congruence_count(x, q, lam, prime_table)
+            got = kl.garaev_congruence_count(x, q, lam)
             assert got == brute.get(lam, 0), (x, q, lam)
             total += got
         assert total == len(ps) ** 3

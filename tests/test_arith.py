@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -32,14 +31,9 @@ from kloosterlab.arith import (
     largest_prime_factor_table,
     memory_budget,
     mod_inverse,
-    shared_tables,
     sieve_primes,
 )
-from kloosterlab.errors import (
-    CapacityError,
-    CoverageError,
-    NotInvertibleError,
-)
+from kloosterlab.errors import CapacityError, NotInvertibleError
 from kloosterlab.parallel import pmap
 from kloosterlab.reports import make_report
 from test_counting import _traced_peak
@@ -85,11 +79,15 @@ def test_pi_and_windows(prime_table):
     assert window.tolist() == [11, 13, 17, 19]
 
 
-def test_coverage_errors(prime_table):
-    with pytest.raises(CoverageError):
+def test_coverage_errors(prime_table, tables):
+    with pytest.raises(ValueError, match="beyond the table limit"):
         prime_table.pi(10 ** 9)
-    with pytest.raises(CoverageError):
+    with pytest.raises(ValueError, match="beyond the table limit"):
         prime_table.factorize(prime_table.limit + 1)
+    with pytest.raises(ValueError, match="beyond the table limit"):
+        prime_table.primes_between(10, prime_table.limit + 2)
+    with pytest.raises(ValueError, match="outside"):
+        tables.lam(tables.limit + 1)
 
 
 def test_mod_inverse_agrees_with_pow():
@@ -614,38 +612,20 @@ def test_memory_env_var(monkeypatch):
         memory_budget()
 
 
-def test_shared_table_growth_stays_within_memory_budget(monkeypatch):
-    # 110000 bytes admit a sieve to 20000 at 5.5 bytes per entry, well under
-    # the 1 << 16 floor that a fresh table would otherwise grow to
+def test_tables_stay_within_memory_budget(monkeypatch):
+    # 110000 bytes admit a sieve to 20000 at 5.5 bytes per entry, and not
+    # one entry more
     monkeypatch.setenv(MEMORY_ENV_VAR, "110000")
-    monkeypatch.setattr(arith, "_shared_mult", None)
-    assert shared_tables(100).limit == 20000
-    assert shared_tables(20000).limit == 20000
+    assert build_multiplicative_tables(20000).limit == 20000
+    with pytest.raises(CapacityError, match="prime sieve to 20001 needs about 110005 bytes"):
+        build_multiplicative_tables(20001)
 
 
-def test_shared_table_growth_drops_the_old_table_first(monkeypatch):
-    # the memory budget charges the new table alone, so the old one must be
-    # gone by the time the larger build starts
-    monkeypatch.setattr(arith, "_shared_mult", build_multiplicative_tables(1000))
-    old = weakref.ref(arith._shared_mult)
-    build = arith.build_multiplicative_tables
-    seen = []
-
-    def checked_build(limit):
-        seen.append(old() is None)
-        return build(limit)
-
-    monkeypatch.setattr(arith, "build_multiplicative_tables", checked_build)
-    assert shared_tables(2000).limit == 1 << 16
-    assert seen == [True]
-
-
-def test_refused_table_growth_leaves_no_cached_table(monkeypatch):
-    monkeypatch.setattr(arith, "_shared_mult", build_multiplicative_tables(1000))
+def test_tables_over_the_budget_are_refused_before_the_sieve(monkeypatch):
     monkeypatch.setenv(MEMORY_ENV_VAR, "110000")
-    with pytest.raises(CapacityError):
-        shared_tables(30000)
-    assert arith._shared_mult is None
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")), \
+            pytest.raises(CapacityError, match="prime sieve to 30000 needs"):
+        build_multiplicative_tables(30000)
 
 
 #: The tables the window route is checked against.
@@ -678,10 +658,6 @@ def _window_bounds(draw):
     return lo, min(hi, _WINDOW_LIMIT + 1)
 
 
-def _no_sieve(*args):
-    raise AssertionError("sieved a window the shared table covers")
-
-
 def _table_window(lo, hi):
     """The window read off _WINDOW_TABLES: primes, and the n > p with
     vm_prime[n] = p > 0, with their p."""
@@ -710,17 +686,10 @@ def _table_window(lo, hi):
 def test_prime_window_matches_the_tables(bounds, block):
     lo, hi = bounds
     primes, powers, bases = _table_window(lo, hi)
-    with mock.patch.object(arith, "_WINDOW_BLOCK", block), \
-            mock.patch.object(arith, "_shared_mult", None):
+    with mock.patch.object(arith, "_WINDOW_BLOCK", block):
         sieved = arith.prime_window(lo, hi)
-        # the sieve builds no shared table
-        assert arith._shared_mult is None
-    with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES), \
-            mock.patch.object(arith, "_sieve_window", _no_sieve):
-        sliced = arith.prime_window(lo, hi)
-    for got in (sieved, sliced):
-        for arr, want in zip((got.primes, *got.prime_powers), (primes, powers, bases)):
-            assert arr.dtype == np.int64 and np.array_equal(arr, want)
+    for arr, want in zip((sieved.primes, *sieved.prime_powers), (primes, powers, bases)):
+        assert arr.dtype == np.int64 and np.array_equal(arr, want)
     # Lambda's window: the primes and the prime powers are every n with
     # vm_prime[n] > 0, each with its p
     powers, bases = sieved.prime_powers
@@ -733,29 +702,23 @@ def test_prime_window_matches_the_tables(bounds, block):
 def test_prime_window_crosses_blocks_against_the_sieve():
     # 2**20-flag blocks: [999000, 3100000) spans three boundaries
     lo, hi = 999000, 3100000
-    with mock.patch.object(arith, "_shared_mult", None):
-        got = arith.prime_window(lo, hi)
+    got = arith.prime_window(lo, hi)
     assert np.array_equal(got.primes, sieve_primes(hi - 1).primes_between(lo, hi))
     assert got.prime_powers[0].tolist() == sorted(p ** j for p in _brute_primes(1761) for j in range(2, 22)
                                          if lo <= p ** j < hi)
 
 
-def test_prime_window_slices_a_covering_shared_table():
-    with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES), \
-            mock.patch.object(arith, "_sieve_window", _no_sieve):
-        got = arith.prime_window(20000, _WINDOW_LIMIT + 1)
-    assert np.shares_memory(got.primes, _WINDOW_TABLES.prime_table.primes)
-    assert np.array_equal(got.primes, _table_window(20000, _WINDOW_LIMIT + 1)[0])
-    # one past the table: sieved, and the table stays as it was
-    with mock.patch.object(arith, "_shared_mult", _WINDOW_TABLES):
-        past = arith.prime_window(20000, _WINDOW_LIMIT + 2)
-        assert arith._shared_mult is _WINDOW_TABLES
-    assert not np.shares_memory(past.primes, _WINDOW_TABLES.prime_table.primes)
-    assert np.array_equal(past.primes, got.primes)
+def test_prime_window_sieves_a_window_a_table_covers():
+    # one route: a window inside tables already built is sieved all the same
+    for hi in (_WINDOW_LIMIT + 1, _WINDOW_LIMIT + 2):
+        with mock.patch.object(arith, "_sieve_window", wraps=arith._sieve_window) as sieve:
+            got = arith.prime_window(20000, hi)
+        sieve.assert_called_once()
+        assert not np.shares_memory(got.primes, _WINDOW_TABLES.prime_table.primes)
+        assert np.array_equal(got.primes, _table_window(20000, _WINDOW_LIMIT + 1)[0])
 
 
 def test_prime_window_charges_before_it_sieves(monkeypatch):
-    monkeypatch.setattr(arith, "_shared_mult", None)
     monkeypatch.setenv(MEMORY_ENV_VAR, "1000000")
     with mock.patch.object(arith, "_sieve_window") as sieve, \
             pytest.raises(CapacityError, match=r"prime window \[1000000, 2000000\) needs"):
@@ -767,7 +730,6 @@ def test_prime_window_charges_before_it_sieves(monkeypatch):
 
 @pytest.mark.parametrize("lo, hi", [(2 * 10 ** 6, 4 * 10 ** 6), (10 ** 3, 2 * 10 ** 3), (0, 3 * 10 ** 6)])
 def test_prime_window_peak_within_its_charge(monkeypatch, lo, hi):
-    monkeypatch.setattr(arith, "_shared_mult", None)
     arith._small_primes(1 << 11)  # the base primes are cached apart
     charged = []
     monkeypatch.setattr(arith, "charge_budget", lambda need, subject, budget=None: charged.append(need))

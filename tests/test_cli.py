@@ -5,11 +5,11 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 
-from kloosterlab import arith
-from kloosterlab import cli
+from kloosterlab import arith, cli, experiments, vaughan
 from kloosterlab.cli import build_parser, main
 from kloosterlab.expsums import moduli_blocks
 
@@ -325,18 +325,40 @@ def test_bilinear_command_with_restriction(capsys):
     assert int(row["terms"]) > 0
 
 
-def test_fresh_table_stops_at_max_sieve(capsys, monkeypatch):
-    # without the ceiling a fresh table grows to the 1 << 16 floor
-    monkeypatch.setattr(arith, "_shared_mult", None)
+def _table_builds(monkeypatch):
+    """The limits of the multiplicative tables built from here on."""
+    limits = []
+    build = arith.build_multiplicative_tables
+    for module in (arith, vaughan):
+        monkeypatch.setattr(module, "build_multiplicative_tables",
+                            lambda limit: limits.append(limit) or build(limit))
+    return limits
+
+
+def test_fresh_table_stops_at_max_sieve(capsys):
+    # the primes up to x are sieved per call, and refused when x + 1 passes
+    # --max-sieve
     assert run(capsys, "garaev", "500", "7", "3", "--max-sieve", "1000")[0] == 0
-    assert arith._shared_mult.limit == 1000
+    code, out, err = run(capsys, "garaev", "1000", "7", "3", "--max-sieve", "1000")
+    assert code == 3 and out == ""
+    assert "needs a sieve to 1001, over --max-sieve 1000" in err
 
 
-def test_table_growth_stops_at_max_sieve(capsys, monkeypatch):
-    # without the ceiling a 65,536 table doubles to 131,072
-    monkeypatch.setattr(arith, "_shared_mult", arith.build_multiplicative_tables(1 << 16))
+def test_table_growth_stops_at_max_sieve(capsys):
     assert run(capsys, "garaev", "70000", "7", "3", "--max-sieve", "75000")[0] == 0
-    assert arith._shared_mult.limit == 75000
+    code, out, err = run(capsys, "garaev", "75000", "7", "3", "--max-sieve", "75000")
+    assert code == 3 and out == ""
+    assert "needs a sieve to 75001, over --max-sieve 75000" in err
+
+
+def test_garaev_sieves_once(capsys, monkeypatch):
+    # pi_x and the count come from the same primes
+    window = mock.Mock(wraps=arith.prime_window)
+    monkeypatch.setattr(experiments, "prime_window", window)
+    code, out, _ = run(capsys, "garaev", "1000", "7", "3", "--format", "csv")
+    assert code == 0
+    window.assert_called_once_with(2, 1001)
+    assert csv_rows(out)[1][-1] == "168"
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,9 +371,9 @@ def test_table_growth_stops_at_max_sieve(capsys, monkeypatch):
     ("ternary", "50", "1.1"),
 ])
 def test_window_commands_build_no_table(capsys, monkeypatch, argv):
-    monkeypatch.setattr(arith, "_shared_mult", None)
+    limits = _table_builds(monkeypatch)
     assert run(capsys, *argv)[0] == 0
-    assert arith._shared_mult is None
+    assert limits == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,15 +394,14 @@ def test_max_sieve_still_bounds_the_window_top(capsys, argv):
 def test_vaughan_check_tables_stop_below_2x(capsys, monkeypatch):
     # decompose reads mu and Lambda up to U = 100 and over its a4 windows,
     # the highest of which ends at 25,599
-    monkeypatch.setattr(arith, "_shared_mult", None)
+    limits = _table_builds(monkeypatch)
     assert run(capsys, "vaughan-check", "1", "7", "1000000", "--format", "csv")[0] == 0
-    assert arith._shared_mult is None or arith._shared_mult.limit < 2 * 10 ** 6
+    assert limits == [25599]
 
 
 def test_prime_power_gap_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
     # a table to 4,000,000 would need about 22,000,000 bytes
     argv = ("prime-power-gap", "1", "7", "2000000", "--format", "csv")
-    monkeypatch.setattr(arith, "_shared_mult", None)
     code, free, _ = run(capsys, *argv)
     assert code == 0
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, "16000000")
@@ -392,7 +413,6 @@ def test_prime_power_gap_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
 
 def test_max_sum_fits_a_budget_below_a_table_to_2x(capsys, monkeypatch):
     # a table to 2,000,000 would need about 11,000,000 bytes
-    monkeypatch.setattr(arith, "_shared_mult", None)
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, "8000000")
     code, out, err = run(capsys, "max-sum", "1009", "1000000", "--format", "csv")
     assert (code, err) == (0, "")

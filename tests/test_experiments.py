@@ -2,14 +2,15 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from kloosterlab import arith, bilinear, counting, expsums
+from kloosterlab import arith, bilinear, counting, experiments, expsums
 from kloosterlab.arith import largest_prime_factor
 from kloosterlab.bilinear import type1_report, type2_avg_max_report
 from kloosterlab.counting import sum_congruence_counts
-from kloosterlab.errors import ConsistencyError
+from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.experiments import (
     avg_max_report,
     choose_U,
@@ -128,16 +129,24 @@ def test_garaev_counts_exact(x, q, prime_table):
     brute, pi_x = _brute_garaev(x, q, prime_table)
     total = 0
     for lam in range(q):
-        got = garaev_congruence_count(x, q, lam, prime_table)
+        got = garaev_congruence_count(x, q, lam)
         assert got == brute.get(lam, 0), (x, q, lam)
         total += got
     assert total == pi_x ** 3
 
 
-def test_garaev_negative_lambda_wraps(prime_table):
-    assert garaev_congruence_count(50, 7, -1, prime_table) == garaev_congruence_count(
-        50, 7, 6, prime_table
-    )
+def test_garaev_negative_lambda_wraps():
+    assert garaev_congruence_count(50, 7, -1) == garaev_congruence_count(50, 7, 6)
+
+
+def test_garaev_checks_its_modulus_before_the_sieve(monkeypatch):
+    # the histograms mod q take 40 bytes per residue: q = 10**6 needs
+    # 4 * 10**7, over a budget of 10**7, and no prime is sieved
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 7))
+    with mock.patch.object(experiments, "prime_window") as window, \
+            pytest.raises(CapacityError, match="tables mod 1000000 need about 40000000 bytes"):
+        garaev_congruence_count(10 ** 6, 10 ** 6, 3)
+    window.assert_not_called()
 
 
 def test_exponent_fit_recovers_power_law():

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import arith, expsums
-from kloosterlab.accumulate import exact_sum, fsum_complex, unit_roots
-from kloosterlab.arith import batch_inverses, build_multiplicative_tables, prime_window
+from kloosterlab.accumulate import _CHUNK, exact_sum, fsum_complex, unit_roots
+from kloosterlab.arith import batch_inverses, prime_window
 from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.arith import MEMORY_ENV_VAR
 from kloosterlab.experiments import avg_max_report, fixed_a_avg_report
@@ -467,20 +467,45 @@ def test_row_spectra_keep_parseval_within_the_bound_of_e(q):
         assert abs(total - q * squares) <= bound, (q, vals is None)
 
 
-def test_von_mangoldt_prime_sum_reads_its_window_as_views(monkeypatch):
-    # the window [x, 2x) is read in place from a covering shared table: no
-    # length-x int64 copy of it
+@pytest.mark.parametrize("q", [691, 701, 709, 3 ** 6, 2 ** 10, 2 * 3 ** 5])
+def test_kloosterman_grid_columns_keep_parseval(q):
+    # K(a, b; q) over a is the DFT of v[n] = e(b inv(n) / q) on the units, so
+    # every column has sum over a of |K(a, b)|^2 = q * phi(q) exactly.  Each
+    # entry is one FFT of root-table entries, within E of the exact sum
+    # (_twist_error_bound at weight phi(q) and norm sqrt(phi(q))); the column
+    # sum then keeps the bound of test_row_spectra_keep_parseval_within_the_bound_of_e
+    grid = kloosterman_grid(q)
+    units = _units_mod(q)
+    phi = len(units)
+    h = np.zeros(q, dtype=np.complex128)
+    h[units] = 1
+    err = _twist_error_bound(h, phi, 0)
+    bound = 2 * err * q * math.sqrt(phi) + q * err ** 2 + 2 ** -52 * q * phi
+    assert bound < 1e-9 * q * phi
+    squares = grid.real * grid.real + grid.imag * grid.imag
+    for b in range(q):
+        assert abs(math.fsum(squares[:, b].tolist()) - q * phi) <= bound, (q, b)
+
+
+def test_von_mangoldt_prime_sum_peaks_within_its_charge(monkeypatch):
+    # the window [x, 2x) is sieved within its charge; the sum then holds the
+    # window's arrays and the terms of one chunk of _CHUNK entries (about 46
+    # bytes per term by tracemalloc), with no length-x copy of anything
     x = 500_000
-    monkeypatch.setattr(arith, "_shared_mult", build_multiplicative_tables(2 * x))
     query = ExpSumQuery(a=1, q=7, x=x)
-    prime_sum(query, weight="von_mangoldt")
+    prime_sum(query, weight="von_mangoldt")  # the base primes are cached apart
+    needs = []
+    monkeypatch.setattr(arith, "charge_budget", lambda need, subject, budget=None: needs.append(need))
     tracemalloc.start()
     try:
         prime_sum(query, weight="von_mangoldt")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * x
+    window = prime_window(x, 2 * x)
+    held = window.primes.nbytes + sum(arr.nbytes for arr in window.prime_powers)
+    assert needs[0] < 7 * x
+    assert peak <= max(needs[0], held + 64 * _CHUNK)
 
 
 def _window_primes(x):

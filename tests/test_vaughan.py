@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kloosterlab import arith, bilinear, expsums, vaughan
 from kloosterlab.accumulate import ROUND_EPS, exact_sum
 from kloosterlab.arith import build_multiplicative_tables, prime_window
 from kloosterlab.bilinear import bilinear_sum, dyadic_window
-from kloosterlab.errors import CapacityError, ConsistencyError, CoverageError
+from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.expsums import ExpSumQuery, inverse_phase_sum, prime_sum, window_sum
 from kloosterlab.vaughan import (
     KIND_TYPE1,
@@ -48,14 +49,31 @@ def test_params_validation():
 def test_reconstruct_lambda_equals_von_mangoldt(tables):
     for n in range(2, 400):
         for U in (1.0, 2.0, 3.5, n ** (1 / 3)):
-            got = reconstruct_lambda(n, U, tables)
+            got = reconstruct_lambda(n, U)
             assert abs(got - tables.lam(n)) <= 1e-9, (n, U)
-    assert reconstruct_lambda(1, 2.0, tables) == 0.0
+    assert reconstruct_lambda(1, 2.0) == 0.0
 
 
-def test_decomposition_structure(tables):
+@_PROPERTY
+@given(n=st.integers(1, 10 ** 7), cut=st.floats(0.0, 1.0))
+@example(n=1, cut=0.0)
+@example(n=2 ** 23, cut=1.0)
+@example(n=9999991, cut=0.5)
+@example(n=3 ** 14, cut=0.0)
+@example(n=2 * 3 * 5 * 7 * 11 * 13 * 17 * 19, cut=1.0)
+def test_reconstruct_lambda_beyond_any_table(n, cut):
+    # n past the session's tables, U anywhere in [1, n^(1/3)]; Lambda(n)
+    # read off the window [n, n + 1): log n for a prime, log p for p**j
+    U = 1.0 + cut * (n ** (1 / 3) - 1.0)
+    window = prime_window(n, n + 1)
+    powers, bases = window.prime_powers
+    want = math.log(n) if len(window.primes) else math.log(bases[0]) if len(powers) else 0.0
+    assert abs(reconstruct_lambda(n, U) - want) <= 1e-9, (n, U)
+
+
+def test_decomposition_structure():
     params = VaughanParams(x=600.0, U=600 ** (1 / 3))
-    decomp = decompose(params, tables)
+    decomp = decompose(params)
     validate_decomposition(decomp)
     assert decomp.type1_count > 0
     assert decomp.type2_count > 0
@@ -71,10 +89,10 @@ def test_decomposition_structure(tables):
             assert comp.L < U
 
 
-def test_validation_refuses_a_shared_array_past_one(tables):
+def test_validation_refuses_a_shared_array_past_one():
     # blocks share coefficient arrays, and validation checks each one once,
     # at the first block that holds it: a bad shared array is refused there
-    decomp = decompose(VaughanParams(x=600.0, U=600 ** (1 / 3)), tables)
+    decomp = decompose(VaughanParams(x=600.0, U=600 ** (1 / 3)))
     holders = {}
     for i, c in enumerate(decomp.components):
         if c.beta is not None:
@@ -91,10 +109,10 @@ def test_validation_refuses_a_shared_array_past_one(tables):
             validate_decomposition(dataclasses.replace(decomp, components=comps))
 
 
-def test_decomposition_is_deterministic(tables):
+def test_decomposition_is_deterministic():
     params = VaughanParams(x=300.0, U=5.0)
-    d1 = decompose(params, tables)
-    d2 = decompose(params, tables)
+    d1 = decompose(params)
+    d2 = decompose(params)
     assert len(d1.components) == len(d2.components)
     t1, _ = evaluate_decomposition(d1, 2, 11)
     t2, _ = evaluate_decomposition(d2, 2, 11)
@@ -109,8 +127,8 @@ def test_decomposition_is_deterministic(tables):
     (0, 7, 200.0, 5.0),     # zero twist collapses to weighted unit counts
     (2, 4, 150.0, 5.0),     # twist sharing a factor with the modulus
 ])
-def test_decomposition_matches_direct_sum(a, q, x, U, tables):
-    chk = compare_decomposition(VaughanParams(x=x, U=U), a, q, tables)
+def test_decomposition_matches_direct_sum(a, q, x, U):
+    chk = compare_decomposition(VaughanParams(x=x, U=U), a, q)
     assert chk.rel_error <= 1e-9, (a, q, x, U, chk.rel_error)
 
 
@@ -121,10 +139,10 @@ def test_decomposition_matches_reconstructed_window_sum(x, cut, a, q, tables):
     # the blocks against sum over x <= n < 2x of reconstruct_lambda(n, U) e(a inv(n) / q)
     U = 1.0 + cut * (x ** (1 / 3) - 1.0)
     a %= q
-    decomp = decompose(VaughanParams(x=x, U=U), tables)
+    decomp = decompose(VaughanParams(x=x, U=U))
     total, _ = evaluate_decomposition(decomp, a, q)
     ns = np.arange(math.ceil(x), math.ceil(2 * x))
-    weights = np.array([reconstruct_lambda(int(n), U, tables) for n in ns])
+    weights = np.array([reconstruct_lambda(int(n), U) for n in ns])
     window = inverse_phase_sum(ns, a, q, weights=weights)
     # each side's rounding envelope: the block sums with their coefficients
     # (a log, a product and the block scale per term) and the final sum,
@@ -140,18 +158,18 @@ def test_decomposition_matches_reconstructed_window_sum(x, cut, a, q, tables):
     assert abs(total - window.value) <= bound
 
 
-def test_component_values_sum_to_total(tables):
+def test_component_values_sum_to_total():
     params = VaughanParams(x=200.0, U=4.0)
-    decomp = decompose(params, tables)
+    decomp = decompose(params)
     total, vals = evaluate_decomposition(decomp, 1, 7)
     assert len(vals) == len(decomp.components)
     assert abs(total - sum(vals)) < 1e-9
 
 
-def test_truncation_cases_cover_identity(tables):
+def test_truncation_cases_cover_identity():
     # U = 1 leaves only the a3 and a4 ranges; U = x^(1/3) is the balanced cut
     for U in (1.0, 2.0):
-        chk = compare_decomposition(VaughanParams(x=64.0, U=U), 1, 5, tables)
+        chk = compare_decomposition(VaughanParams(x=64.0, U=U), 1, 5)
         assert chk.rel_error <= 1e-9
 
 
@@ -283,14 +301,33 @@ def test_decomposition_bytes_are_pinned(x, U, count, digest):
 
 
 @pytest.mark.parametrize("x, U", [(10 ** 6, 100), (20000, 1), (777.5, 3.3), (5000, 17)])
-def test_decomposition_reads_tables_only_to_its_limit(x, U):
+def test_decomposition_reads_tables_only_to_its_limit(monkeypatch, x, U):
+    # one build per call, to the limit, whose last entry is read: tables one
+    # entry short are indexed past their end
     params = VaughanParams(x, U)
     limit = decomposition_limit(params)
     assert limit < max(2 * x, 4 * x / U)
-    exact = decompose(params, build_multiplicative_tables(limit))
-    assert _components_digest(exact) == _components_digest(decompose(params))
-    with pytest.raises(CoverageError):
-        decompose(params, build_multiplicative_tables(limit - 1))
+    limits = []
+    monkeypatch.setattr(vaughan, "build_multiplicative_tables",
+                        lambda n: limits.append(n) or build_multiplicative_tables(n))
+    decompose(params)
+    compare_decomposition(params, 1, 7)
+    assert limits == [limit, limit]
+    monkeypatch.setattr(vaughan, "build_multiplicative_tables", lambda n: build_multiplicative_tables(n - 1))
+    with pytest.raises(IndexError):
+        decompose(params)
+
+
+def test_decomposition_keeps_no_tables_between_calls(monkeypatch):
+    built = []
+    monkeypatch.setattr(vaughan, "build_multiplicative_tables",
+                        lambda n: built.append(weakref.ref(t := build_multiplicative_tables(n))) or t)
+    params = VaughanParams(10 ** 5, 20)
+    compare_decomposition(params, 1, 7)
+    decomp = decompose(params)
+    assert len(decomp.components) == 49
+    assert len(built) == 2
+    assert all(ref() is None for ref in built)
 
 
 def test_truncation_one_reads_lambda_past_2x():
@@ -335,11 +372,10 @@ def _charges(monkeypatch):
 @pytest.mark.parametrize("x, U", [(10 ** 6, 100), (10 ** 5, 1), (2 * 10 ** 5, 10)])
 def test_decompose_peak_within_its_window_charges(monkeypatch, x, U):
     params = VaughanParams(x, U)
-    tables = build_multiplicative_tables(decomposition_limit(params))
     needs = _charges(monkeypatch)
     tracemalloc.start()
     try:
-        decompose(params, tables)
+        decompose(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,18 +387,17 @@ def test_decompose_refuses_its_windows_over_the_budget(monkeypatch):
     # check holds one block's sides and a chunk of its stream at a time,
     # and gives the values of an unbudgeted run
     params = VaughanParams(4 * 10 ** 6, (4 * 10 ** 6) ** (1 / 3))
-    tables = build_multiplicative_tables(decomposition_limit(params))
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 8))
     with pytest.raises(CapacityError, match="coefficient windows of the decomposition"):
-        decompose(params, tables)
-    chk = compare_decomposition(params, 1, 7, tables)
+        decompose(params)
+    chk = compare_decomposition(params, 1, 7)
     assert (chk.direct.real.hex(), chk.direct.imag.hex()) == ("-0x1.44f10aabbf189p+19", "-0x1.7ec5bd65a93cep+11")
     assert (chk.decomposed.real.hex(), chk.decomposed.imag.hex()) == ("-0x1.44f10aabbf188p+19", "-0x1.7ec5bd65a93d4p+11")
     assert chk.components == 87
     # a3's first log window, with a chunk of the stream beside it, passes 10 MB
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 7))
     with pytest.raises(CapacityError, match="coefficient windows of the decomposition"):
-        compare_decomposition(params, 1, 7, tables)
+        compare_decomposition(params, 1, 7)
 
 
 @pytest.mark.parametrize("x, U, a, q", [
@@ -396,13 +431,12 @@ def test_streamed_check_peaks_within_its_charges(monkeypatch):
     # stream at a time: its peak is within its largest charge, and far
     # below the 25.6 MB of coefficient windows that decompose keeps
     params = VaughanParams(10 ** 6, 100)
-    tables = build_multiplicative_tables(decomposition_limit(params))
     needs = []
     for module in (arith, bilinear, expsums, vaughan):
         monkeypatch.setattr(module, "charge_budget", lambda need, subject, budget=None: needs.append(need))
     tracemalloc.start()
     try:
-        compare_decomposition(params, 1, 7, tables)
+        compare_decomposition(params, 1, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
