@@ -27,9 +27,11 @@ windows may be ranges, and a side's coefficients SlicedCoefficients,
 made a slice at a time.  Both routes charge the byte budget before they
 build their arrays, the stream for its largest chunk.
 
-The averaged reports sweep q over [Q, 2Q) and compare the measured sums
-(maximal or at a fixed twist) with the monomials of the corresponding
-square-root cancellation bounds.
+The averaged reports sweep q over [Q, 2Q) a block of moduli at a time, as
+avg_max_report does: one residue histogram per modulus from one bincount,
+then one expsums._twist_max over the block (maximal sums) or one gather of
+unit roots (a fixed twist).  They compare the sums over q with the
+monomials of the corresponding square-root cancellation bounds.
 """
 
 from __future__ import annotations
@@ -47,21 +49,19 @@ from .accumulate import (
     accumulation_bound,
     exact_sum,
     exact_sums,
-    fsum_complex,
     unit_roots,
     unit_roots_at,
 )
 from .arith import (
     _lanes,
-    _prime_divisors,
     batch_inverses,
+    block_inverses,
     charge_budget,
-    check_modulus,
     factor_spans,
     memory_budget,
 )
 from .errors import CapacityError
-from .expsums import ExpSumValue, _twist_error_bound, _twist_max
+from .expsums import _SCAN_BYTES, ExpSumValue, _row_starts, _twist_error_bound, _twist_max, moduli_blocks
 from .reports import BoundReport, make_report
 
 #: Pairs in the product window of one form that _evaluate takes on.  The
@@ -78,7 +78,9 @@ _COEFF_SLACK = 1.0 + 1e-12
 #: of the charge above 10 MB (the stream then built whole); below 1 MB
 #: the exact sums' work arrays (two of at most 2 x 2**14 doubles, 0.5 MB)
 #: dominate, and peaks stayed below 1.1 MB.  At x = 10**6 and q = 7 a
-#: chunk of a3's longest streams peaked at 6.1 MB, charged 8.4 MB.
+#: chunk of a3's longest streams peaked at 6.1 MB, charged 8.4 MB.  Blocks
+#: of 2**15 pairs of the Type I/II sweeps (_sweep_block) peaked at 19-44
+#: bytes per pair, histograms included, within 0.6 of their charge.
 _PAIR_BYTES = 64
 _CELL_BYTES = 256
 _COLUMN_BYTES = 64
@@ -210,14 +212,10 @@ def _row_ranges(ls: np.ndarray, ms, restrict) -> tuple[np.ndarray, np.ndarray]:
     return _product_window(ls, ms, restrict)
 
 
-def _cut(starts: np.ndarray, counts: np.ndarray, size: int | None):
+def _cut(starts: np.ndarray, counts: np.ndarray, size: int):
     """Cut the runs [starts[r], starts[r] + counts[r]), taken in order, into
-    pieces of at most size entries in all (size None: one piece).  Yields,
-    per piece, the slice of the runs it meets and the starts and counts of
-    its parts of them."""
-    if size is None:
-        yield slice(0, len(counts)), starts, counts
-        return
+    pieces of at most size entries in all.  Yields, per piece, the slice of
+    the runs it meets and the starts and counts of its parts of them."""
     ends = np.cumsum(counts)
     for p0 in range(0, int(ends[-1]) if len(ends) else 0, size):
         p1 = min(p0 + size, int(ends[-1]))
@@ -228,10 +226,13 @@ def _cut(starts: np.ndarray, counts: np.ndarray, size: int | None):
 
 
 def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
-                 size: int | None = _CHUNK, held: int = 0, divisors=None):
-    """The pair stream of _pairs in chunks of at most size pairs from at most
-    size consecutive m (size None: one chunk, the whole stream in (l, m)
-    order): (residues, coefficients) per chunk.
+                 size: int = _CHUNK, held: int = 0):
+    """The pair stream in chunks of at most size pairs from at most size
+    consecutive m: (residues twist * inv(l*m) mod q, coefficients
+    alpha_l * beta_m) per chunk, in (l, m) order.  A pair is kept when
+    (lm, q) = 1, alpha_l != 0 and, with restrict = x, x <= l*m < 2x; rows
+    and m that are not units are dropped first, and int64 residues are
+    taken from products in arith._lanes(q).
 
     The m range the rows meet is cut into slices of size m; in each, the
     slice's m are inverted once and its pairs, in (l, m) order, are cut
@@ -239,33 +240,30 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     SlicedCoefficients) is built.  Every pair of the stream is in exactly
     one chunk, with the residue and coefficient it has there.  The byte
     budget is charged, with held bytes besides, for the largest chunk
-    when this is called, before any chunk is built.  divisors, when given,
-    are the primes of q, for batch_inverses.
+    when this is called, before any chunk is built.
     """
     rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
-    inv_l = batch_inverses(ls[rows], q, divisors)
+    inv_l = batch_inverses(ls[rows], q)
     unit = inv_l > 0
     rows, inv_l = rows[unit], inv_l[unit] * (twist % q) % q
     start, stop = _row_ranges(ls[rows], ms, restrict)
     lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
     pairs = int((stop - start).sum())
-    width = max(hi - lo, 1) if size is None else size
-    chunk = pairs if size is None else min(pairs, size)
-    charge_budget(held + chunk * _PAIR_BYTES + (min(hi - lo, width) + len(rows)) * _COLUMN_BYTES,
+    charge_budget(held + min(pairs, size) * _PAIR_BYTES + (min(hi - lo, size) + len(rows)) * _COLUMN_BYTES,
                   f"a stream of {pairs} (l, m) pairs needs")
     lane = _lanes(q)
     inv_l = inv_l.astype(lane)
     a_rows = None if alpha is None else alpha[rows]
 
     def chunks():
-        for k0 in range(lo, hi, width):
-            s, e = np.clip(start, k0, k0 + width), np.clip(stop, k0, k0 + width)
+        for k0 in range(lo, hi, size):
+            s, e = np.clip(start, k0, k0 + size), np.clip(stop, k0, k0 + size)
             live = np.flatnonzero(e > s)
             if not len(live):
                 continue
             s, e = s[live], e[live]
             m_lo, m_hi = int(s.min()), int(e.max())
-            inv_m = batch_inverses(_ints(ms[m_lo:m_hi]), q, divisors)
+            inv_m = batch_inverses(_ints(ms[m_lo:m_hi]), q)
             units = np.flatnonzero(inv_m)
             inv_m = inv_m[units].astype(lane)
             b_units = None if beta is None else beta[m_lo:m_hi][units]
@@ -284,24 +282,6 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
                 yield iv.astype(np.int64, copy=False), a_part * b_part
 
     return chunks()
-
-
-def _pairs(q: int, ls, alpha, ms, beta, restrict, twist: int = 1, divisors=None):
-    """The residues twist * inv(l*m) mod q of the kept pairs, in (l, m)
-    order, and their coefficients alpha_l * beta_m, as two aligned arrays.
-
-    A pair is kept when (lm, q) = 1, alpha_l != 0 and, with restrict = x,
-    x <= l*m < 2x.  Entries with beta_m = 0 are kept.  The l rows, and
-    the m from the smallest start of a row's range to the largest stop,
-    are inverted once each, and inv(l*m) = inv(l) * inv(m) mod q: rows
-    and m that are not units mod q are dropped before the stream is
-    built, which drops exactly the pairs with (lm, q) > 1.  The twist
-    scales the l inverses.  The products are taken in arith._lanes(q);
-    the residues are int64.
-    """
-    for chunk in _pair_chunks(q, ls, alpha, ms, beta, restrict, twist, size=None, divisors=divisors):
-        return chunk
-    return np.empty(0, dtype=np.int64), np.empty(0)
 
 
 def _sampled_values(coeffs) -> int:
@@ -368,7 +348,7 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
     """The form grouped by the l side (by_l) or the m side: the residues
     twist * inv(l*m) mod q, the coefficients alpha_l * beta_m and the
     multiplicities of its distinct terms, as three aligned arrays whose
-    counted sum is the sum of _pairs' stream.
+    counted sum is the sum of _pair_chunks' stream.
 
     The rows are the other side: units mod q and, when they are l, with
     alpha_l != 0.  A group is one coefficient value and one unit class c
@@ -525,69 +505,90 @@ def bilinear_sum(spec: BilinearSpec) -> ExpSumValue:
     )
 
 
-def _phase_histogram(q, ls, alpha, ms, beta, restrict, divisors=None):
-    """Bucket the coefficients by the residue class of inv(l*m) modulo q.
-
-    Returns (complex histogram of length q, sum of |alpha_l * beta_m| over
-    the included pairs).  One bincount over the whole pair stream, in
-    (l, m) order, fills each part.  This is bitwise the former sum of one
-    bincount per l whenever no l puts two terms in one residue bin, which
-    always holds for integer-valued coefficients and for the Type II
-    reports (M <= Q <= q); otherwise the bins may differ in the last bits.
-    The weight is one sum over the stream, exact for integer-valued
-    coefficients.
-    """
-    # two real histograms, a bincount and the complex result
-    check_modulus(q, bytes_per_entry=32)
-    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict, divisors=divisors)
-    h = np.bincount(iv, weights=coeff.real, minlength=q)
-    if np.any(coeff.imag):
-        h = h + 1j * np.bincount(iv, weights=coeff.imag, minlength=q)
-    return h.astype(np.complex128, copy=False), float(np.abs(coeff).sum())
+def _window_inverses(ns: np.ndarray, qs: np.ndarray, divisors) -> np.ndarray:
+    """block_inverses of the window ns mod the moduli qs: by batch_inverses
+    at one modulus, where it beats the lanes, and for a window as long as
+    the largest modulus, the inverses of 1 .. max q - 1 gathered at n mod q."""
+    if len(qs) == 1:
+        return batch_inverses(ns, int(qs[0]), divisors[0])[None, :]
+    if len(ns) < qs.max():
+        return block_inverses(ns, qs, divisors)
+    table = np.pad(block_inverses(np.arange(1, qs.max()), qs, divisors), ((0, 0), (1, 0)))
+    return np.take_along_axis(table, ns % qs[:, None], axis=1)
 
 
-def _max_abs_over_twists(h: np.ndarray, q: int, divisors=None) -> float:
-    """max over units a of |sum_r h[r] e(a r / q)|, bitwise the full direct
-    scan's: one complex row of expsums._twist_max; divisors, when given,
-    are the primes of q.
+def _phase_histograms(qs: np.ndarray, divisors, ls, alpha, ms, beta):
+    """The residue histograms of the form mod the moduli qs of a block (row
+    j of length qs[j], rows end to end; bin r sums alpha_l * beta_m over the
+    pairs with inv(l*m) = r) and numpy's sum of |alpha_l * beta_m| per row.
+    A modulus keeps the pairs of the stream in (l, m) order, as the outer
+    product of its kept inverses in arith._lanes; one bincount over row
+    offsets fills each bin in that order, bitwise its modulus's own."""
+    lane = _lanes(int(qs.max()))
+    inv_l, inv_m = _window_inverses(ls, qs, divisors), _window_inverses(ms, qs, divisors)
+    if alpha is not None:
+        inv_l[:, alpha == 0] = 0
+    keep_l, keep_m = inv_l != 0, inv_m != 0
+    n_l, n_m = keep_l.sum(axis=1), keep_m.sum(axis=1)
+    ends = np.cumsum(n_l * n_m).tolist()
+    a_side = np.ones(len(ls)) if alpha is None else alpha
+    b_side = np.ones(len(ms)) if beta is None else beta
+    iv, coeff = np.empty(ends[-1], lane), np.empty(ends[-1], np.result_type(a_side, b_side))
+    for j, (q, start, lo, hi) in enumerate(zip(qs.tolist(), _row_starts(qs).tolist(), [0] + ends, ends)):
+        part = iv[lo:hi].reshape(n_l[j], n_m[j])
+        np.multiply.outer(inv_l[j, keep_l[j]].astype(lane), inv_m[j, keep_m[j]].astype(lane), out=part)
+        part -= part // lane(q) * lane(q)  # numpy divides by a scalar faster than it takes a remainder
+        part += lane(start)
+        if alpha is not None or beta is not None:
+            # elementwise: numpy's outer product may round complex products otherwise
+            a_part, b_part = np.repeat(a_side[keep_l[j]], n_m[j]), np.tile(b_side[keep_m[j]], n_l[j])
+            np.multiply(a_part, b_part, out=coeff[lo:hi])
+    if alpha is None and beta is None:
+        return np.bincount(iv, minlength=int(qs.sum())).astype(float), (n_l * n_m).astype(float).tolist()
+    h = np.bincount(iv, coeff.real, int(qs.sum()))
+    if np.iscomplexobj(coeff):
+        h = h + 1j * np.bincount(iv, coeff.imag, int(qs.sum()))
+    return h, [float(np.abs(coeff[lo:hi]).sum()) for lo, hi in zip([0] + ends, ends)]
 
-    E is expsums._twist_error_bound with weight sum |h[r]| and, over the s
-    support points, s - 1 additions plus one complex product per term.
-    """
+
+def _sweep_block(qs: np.ndarray, divisors, ls, alpha, ms, beta, a) -> tuple[list[float], list[float]]:
+    """(sizes, weights) at every modulus of a block, charged to the byte
+    budget first.  A row's terms are its nonzero bins r, weighted h[r]:
+    |W| maximal over the unit twists (a None) from one _twist_max, E at
+    weight sum |h[r]| and s + 1 roundings per term over s terms, or at the
+    twist a from one unit_roots_at gather and one exact_sums."""
+    pairs = len(ls) * len(ms)
+    need = len(qs) * (pairs * _PAIR_BYTES + (len(ls) + len(ms)) * _COLUMN_BYTES) + int(qs.sum()) * _SCAN_BYTES
+    charge_budget(need, f"moduli {int(qs[0])} to {int(qs[-1])} with {pairs} (l, m) pairs each need")
+    h, weights = _phase_histograms(qs, divisors, ls, alpha, ms, beta)
     support = np.flatnonzero(h)
-    if len(support) == 0:
-        return 0.0
-    vals = h[support]
-    err = _twist_error_bound(h, float(np.abs(vals).sum()), len(support) + 1)
-    primes = _prime_divisors(q) if divisors is None else divisors
-    return _twist_max(h, [q], support, [len(support)], vals, err, [primes])[0][1]
-
-
-def _abs_at_twist(h: np.ndarray, q: int, a: int) -> float:
-    support = np.flatnonzero(h)
-    if len(support) == 0:
-        return 0.0
-    terms = unit_roots(q)[(a % q) * support % q] * h[support]
-    return abs(fsum_complex(terms.real, terms.imag))
+    row = np.searchsorted(_row_starts(qs), support, side="right") - 1
+    terms, counts, vals = support - _row_starts(qs)[row], np.bincount(row, minlength=len(qs)), h[support]
+    if a is None:
+        err = _twist_error_bound(h, np.bincount(row, np.abs(vals), len(qs)), counts + 1, qs)
+        return [size for _, size in _twist_max(h, qs, terms, counts, vals, err, divisors)], weights
+    col = qs[row] if len(qs) > 1 else int(qs[0])  # one modulus: its roots from one table
+    products = unit_roots_at(np.array([a % q for q in qs.tolist()])[row] * terms % col, col) * vals
+    parts = np.zeros((2, len(qs), int(qs.max())))
+    parts[0, row, terms], parts[1, row, terms] = products.real, products.imag
+    sums = exact_sums(parts.reshape(2 * len(qs), -1))
+    return [abs(complex(re, im)) for re, im in zip(sums[: len(qs)], sums[len(qs) :])], weights
 
 
 def _sweep(L, M, Q, a, alpha, beta) -> tuple[float, float]:
     """(lhs, trivial) over the moduli Q <= q < 2Q: the exact sums of |W| and of
     the weight sum |alpha_l * beta_m|, where |W| is the maximum over twists
-    when a is None and the value at the twist a otherwise.  The moduli are
-    factored a span at a time, by arith.factor_spans.
-    """
+    when a is None and the value at the twist a >= 1 otherwise.  The moduli
+    are factored a span at a time (arith.factor_spans) and cut into blocks
+    by moduli_blocks with a scan's residue cap: a block holds histograms."""
+    if a is not None and a < 1:
+        raise ValueError(f"need a >= 1, got {a}")
     ls, ms = dyadic_window(L), dyadic_window(M)
-    alpha = _check_coeffs("alpha", alpha, ls)
-    beta = _check_coeffs("beta", beta, ms)
-    sizes, weights = [], []
-    for factors in factor_spans(Q, 2 * Q):
-        moduli = range(factors.lo, factors.hi)
-        for q, primes in zip(moduli, factors.divisors(moduli)):
-            h, weight = _phase_histogram(q, ls, alpha, ms, beta, None, primes)
-            sizes.append(_max_abs_over_twists(h, q, primes) if a is None else _abs_at_twist(h, q, a))
-            weights.append(weight)
-    return exact_sum(sizes), exact_sum(weights)
+    alpha, beta = _check_coeffs("alpha", alpha, ls), _check_coeffs("beta", beta, ms)
+    rows = [_sweep_block(np.arange(block.start, block.stop), factors.divisors(block), ls, alpha, ms, beta, a)
+            for factors in factor_spans(Q, 2 * Q)
+            for block in moduli_blocks(factors.lo, factors.hi, len(ls) * len(ms), scan=True)]
+    return exact_sum([s for sizes, _ in rows for s in sizes]), exact_sum([w for _, ws in rows for w in ws])
 
 
 def _validate_sweep(L, M, Q, require_below_q: bool):
@@ -642,8 +643,6 @@ def type2_fixed_a_report(
 
     The core is (1 + a/(L M Q))^(1/2) * (Q L M^(1/2) + Q^(1/2) L^(5/4) M^(3/2)).
     """
-    if a < 1:
-        raise ValueError(f"need a >= 1, got {a}")
     _validate_sweep(L, M, Q, require_below_q=True)
     lhs, trivial = _sweep(L, M, Q, a, alpha, beta)
     factor = math.sqrt(1.0 + a / (L * M * Q))
@@ -670,7 +669,7 @@ def type1_report(
     """Sum over q ~ Q of the Type I form (unit beta), versus L*M + Q^(3/2)*L.
 
     With a = None the per-modulus maximum over twists is measured; with a
-    fixed twist the sum at that twist is measured against the same core.
+    fixed twist a >= 1 the sum at that twist, against the same core.
     """
     _validate_sweep(L, M, Q, require_below_q=False)
     lhs, trivial = _sweep(L, M, Q, a, alpha, None)

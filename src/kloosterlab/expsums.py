@@ -13,9 +13,9 @@ whose values still come from the table, and as the result in
 kloosterman_grid.  The filter's FFT has length q/2 at an even q: every
 unit mod q is odd, and a histogram on the units (which _twist_max
 checks) has the spectrum of its odd residues.  Sweeps over many moduli
-take them a block at a time: prime_sum_block at one twist, and
-max_prime_sum_block over all twists, one row of _twist_max per modulus
-(max_prime_sum is a block of one).
+take them a block at a time (moduli_blocks): prime_sum_block at one
+twist, and max_prime_sum_block and bilinear's Type I/II sweeps over all
+twists, one row of _twist_max per modulus (max_prime_sum is a block of one).
 
 The primes of a window [x, 2x) come from arith.prime_window alone, which
 sieves the window itself and keeps nothing between calls: prime_sum and
@@ -248,7 +248,7 @@ def prime_sum_block(a: int, moduli, primes, divisors=None) -> list[complex]:
 
 def moduli_blocks(lo: int, hi: int, terms: int, scan: bool = False) -> list[range]:
     """The moduli lo <= q < hi cut into consecutive blocks for prime_sum_block,
-    or, with scan, for max_prime_sum_block.
+    or, with scan, for max_prime_sum_block and bilinear._sweep_block.
 
     A block holds _BLOCK_MODULI moduli, or at terms primes per modulus as
     many as fit in _BLOCK_CELLS cells, but at least one.  A twist scan also
@@ -269,7 +269,7 @@ def _row_starts(lengths: np.ndarray) -> np.ndarray:
     return lengths.cumsum() - lengths
 
 
-def _twist_error_bound(h: np.ndarray, weight, depth, qs=None):
+def _twist_error_bound(h: np.ndarray, weight, depth, qs: np.ndarray) -> np.ndarray:
     """Bound E on |spectrum - direct magnitude| at any twist, for the scans below.
 
     A direct magnitude |sum of terms r_k * w_k| with unit-root table entries
@@ -280,25 +280,21 @@ def _twist_error_bound(h: np.ndarray, weight, depth, qs=None):
     FFT of the histogram h is off by at most
     _FFT_ERROR_C * ceil(log2 q) * u * sqrt(q) * |h|_2 at every twist.
 
-    h is one histogram (len q), and E a float; or, with the moduli qs, the
-    histograms of a block laid end to end (row j of length qs[j]), with
-    weight and depth one entry per row, and E an array.  |h|_2 is the
-    square root of the row's summed squares: exact for counts, so bitwise
-    np.linalg.norm.
+    h holds the histograms of a block laid end to end (row j of length
+    qs[j]), weight and depth one entry per row, and E one per row.  |h|_2
+    is the square root of the row's summed squares: exact for counts, so
+    bitwise np.linalg.norm.
     """
-    q = np.array([len(h)]) if qs is None else qs
     squares = h.real * h.real
     if np.iscomplexobj(h):
         squares += h.imag * h.imag
-    norm = np.sqrt(np.add.reduceat(squares, _row_starts(q)).astype(np.float64))
+    norm = np.sqrt(np.add.reduceat(squares, _row_starts(qs)).astype(np.float64))
     u = _UNIT_ROUNDOFF
     depth = np.asarray(depth, dtype=np.float64)
     gamma = depth * u / (1 - depth * u)
     direct = np.asarray(weight, dtype=np.float64) * (TERM_EPS + math.sqrt(2) * gamma + 2 * u)
     # frexp's exponent of q - 1 is ceil(log2 q)
-    fft = _FFT_ERROR_C * np.frexp(q - 1)[1] * u * np.sqrt(q) * norm
-    bound = direct + fft
-    return float(bound[0]) if qs is None else bound
+    return direct + _FFT_ERROR_C * np.frexp(qs - 1)[1] * u * np.sqrt(qs) * norm
 
 
 def _twist_spectrum(h: np.ndarray, twists: np.ndarray) -> np.ndarray:
@@ -411,7 +407,11 @@ def _twist_max(
             cells = firsts[row[sel], None] + np.arange(n)
             col = qs[row[sel], None]
             table = unit_roots_at(twists[sel, None] * terms[cells] % col, col)
-            mags[sel] = np.abs((table if vals is None else table * vals[cells]).sum(axis=1))
+            if vals is not None:
+                # not table * vals[cells], which numpy may take into a large temporary with
+                # the operands swapped: a fused complex product does not commute bit for bit
+                np.multiply(table, vals[cells], out=table)
+            mags[sel] = np.abs(table.sum(axis=1))
     gap = np.abs(mags - spectrum[survivors])
     bad = (~(gap <= err[row])).nonzero()[0]
     if len(bad):

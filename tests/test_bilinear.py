@@ -10,20 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kloosterlab import arith, bilinear
+from kloosterlab import arith, bilinear, expsums
 from kloosterlab.accumulate import exact_sum, exact_sums, fsum_complex, unit_roots
-from kloosterlab.arith import inverse_table
+from kloosterlab.arith import factor_window, inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
-    _abs_at_twist,
     _evaluate,
     _grouped,
     _grouping,
-    _max_abs_over_twists,
     _pair_chunks,
-    _pairs,
-    _phase_histogram,
+    _phase_histograms,
     _product_window,
+    _sweep_block,
     _terms_value,
     SlicedCoefficients,
     bilinear_sum,
@@ -34,7 +32,7 @@ from kloosterlab.bilinear import (
     type2_fixed_a_report,
 )
 from kloosterlab.errors import CapacityError, ConsistencyError
-from kloosterlab.expsums import _CHUNK_CELLS
+from kloosterlab.expsums import _CHUNK_CELLS, _row_starts, moduli_blocks
 from kloosterlab.vaughan import VaughanParams, decompose
 
 #: Property tests draw the same examples on every run and stay quick.
@@ -160,6 +158,11 @@ def test_type1_report_structure():
     assert 0 < rep.ratio <= 1.0
     fixed = type1_report(4, 64, 8, a=1)
     assert fixed.lhs <= rep.lhs + 1e-9
+    # as type2_fixed_a_report does: a = 0 would measure lhs = trivial, a
+    # violated bound, and a = -3 the sums at a = 3
+    for a in (0, -3):
+        with pytest.raises(ValueError, match="need a >= 1"):
+            type1_report(4, 64, 8, a=a)
 
 
 def test_sweep_hypothesis_validation():
@@ -171,12 +174,25 @@ def test_sweep_hypothesis_validation():
         type2_fixed_a_report(0, 4, 4, 8)
 
 
+def test_reports_keep_their_pinned_values():
+    # the values of the sweep that took one modulus at a time, bit for bit
+    rep = type2_avg_max_report(64, 64, 1024, 2)
+    assert (rep.lhs, rep.trivial_bound) == (133971.24377936343, 1802186.0)
+    rep = type2_avg_max_report(8, 8, 32, 2)
+    assert (rep.lhs, rep.trivial_bound) == (294.2439758939586, 829.0)
+    assert type2_fixed_a_report(1, 64, 64, 1024).lhs == 46896.94035457586
+    rep = type1_report(8, 4096, 1024)
+    assert (rep.lhs, rep.trivial_bound) == (81135.21536077434, 14094186.0)
+    assert type1_report(8, 4096, 1024, a=3).lhs == 27987.872821242563
+
+
 def _direct_max_abs_over_twists(h, q):
-    """_max_abs_over_twists as a full direct scan over every unit twist, in
-    chunks of _CHUNK_CELLS cells.
+    """The maximum over unit twists of |sum_r h[r] e(a r / q)| as a full
+    direct scan over every unit twist, in chunks of _CHUNK_CELLS cells.
 
     Same table entries and the same row expression as the re-scoring in
-    _max_abs_over_twists, so the maximum must match bit for bit.
+    expsums._twist_max, which _sweep_block calls, so the maximum must
+    match bit for bit.
     """
     support = np.flatnonzero(h)
     if len(support) == 0:
@@ -195,55 +211,76 @@ def _direct_max_abs_over_twists(h, q):
     return best
 
 
-def _histograms(q, x):
-    """Residue histograms as the sweeps build them: inv(l) for l ~ x with
-    unit coefficients, and inv(l*m) for l ~ x, m ~ 4 with seeded complex
-    alpha and real beta."""
-    inv = inverse_table(q)
+def _scan_forms(x):
+    """The forms of the scan tests: l ~ x against m = 1 with unit
+    coefficients (the histogram of inv(l)), and l ~ x against m ~ 4 with
+    complex alpha and real beta, seeded by x."""
     ls, ms = dyadic_window(x), dyadic_window(4)
-    rng = np.random.default_rng(q)
+    rng = np.random.default_rng(x)
     alpha = rng.uniform(-0.7, 0.7, len(ls)) + 1j * rng.uniform(-0.7, 0.7, len(ls))
     beta = rng.uniform(-1, 1, len(ms))
-    for res, coeff in [(ls % q, np.ones(len(ls))),
-                       (np.multiply.outer(ls % q, ms % q) % q, np.multiply.outer(alpha, beta))]:
-        iv = inv[res]
-        keep = iv > 0
-        h = np.bincount(iv[keep], weights=coeff.real[keep], minlength=q).astype(np.complex128)
-        h.imag = np.bincount(iv[keep], weights=coeff.imag[keep], minlength=q)
-        yield h
+    yield ls, None, dyadic_window(1), None
+    yield ls, alpha, ms, beta
+
+
+def _rows(moduli, ls, alpha, ms, beta, a=None):
+    """(sizes, weights) of _sweep_block over one block of consecutive moduli."""
+    block = range(moduli[0], moduli[-1] + 1)
+    divisors = factor_window(block.start, block.stop).divisors(block)
+    return _sweep_block(np.arange(block.start, block.stop), divisors, ls, alpha, ms, beta, a)
+
+
+def _block_rows(lo, hi, ls, alpha, ms, beta, a=None):
+    """(sizes, weights) at every modulus lo <= q < hi, in the blocks of _sweep."""
+    sizes, weights = [], []
+    for block in moduli_blocks(lo, hi, len(ls) * len(ms), scan=True):
+        got = _rows(block, ls, alpha, ms, beta, a)
+        sizes += got[0]
+        weights += got[1]
+    return sizes, weights
 
 
 @pytest.mark.parametrize("x", [2, 10, 30, 100, 1024])
 def test_max_abs_over_twists_bitwise_equals_direct_scan(x):
-    for q in range(2, 401):
-        for h in _histograms(q, x):
-            assert _max_abs_over_twists(h, q) == _direct_max_abs_over_twists(h, q), (q, x)
+    # every row of the blocks of 2 <= q <= 400 against the direct scan of
+    # its twin histogram
+    for ls, alpha, ms, beta in _scan_forms(x):
+        sizes, _ = _block_rows(2, 401, ls, alpha, ms, beta)
+        for q, size in zip(range(2, 401), sizes):
+            h, _ = _twin_histogram(q, ls, alpha, ms, beta)
+            assert size == _direct_max_abs_over_twists(h, q), (q, x)
 
 
 @pytest.mark.parametrize("q, x", [(3000, 2500), (100000, 2), (6, 2)])
 def test_max_abs_over_twists_edge_cases(q, x):
     # a near tie; a single residue, where every twist ties; and an empty
-    # histogram (both l in [2, 4) share a factor with 6)
-    for h in _histograms(q, x):
-        assert _max_abs_over_twists(h, q) == _direct_max_abs_over_twists(h, q)
+    # histogram (both l in [2, 4) share a factor with 6): as a block of one
+    # modulus, and as the middle row of a block of three
+    for ls, alpha, ms, beta in _scan_forms(x):
+        want = _direct_max_abs_over_twists(_twin_histogram(q, ls, alpha, ms, beta)[0], q)
+        assert _rows([q], ls, alpha, ms, beta)[0] == [want]
+        assert _rows([q - 1, q, q + 1], ls, alpha, ms, beta)[0][1] == want
 
 
 def test_max_abs_consistency_check_fires_with_zero_bound(monkeypatch):
-    # on the full-length route (3001) and the half-length one (3000)
+    # on the full-length route (3001) and the half-length one (3000), for
+    # a real and a complex histogram
     monkeypatch.setattr(bilinear, "_twist_error_bound", lambda *args: 0.0)
-    for q in (3001, 3000):
-        h = next(_histograms(q, 2500))
-        with pytest.raises(ConsistencyError):
-            _max_abs_over_twists(h, q)
+    for ls, alpha, ms, beta in _scan_forms(2500):
+        for q in (3001, 3000):
+            with pytest.raises(ConsistencyError):
+                _rows([q], ls, alpha, ms, beta)
 
 
-def test_max_abs_refuses_an_even_histogram_off_the_units():
+def test_max_abs_refuses_an_even_histogram_off_the_units(monkeypatch):
     # a complex row mod an even q takes the half-length spectrum, which
-    # needs h zero at the even residues
+    # needs h zero at the even residues: the block kernel hands its rows
+    # to _twist_max, which refuses a term at an even residue
     h = np.zeros(10, dtype=np.complex128)
     h[[3, 4]] = [0.5j, 1.0]
+    monkeypatch.setattr(bilinear, "_phase_histograms", lambda *args: (h, [1.5]))
     with pytest.raises(ConsistencyError, match="mod 10 has a term at the even residue 4"):
-        _max_abs_over_twists(h, 10)
+        _rows([10], dyadic_window(4), None, dyadic_window(1), None)
 
 
 def _restricted(l, ms, beta, x):
@@ -258,8 +295,9 @@ def _restricted(l, ms, beta, x):
 
 
 def _per_l_pairs(q, ls, alpha, ms, beta, restrict):
-    """_pairs as the former loop over l: per l, the residues and coefficients
-    of the kept pairs, skipping rows with alpha_l = 0 or no kept pair."""
+    """The pair stream as a loop over l: per l, the residues inv(l*m) mod q
+    and coefficients alpha_l * beta_m of the kept pairs, skipping rows with
+    alpha_l = 0 or no kept pair."""
     inv = inverse_table(q)
     for i, l in enumerate(ls):
         l = int(l)
@@ -277,8 +315,28 @@ def _per_l_pairs(q, ls, alpha, ms, beta, restrict):
         yield iv, al * (np.ones(len(iv)) if bsub is None else bsub[good])
 
 
+def _twin_pairs(q, ls, alpha, ms, beta, restrict, twist=1):
+    """The whole pair stream, the rows of _per_l_pairs concatenated in
+    (l, m) order, its residues scaled by the twist: two aligned arrays."""
+    rows = list(_per_l_pairs(q, ls, alpha, ms, beta, restrict))
+    if not rows:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    iv = np.concatenate([iv for iv, _ in rows])
+    return (twist % q) * iv % q, np.concatenate([c for _, c in rows])
+
+
+def _twin_histogram(q, ls, alpha, ms, beta):
+    """One modulus's histogram as one bincount over the twin stream (complex,
+    length q), and numpy's sum of the |coefficient| of the stream."""
+    iv, coeff = _twin_pairs(q, ls, alpha, ms, beta, None)
+    h = np.bincount(iv, weights=coeff.real, minlength=q).astype(np.complex128)
+    if np.iscomplexobj(coeff):
+        h.imag = np.bincount(iv, weights=coeff.imag, minlength=q)
+    return h, float(np.abs(coeff).sum())
+
+
 def _per_l_histogram(q, ls, alpha, ms, beta):
-    """_phase_histogram as the former sum of one bincount per l."""
+    """A modulus's histogram as the sum of one bincount per l."""
     h_re, h_im, has_im, weight = np.zeros(q), np.zeros(q), False, 0.0
     for iv, coeff in _per_l_pairs(q, ls, alpha, ms, beta, None):
         coeff = np.asarray(coeff, dtype=np.complex128)
@@ -405,15 +463,18 @@ def _form_window(L, kind):
 # q = 30 shares 2 and 3 with l ~ 4 and 2, 3 and 5 with m ~ 8
 @example((30, 4, 8, _form_window(4, "int"), None, None))
 def test_pairs_bitwise_equal_per_l_twin(form):
+    # windows this short fit one chunk of _pair_chunks: the stream in (l, m)
+    # order, bit for bit
     q, L, M, alpha, beta, restrict = form
     ls, ms = dyadic_window(L), dyadic_window(M)
-    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict)
+    chunks = list(_pair_chunks(q, ls, alpha, ms, beta, restrict))
     rows = list(_per_l_pairs(q, ls, alpha, ms, beta, restrict))
-    assert iv.tolist() == [r for row, _ in rows for r in row.tolist()]
+    assert [r for iv, _ in chunks for r in iv.tolist()] == [r for row, _ in rows for r in row.tolist()]
     if rows:
-        assert _bits(coeff) == _bits(np.concatenate([c for _, c in rows]))
+        assert len(chunks) == 1
+        assert _bits(chunks[0][1]) == _bits(np.concatenate([c for _, c in rows]))
     else:
-        assert len(coeff) == 0
+        assert chunks == []
 
 
 @_PROPERTY
@@ -449,7 +510,9 @@ def test_zero_alpha_rows_and_zero_beta_entries():
     (4, 8, "unit"), (8, 8, "float"), (16, 5.5, "complex"), (3, 3, "int"), (7.5, 16, "float"),
 ])
 def test_phase_histogram_bitwise_equals_per_l_twin(L, M, kind):
-    # M <= Q <= q, as in the Type II reports: no l puts two terms in one bin
+    # M <= Q <= q, as in the Type II reports: no l puts two terms in one bin,
+    # so every row is the per-l twin's sum of one bincount per l, bit for
+    # bit; in a block of 40 moduli and in blocks of one
     ls, ms = dyadic_window(L), dyadic_window(M)
     rng = np.random.default_rng(len(ls) * 100 + len(ms))
     alpha = beta = None
@@ -459,20 +522,25 @@ def test_phase_histogram_bitwise_equals_per_l_twin(L, M, kind):
         alpha, beta = np.rint(alpha).astype(np.int64), np.rint(beta).astype(np.int64)
     if kind == "complex":
         alpha = alpha * (0.6 + 0.8j)
-    for q in range(int(2 * M), int(2 * M) + 40):
-        h, weight = _phase_histogram(q, ls, alpha, ms, beta, None)
-        want, want_weight = _per_l_histogram(q, ls, alpha, ms, beta)
-        assert _bits(h) == _bits(want), q
-        assert weight == pytest.approx(want_weight, rel=1e-15, abs=0)
-        if kind in ("unit", "int"):
-            assert weight == want_weight
+    lo = int(2 * M)
+    for block in [range(lo, lo + 40)] + [range(q, q + 1) for q in range(lo, lo + 3)]:
+        qs = np.arange(block.start, block.stop)
+        h, weights = _phase_histograms(qs, factor_window(block.start, block.stop).divisors(block),
+                                       ls, alpha, ms, beta)
+        assert np.iscomplexobj(h) == (kind == "complex")
+        for q, start, weight in zip(block, _row_starts(qs).tolist(), weights):
+            want, want_weight = _per_l_histogram(q, ls, alpha, ms, beta)
+            assert _bits(h[start : start + q].astype(np.complex128)) == _bits(want), q
+            assert weight == pytest.approx(want_weight, rel=1e-15, abs=0)
+            if kind in ("unit", "int"):
+                assert weight == want_weight
 
 
 def _complex_product_value(spec):
     """The value of the form as complex products coeff * e(a * inv(lm) / q)
     of the pair stream, summed by fsum_complex: the twin of the value path."""
     q = spec.q
-    iv, coeff = _pairs(q, spec.l_values, spec.alpha, spec.m_values, spec.beta, spec.restrict_lm)
+    iv, coeff = _twin_pairs(q, spec.l_values, spec.alpha, spec.m_values, spec.beta, spec.restrict_lm)
     if len(iv) == 0:
         return 0j
     terms = coeff * unit_roots(q)[(spec.a % q * iv) % q]
@@ -523,13 +591,20 @@ def test_value_path_bitwise_equals_complex_products(xU, q, turns, shift, coeffs)
 
 @pytest.mark.parametrize("q,a", [(7, 1), (97, -5), (1024, 3), (65537, 12345)])
 def test_abs_at_twist_is_the_magnitude_of_an_exact_sum(q, a):
+    # every row of a block at a fixed twist against the magnitude of the
+    # exact sum of its twin histogram's terms; a row whose coefficients are
+    # all zero has no terms, and reads 0.0
+    ls, ms = dyadic_window(16), dyadic_window(40)
     rng = np.random.default_rng(q)
-    h = (rng.uniform(-1, 1, q) + 1j * rng.uniform(-1, 1, q)) * (rng.random(q) < 0.5)
-    support = np.flatnonzero(h)
-    terms = unit_roots(q)[(a % q) * support % q] * h[support]
-    want = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
-    assert _abs_at_twist(h, q, a) == want
-    assert _abs_at_twist(np.zeros(q, dtype=np.complex128), q, a) == 0.0
+    alpha = (rng.uniform(-0.7, 0.7, len(ls)) + 1j * rng.uniform(-0.7, 0.7, len(ls))) * (rng.random(len(ls)) < 0.7)
+    beta = rng.uniform(-1, 1, len(ms)) * (rng.random(len(ms)) < 0.7)
+    sizes, _ = _rows([q - 1, q, q + 1], ls, alpha, ms, beta, a)
+    for modulus, size in zip([q - 1, q, q + 1], sizes):
+        h, _ = _twin_histogram(modulus, ls, alpha, ms, beta)
+        support = np.flatnonzero(h)
+        terms = unit_roots(modulus)[(a % modulus) * support % modulus] * h[support]
+        assert size == abs(complex(math.fsum(terms.real), math.fsum(terms.imag))), modulus
+    assert _rows([q], ls, alpha, ms, np.zeros(len(ms)), a) == ([0.0], [0.0])
 
 
 @st.composite
@@ -561,7 +636,7 @@ def _grouped_forms(draw):
 
 def _stream_sums(q, a, ls, alpha, ms, beta, restrict):
     """(value, term count, weight sum) from the pair stream alone."""
-    iv, coeff = _pairs(q, ls, alpha, ms, beta, restrict, twist=a)
+    iv, coeff = _twin_pairs(q, ls, alpha, ms, beta, restrict, twist=a)
     return _terms_value(iv, coeff, q), len(coeff), exact_sum(np.abs(coeff))
 
 
@@ -644,7 +719,7 @@ def test_pair_chunks_hold_the_stream_in_bounded_chunks(form, size, side):
     if side == "sliced" and beta is not None:
         whole = beta
         beta = SlicedCoefficients(len(whole), lambda lo, hi: whole[lo:hi] * 1)
-    want = _pairs(q, ls, alpha, dyadic_window(M), None if beta is None else beta[:], restrict, twist=3)
+    want = _twin_pairs(q, ls, alpha, dyadic_window(M), None if beta is None else beta[:], restrict, twist=3)
     chunks = list(_pair_chunks(q, ls, alpha, ms, beta, restrict, 3, size))
     assert all(0 < len(iv) <= size and len(iv) == len(c) for iv, c in chunks)
     got = [p for iv, c in chunks for p in _stream_key(iv, c)]
@@ -680,7 +755,7 @@ def test_evaluate_decides_its_roots_table_once_per_stream(monkeypatch, q, budget
     value, count, _ = _evaluate(q, 3, ls, alpha, ms, beta, None)
     assert built == tables
     monkeypatch.delenv("KLOOSTERLAB_MAX_BYTES", raising=False)
-    iv, coeff = _pairs(q, ls, alpha, ms, beta, None, twist=3)
+    iv, coeff = _twin_pairs(q, ls, alpha, ms, beta, None, twist=3)
     table = unit_roots(q)
     assert count == len(iv)
     assert value == complex(math.fsum(table.real[iv] * coeff), math.fsum(table.imag[iv] * coeff))
@@ -698,3 +773,105 @@ def test_term_cap_counts_the_pairs_of_the_product_window(monkeypatch):
     monkeypatch.setattr(bilinear, "_TERM_CAP", window - 1)
     with pytest.raises(CapacityError, match=f"bilinear form has {window} pairs in its product window"):
         bilinear_sum(spec)
+
+
+def _twin_report(L, M, Q, a, alpha, beta):
+    """(lhs, trivial) of a Type I/II sweep, one modulus at a time: the twin
+    histogram of each q, its direct scan over the unit twists (a None) or
+    the magnitude of math.fsum of its terms at the twist a, and numpy's sum
+    of the |coefficient| of its stream; each summed over q by math.fsum."""
+    ls, ms = dyadic_window(L), dyadic_window(M)
+    sizes, weights = [], []
+    for q in range(Q, 2 * Q):
+        h, weight = _twin_histogram(q, ls, alpha, ms, beta)
+        if a is None:
+            sizes.append(_direct_max_abs_over_twists(h, q))
+        else:
+            support = np.flatnonzero(h)
+            terms = unit_roots(q)[(a % q) * support % q] * h[support]
+            sizes.append(abs(complex(math.fsum(terms.real), math.fsum(terms.imag))))
+        weights.append(weight)
+    return math.fsum(sizes), math.fsum(weights)
+
+
+def _sweep_coeffs(kind, n, rng):
+    """Coefficients on a window of n integers: unit (None), real or complex
+    with zero entries, or all zero."""
+    if kind == "unit":
+        return None
+    if kind == "zero":
+        return np.zeros(n)
+    vals = rng.uniform(-1, 1, n) * (rng.random(n) < 0.7)
+    return vals if kind == "real" else vals * np.exp(2j * np.pi * rng.random(n))
+
+
+@st.composite
+def _sweeps(draw):
+    """A Type I or II report: Q to 40, so even and odd moduli; L and M within
+    Q for Type II, and M past 2Q for Type I (several m per residue); unit,
+    real, complex or zero coefficients."""
+    report = draw(st.sampled_from(["type1", "type2-avg-max", "type2-fixed-a"]))
+    Q = draw(st.integers(2, 40))
+    L = draw(st.sampled_from([1, 1.5, 3, 4.5, 8]))
+    M = draw(st.sampled_from([1, 2, 3.5, 8] if report != "type1" else [1, 3, 30, 100]))
+    if report != "type1":
+        L, M = min(L, Q), min(M, Q)
+    a = None if report == "type2-avg-max" else draw(st.sampled_from([1, 2, 5, 10 ** 6 + 1]))
+    if report == "type1":
+        a = draw(st.sampled_from([None, a]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = st.sampled_from(["unit", "real", "complex", "zero"])
+    alpha = _sweep_coeffs(draw(kinds), len(dyadic_window(L)), rng)
+    beta = None if report == "type1" else _sweep_coeffs(draw(kinds), len(dyadic_window(M)), rng)
+    return report, L, M, Q, a, alpha, beta
+
+
+def _report(report, L, M, Q, a, alpha, beta):
+    if report == "type1":
+        return type1_report(L, M, Q, a=a, alpha=alpha)
+    if report == "type2-avg-max":
+        return type2_avg_max_report(L, M, Q, 2, alpha=alpha, beta=beta)
+    return type2_fixed_a_report(a, L, M, Q, alpha=alpha, beta=beta)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_sweeps())
+# 1716 = 2^2 * 3 * 11 * 13 shares a prime with every l ~ 8: its row has no
+# terms and reads 0.0, at a fixed twist and in the scan
+@example(("type2-fixed-a", 8, 4, 860, 5, np.linspace(-1, 1, 8) * 0.5j, None))
+@example(("type1", 8, 1, 860, None, None, None))
+# complex alpha against real beta with zeros, Type I with M = 100 > 2Q
+@example(("type2-avg-max", 8, 8, 24, None, np.linspace(-1, 1, 8) * (0.6 - 0.8j), np.resize([0.5, 0.0, -1.0], 8)))
+@example(("type1", 3, 100, 7, 3, np.array([0.3, -1.0, 0.7]), None))
+def test_reports_bitwise_equal_the_per_modulus_twin(case):
+    report, L, M, Q, a, alpha, beta = case
+    rep = _report(report, L, M, Q, a, alpha, beta)
+    lhs, trivial = _twin_report(L, M, Q, a, alpha, beta)
+    assert (rep.lhs.hex(), rep.trivial_bound.hex()) == (lhs.hex(), trivial.hex())
+
+
+def test_sweep_blocks_charge_the_byte_budget_before_building(monkeypatch):
+    # a block of three moduli is charged for its pairs, its inverted windows
+    # and its histograms, before any of them is built
+    ls, ms = dyadic_window(8), dyadic_window(8)
+    alpha = np.linspace(-1, 1, len(ls))
+    need = (3 * (len(ls) * len(ms) * bilinear._PAIR_BYTES + (len(ls) + len(ms)) * bilinear._COLUMN_BYTES)
+            + (64 + 65 + 66) * expsums._SCAN_BYTES)
+    want = _rows([64, 65, 66], ls, alpha, ms, None)
+    build = bilinear._phase_histograms
+
+    def refused(*args):
+        raise AssertionError("histograms built before the charge")
+
+    monkeypatch.setattr(bilinear, "_phase_histograms", refused)
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(need - 1))
+    with pytest.raises(CapacityError, match=rf"moduli 64 to 66 with 64 \(l, m\) pairs each need about {need} bytes"):
+        _rows([64, 65, 66], ls, alpha, ms, None)
+    monkeypatch.setattr(bilinear, "_phase_histograms", build)
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(need))
+    assert _rows([64, 65, 66], ls, alpha, ms, None) == want
+    # the sweep cuts its blocks to the budget, down to one modulus, whose
+    # charge is then refused
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(64 * 64 + 16 * 64 + 64 * 64 - 1))
+    with pytest.raises(CapacityError, match="moduli 64 to 64 with 64"):
+        type2_avg_max_report(8, 8, 64, 2)

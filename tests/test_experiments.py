@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from kloosterlab import arith, bilinear, counting, experiments, expsums
+from kloosterlab import arith, counting, experiments, expsums
 from kloosterlab.arith import largest_prime_factor
-from kloosterlab.bilinear import type1_report, type2_avg_max_report
+from kloosterlab.bilinear import type1_report, type2_avg_max_report, type2_fixed_a_report
 from kloosterlab.counting import sum_congruence_counts
 from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.experiments import (
@@ -243,7 +244,7 @@ def test_q_sweeps_factor_their_moduli_once_without_trial_division(monkeypatch):
     def refused(q):
         raise AssertionError(f"modulus {q} was trial-divided")
 
-    for module in (arith, bilinear, counting, expsums):
+    for module in (arith, counting, expsums):
         monkeypatch.setattr(module, "_prime_divisors", refused)
     avg_max_report(64, 64.0)
     fixed_a_avg_report(1, 64, 64.0)
@@ -257,12 +258,22 @@ def test_q_sweeps_factor_their_moduli_once_without_trial_division(monkeypatch):
 
 def test_q_sweeps_read_the_same_whatever_the_factor_span(monkeypatch):
     # the moduli are factored a span at a time; spans of 5 moduli cut every
-    # sweep's blocks differently and change no value
+    # sweep's blocks differently, and blocks of one modulus cut them finer,
+    # and neither changes a byte of any value
+    rng = np.random.default_rng(5)
+    alpha = rng.uniform(-1, 1, 8) * np.exp(2j * np.pi * rng.random(8))
+    beta = rng.uniform(-1, 1, 8)
+
     def sweeps():
-        return [avg_max_report(64, 64.0).lhs, fixed_a_avg_report(1, 64, 64.0).lhs,
-                sum_congruence_counts(2, 20, 64).extra["total"],
-                type2_avg_max_report(8, 8, 64, 2).lhs, type1_report(8, 8, 32, a=3).lhs]
+        reports = [type2_avg_max_report(8, 8, 64, 2), type2_avg_max_report(8, 8, 64, 2, alpha=alpha, beta=beta),
+                    type2_fixed_a_report(3, 8, 8, 64), type2_fixed_a_report(3, 8, 8, 64, alpha=alpha, beta=beta),
+                    type1_report(8, 8, 32, a=3), type1_report(8, 100, 32, alpha=alpha)]
+        return [avg_max_report(64, 64.0).lhs.hex(), fixed_a_avg_report(1, 64, 64.0).lhs.hex(),
+                sum_congruence_counts(2, 20, 64).extra["total"]] + [
+                    (rep.lhs.hex(), rep.trivial_bound.hex()) for rep in reports]
 
     want = sweeps()
     monkeypatch.setattr(arith, "_FACTOR_SPAN", 5)
+    assert sweeps() == want
+    monkeypatch.setattr(expsums, "_BLOCK_MODULI", 1)
     assert sweeps() == want

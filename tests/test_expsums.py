@@ -373,20 +373,25 @@ def _histograms(draw):
 @_PROPERTY
 @given(case=_histograms())
 def test_twist_spectrum_within_its_bound_of_the_direct_sum(case):
-    # the bounds of max_prime_sum (counts) and _max_abs_over_twists (weights)
+    # the bounds of max_prime_sum (counts) and bilinear._sweep_block (weights)
     q, terms, vals = case
     if vals is None:
         h = np.bincount(terms, minlength=q).astype(np.float64)
-        err = _twist_error_bound(h, len(terms), len(terms) - 1)
+        err = _row_bound(h, len(terms), len(terms) - 1)
     else:
         h = np.zeros(q, dtype=np.complex128)
         h[terms] = vals
-        err = _twist_error_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
+        err = _row_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
     twists = np.arange(q, dtype=np.int64)
     spectrum = _twist_spectrum(h, twists)
     table = unit_roots(q)[(twists[:, None] * terms[None, :]) % q]
     direct = np.abs((table if vals is None else table * vals).sum(axis=1))
     assert float(np.abs(spectrum - direct).max()) <= err
+
+
+def _row_bound(h, weight, depth):
+    """_twist_error_bound of a block of one histogram h, as a float."""
+    return float(_twist_error_bound(h, [weight], [depth], np.array([len(h)]))[0])
 
 
 def _units_mod(q):
@@ -395,13 +400,13 @@ def _units_mod(q):
 
 def _row_histogram(q, terms, vals):
     """The histogram and bound E of max_prime_sum (counts of terms) or of
-    _max_abs_over_twists (weights vals on the support terms)."""
+    bilinear._sweep_block (weights vals on the support terms)."""
     if vals is None:
         h = np.bincount(terms, minlength=q).astype(np.float64)
-        return h, _twist_error_bound(h, len(terms), len(terms) - 1)
+        return h, _row_bound(h, len(terms), len(terms) - 1)
     h = np.zeros(q, dtype=np.complex128)
     h[terms] = vals
-    return h, _twist_error_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
+    return h, _row_bound(h, float(np.abs(vals).sum()), len(terms) + 1)
 
 
 @st.composite
@@ -479,7 +484,7 @@ def test_kloosterman_grid_columns_keep_parseval(q):
     phi = len(units)
     h = np.zeros(q, dtype=np.complex128)
     h[units] = 1
-    err = _twist_error_bound(h, phi, 0)
+    err = _row_bound(h, phi, 0)
     bound = 2 * err * q * math.sqrt(phi) + q * err ** 2 + 2 ** -52 * q * phi
     assert bound < 1e-9 * q * phi
     squares = grid.real * grid.real + grid.imag * grid.imag
