@@ -416,11 +416,14 @@ def _term_parts(iv: np.ndarray, coeff: np.ndarray, q: int, table=None) -> np.nda
     Real coefficients scale the real and imaginary parts of the unit roots
     in place, in one (2, n) buffer: bitwise the real and imaginary parts of
     the complex products, up to the sign of a zero, which no exact sum
-    sees.  Complex coefficients take the complex product.
+    sees.  Complex coefficients take the complex product coeff * root,
+    in that order at every length: a fused complex product does not
+    commute bit for bit, and the operator form would let numpy reuse a
+    long temporary root array with the operands swapped.
     """
     roots = unit_roots_at(iv, q) if table is None else None
     if np.iscomplexobj(coeff):
-        terms = coeff * (table[iv] if roots is None else roots)
+        terms = np.multiply(coeff, table[iv] if roots is None else roots)
         return np.array((terms.real, terms.imag))
     parts = np.empty((2, len(iv)))
     if roots is None:

@@ -16,8 +16,13 @@ params before its result columns.  The exceptions:
 - vaughan-check reports the resolved truncation U, not the flag's None.
 
 Adding a subcommand means adding one entry.  Entries reach package
-functions through this module's globals at call time, never by holding
-the function itself, so a caller that rebinds those names sees the calls.
+functions through their home modules at call time, as kl.expsums.prime_sum,
+never by holding the function itself.  The package imports a module on
+its first use, so a call loads only the modules its command runs, and a
+caller that rebinds a function in its home module (as bench/tracer.py
+does) sees the calls.  main() likewise parses with a parser that holds
+only the command argv names; help, --version and unknown commands take
+the full one, and both print the same bytes.
 
 Exit codes: 0 on success, 2 on bad parameters, 3 when a computation is
 refused because it would blow the capacity or memory budget.
@@ -32,42 +37,16 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+import kloosterlab as kl
+
 from . import __version__
 from .arith import MEMORY_ENV_VAR
-from .bilinear import BilinearSpec, bilinear_sum
-from .counting import (
-    count_congruence_solutions,
-    count_squarefull,
-    count_unit_fraction_solutions,
-    sum_congruence_counts,
-)
 from .errors import CapacityError, KloosterlabError
-from .experiments import (
-    avg_max_report,
-    choose_U,
-    comparison_table,
-    exponent_fit,
-    fixed_a_avg_report,
-    garaev_counts,
-    sieve_exponent_root,
-    ternary_exponent_root,
-    ternary_rough_count,
-)
-from .expsums import (
-    DEFAULT_SCAN_LIMIT,
-    ExpSumQuery,
-    kloosterman,
-    max_prime_sum,
-    prime_sum,
-    short_inverse_sum,
-    weil_ratio,
-)
-from .vaughan import VaughanParams, compare_decomposition, decomposition_limit, prime_power_gap
+from .expsums import DEFAULT_SCAN_LIMIT
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -123,12 +102,12 @@ def _attrs(obj, *names) -> dict:
 
 
 def _fixed_a_avg(args):
-    rep = fixed_a_avg_report(args.a, args.Q, args.x, workers=args.workers)
+    rep = kl.experiments.fixed_a_avg_report(args.a, args.Q, args.x, workers=args.workers)
     return {"size_factor": rep.extra["size_factor"], **_report(rep)}
 
 
 def _jcount_avg(args):
-    rep = sum_congruence_counts(args.k, args.M, args.Q)
+    rep = kl.counting.sum_congruence_counts(args.k, args.M, args.Q)
     return {"total": rep.extra["total"], **rep.rhs_terms, "rhs_total": rep.rhs_total,
             "ratio": rep.ratio}
 
@@ -136,28 +115,30 @@ def _jcount_avg(args):
 def _vaughan_check(args):
     # the resolved truncation replaces None, so params and row both carry it
     args.U = args.U if args.U is not None else args.x ** (1 / 3)
-    params = VaughanParams(x=args.x, U=args.U)
+    params = kl.vaughan.VaughanParams(x=args.x, U=args.U)
     # mu and Lambda are tabled to the decomposition's limit, which passes 2x
     # for small U
-    _sieve_top(args, decomposition_limit(params))
-    chk = compare_decomposition(params, args.a, args.q)
+    _sieve_top(args, kl.vaughan.decomposition_limit(params))
+    chk = kl.vaughan.compare_decomposition(params, args.a, args.q)
     return {"direct_real": chk.direct.real, "direct_imag": chk.direct.imag,
             "decomposed_real": chk.decomposed.real, "decomposed_imag": chk.decomposed.imag,
             **_attrs(chk, "abs_error", "rel_error", "components")}
 
 
 def _baker_root(args):
+    from fractions import Fraction
+
     try:
         alpha = float(Fraction(args.alpha))
     except ZeroDivisionError:
         raise ValueError(f"alpha {args.alpha!r} has a zero denominator") from None
-    res = sieve_exponent_root(alpha, tol=args.tol)
+    res = kl.experiments.sieve_exponent_root(alpha, tol=args.tol)
     return {"alpha": alpha, **_attrs(res, "root", "residual", "iterations")}
 
 
 def _garaev(args):
     _sieve_top(args, args.x + 1)
-    count, pi_x = garaev_counts(args.x, args.q, args.lam)
+    count, pi_x = kl.experiments.garaev_counts(args.x, args.q, args.lam)
     return {"count": count, "pi_x": pi_x}
 
 
@@ -168,11 +149,12 @@ def _exponent_fit(args):
         if not _:
             raise ValueError(f"point {chunk!r} is not scale:value")
         series.append((float(scale), float(value)))
-    return _attrs(exponent_fit(series), "points", "slope", "intercept", "residual_norm")
+    return _attrs(kl.experiments.exponent_fit(series),
+                  "points", "slope", "intercept", "residual_norm")
 
 
 def _choose_u(args):
-    U = choose_U(args.theorem, args.Q, args.x)
+    U = kl.experiments.choose_U(args.theorem, args.Q, args.x)
     return {"U": U, "x_third": args.x ** (1 / 3), "x_over_U": args.x / U}
 
 
@@ -199,46 +181,48 @@ COMMANDS = (
     Command("sum", "one prime sum S_q(a; x) over [x, 2x)",
             (("a", int), ("q", int), ("x", float),
              ("--weight", {"choices": ("unit", "von_mangoldt"), "default": "unit"})),
-            _window(lambda args: _value(prime_sum(
-                ExpSumQuery(a=args.a, q=args.q, x=args.x), weight=args.weight)))),
+            _window(lambda args: _value(kl.expsums.prime_sum(
+                kl.expsums.ExpSumQuery(a=args.a, q=args.q, x=args.x), weight=args.weight)))),
     Command("max-sum", "max over numerators a of |S_q(a; x)|",
             (("q", int), ("x", float)),
-            _window(lambda args: dict(zip(("a_star", "magnitude"), max_prime_sum(
+            _window(lambda args: dict(zip(("a_star", "magnitude"), kl.expsums.max_prime_sum(
                 args.q, args.x, scan_limit=args.max_q_scan))))),
     Command("avg-max", "sum over q ~ Q of max_a |S_q(a; x)| vs envelope",
             (("Q", int), ("x", float)),
-            _window(lambda args: _report(avg_max_report(
+            _window(lambda args: _report(kl.experiments.avg_max_report(
                 args.Q, args.x, workers=args.workers, scan_limit=args.max_q_scan)))),
     Command("fixed-a-avg", "sum over q ~ Q of |S_q(a; x)| vs envelope",
             (("a", int), ("Q", int), ("x", float)),
             _window(_fixed_a_avg)),
     Command("kloosterman", "complete sum K(a, b; q), real-valued",
             (("a", int), ("b", int), ("q", int)),
-            lambda args: {"value": kloosterman(args.a, args.b, args.q)}),
+            lambda args: {"value": kl.expsums.kloosterman(args.a, args.b, args.q)}),
     Command("short-sum", "incomplete inverse sum over lower < n <= upper",
             (("a", int), ("q", int), ("lower", float), ("upper", float)),
-            lambda args: _value(short_inverse_sum(args.a, args.q, args.lower, args.upper))),
+            lambda args: _value(kl.expsums.short_inverse_sum(
+                args.a, args.q, args.lower, args.upper))),
     Command("weil-ratio", "short sum against its completion bound",
             (("a", int), ("q", int), ("lower", float), ("upper", float)),
-            lambda args: _report(weil_ratio(args.a, args.q, args.lower, args.upper))),
+            lambda args: _report(kl.expsums.weil_ratio(args.a, args.q, args.lower, args.upper))),
     Command("bilinear", "unit-coefficient bilinear sum over l ~ L, m ~ M",
             (("L", float), ("M", float), ("a", int), ("q", int),
              ("--restrict-lm", {"type": float, "default": None, "dest": "restrict_lm",
                                 "help": "keep only pairs with x <= l*m < 2x for this x"})),
-            lambda args: _value(bilinear_sum(BilinearSpec(
+            lambda args: _value(kl.bilinear.bilinear_sum(kl.bilinear.BilinearSpec(
                 L=args.L, M=args.M, a=args.a, q=args.q, restrict_lm=args.restrict_lm)))),
     Command("jcount", "inverse-congruence solution count for one modulus",
             (("k", int), ("M", int), ("q", int)),
-            lambda args: {"count": count_congruence_solutions(args.k, args.M, args.q)}),
+            lambda args: {"count": kl.counting.count_congruence_solutions(
+                args.k, args.M, args.q)}),
     Command("jcount-avg", "congruence counts summed over q ~ Q vs envelope",
             (("k", int), ("M", int), ("Q", int)),
             _jcount_avg),
     Command("unitfrac", "unit-fraction solution count, exact rationals",
             (("k", int), ("N", int)),
-            lambda args: {"count": count_unit_fraction_solutions(args.k, args.N)}),
+            lambda args: {"count": kl.counting.count_unit_fraction_solutions(args.k, args.N)}),
     Command("squarefull", "count square-full integers up to x",
             (("x", int),),
-            lambda args: {"count": count_squarefull(args.x)}),
+            lambda args: {"count": kl.counting.count_squarefull(args.x)}),
     Command("vaughan-check", "bilinear decomposition against the direct sum",
             (("a", int), ("q", int), ("x", float),
              ("--truncation", {"type": float, "default": None, "metavar": "U", "dest": "U",
@@ -246,11 +230,11 @@ COMMANDS = (
             _window(_vaughan_check)),
     Command("prime-power-gap", "Lambda-weighted vs prime-only window sums",
             (("a", int), ("q", int), ("x", float)),
-            _window(lambda args: _attrs(prime_power_gap(args.a, args.q, args.x),
+            _window(lambda args: _attrs(kl.vaughan.prime_power_gap(args.a, args.q, args.x),
                                         "gap", "envelope", "prime_power_terms"))),
     Command("theorem2-root", "exponent threshold root, near 1.188",
             (_TOL,),
-            lambda args: _attrs(ternary_exponent_root(tol=args.tol),
+            lambda args: _attrs(kl.experiments.ternary_exponent_root(tol=args.tol),
                                 "root", "residual", "iterations"),
             repeat=0),
     Command("baker-root", "threshold root for a general input exponent",
@@ -259,7 +243,7 @@ COMMANDS = (
             _baker_root, repeat=0),
     Command("ternary", "prime triples p ~ x with a rough pairwise-product sum",
             (("x", int), ("theta", float)),
-            _window(lambda args: _attrs(ternary_rough_count(args.x, args.theta),
+            _window(lambda args: _attrs(kl.experiments.ternary_rough_count(args.x, args.theta),
                                         "threshold", "count", "total", "fraction", "scaled"))),
     Command("garaev", "prime triples p <= x with p1 p2 p3 = lam (mod q)",
             (("x", int), ("q", int), ("lam", int)),
@@ -268,7 +252,7 @@ COMMANDS = (
             (("Q", float),),
             lambda args: [{"label": row.label, "exponent": str(row.exponent),
                            "exponent_value": row.exponent_value, "value": val}
-                          for row, val in comparison_table(args.Q)],
+                          for row, val in kl.experiments.comparison_table(args.Q)],
             repeat=0),
     Command("exponent-fit", "fit a growth exponent to scale:value points",
             (("points", {"nargs": "+", "metavar": "scale:value"}),),
@@ -278,8 +262,10 @@ COMMANDS = (
             _choose_u),
 )
 
+_BY_NAME = {cmd.name: cmd for cmd in COMMANDS}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kloosterlab",
         description="exponential sums over primes with modular-inverse phases",
@@ -288,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for cmd in COMMANDS:
+    for cmd in commands:
         p = sub.add_parser(cmd.name, help=cmd.help)
         dests = []
         for name, spec in cmd.arguments:
@@ -299,11 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main() reuses; parsing leaves no state in it, and help
-    reads the terminal width when it is formatted."""
-    return build_parser()
+@functools.lru_cache(maxsize=None)
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser main() reuses: of one command, or of all (None).
+
+    A parse of argv that starts with a command reads only that command's
+    subparser, and every message it can print (its usage, its errors, the
+    top level's "unrecognized arguments") reads the same in either
+    parser.  Parsing leaves no state in it, and help reads the terminal
+    width when it is formatted.
+    """
+    return build_parser(COMMANDS if command is None else (_BY_NAME[command],))
 
 
 # --- output -----------------------------------------------------------------
@@ -354,8 +346,9 @@ def _render(params: dict, rows: list[dict], args) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _BY_NAME else None).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

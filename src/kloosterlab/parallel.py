@@ -12,7 +12,6 @@ and of scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -39,5 +38,6 @@ def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
     threads = min(workers or 1, len(work), _cores())
     if threads <= 1:
         return [fn(item) for item in work]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, work))

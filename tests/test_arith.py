@@ -811,9 +811,12 @@ class _RecordingPool:
 
 
 def test_pmap_caps_threads_at_items_and_cores(monkeypatch):
+    import concurrent.futures
+
     from kloosterlab import parallel
 
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _RecordingPool)
+    # pmap imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(parallel, "_cores", lambda: 4)
     assert parallel.pmap(lambda v: -v, range(3), workers=100000) == [0, -1, -2]

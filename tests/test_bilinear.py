@@ -543,7 +543,7 @@ def _complex_product_value(spec):
     iv, coeff = _twin_pairs(q, spec.l_values, spec.alpha, spec.m_values, spec.beta, spec.restrict_lm)
     if len(iv) == 0:
         return 0j
-    terms = coeff * unit_roots(q)[(spec.a % q * iv) % q]
+    terms = np.multiply(coeff, unit_roots(q)[(spec.a % q * iv) % q])
     return fsum_complex(terms.real, terms.imag)
 
 
@@ -735,6 +735,20 @@ def test_evaluate_bitwise_whatever_the_chunk_size(form, a, size):
     with mock.patch.object(bilinear, "_CHUNK", size):
         got = _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True))
     assert got == want
+
+
+def test_complex_stream_value_bitwise_whatever_the_chunk_size(monkeypatch):
+    # chunks of 2^14 terms or more multiply coefficient by root in the
+    # same order as shorter ones: a chunk size never moves a bit of the sum
+    ms = dyadic_window(2 ** 16)
+    beta = np.exp(0.37j * np.arange(len(ms))) * 0.5
+    monkeypatch.setattr(bilinear, "_grouping", lambda *args: None)
+    values = set()
+    for size in (2 ** 16, 2 ** 14, 2 ** 13):
+        monkeypatch.setattr(bilinear, "_CHUNK", size)
+        value = _evaluate(65537, 3, dyadic_window(1), None, ms, beta, None)[0]
+        values.add(_complex_bits(value))
+    assert len(values) == 1
 
 
 @pytest.mark.parametrize("q,budget,tables", [(97, None, [97]), (256, None, [256]), (257, None, []),

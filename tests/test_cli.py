@@ -196,16 +196,52 @@ def test_baker_root_zero_denominator_exits_2(capsys):
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):
+    # a process builds each command's parser at most once, however many
+    # calls it serves, and the full parser once, for help, --version, no
+    # command or an unknown one
     cli._parser.cache_clear()
     built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+
+    def counted(commands=cli.COMMANDS):
+        built.append(tuple(cmd.name for cmd in commands))
+        return build_parser(commands)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
     try:
-        assert run(capsys, "kloosterman", "1", "1", "5")[0] == 0
-        assert run(capsys, "squarefull", "100")[0] == 0
-        assert run(capsys, "sum", "1", "7")[0] == 2
-        assert built == [1]
+        for _ in range(2):
+            assert run(capsys, "kloosterman", "1", "1", "5")[0] == 0
+            assert run(capsys, "squarefull", "100")[0] == 0
+            assert run(capsys, "sum", "1", "7")[0] == 2
+            assert run(capsys, "-h")[0] == 0
+            assert run(capsys, "--version")[0] == 0
+            assert run(capsys)[0] == 2
+            assert run(capsys, "no-such-command")[0] == 2
+        assert built == [("kloosterman",), ("squarefull",), ("sum",),
+                         tuple(cmd.name for cmd in cli.COMMANDS)]
     finally:
         cli._parser.cache_clear()
+
+
+def _parse_output(parser, argv, capsys):
+    code = None
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", [cmd.name for cmd in cli.COMMANDS])
+def test_one_command_parser_prints_the_full_parsers_bytes(name, capsys, monkeypatch):
+    # main() parses a known command with a parser holding only that command:
+    # its help and its errors read as the full parser's, at the goldens' width
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = build_parser((cli._BY_NAME[name],)), build_parser()
+    for argv in ([name, "-h"], [name, "--no-such-flag"], [name, "--workers"]):
+        want = _parse_output(full, argv, capsys)
+        assert want[0] in (0, 2) and want[1] + want[2]
+        assert _parse_output(one, argv, capsys) == want
 
 
 def test_capacity_errors_exit_3(capsys):
