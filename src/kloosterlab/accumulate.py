@@ -30,8 +30,9 @@ The level sums of a block are exact whatever came before it, so they
 can be carried: CarriedSums takes a stream a chunk at a time, keeps only
 each chunk's level sums (a few per _BLOCK terms and row), and rounds
 once when asked, bitwise math.fsum of the whole stream however it was
-cut.  Callers that build their terms in chunks of _CHUNK hold that many
-terms, not the stream; exact_sums is CarriedSums fed one chunk.
+cut.  Its callers build their terms in chunks of about _CARRY_BYTES of
+work, so they hold one chunk, not the stream; exact_sums is CarriedSums
+fed one chunk.
 
 The extraction takes a block only while the sum, over the blocks taken,
 of terms per row times 2**e stays below 2**_TOP: every partial sum of
@@ -46,12 +47,15 @@ running sum within rounding of the largest double.  The error bound
 attached to a result therefore only has to cover per-term evaluation
 error plus one final rounding.
 
-exact_sums also takes integer multiplicities: the sum of count_j * x_j
+A chunk may come with integer multiplicities: the sum of count_j * x_j
 is the sum of the stream in which x_j appears count_j times, without
 expanding it.  Each count is cut into base-2**13 digits; digit d of
 level k weighs the term x * 2**(13k), which is exact.  The same levels
 are extracted with t raised by the bit length of the block's largest
-digit, so each q * d and each row's sum of them stay exact.
+digit, so each q * d and each row's sum of them stay exact, and a term
+takes its count times 2**e of the room below 2**_TOP, as its repeats
+would.  Where the extraction refuses a counted chunk, its terms are kept
+repeated, so math.fsum still sees the expanded stream.
 """
 
 from __future__ import annotations
@@ -159,19 +163,21 @@ _TOP = 1021
 #: The weights of _level_sums count multiples of the smallest subnormal.
 _TINY_BITS = 1074
 
-#: Terms per row in one chunk of a carried stream: the callers of
-#: CarriedSums build their terms this many at a time.
-_CHUNK = 1 << 16
+#: Bytes of work in which a caller of CarriedSums builds one chunk of its
+#: terms: each caller takes as many terms per chunk as fit at its own
+#: bytes per term, so a stream holds about this much whatever its length.
+_CARRY_BYTES = 1 << 21
 
 
-def _level_sums(rows: np.ndarray, room: int | None, digits: np.ndarray | None = None):
+def _level_sums(rows: np.ndarray, room: int, digits: np.ndarray | None = None):
     """The exact level sums of each row of a 2-D float64 array, one tuple
     per row, each term j weighted by digits[j] < 2**13 when digits are
-    given, and the weight they took: the sum over blocks of terms per row
-    times 2**e, 2**e above the block's largest magnitude, in units of
-    2**-_TINY_BITS.  None for a block whose largest magnitude is not finite,
-    that would take the weight to room (None: no limit), or whose level
-    scale would overflow: math.fsum has to sum that input."""
+    given, and the weight they took: the sum over blocks of the block's
+    terms per row, each counted digits[j] times, times 2**e, 2**e above
+    the block's largest magnitude, in units of 2**-_TINY_BITS.  None for a
+    block whose largest magnitude is not finite, that would take the
+    weight to room, or whose level scale would overflow: math.fsum has to
+    sum that input."""
     k, n = rows.shape
     # two work arrays, shared by the blocks, and unit weights
     work = np.empty((2, k, min(n, _BLOCK)))
@@ -186,8 +192,10 @@ def _level_sums(rows: np.ndarray, room: int | None, digits: np.ndarray | None = 
         amax = float(np.maximum.reduce(np.abs(x, out=q), axis=None))
         if not amax < math.inf:
             return None
-        if room is not None and amax:
-            weight += x.shape[1] << (math.frexp(amax)[1] + _TINY_BITS)
+        if amax:
+            # digits below 2**13, at most _BLOCK of them: their float sum is exact
+            terms = x.shape[1] if digits is None else int(w.sum())
+            weight += terms << (math.frexp(amax)[1] + _TINY_BITS)
             if weight >= room:
                 return None
         # 2**t > 2 * (terms per row) * (largest weight)
@@ -210,14 +218,47 @@ def _level_sums(rows: np.ndarray, room: int | None, digits: np.ndarray | None = 
     return (list(zip(*[level.tolist() for level in levels])) if levels else [()] * k), weight
 
 
+def _counted_level_sums(rows: np.ndarray, counts: np.ndarray, room: int):
+    """_level_sums of the stream in which column j of rows appears counts[j]
+    > 0 times, without expanding it: digit level k of every count weighs
+    the terms scaled by 2**(13k), which is exact short of overflow, and
+    every level takes its weight from the room the levels before it left.
+    None where _level_sums refuses a level."""
+    levels, weight = [()] * len(rows), 0
+    for shift in range(0, int(counts.max()).bit_length(), _DIGIT_BITS):
+        d = (counts >> shift) & ((1 << _DIGIT_BITS) - 1)
+        nz = np.flatnonzero(d)
+        found = _level_sums(rows[:, nz] * 2.0 ** shift, room - weight, d[nz].astype(np.float64))
+        if found is None:
+            return None
+        levels = [mine + theirs for mine, theirs in zip(levels, found[0])]
+        weight += found[1]
+    return levels, weight
+
+
+def _checked_counts(rows: np.ndarray, counts) -> np.ndarray:
+    """counts as int64, refused unless they are nonnegative integers, one per
+    column of rows."""
+    counts = np.asarray(counts)
+    if counts.shape != rows.shape[1:] or counts.dtype.kind not in "iu":
+        raise ValueError(f"need one integer count per column, got {counts.dtype} {counts.shape}")
+    if counts.size and int(counts.min()) < 0:
+        raise ValueError("counts must be nonnegative")
+    return counts.astype(np.int64, copy=False)
+
+
 class CarriedSums:
     """Correctly rounded sums of k streams fed a chunk at a time.
 
-    add(chunk) takes a (k, n) array: the next n terms of each stream.
-    sums() returns each stream's sum so far, bitwise math.fsum of its
-    chunks concatenated, however the stream was cut.  A chunk keeps only
-    its level sums, or its terms when it is shorter than _FSUM_TERMS or
-    the extraction refuses it (see the module notes).
+    add(chunk) takes a (k, n) array: the next n terms of each stream;
+    add(chunk, counts) takes term j of each row counts[j] times.  sums()
+    returns each stream's sum so far, bitwise math.fsum of its chunks
+    concatenated (counted terms repeated in place), however the stream was
+    cut.  A chunk keeps only its level sums, or its terms, repeated, when
+    they number fewer than _FSUM_TERMS over all rows or the extraction
+    refuses it (see the module notes).  A counted term takes its count
+    times its magnitude of the room below 2**_TOP, as the repeated terms
+    would.
     """
 
     def __init__(self, rows: int):
@@ -228,13 +269,24 @@ class CarriedSums:
     def rows(self) -> int:
         return len(self._parts)
 
-    def add(self, chunk) -> None:
+    def add(self, chunk, counts=None) -> None:
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim != 2 or len(chunk) != len(self._parts):
             raise ValueError(f"need {len(self._parts)} rows of terms, got shape {chunk.shape}")
-        found = _level_sums(chunk, self._room) if chunk.size >= _FSUM_TERMS else None
+        if counts is None:
+            found = _level_sums(chunk, self._room) if chunk.size >= _FSUM_TERMS else None
+            expanded = chunk.tolist
+        else:
+            counts = _checked_counts(chunk, counts)
+            # a column counted zero times is left out, even a non-finite one
+            kept = np.flatnonzero(counts)
+            chunk, counts = chunk[:, kept], counts[kept]
+            # the terms of the expanded chunk, from two halves whose sums cannot overflow
+            total = len(chunk) * ((int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum()))
+            found = _counted_level_sums(chunk, counts, self._room) if total >= max(_FSUM_TERMS, 1) else None
+            expanded = lambda: [np.repeat(row, counts).tolist() for row in chunk]
         if found is None:
-            kept = chunk.tolist()
+            kept = expanded()
         else:
             kept, weight = found
             self._room -= weight
@@ -248,45 +300,16 @@ class CarriedSums:
 
 def exact_sums(rows, counts=None) -> list[float]:
     """The correctly rounded sum of each row of a 2-D array, each bitwise
-    math.fsum(row), from one level extraction over all the rows.
+    math.fsum(row): CarriedSums fed the rows as one chunk.
 
     counts, when given, is a 1-D array of nonnegative integer multiplicities
     shared by every row, one per column: each sum is then bitwise
     math.fsum(np.repeat(row, counts)), computed without the repetition.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if counts is None:
-        carried = CarriedSums(len(rows))
-        carried.add(rows)
-        return carried.sums()
-    counts = np.asarray(counts)
-    if counts.shape != rows.shape[1:] or counts.dtype.kind not in "iu":
-        raise ValueError(f"need one integer count per column, got {counts.dtype} {counts.shape}")
-    if counts.size and int(counts.min()) < 0:
-        raise ValueError("counts must be nonnegative")
-    kept = np.flatnonzero(counts)
-    rows, counts = rows[:, kept], counts[kept].astype(np.int64)
-    # the total as a Python int, from two halves whose sums cannot overflow
-    total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
-    fsums = lambda: [math.fsum(np.repeat(row, counts).tolist()) for row in rows]
-    if total * len(rows) < _FSUM_TERMS or not total:
-        return fsums()
-    # below this limit the expanded stream of total terms keeps every
-    # partial sum below 2**_TOP; inf and nan fail the test too
-    if not float(np.abs(rows).max(initial=0.0)) < 2.0 ** (_TOP - total.bit_length()):
-        return fsums()
-    # digit level k of every count, with the terms scaled by 2**(13k): a
-    # power of two no larger than the largest count, so the scaled terms
-    # stay below 2**_TOP and scale exactly
-    pieces, digits = [], []
-    for shift in range(0, int(counts.max()).bit_length(), _DIGIT_BITS):
-        d = (counts >> shift) & ((1 << _DIGIT_BITS) - 1)
-        nz = np.flatnonzero(d)
-        pieces.append(rows[:, nz] * 2.0 ** shift)
-        digits.append(d[nz])
-    found = _level_sums(np.concatenate(pieces, axis=1), None, np.concatenate(digits).astype(np.float64))
-    # a level scale past 2**1023 leaves the expanded stream to math.fsum
-    return fsums() if found is None else [math.fsum(levels) for levels in found[0]]
+    carried = CarriedSums(len(rows))
+    carried.add(rows, counts)
+    return carried.sums()
 
 
 def exact_sum(values) -> float:

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, NotInvertibleError
+from .errors import CapacityError, ConsistencyError, NotInvertibleError
 
 HARD_SIEVE_CAP = 10 ** 9
 DEFAULT_MEMORY_BYTES = 2 * 1024 ** 3
@@ -881,6 +881,18 @@ def _window_count_bound(y: int) -> float:
     return min(y, 2 * y / math.log(y)) if y > 1 else y
 
 
+def _prime_count_bound(lo: int, hi: int) -> int:
+    """At most this many primes lie in [lo, hi), 2 <= lo < hi: the least of
+    _window_count_bound(hi - lo) and Dusart's bounds ("The kth prime is
+    greater than k(ln k + ln ln k - 1) for k >= 2", Math. Comp. 68, 1999),
+    pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1 and
+    pi(x) >= x / ln x * (1 + 1 / ln x) for x >= 599, taken at hi - 1 and
+    lo - 1, plus one for rounding."""
+    upper = lambda x: x / math.log(x) * (1 + 1.2762 / math.log(x))
+    lower = lambda x: x / math.log(x) * (1 + 1 / math.log(x)) if x >= 599 else 0.0
+    return int(min(_window_count_bound(hi - lo), upper(hi - 1) - lower(lo - 1))) + 1
+
+
 @lru_cache(maxsize=None)
 def _small_primes(limit: int) -> np.ndarray:
     """The primes up to limit, a power of two, read-only: the base primes of
@@ -893,18 +905,29 @@ def _small_primes(limit: int) -> np.ndarray:
 
 def _sieve_window(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """The primes in [lo, hi), 2 <= lo, given every prime up to sqrt(hi - 1) in
-    base: each block of _WINDOW_BLOCK flags is crossed off from p*p on."""
+    base: each block of _WINDOW_BLOCK flags is crossed off from p*p on, and
+    its primes are written into one result array of _prime_count_bound
+    entries, cut to length at the end (in place, by realloc)."""
     base = base.tolist()
-    found = [np.empty(0, dtype=np.int64)]
+    found = np.empty(_prime_count_bound(lo, hi), dtype=np.int64)
+    n = 0
     for start in range(lo, hi, _WINDOW_BLOCK):
         stop = min(start + _WINDOW_BLOCK, hi)
-        composite = np.zeros(stop - start, dtype=bool)
+        flags = np.ones(stop - start, dtype=bool)
         for p in base:
             if p * p >= stop:
                 break
-            composite[max(p * p, -(-start // p) * p) - start :: p] = True
-        found.append(np.flatnonzero(~composite) + start)
-    return np.concatenate(found)
+            flags[max(p * p, -(-start // p) * p) - start :: p] = False
+        block = np.flatnonzero(flags)
+        del flags
+        if n + len(block) > len(found):
+            raise ConsistencyError(f"[{lo}, {hi}) has more primes than its bound {len(found)}")
+        np.add(block, start, out=found[n : n + len(block)])
+        n += len(block)
+        # the block goes before the next is sieved
+        del block
+    found.resize(n, refcheck=False)
+    return found
 
 
 def prime_window(lo: int, hi: int) -> PrimeWindow:
@@ -922,12 +945,15 @@ def prime_window(lo: int, hi: int) -> PrimeWindow:
         return PrimeWindow(lo, hi, empty, empty)
     if hi - 1 > HARD_SIEVE_CAP:
         raise CapacityError(f"prime window limit {hi - 1} exceeds hard cap {HARD_SIEVE_CAP}")
-    block = min(hi - lo, _WINDOW_BLOCK)
-    # the output and its concatenation, and per block the flags, their
-    # negation, and the block's primes before and after the offset
-    charge_budget(2 * block + 16 * (_window_count_bound(hi - lo) + _window_count_bound(block)),
-                  f"prime window [{lo}, {hi}) needs")
     root = math.isqrt(hi - 1)
+    block = min(hi - lo, _WINDOW_BLOCK)
+    count = _prime_count_bound(lo, hi)
+    # the output, the base primes up to root as a list, per block the flags
+    # and the block's primes, no more than the window's or than any
+    # interval of the block's length holds, and 4 kB of array and window
+    # objects and of the base primes' first sieve
+    charge_budget(block + 8 * (count + min(count, _window_count_bound(block))) + 40 * _window_count_bound(root)
+                  + (1 << 12), f"prime window [{lo}, {hi}) needs")
     small = _small_primes(max(2, 1 << root.bit_length()))
     base = small[: int(np.searchsorted(small, root, side="right"))]
     return PrimeWindow(lo, hi, _sieve_window(lo, hi, base), base)

@@ -15,17 +15,20 @@ rounded exact sum of the same terms, so their values agree bit for bit:
   with the number of pairs that share it as its multiplicity.  The rows
   are the side with many coefficient values; a pair's term depends on the
   row, the other side's coefficient and its class mod q alone, so equal
-  terms are summed once, times their count, by accumulate.exact_sums.
+  terms are summed once, times their count.
 
 _grouping takes the grouped route where it expects fewer terms, weighed
 by their cost, than the pair stream has pairs: as for a unit-coefficient
-side against a small modulus.  The pair stream is built and summed in
-chunks of at most _CHUNK pairs from at most _CHUNK consecutive m, whose
-exact level sums are carried (accumulate.CarriedSums), so a form holds
-one chunk of its stream, never the whole of it or of its m window:
-windows may be ranges, and a side's coefficients SlicedCoefficients,
-made a slice at a time.  Both routes charge the byte budget before they
-build their arrays, the stream for its largest chunk.
+side against a small modulus.  Either route is built and summed a chunk
+at a time, and the chunks' exact level sums, counted ones included, are
+carried (accumulate.CarriedSums): the stream in chunks of at most _CHUNK
+pairs from at most _CHUNK consecutive m, the grouped route in chunks of
+rows and groups of at most _CELLS cells, both sized to
+accumulate._CARRY_BYTES.  So a form holds one chunk of its work, never
+the whole of it or of its row or m window: windows may be ranges, and a
+side's coefficients SlicedCoefficients, made a slice at a time.  Both
+routes charge the byte budget for their largest chunk before they build
+one.
 
 The averaged reports sweep q over [Q, 2Q) a block of moduli at a time, as
 avg_max_report does: one residue histogram per modulus from one bincount,
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import (
-    _CHUNK,
+    _CARRY_BYTES,
     _ROOTS_BYTES,
     CarriedSums,
     accumulation_bound,
@@ -53,11 +56,14 @@ from .accumulate import (
     unit_roots_at,
 )
 from .arith import (
+    _DENSE_RATIO,
+    _TABLE_BYTES,
     _lanes,
     batch_inverses,
     block_inverses,
     charge_budget,
     factor_spans,
+    inverse_table,
     memory_budget,
 )
 from .errors import CapacityError
@@ -70,23 +76,33 @@ _TERM_CAP = 5 * 10 ** 7
 _COEFF_SLACK = 1.0 + 1e-12
 
 #: Peak bytes per pair of a chunk of the pair stream, per cell (row x
-#: group) of the grouped route, and per l row, m of a chunk's inverted
-#: range or entry of a grouped side with coefficients, charged to the
-#: byte budget before either route builds its arrays.  Over the blocks of
-#: decompose at x in {10**5, 10**6} and q in {7, 30, 101}, both routes
-#: forced, tracemalloc peaks of the route and its sums were at most 0.8
-#: of the charge above 10 MB (the stream then built whole); below 1 MB
-#: the exact sums' work arrays (two of at most 2 x 2**14 doubles, 0.5 MB)
-#: dominate, and peaks stayed below 1.1 MB.  At x = 10**6 and q = 7 a
-#: chunk of a3's longest streams peaked at 6.1 MB, charged 8.4 MB.  Blocks
-#: of 2**15 pairs of the Type I/II sweeps (_sweep_block) peaked at 19-44
-#: bytes per pair, histograms included, within 0.6 of their charge.
-_PAIR_BYTES = 64
-_CELL_BYTES = 256
-_COLUMN_BYTES = 64
+#: group) of a chunk of the grouped route, and per l of the window, m of
+#: a chunk's inverted range or entry of a grouped side, charged to the
+#: byte budget before either route builds its arrays.  Under tracemalloc
+#: (2-core VM), a chunk of a3's longest stream at x = 10**6, q = 7 (the
+#: log window m ~ 409,600) peaked at 75 bytes per pair with its slice of
+#: m at 26,214 pairs, and at 90 at 16,384 pairs, where the exact sums'
+#: two work arrays are as long as the chunk; a grouped chunk of a3's
+#: l ~ 108 block at x = 10**7, q = 7 peaked at 118 bytes per cell at
+#: 10,922 cells.  Over the blocks of decompose at (x, U) in {(10**5, 10),
+#: (10**6, 100), (10**6, 10)} and q in {7, 30, 101}, the stream forced on
+#: every block and the grouped route where _grouping takes it, blocks
+#: charged above 0.2 MB peaked at most 0.88 (stream) and 0.61 (grouped)
+#: of their largest charge.  Blocks of 2**15 pairs of the Type I/II
+#: sweeps (_sweep_block), charged at the same rates, peaked at 19-44
+#: bytes per pair, histograms included, within half their charge.
+_PAIR_BYTES = 80
+_CELL_BYTES = 192
+_COLUMN_BYTES = 96
 
-#: The largest charge of one chunk of a pair stream, besides its rows.
-_CHUNK_BYTES = _CHUNK * (_PAIR_BYTES + _COLUMN_BYTES)
+#: Pairs per chunk of the stream, and cells per chunk of the grouped
+#: route: as many as _CARRY_BYTES holds.
+_CHUNK = _CARRY_BYTES // _PAIR_BYTES
+_CELLS = _CARRY_BYTES // _CELL_BYTES
+
+#: The largest charge of one chunk of either route, besides its rows and
+#: a grouped side.
+_CHUNK_BYTES = max(_CHUNK * (_PAIR_BYTES + _COLUMN_BYTES), _CELLS * _CELL_BYTES)
 
 #: Coefficients sampled to judge how many values a side has.
 _SAMPLE = 512
@@ -249,7 +265,8 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     start, stop = _row_ranges(ls[rows], ms, restrict)
     lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
     pairs = int((stop - start).sum())
-    charge_budget(held + min(pairs, size) * _PAIR_BYTES + (min(hi - lo, size) + len(rows)) * _COLUMN_BYTES,
+    invert, table = _inverter(q, hi - lo)
+    charge_budget(held + table + min(pairs, size) * _PAIR_BYTES + (min(hi - lo, size) + len(ls)) * _COLUMN_BYTES,
                   f"a stream of {pairs} (l, m) pairs needs")
     lane = _lanes(q)
     inv_l = inv_l.astype(lane)
@@ -263,25 +280,48 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
                 continue
             s, e = s[live], e[live]
             m_lo, m_hi = int(s.min()), int(e.max())
-            inv_m = batch_inverses(_ints(ms[m_lo:m_hi]), q)
+            inv_m = invert(_ints(ms[m_lo:m_hi]))
             units = np.flatnonzero(inv_m)
             inv_m = inv_m[units].astype(lane)
             b_units = None if beta is None else beta[m_lo:m_hi][units]
             # each row's ends, counted in the slice's unit m
             s, e = np.searchsorted(units, s - m_lo), np.searchsorted(units, e - m_lo)
             for part, first, counts in _cut(s, e - s, size):
-                # pair t of a piece sits at offset[r] + t and takes unit m first[r] + t
-                offset = np.cumsum(counts) - counts
-                mj = np.repeat(first - offset, counts)
-                mj += np.arange(len(mj))
-                iv = np.repeat(inv_l[live[part]], counts)
-                iv *= inv_m[mj]
-                iv %= lane(q)
-                a_part = 1.0 if a_rows is None else np.repeat(a_rows[live[part]], counts)
-                b_part = np.ones(len(mj)) if b_units is None else b_units[mj]
-                yield iv.astype(np.int64, copy=False), a_part * b_part
+                a_part = None if a_rows is None else a_rows[live[part]]
+                yield _chunk_pairs(q, lane, inv_l[live[part]], a_part, first, counts, inv_m, b_units)
 
     return chunks()
+
+
+def _inverter(q: int, count: int):
+    """(invert, table bytes) for count values to be inverted mod q a slice
+    at a time: invert takes an int64 array to the inverses, 0 where not a
+    unit.  Where count reaches q / _DENSE_RATIO and the table fits the
+    byte budget, as batch_inverses would judge the values taken at once,
+    every slice is one gather from one inverse_table(q); otherwise each
+    slice takes batch_inverses, which judges the slice alone."""
+    if _DENSE_RATIO * count >= q and q * _TABLE_BYTES <= memory_budget():
+        table = inverse_table(q)
+        return (lambda values: table[values % q]), table.nbytes
+    return (lambda values: batch_inverses(values, q)), 0
+
+
+def _chunk_pairs(q: int, lane, inv_rows, a_rows, first, counts, inv_m, b_units):
+    """One chunk of the pair stream: row r, with inverse inv_rows[r] and
+    coefficient a_rows[r] (None: 1.0), meets the unit m first[r] to
+    first[r] + counts[r] - 1 of its slice, with inverses inv_m and
+    coefficients b_units (None: 1.0).  Returns the pairs' residues, as
+    int64, and coefficients; the work arrays go with the call."""
+    # pair t of the chunk sits at offset[r] + t and takes unit m first[r] + t
+    offset = np.cumsum(counts) - counts
+    mj = np.repeat(first - offset, counts)
+    mj += np.arange(len(mj))
+    iv = np.repeat(inv_rows, counts)
+    iv *= inv_m[mj]
+    iv %= lane(q)
+    a_part = 1.0 if a_rows is None else np.repeat(a_rows, counts)
+    b_part = np.ones(len(mj)) if b_units is None else b_units[mj]
+    return iv.astype(np.int64, copy=False), a_part * b_part
 
 
 def _sampled_values(coeffs) -> int:
@@ -344,11 +384,13 @@ def _charge_cells(rows: int, groups: int, columns: int, held: int) -> None:
                   f"{rows} x {groups} grouped terms need")
 
 
-def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held: int = 0):
-    """The form grouped by the l side (by_l) or the m side: the residues
-    twist * inv(l*m) mod q, the coefficients alpha_l * beta_m and the
-    multiplicities of its distinct terms, as three aligned arrays whose
-    counted sum is the sum of _pair_chunks' stream.
+def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held: int = 0,
+             size: int | None = None):
+    """The form grouped by the l side (by_l) or the m side, in chunks: per
+    chunk, the residues twist * inv(l*m) mod q, the coefficients
+    alpha_l * beta_m and the multiplicities of its distinct terms, as three
+    aligned arrays.  The counted sums of the chunks, taken together, are
+    the sums of _pair_chunks' stream.
 
     The rows are the other side: units mod q and, when they are l, with
     alpha_l != 0.  A group is one coefficient value and one unit class c
@@ -359,23 +401,23 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
     unit side counts the integers of class c in each row's range by floor
     arithmetic, without building its window.  A side with coefficients
     sorts its (value, class) keys stably by column, and counts by two
-    searches per row and group.  The charges add held bytes.
+    searches per row and group.
+
+    The grouped side is built once.  A chunk is size entries of the rows'
+    window (None: as many as fit _CELLS cells) against at most _CELLS
+    groups: rows that would meet more groups than that take them a span
+    at a time.  Only a chunk's slice of the rows and of their
+    coefficients (an array or SlicedCoefficients) is built.  The byte
+    budget is charged, with held bytes besides, for one chunk's cells and
+    the grouped side, before any chunk is built.
     """
     rs, rc, cs, cc = (ms, beta, ls, alpha) if by_l else (ls, alpha, ms, beta)
-    rs, rc = _ints(rs), None if rc is None else rc[:]
-    rows = np.arange(len(rs)) if by_l or rc is None else np.flatnonzero(rc)
-    inv_r = batch_inverses(rs[rows], q)
-    unit = inv_r > 0
-    rows, inv_r = rows[unit], inv_r[unit] * (twist % q) % q
-    start, stop = _row_ranges(rs[rows], cs, restrict)
     if cc is None:
         classes, inv_c = _unit_classes(cs, q)
         values = None
-        _charge_cells(len(rows), len(classes), 0, held)
+        groups = columns = len(classes)
         # the integers n of class c below a bound t number (t - c + q - 1) // q
-        low = int(cs[0]) if len(cs) else 0
-        below = lambda ends: (ends[:, None] + (low + q - 1) - classes) // q
-        counts = below(stop) - below(start)
+        shift = (int(cs[0]) if len(cs) else 0) + q - 1
     else:
         cs, cc = _ints(cs), cc[:]
         distinct, vid = np.unique(cc, return_inverse=True)
@@ -387,24 +429,47 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         inv_c, values = inv_all[cols[first]], distinct[vid[cols[first]]]
-        _charge_cells(len(rows), len(values), len(cs), held)
+        groups, columns = len(values), len(cs)
         # column j of group g marks g * len(cs) + j: ascending, since the
         # sort is stable and each group's columns ascend
         marks = (np.cumsum(first) - 1) * len(cs) + cols
         base = np.arange(len(values)) * len(cs)
-        counts = np.searchsorted(marks, base + stop[:, None]) - np.searchsorted(marks, base + start[:, None])
-    cells = np.flatnonzero(counts)
-    r, g = np.divmod(cells, counts.shape[1])
+    span = max(1, min(groups, _CELLS))
+    if size is None:
+        size = max(1, _CELLS // span)
+    invert, table = _inverter(q, len(rs))
+    _charge_cells(min(len(rs), size), span, columns, held + table)
     lane = _lanes(q)
-    iv = inv_r[r].astype(lane)
-    iv *= inv_c[g].astype(lane)
-    iv %= lane(q)
-    row_coeff = None if rc is None else rc[rows][r]
-    group_coeff = None if values is None else values[g]
-    a_part, b_part = (group_coeff, row_coeff) if by_l else (row_coeff, group_coeff)
-    a_part = 1.0 if a_part is None else a_part
-    b_part = np.ones(len(cells)) if b_part is None else b_part
-    return iv.astype(np.int64, copy=False), a_part * b_part, counts.ravel()[cells]
+    inv_c = inv_c.astype(lane)
+
+    def chunk(r0: int, g0: int):
+        window = _ints(rs[r0 : r0 + size])
+        coeffs = None if rc is None else rc[r0 : r0 + size]
+        rows = np.arange(len(window)) if by_l or coeffs is None else np.flatnonzero(coeffs)
+        inv_r = invert(window[rows])
+        unit = inv_r > 0
+        rows, inv_r = rows[unit], inv_r[unit] * (twist % q) % q
+        start, stop = _row_ranges(window[rows], cs, restrict)
+        if values is None:
+            c = classes[g0 : g0 + span] - shift
+            counts = (stop[:, None] - c) // q - (start[:, None] - c) // q
+        else:
+            b = base[g0 : g0 + span]
+            counts = np.searchsorted(marks, b + stop[:, None]) - np.searchsorted(marks, b + start[:, None])
+        cells = np.flatnonzero(counts)
+        r, g = np.divmod(cells, counts.shape[1])
+        g += g0
+        iv = inv_r[r].astype(lane)
+        iv *= inv_c[g]
+        iv %= lane(q)
+        row_coeff = None if coeffs is None else coeffs[rows][r]
+        group_coeff = None if values is None else values[g]
+        a_part, b_part = (group_coeff, row_coeff) if by_l else (row_coeff, group_coeff)
+        a_part = 1.0 if a_part is None else a_part
+        b_part = np.ones(len(cells)) if b_part is None else b_part
+        return iv.astype(np.int64, copy=False), a_part * b_part, counts.ravel()[cells]
+
+    return (chunk(r0, g0) for r0 in range(0, len(rs), size) for g0 in range(0, groups, span))
 
 
 def _term_parts(iv: np.ndarray, coeff: np.ndarray, q: int, table=None) -> np.ndarray:
@@ -437,16 +502,6 @@ def _term_parts(iv: np.ndarray, coeff: np.ndarray, q: int, table=None) -> np.nda
     return parts
 
 
-def _terms_value(iv: np.ndarray, coeff: np.ndarray, q: int, counts=None) -> complex:
-    """The correctly rounded sum, in each part, of the terms
-    coeff * e(iv / q), each taken counts times when counts are given; the
-    unit roots are unit_roots_at's, which gathers more than q/2 + 1 of
-    them from a table."""
-    if len(iv) == 0:
-        return 0j
-    return complex(*exact_sums(_term_parts(iv, coeff, q), counts))
-
-
 def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False, held: int = 0):
     """(value, term count, weight sum) of the form on the windows ls and ms,
     the weight sum of |alpha_l * beta_m| only when weigh is set (else None).
@@ -455,11 +510,12 @@ def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False
     be SlicedCoefficients.  The coefficients are taken as given:
     BilinearSpec checks them.  The route, grouped or the pair stream, is
     _grouping's choice; both give the correctly rounded exact sums of the
-    same terms, bit for bit.  The stream is summed a chunk at a time, its
-    level sums carried, so it never holds more than a chunk of terms, nor,
-    where q exceeds twice the product window's pair count or the table
-    would not fit the byte budget, a length-q table of unit roots.
-    The byte charges add held bytes, which the caller holds meanwhile.
+    same terms, bit for bit.  Either is summed a chunk at a time, its
+    level sums carried (with their multiplicities on the grouped route),
+    so it never holds more than a chunk of terms, nor, where q exceeds
+    twice the product window's pair count or the table would not fit the
+    byte budget, a length-q table of unit roots.  The byte charges add
+    held bytes, which the caller holds meanwhile.
     """
     ls = _ints(ls)
     start, stop = _row_ranges(ls, ms, restrict)
@@ -468,21 +524,26 @@ def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False
         raise CapacityError(f"bilinear form has {pairs} pairs in its product window, cap is {_TERM_CAP}")
     by_l = _grouping(q, ls, alpha, ms, beta, restrict)
     if by_l is not None:
-        iv, coeff, counts = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l, held)
-        value = _terms_value(iv, coeff, q, counts)
-        weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0] if weigh else None
-        return value, int(counts.sum()), weight
-    chunks = _pair_chunks(q, ls, alpha, ms, beta, restrict, a, _CHUNK, held)
-    # a product window of q/2 pairs or more shares one table of unit roots,
-    # which costs about what q/2 roots taken alone do; a shorter stream, or
-    # a table over the byte budget, takes each chunk's roots by unit_roots_at
+        chunks = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l, held)
+    else:
+        chunks = ((iv, coeff, None) for iv, coeff in _pair_chunks(q, ls, alpha, ms, beta, restrict, a, _CHUNK, held))
+    # a product window of q/2 pairs or more shares one table of unit roots
+    # among its chunks, which costs about what q/2 roots taken alone do; a
+    # shorter window, or a table over the byte budget, takes each chunk's
+    # roots by unit_roots_at
     table = unit_roots(q) if q <= 2 * pairs and q * _ROOTS_BYTES <= memory_budget() else None
     carried = CarriedSums(3 if weigh else 2)
     count = 0
-    for iv, coeff in chunks:
+    for iv, coeff, counts in chunks:
+        count += len(iv) if counts is None else int(counts.sum())
         parts = _term_parts(iv, coeff, q, table)
-        carried.add(np.vstack((parts, np.abs(coeff))) if weigh else parts)
-        count += len(iv)
+        if weigh:
+            parts = np.vstack((parts, np.abs(coeff)))
+        # the terms' rows alone are held while they are summed, and the
+        # chunk goes before the next is built
+        del iv, coeff
+        carried.add(parts, counts)
+        del counts, parts
     sums = carried.sums()
     return complex(sums[0], sums[1]), count, sums[2] if weigh else None
 
@@ -569,7 +630,8 @@ def _sweep_block(qs: np.ndarray, divisors, ls, alpha, ms, beta, a) -> tuple[list
     terms, counts, vals = support - _row_starts(qs)[row], np.bincount(row, minlength=len(qs)), h[support]
     if a is None:
         err = _twist_error_bound(h, np.bincount(row, np.abs(vals), len(qs)), counts + 1, qs)
-        return [size for _, size in _twist_max(h, qs, terms, counts, vals, err, divisors)], weights
+        held = h.nbytes + support.nbytes + row.nbytes + terms.nbytes + vals.nbytes
+        return [size for _, size in _twist_max(h, qs, terms, counts, vals, err, divisors, held)], weights
     col = qs[row] if len(qs) > 1 else int(qs[0])  # one modulus: its roots from one table
     products = unit_roots_at(np.array([a % q for q in qs.tolist()])[row] * terms % col, col) * vals
     parts = np.zeros((2, len(qs), int(qs.max())))

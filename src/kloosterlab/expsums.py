@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import (
-    _CHUNK,
+    _CARRY_BYTES,
     TERM_EPS,
     CarriedSums,
     accumulation_bound,
@@ -61,9 +61,24 @@ DEFAULT_SCAN_LIMIT = 10 ** 6
 #: Longest interval upper - lower a short inverse sum will walk.
 _INTERVAL_CAP = 10 ** 7
 
-#: Matrix chunk size (cells) for vectorized twist scans; fixed so that
-#: chunk boundaries never depend on worker counts or available memory.
-_CHUNK_CELLS = 1 << 22
+#: Peak bytes per cell of _twist_max's re-score (the residues, unit roots
+#: and products of a chunk of survivors x terms), and the cells re-scored
+#: at a time: as many as _CARRY_BYTES holds.  Fixed, so chunk boundaries
+#: never depend on worker counts or available memory.  A flat histogram,
+#: every unit twist a survivor, at q = 1024 and 1031, real and complex,
+#: peaked at 71-76 bytes per cell under tracemalloc at 2**14 and 2**16
+#: cells (2-core VM).
+_RESCORE_BYTES = 80
+_CHUNK_CELLS = _CARRY_BYTES // _RESCORE_BYTES
+
+#: Peak bytes per term of a chunk of _add_terms (inverses, unit roots,
+#: weights and the rows handed to CarriedSums), and the terms per chunk:
+#: as many as _CARRY_BYTES holds.  Under tracemalloc, with log weights and
+#: three rows, a chunk peaked at 85 bytes per term at 512 terms, 81 at
+#: 2**14, where the exact sums' work arrays are as long as the chunk, and
+#: 61 at 25,000; unit weights and two rows took at most 61 (2-core VM).
+_TERM_BYTES = 88
+_TERMS = _CARRY_BYTES // _TERM_BYTES
 
 #: Cells of kloosterman_grid's gather index computed per block.
 _GRID_CELLS = 1 << 16
@@ -135,29 +150,51 @@ def _phase_indices(ns, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return kept, (a % q) * invs[kept] % q
 
 
-def _add_terms(carried: CarriedSums, ns, a: int, q: int, weights=None, log: bool = False) -> int:
-    """Add to carried, _CHUNK entries of ns at a time, the real and imaginary
+def _add_terms(carried: CarriedSums, ns, a: int, q: int, weights=None, log: bool = False,
+               held: int = 0) -> int:
+    """Add to carried, _TERMS entries of ns at a time, the real and imaginary
     parts of w_n * e(a * inv(n) / q) over the n coprime to q, and, for
     weights and a carried of three rows, |w_n|; return how many terms there
     were.
 
     w_n is 1, or the entry of weights aligned with n, or with log set its
     natural log.  Each term is computed entry by entry, so a chunk's terms
-    are bitwise the same slice of the terms of the whole array.
+    are bitwise the same slice of the terms of the whole array.  The byte
+    budget is charged for one chunk, with held bytes besides, first.
     """
+    charge_budget(held + min(len(ns), _TERMS) * _TERM_BYTES, f"a sum of {len(ns)} terms mod {q} needs")
     count = 0
-    for lo in range(0, len(ns), _CHUNK):
-        kept, idx = _phase_indices(ns[lo : lo + _CHUNK], a, q)
-        roots = unit_roots_at(idx, q)
-        if weights is None:
-            carried.add((roots.real, roots.imag))
-        else:
-            w = np.asarray(weights[lo : lo + _CHUNK], dtype=np.float64)[kept]
-            if log:
-                w = np.log(w)
-            carried.add((roots.real * w, roots.imag * w, np.abs(w))[: carried.rows])
-        count += len(kept)
+    for lo in range(0, len(ns), _TERMS):
+        part = None if weights is None else weights[lo : lo + _TERMS]
+        count += _add_chunk(carried, ns[lo : lo + _TERMS], a, q, part, log)
     return count
+
+
+def _add_chunk(carried: CarriedSums, ns, a: int, q: int, weights, log: bool) -> int:
+    """One chunk of _add_terms: its rows go to carried, and its work arrays
+    go before they do."""
+    kept, idx = _phase_indices(ns, a, q)
+    roots = unit_roots_at(idx, q)
+    del idx
+    parts = np.empty((carried.rows, len(kept)))
+    parts[0], parts[1] = roots.real, roots.imag
+    del roots
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)[kept]
+        if log:
+            np.log(w, out=w)
+        parts[:2] *= w
+        if carried.rows == 3:
+            np.abs(w, out=parts[2])
+        del w
+    del kept
+    carried.add(parts)
+    return parts.shape[1]
+
+
+def _window_bytes(window: PrimeWindow, powers: bool) -> int:
+    """The bytes of a window's primes, and with powers of its prime powers."""
+    return window.primes.nbytes + (sum(arr.nbytes for arr in window.prime_powers) if powers else 0)
 
 
 def _weighted_value(carried: CarriedSums, count: int) -> ExpSumValue:
@@ -181,7 +218,7 @@ def inverse_phase_sum(ns, a: int, q: int, weights=None) -> ExpSumValue:
     sequence aligned with ns; omitted means unit weights.  The terms are
     unit_roots_at the phase residues, bitwise the entries of unit_roots(q),
     so no length-q table is built: the cost is O(len(ns) * log q) whatever
-    the modulus.  They are built and summed _CHUNK at a time.
+    the modulus.  They are built and summed _TERMS at a time.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
@@ -212,11 +249,14 @@ def window_sum(window: PrimeWindow, a: int, q: int, weight: str = "unit") -> Exp
     carries the primes' terms, then the powers', so it is bitwise
     inverse_phase_sum over the window's n with Lambda(n) > 0."""
     if weight == "unit":
-        return inverse_phase_sum(window.primes, a, q)
+        carried = CarriedSums(2)
+        count = _add_terms(carried, window.primes, a, q, held=_window_bytes(window, False))
+        return _weighted_value(carried, count)
     carried = CarriedSums(3)
-    count = _add_terms(carried, window.primes, a, q, window.primes, log=True)
+    held = _window_bytes(window, True)
     powers, bases = window.prime_powers
-    count += _add_terms(carried, powers, a, q, bases, log=True)
+    count = _add_terms(carried, window.primes, a, q, window.primes, log=True, held=held)
+    count += _add_terms(carried, powers, a, q, bases, log=True, held=held)
     return _weighted_value(carried, count)
 
 
@@ -338,7 +378,7 @@ def _row_spectrum(row: np.ndarray, out: np.ndarray) -> None:
 
 
 def _twist_max(
-    h: np.ndarray, qs, terms: np.ndarray, counts, vals, err, divisors
+    h: np.ndarray, qs, terms: np.ndarray, counts, vals, err, divisors, held: int = 0
 ) -> list[tuple[int, float]]:
     """For each row of a block, the first unit twist a with the largest
     |sum_k vals[k] e(a * terms[k] / q)|, and that magnitude.
@@ -361,11 +401,13 @@ def _twist_max(
     largest direct magnitude, nor tie with it.  The others, the survivors,
     are re-scored by the direct sum of unit-root table entries, all rows at
     once: the survivors of rows with the same term count stack into one
-    matrix, at most _CHUNK_CELLS cells at a time, with the row expression
-    of a direct scan, so every magnitude is bitwise the direct scan's.
-    Each row's first strict maximum wins.  Cost is O(q log q) per row plus
-    O(counts[j]) per survivor; when every twist ties it is the direct scan
-    plus one FFT.
+    matrix, at most _CHUNK_CELLS cells (or one row) at a time, with the row
+    expression of a direct scan, so every magnitude is bitwise the direct
+    scan's, whatever the chunk.  The byte budget is charged for the
+    spectrum, the survivors and one chunk, with held bytes (the caller's
+    arrays) besides, before the re-score.  Each row's first strict maximum
+    wins.  Cost is O(q log q) per row plus O(counts[j]) per survivor; when
+    every twist ties it is the direct scan plus one FFT.
 
     Raises ConsistencyError if a survivor is more than its row's err off
     its spectrum.
@@ -379,6 +421,7 @@ def _twist_max(
         raise ConsistencyError(
             f"twist row mod {moduli[i]} has a term at the even residue {terms[i]}, not a unit"
         )
+    del moduli, even
     half = not np.iscomplexobj(h)
     stops = qs // 2 + 1 if half else qs
     starts, spans = _row_starts(qs), _row_starts(stops)
@@ -399,6 +442,11 @@ def _twist_max(
     firsts = _row_starts(counts)
     mags = np.empty(len(survivors))
     width = counts[row]
+    # a chunk has at most _CHUNK_CELLS cells or one row; a survivor holds six
+    # 8-byte entries (index, row, twist, width, magnitude and gap)
+    chunk = max(min(int(width.sum()), _CHUNK_CELLS), int(width.max(initial=0)))
+    charge_budget(held + spectrum.nbytes + 48 * len(survivors) + chunk * _RESCORE_BYTES,
+                  f"re-scoring {len(survivors)} twists needs")
     for n in set(counts.tolist()):
         group = (width == n).nonzero()[0]
         step = max(1, _CHUNK_CELLS // max(n, 1))
@@ -439,14 +487,15 @@ def check_twist_scan(moduli, scan_limit: int = DEFAULT_SCAN_LIMIT) -> None:
 
 
 def _prime_twist_max(
-    qs: np.ndarray, invs: np.ndarray, counts: np.ndarray, divisors
+    qs: np.ndarray, invs: np.ndarray, counts: np.ndarray, divisors, held: int = 0
 ) -> list[tuple[int, float]]:
     """_twist_max over rows of unit-weight terms invs, counts[j] of them mod
     qs[j], with one bincount for every histogram.  E is _twist_error_bound
-    with n table terms and n - 1 additions, for the n terms of a row."""
+    with n table terms and n - 1 additions, for the n terms of a row.  held
+    bytes, the caller's, are added to the re-score's charge."""
     h = np.bincount(invs + np.repeat(_row_starts(qs), counts), minlength=int(qs.sum()))
     err = _twist_error_bound(h, counts, counts - 1, qs)
-    return _twist_max(h, qs, invs, counts, None, err, divisors)
+    return _twist_max(h, qs, invs, counts, None, err, divisors, held + h.nbytes + invs.nbytes)
 
 
 def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, float]:
@@ -470,7 +519,7 @@ def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tup
     ps = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     invs = batch_inverses(ps[q % ps != 0], q)
     qs = np.array([q], dtype=np.int64)
-    return _prime_twist_max(qs, invs, np.array([len(invs)]), [_prime_divisors(q)])[0]
+    return _prime_twist_max(qs, invs, np.array([len(invs)]), [_prime_divisors(q)], ps.nbytes)[0]
 
 
 def max_prime_sum_block(
@@ -495,7 +544,7 @@ def max_prime_sum_block(
         divisors = [_prime_divisors(q) for q in qs.tolist()]
     invs = block_inverses(primes, qs, divisors)
     units = invs != 0
-    return _prime_twist_max(qs, invs[units], units.sum(axis=1), divisors)
+    return _prime_twist_max(qs, invs[units], units.sum(axis=1), divisors, invs.nbytes + units.nbytes)
 
 
 def _units(q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,11 +22,13 @@ decompose collects them with every side built whole and read-only;
 compare_decomposition evaluates each block as it comes and keeps only its
 value, so it holds the sides of one block at a time, and a3's log
 windows, the longest, are never built whole: they are
-bilinear.SlicedCoefficients, made a chunk of the pair stream at a time.
-A block is evaluated by bilinear._evaluate, grouped by residue class
-where that has fewer terms than its pair stream: a2's unit side and most
-of a4's few-valued mu-divisor sums at small q, while a3's log windows
-keep the stream.  Both routes give the same bits.
+bilinear.SlicedCoefficients, made a chunk of the pair stream (or of a
+grouped block's rows) at a time.  A block is evaluated by
+bilinear._evaluate, grouped by residue class where that has fewer terms
+than its pair stream: a2's unit side and most of a4's few-valued
+mu-divisor sums at small q, while a3's log windows keep the stream.
+Both routes give the same bits, and each holds one chunk of its work at
+a time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import _CHUNK, CarriedSums, exact_sum, fsum_complex
+from .accumulate import CarriedSums, exact_sum, fsum_complex
 from .arith import (
     MultiplicativeTables,
     _prime_divisors,
@@ -45,6 +47,7 @@ from .arith import (
     prime_window,
 )
 from .bilinear import (
+    _CHUNK,
     _CHUNK_BYTES,
     BilinearSpec,
     SlicedCoefficients,
@@ -54,7 +57,7 @@ from .bilinear import (
     dyadic_window,
 )
 from .errors import ConsistencyError
-from .expsums import ExpSumQuery, _add_terms, prime_sum
+from .expsums import ExpSumQuery, _add_terms, _window_bytes, prime_sum
 
 KIND_TYPE1 = "type1"
 KIND_TYPE2 = "type2"
@@ -208,9 +211,9 @@ def _log_side(M: float, sliced: bool) -> tuple:
     """a3's side log h on h ~ M, from _side, or with sliced the same side as
     SlicedCoefficients: each slice is the logs of its integers over the
     scale, and the scale, the largest log (log h >= 0), the max of a
-    first pass over slices of _CHUNK, which is exact, so bitwise _side's
-    np.max.  Logs and quotients are taken entry by entry, so a slice is
-    bitwise that slice of the whole side."""
+    first pass over slices of bilinear._CHUNK, which is exact, so bitwise
+    _side's np.max.  Logs and quotients are taken entry by entry, so a
+    slice is bitwise that slice of the whole side."""
     window = dyadic_range(M)
     logs = lambda lo, hi: np.log(np.arange(window.start + lo, window.start + hi, dtype=np.int64).astype(float))
     if not sliced:
@@ -275,8 +278,8 @@ def _blocks(params: VaughanParams, keep: bool):
     it is built.  With keep, for a caller that keeps every block, the
     sides are built whole and a window is charged with every window built
     before it.  Otherwise a3's log sides are sliced, and a window is
-    charged with the sides live beside it and a chunk of the pair stream
-    of bilinear._evaluate: held counts only those sides.
+    charged with the sides live beside it and the largest chunk of either
+    route of bilinear._evaluate: held counts only those sides.
     """
     x, U = params.x, params.U
     mt = build_multiplicative_tables(decomposition_limit(params))
@@ -553,10 +556,11 @@ def prime_power_gap(a: int, q: int, x: float) -> PrimePowerGap:
     # depend on order, so the two sums, the primes' and all terms', are
     # bitwise the prime sum alone and window_sum(..., "von_mangoldt").
     carried = CarriedSums(2)
-    _add_terms(carried, window.primes, a, q, window.primes, log=True)
-    direct = complex(*carried.sums())
+    held = _window_bytes(window, True)
     powers, bases = window.prime_powers
-    _add_terms(carried, powers, a, q, bases, log=True)
+    _add_terms(carried, window.primes, a, q, window.primes, log=True, held=held)
+    direct = complex(*carried.sums())
+    _add_terms(carried, powers, a, q, bases, log=True, held=held)
     lam = complex(*carried.sums())
     # the prime powers p^j, j >= 2, whose p does not divide q
     ps = bases[q % bases != 0]

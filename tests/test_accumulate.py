@@ -320,6 +320,69 @@ def test_carried_non_finite_chunk_keeps_the_fsum_outcome(values, special, at, cu
     assert got == _outcome(math.fsum, stream)
 
 
+@st.composite
+def _counted_cut_streams(draw):
+    """One to three rows of terms, subnormal to 2**1000, sometimes with an
+    inf or a nan; one multiplicity per column, zero, small or past one
+    base-2**13 digit; and cuts anywhere, repeated cuts making empty chunks."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(0, 24))
+    terms = st.one_of(_FINITE, st.sampled_from([2.0 ** 1000, -(2.0 ** 1000), 2.0 ** -1074]))
+    rows = [draw(st.lists(terms, min_size=n, max_size=n)) for _ in range(k)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    counts = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(2 ** 13 - 2, 2 ** 13 + 2),
+                                     st.integers(0, 3 * 2 ** 13)), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.integers(0, n), max_size=6))
+    return rows, counts, cuts
+
+
+def _sums_outcome(fn):
+    """The hex of each sum fn returns, or its exception and message."""
+    try:
+        return [s.hex() for s in fn()]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_counted_cut_streams(), block=st.sampled_from([1, 3, 1 << 14]), fsum_terms=st.sampled_from([0, 5, 512]))
+# few terms, counted past the short-chunk crossover; huge terms counted; an inf beside a nan
+@example(case=([[0.5, -1e-300]], [300, 300], [1]), block=1 << 14, fsum_terms=512)
+@example(case=([[2.0 ** 1000, -(2.0 ** 1000), 1.0]], [3 * 2 ** 13, 3 * 2 ** 13 - 1, 7], [1, 2]), block=3, fsum_terms=0)
+@example(case=([[math.inf, 1.0], [math.nan, -0.0]], [2, 2 ** 13], [1]), block=1, fsum_terms=0)
+def test_carried_counted_sums_bitwise_exact_sums_under_any_cut(case, block, fsum_terms):
+    # CarriedSums fed (chunk, counts) cut anywhere: the outcome of
+    # exact_sums(rows, counts) and of math.fsum of each repeated row, its
+    # level sums or its kept terms alike
+    rows, counts, cuts = case
+    arr = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    counts = np.array(counts, dtype=np.int64)
+    edges = [0, *sorted(cuts), arr.shape[1]]
+
+    def carried():
+        sums = CarriedSums(len(arr))
+        for lo, hi in zip(edges, edges[1:]):
+            sums.add(arr[:, lo:hi], counts[lo:hi])
+        return sums.sums()
+
+    with mock.patch.multiple(accumulate, _BLOCK=block, _FSUM_TERMS=fsum_terms):
+        got, whole = _sums_outcome(carried), _sums_outcome(lambda: exact_sums(arr, counts))
+    assert got == whole == _sums_outcome(lambda: [math.fsum(np.repeat(row, counts).tolist()) for row in arr])
+
+
+def test_counted_terms_take_room_by_their_multiplicity():
+    # 2**1008 counted 3000 times weighs about 2**1020.55 of the 2**_TOP
+    # room: the first chunk keeps its one level sum, and the second, past
+    # the room, its 3000 terms for the final math.fsum, as the repeated
+    # stream would
+    carried = CarriedSums(1)
+    for _ in range(2):
+        carried.add([[2.0 ** 1008]], [3000])
+    assert [len(part) for part in carried._parts] == [1 + 3000]
+    assert carried.sums()[0] == math.fsum([2.0 ** 1008] * 6000) == 6000 * 2.0 ** 1008
+
+
 def test_carried_sums_refuse_chunks_of_another_row_count():
     carried = CarriedSums(2)
     with pytest.raises(ValueError):

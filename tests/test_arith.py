@@ -33,7 +33,7 @@ from kloosterlab.arith import (
     mod_inverse,
     sieve_primes,
 )
-from kloosterlab.errors import CapacityError, NotInvertibleError
+from kloosterlab.errors import CapacityError, ConsistencyError, NotInvertibleError
 from kloosterlab.parallel import pmap
 from kloosterlab.reports import make_report
 from test_counting import _traced_peak
@@ -735,6 +735,39 @@ def test_prime_window_peak_within_its_charge(monkeypatch, lo, hi):
     monkeypatch.setattr(arith, "charge_budget", lambda need, subject, budget=None: charged.append(need))
     _, peak = _traced_peak(lambda: arith.prime_window(lo, hi))
     assert peak <= charged[0]
+
+
+def test_prime_window_fills_one_result_array():
+    # [5,000,000, 10,000,000) has 316,066 primes (2.5 MB): the sieve holds
+    # them in one array sized by _prime_count_bound and cut in place, plus
+    # one block's flags and primes, never the per-block parts beside their
+    # concatenation
+    arith._small_primes(1 << 12)
+    window, peak = _traced_peak(lambda: arith.prime_window(5 * 10 ** 6, 10 ** 7))
+    assert len(window.primes) == 316066 and window.primes.flags.owndata
+    bound = arith._prime_count_bound(5 * 10 ** 6, 10 ** 7)
+    assert len(window.primes) <= bound < 1.03 * len(window.primes)
+    assert peak <= 8 * bound + arith._WINDOW_BLOCK + 8 * 70000 + 2 ** 16
+
+
+def test_prime_count_bound_holds_on_every_window_against_the_sieve():
+    # windows from one integer to the whole table, on and off the 599
+    # where Dusart's lower bound starts, against the counts of a table
+    primes = sieve_primes(2 * 10 ** 6).primes
+    pi = lambda x: int(np.searchsorted(primes, x, side="right"))
+    rng = np.random.default_rng(599)
+    starts = list(range(2, 1300)) + rng.integers(2, 10 ** 6, 3000).tolist()
+    for lo in starts:
+        for hi in (lo + 1, lo + 2, lo + 30, lo + 1000, 2 * lo, 2 * lo + 1, lo + 10 ** 6):
+            assert pi(hi - 1) - pi(lo - 1) <= arith._prime_count_bound(lo, hi), (lo, hi)
+
+
+def test_prime_window_refuses_a_count_past_its_bound(monkeypatch):
+    # the result array is never written past its end: a bound one short of
+    # the count raises rather than sieving on
+    monkeypatch.setattr(arith, "_prime_count_bound", lambda lo, hi: 167)
+    with pytest.raises(ConsistencyError, match=r"\[2, 1000\) has more primes than its bound 167"):
+        arith.prime_window(2, 1000)
 
 
 def test_unit_roots_structure():

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import arith, bilinear, expsums
-from kloosterlab.accumulate import exact_sum, exact_sums, fsum_complex, unit_roots
+from kloosterlab.accumulate import CarriedSums, exact_sum, exact_sums, fsum_complex, unit_roots
 from kloosterlab.arith import factor_window, inverse_table
 from kloosterlab.bilinear import (
     BilinearSpec,
@@ -22,7 +23,7 @@ from kloosterlab.bilinear import (
     _phase_histograms,
     _product_window,
     _sweep_block,
-    _terms_value,
+    _term_parts,
     SlicedCoefficients,
     bilinear_sum,
     dyadic_range,
@@ -608,12 +609,12 @@ def test_abs_at_twist_is_the_magnitude_of_an_exact_sum(q, a):
 
 
 @st.composite
-def _grouped_forms(draw):
+def _grouped_forms(draw, moduli=st.one_of(st.sampled_from([2, 3, 7, 12, 30, 97, 360]), st.integers(2, 400))):
     """A form for both routes: q = 2, small primes and composites, or any
-    q to 400; each side unit, +-1 with zeros, few-valued (with zeros),
-    many-valued, int or complex; windows from one integer to hundreds;
-    with or without a product window."""
-    q = draw(st.one_of(st.sampled_from([2, 3, 7, 12, 30, 97, 360]), st.integers(2, 400)))
+    q to 400 (or q from moduli); each side unit, +-1 with zeros,
+    few-valued (with zeros), many-valued, int or complex; windows from one
+    integer to hundreds; with or without a product window."""
+    q = draw(moduli)
     L = draw(st.sampled_from([0.6, 1, 3, 8.5, 25, 64]))
     M = draw(st.sampled_from([0.3, 1, 9, 30, 100, 300]))
     ls, ms = dyadic_window(L), dyadic_window(M)
@@ -634,10 +635,26 @@ def _grouped_forms(draw):
     return q, ls, alpha, ms, beta, restrict
 
 
+def _terms_value(iv, coeff, q, counts=None):
+    """The correctly rounded sums, in each part, of the terms coeff * e(iv / q),
+    each taken counts times when counts are given."""
+    return complex(*exact_sums(_term_parts(iv, coeff, q), counts))
+
+
 def _stream_sums(q, a, ls, alpha, ms, beta, restrict):
     """(value, term count, weight sum) from the pair stream alone."""
     iv, coeff = _twin_pairs(q, ls, alpha, ms, beta, restrict, twist=a)
     return _terms_value(iv, coeff, q), len(coeff), exact_sum(np.abs(coeff))
+
+
+def _grouped_whole(q, a, ls, alpha, ms, beta, restrict, by_l):
+    """The grouped route's three arrays with every row in one chunk."""
+    rows = len(ms) if by_l else len(ls)
+    chunks = list(_grouped(q, a, ls, alpha, ms, beta, restrict, by_l, size=max(rows, 1)))
+    assert len(chunks) <= 1
+    if not chunks:
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
+    return chunks[0]
 
 
 def _sums_bits(sums):
@@ -660,12 +677,41 @@ def test_grouped_sums_bitwise_equal_the_pair_stream(form, a):
     q, ls, alpha, ms, beta, restrict = form
     want = _sums_bits(_stream_sums(q, a, ls, alpha, ms, beta, restrict))
     for by_l in (False, True):
-        iv, coeff, counts = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l)
+        iv, coeff, counts = _grouped_whole(q, a, ls, alpha, ms, beta, restrict, by_l)
         assert counts.dtype.kind == "i" and counts.min(initial=1) > 0
         weight = exact_sums(np.abs(coeff).reshape(1, -1), counts)[0]
         got = _sums_bits((_terms_value(iv, coeff, q, counts), int(counts.sum()), weight))
         assert got == want, by_l
     assert _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True)) == want
+
+
+@_PROPERTY
+@given(_grouped_forms(st.sampled_from([2, 7, 30, 101])), st.sampled_from([0, 1, 3, 5, 10 ** 6 + 1]),
+       st.sampled_from([1, 3, 2, 4, 16, 64]), st.sampled_from([1, 5, 1 << 20]))
+# a unit side against q = 2 and 7, counts past one base-2**13 digit, in chunks of 3 rows and 5 groups
+@example((2, dyadic_window(1), None, dyadic_window(30000), None, None), 1, 3, 5)
+@example((7, dyadic_window(3), np.array([1.0, -0.5, 0.0]), dyadic_window(30000), None, 45000.5), 5, 1, 5)
+def test_chunked_grouped_route_bitwise_the_whole_block_and_the_stream(form, a, size, cells):
+    # chunks of size rows and at most cells groups, their counted sums
+    # carried: the value, term count and weight sum of the whole block in
+    # one chunk, and of the pair stream, bit for bit
+    q, ls, alpha, ms, beta, restrict = form
+    want = _sums_bits(_stream_sums(q, a, ls, alpha, ms, beta, restrict))
+    for by_l in (False, True):
+        iv, coeff, counts = _grouped_whole(q, a, ls, alpha, ms, beta, restrict, by_l)
+        whole = _sums_bits((_terms_value(iv, coeff, q, counts), int(counts.sum()),
+                            exact_sums(np.abs(coeff).reshape(1, -1), counts)[0]))
+        with mock.patch.object(bilinear, "_CELLS", cells):
+            chunks = list(_grouped(q, a, ls, alpha, ms, beta, restrict, by_l, size=size))
+        carried, count = CarriedSums(3), 0
+        for iv, coeff, counts in chunks:
+            assert len(iv) == len(coeff) == len(counts) <= size * cells
+            carried.add(np.vstack((_term_parts(iv, coeff, q), np.abs(coeff))), counts)
+            count += int(counts.sum())
+        sums = carried.sums()
+        assert _sums_bits((complex(sums[0], sums[1]), count, sums[2])) == whole == want, by_l
+    with mock.patch.object(bilinear, "_CELLS", cells):
+        assert _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True)) == want
 
 
 def test_grouping_takes_the_cheaper_route_on_decomposition_blocks():
@@ -889,3 +935,28 @@ def test_sweep_blocks_charge_the_byte_budget_before_building(monkeypatch):
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(64 * 64 + 16 * 64 + 64 * 64 - 1))
     with pytest.raises(CapacityError, match="moduli 64 to 64 with 64"):
         type2_avg_max_report(8, 8, 64, 2)
+
+
+def test_flat_histogram_rescore_stays_within_its_charge(monkeypatch):
+    # the first block of type1_report(8, 4096, 1024) is q = 1024 alone, with
+    # a flat histogram on the units: every one of the 256 twists survives
+    # the spectrum, and the re-score takes its 256 x 512 cells a chunk at a
+    # time, charged beside the block's arrays
+    ls, ms = dyadic_window(8), dyadic_window(4096)
+    block = moduli_blocks(1024, 2048, len(ls) * len(ms), scan=True)[0]
+    assert block == range(1024, 1025)
+    want = _rows([1024], ls, None, ms, None)
+    needs = []
+    for module in (arith, bilinear, expsums):
+        monkeypatch.setattr(module, "charge_budget", lambda need, subject, budget=None: needs.append((need, subject)))
+    tracemalloc.start()
+    try:
+        got = _rows([1024], ls, None, ms, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    rescore = [need for need, subject in needs if subject == "re-scoring 256 twists needs"]
+    assert len(rescore) == 1
+    assert peak <= max(need for need, _ in needs)
+    assert peak < 2 * 10 ** 6

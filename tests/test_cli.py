@@ -471,8 +471,9 @@ def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):
     assert csv_rows(out)[1] == ["1", "7", "4000000", "158.740105197", "-665480.333465", "-3062.17936976",
                                 "-665480.333465", "-3062.17936976", "1.1644729186e-10",
                                 "1.74980466335e-16", "87"]
-    # a3's first log window, with a chunk of the stream beside it, passes 10 MB
-    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "10000000")
+    # a4's largest Lambda window, with the sides held beside it and a chunk
+    # of the stream, needs 8,597,984 bytes: 8 MB refuses it
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "8000000")
     code, out, err = run(capsys, "vaughan-check", "1", "7", "4000000")
     assert code == 3 and out == ""
     assert "coefficient windows of the decomposition" in err
@@ -480,7 +481,7 @@ def test_vaughan_check_refuses_its_windows_over_the_budget(capsys, monkeypatch):
 
 def test_bilinear_stream_past_its_modulus_fits_without_the_roots_table(capsys, monkeypatch):
     # the length-q roots table, 32,000,096 bytes, does not fit the budget,
-    # so each chunk of 2**16 pairs takes its roots by unit_roots_at
+    # so each chunk of the stream takes its roots by unit_roots_at
     argv = ("bilinear", "1000", "1000", "1", "1000003", "--format", "csv")
     code, want, _ = run(capsys, *argv)
     assert code == 0
@@ -491,12 +492,12 @@ def test_bilinear_stream_past_its_modulus_fits_without_the_roots_table(capsys, m
 
 def test_bilinear_refuses_its_pair_stream_over_the_budget(capsys, monkeypatch):
     # at q > L*M every pair has its own term: a stream of 10**6 pairs, built
-    # 2**16 at a time, 64 bytes each, with 64 bytes per l and per m of a
-    # chunk: 4,322,304 bytes
+    # 26,214 at a time, 80 bytes each, with 96 bytes per l and per m of a
+    # chunk: 2,289,120 bytes
     argv = ("bilinear", "1000", "1000", "1", "1000003", "--format", "csv")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and csv_rows(out)[1][-2] == "1000000"
-    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "4000000")
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, "2200000")
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert "a stream of 1000000 (l, m) pairs needs" in err

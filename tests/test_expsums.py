@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import arith, expsums
-from kloosterlab.accumulate import _CHUNK, exact_sum, fsum_complex, unit_roots
+from kloosterlab.accumulate import exact_sum, fsum_complex, unit_roots
 from kloosterlab.arith import batch_inverses, prime_window
 from kloosterlab.errors import CapacityError, ConsistencyError
 from kloosterlab.arith import MEMORY_ENV_VAR
@@ -494,13 +494,14 @@ def test_kloosterman_grid_columns_keep_parseval(q):
 
 def test_von_mangoldt_prime_sum_peaks_within_its_charge(monkeypatch):
     # the window [x, 2x) is sieved within its charge; the sum then holds the
-    # window's arrays and the terms of one chunk of _CHUNK entries (about 46
-    # bytes per term by tracemalloc), with no length-x copy of anything
+    # window's arrays and the terms of one chunk of _add_terms, charged with
+    # the window, with no length-x copy of anything
     x = 500_000
     query = ExpSumQuery(a=1, q=7, x=x)
     prime_sum(query, weight="von_mangoldt")  # the base primes are cached apart
     needs = []
-    monkeypatch.setattr(arith, "charge_budget", lambda need, subject, budget=None: needs.append(need))
+    for module in (arith, expsums):
+        monkeypatch.setattr(module, "charge_budget", lambda need, subject, budget=None: needs.append(need))
     tracemalloc.start()
     try:
         prime_sum(query, weight="von_mangoldt")
@@ -510,7 +511,26 @@ def test_von_mangoldt_prime_sum_peaks_within_its_charge(monkeypatch):
     window = prime_window(x, 2 * x)
     held = window.primes.nbytes + sum(arr.nbytes for arr in window.prime_powers)
     assert needs[0] < 7 * x
-    assert peak <= max(needs[0], held + 64 * _CHUNK)
+    assert held + expsums._TERMS * expsums._TERM_BYTES in needs
+    assert peak <= max(needs)
+
+
+def test_von_mangoldt_prime_sum_is_refused_one_byte_below_its_chunk_charge(monkeypatch):
+    # the largest charge of the sum is one chunk of _add_terms beside the
+    # window's primes and prime powers: one byte less refuses the sum, and
+    # the charge itself lets it run, with the bits of an unbudgeted run
+    query = ExpSumQuery(a=1, q=7, x=5e5)
+    free = prime_sum(query, weight="von_mangoldt")
+    window = prime_window(500_000, 1_000_000)
+    charge = window.primes.nbytes + sum(arr.nbytes for arr in window.prime_powers)
+    charge += expsums._TERMS * expsums._TERM_BYTES
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(charge - 1))
+    with pytest.raises(CapacityError, match=rf"a sum of {len(window.primes)} terms mod 7 needs about {charge} bytes"):
+        prime_sum(query, weight="von_mangoldt")
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(charge))
+    budgeted = prime_sum(query, weight="von_mangoldt")
+    assert (budgeted.value.real.hex(), budgeted.value.imag.hex(), budgeted.weight_sum.hex()) == (
+        free.value.real.hex(), free.value.imag.hex(), free.weight_sum.hex())
 
 
 def _window_primes(x):

@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,8 +398,9 @@ def test_decompose_refuses_its_windows_over_the_budget(monkeypatch):
     assert (chk.direct.real.hex(), chk.direct.imag.hex()) == ("-0x1.44f10aabbf189p+19", "-0x1.7ec5bd65a93cep+11")
     assert (chk.decomposed.real.hex(), chk.decomposed.imag.hex()) == ("-0x1.44f10aabbf188p+19", "-0x1.7ec5bd65a93d4p+11")
     assert chk.components == 87
-    # a3's first log window, with a chunk of the stream beside it, passes 10 MB
-    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(10 ** 7))
+    # a4's largest Lambda window, with the sides held beside it and a chunk
+    # of the stream, needs 8,597,984 bytes: 8 MB refuses it
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(8 * 10 ** 6))
     with pytest.raises(CapacityError, match="coefficient windows of the decomposition"):
         compare_decomposition(params, 1, 7)
 
@@ -442,6 +447,32 @@ def test_streamed_check_peaks_within_its_charges(monkeypatch):
         tracemalloc.stop()
     assert peak <= max(needs)
     assert peak < 16 * 10 ** 6
+
+
+#: Spawns one check and prints its exit code and its own peak RSS in kB
+#: (Linux's ru_maxrss), from os.wait4.  A bare interpreter spawns it:
+#: until exec, the child's resident set is its parent's, which wait4
+#: counts too, and a test process would hide the check's own peak.
+_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "kloosterlab", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_check_to_ten_million_peaks_within_54_mb_as_a_fresh_child():
+    # one block's sides, one chunk of a stream or of a grouped block, and
+    # the direct sum's window: half of the 106.9 MB that grouped blocks
+    # built whole took
+    src = str(Path(vaughan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, "vaughan-check", "1", "7", "10000000"],
+                         env=env, capture_output=True, text=True, timeout=300, check=True).stdout.split()
+    code, peak_kb = int(out[0]), int(out[1])
+    assert code == 0
+    assert peak_kb / 1024 <= 54
 
 
 @pytest.mark.parametrize("a, q, x", [(1, 7, 50000.0), (2, 9, 120.0), (3, 30, 2 * 10 ** 5), (0, 13, 3000.5),
