@@ -251,12 +251,13 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     taken from products in arith._lanes(q).
 
     The m range the rows meet is cut into slices of size m; in each, the
-    slice's m are inverted once and its pairs, in (l, m) order, are cut
-    into chunks.  Only a chunk's slice of ms and of beta (an array or
-    SlicedCoefficients) is built.  Every pair of the stream is in exactly
-    one chunk, with the residue and coefficient it has there.  The byte
-    budget is charged, with held bytes besides, for the largest chunk
-    when this is called, before any chunk is built.
+    slice's m are inverted once (_inverter) and its pairs, in (l, m)
+    order, are cut into chunks.  Only a chunk's slice of ms and of beta
+    (an array or SlicedCoefficients) is built.  Every pair of the stream
+    is in exactly one chunk, with the residue and coefficient it has
+    there.  The byte budget is charged, with held bytes and any inverse
+    table besides, for the largest chunk when this is called, before any
+    chunk is built.
     """
     rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
     inv_l = batch_inverses(ls[rows], q)
@@ -265,9 +266,9 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     start, stop = _row_ranges(ls[rows], ms, restrict)
     lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
     pairs = int((stop - start).sum())
-    invert, table = _inverter(q, hi - lo)
-    charge_budget(held + table + min(pairs, size) * _PAIR_BYTES + (min(hi - lo, size) + len(ls)) * _COLUMN_BYTES,
-                  f"a stream of {pairs} (l, m) pairs needs")
+    invert, table_bytes = _inverter(q, hi - lo)
+    charge_budget(held + table_bytes + min(pairs, size) * _PAIR_BYTES
+                  + (min(hi - lo, size) + len(ls)) * _COLUMN_BYTES, f"a stream of {pairs} (l, m) pairs needs")
     lane = _lanes(q)
     inv_l = inv_l.astype(lane)
     a_rows = None if alpha is None else alpha[rows]
@@ -437,8 +438,8 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
     span = max(1, min(groups, _CELLS))
     if size is None:
         size = max(1, _CELLS // span)
-    invert, table = _inverter(q, len(rs))
-    _charge_cells(min(len(rs), size), span, columns, held + table)
+    invert, table_bytes = _inverter(q, len(rs))
+    _charge_cells(min(len(rs), size), span, columns, held + table_bytes)
     lane = _lanes(q)
     inv_c = inv_c.astype(lane)
 
