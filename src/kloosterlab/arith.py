@@ -11,8 +11,8 @@ covers the residues mod q (batch_inverses):
   length-q table that costs O(q): Fermat below _TABLE_HEAD and at the
   primes up to q/2, complete multiplicativity over the smallest prime
   factor for the rest up to q/2, and inv(q - m) = q - inv(m) above.  The
-  table is built per request and not kept; inverse_table(q) is the
-  cached one;
+  table is built per request, or per inverter for a request taken a
+  slice at a time, and not kept; inverse_table(q) is the cached one;
 - a sparse request runs square-and-multiply v**(phi(q) - 1) mod q, about
   2 * log2(q) array operations whatever its length.
 
@@ -424,14 +424,43 @@ def batch_inverses(values, q: int, divisors=None) -> np.ndarray:
     Values must fit in int64 and q must be below MODULUS_CAP, so that
     every product fits in int64.  Output order matches the input order.
     """
+    vals = np.asarray(values, dtype=np.int64)
+    invert, _ = inverter(q, vals.size, divisors)
+    return invert(vals)
+
+
+def inverter(q: int, count: int, divisors=None):
+    """(invert, table bytes) for count values to be inverted mod q, at once
+    or a slice at a time: invert takes an int64 array to its inverses mod
+    q, as int64, 0 where not invertible.  The route is batch_inverses':
+
+    - dense, with count at least q / _DENSE_RATIO and a table build within
+      the byte budget: invert gathers from a length-q table, which
+      _build_inverse_table makes on invert's first call and invert alone
+      keeps, so it goes with invert.  table bytes is the table's size, for
+      a caller that holds invert to charge before its first call;
+    - sparse: each call charges _SPARSE_BYTES per value and runs
+      square-and-multiply (_fermat_inverses); table bytes is 0.
+    """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     check_modulus(q)
-    vals = np.asarray(values, dtype=np.int64)
-    if _DENSE_RATIO * vals.size >= q and q * _TABLE_BYTES <= memory_budget():
-        return _build_inverse_table(q, divisors)[np.remainder(vals, q)]
-    charge_budget(vals.size * _SPARSE_BYTES, f"inverses of {vals.size} values mod {q} need")
-    return _fermat_inverses(np.remainder(vals, q), q, divisors)
+    if _DENSE_RATIO * count >= q and q * _TABLE_BYTES <= memory_budget():
+        table = None
+
+        def gather(vals: np.ndarray) -> np.ndarray:
+            nonlocal table
+            if table is None:
+                table = _build_inverse_table(q, divisors)
+            return table[np.remainder(vals, q)]
+
+        return gather, q * np.dtype(np.int64).itemsize
+
+    def fermat(vals: np.ndarray) -> np.ndarray:
+        charge_budget(vals.size * _SPARSE_BYTES, f"inverses of {vals.size} values mod {q} need")
+        return _fermat_inverses(np.remainder(vals, q), q, divisors)
+
+    return fermat, 0
 
 
 def _lane_powers(base: np.ndarray, exps: np.ndarray, mod: np.ndarray) -> np.ndarray:

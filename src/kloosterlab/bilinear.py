@@ -56,14 +56,12 @@ from .accumulate import (
     unit_roots_at,
 )
 from .arith import (
-    _DENSE_RATIO,
-    _TABLE_BYTES,
     _lanes,
     batch_inverses,
     block_inverses,
     charge_budget,
     factor_spans,
-    inverse_table,
+    inverter,
     memory_budget,
 )
 from .errors import CapacityError
@@ -251,13 +249,15 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     taken from products in arith._lanes(q).
 
     The m range the rows meet is cut into slices of size m; in each, the
-    slice's m are inverted once (_inverter) and its pairs, in (l, m)
-    order, are cut into chunks.  Only a chunk's slice of ms and of beta
-    (an array or SlicedCoefficients) is built.  Every pair of the stream
-    is in exactly one chunk, with the residue and coefficient it has
-    there.  The byte budget is charged, with held bytes and any inverse
-    table besides, for the largest chunk when this is called, before any
-    chunk is built.
+    slice's m are inverted once and its pairs, in (l, m) order, are cut
+    into chunks.  Where the m range asks for an inverse table
+    (arith.inverter), it is built with the first chunk and goes with the
+    stream.  Only a chunk's slice of ms and of beta (an array or
+    SlicedCoefficients) is built.  Every pair of the stream is in exactly
+    one chunk, with the residue and coefficient it has there.  The byte
+    budget is charged, with held bytes and any inverse table besides, for
+    the largest chunk when this is called, before any chunk or table is
+    built.
     """
     rows = np.arange(len(ls)) if alpha is None else np.flatnonzero(alpha)
     inv_l = batch_inverses(ls[rows], q)
@@ -266,7 +266,7 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
     start, stop = _row_ranges(ls[rows], ms, restrict)
     lo, hi = (int(start.min()), int(stop.max())) if len(rows) else (0, 0)
     pairs = int((stop - start).sum())
-    invert, table_bytes = _inverter(q, hi - lo)
+    invert, table_bytes = inverter(q, hi - lo)
     charge_budget(held + table_bytes + min(pairs, size) * _PAIR_BYTES
                   + (min(hi - lo, size) + len(ls)) * _COLUMN_BYTES, f"a stream of {pairs} (l, m) pairs needs")
     lane = _lanes(q)
@@ -292,19 +292,6 @@ def _pair_chunks(q: int, ls, alpha, ms, beta, restrict, twist: int = 1,
                 yield _chunk_pairs(q, lane, inv_l[live[part]], a_part, first, counts, inv_m, b_units)
 
     return chunks()
-
-
-def _inverter(q: int, count: int):
-    """(invert, table bytes) for count values to be inverted mod q a slice
-    at a time: invert takes an int64 array to the inverses, 0 where not a
-    unit.  Where count reaches q / _DENSE_RATIO and the table fits the
-    byte budget, as batch_inverses would judge the values taken at once,
-    every slice is one gather from one inverse_table(q); otherwise each
-    slice takes batch_inverses, which judges the slice alone."""
-    if _DENSE_RATIO * count >= q and q * _TABLE_BYTES <= memory_budget():
-        table = inverse_table(q)
-        return (lambda values: table[values % q]), table.nbytes
-    return (lambda values: batch_inverses(values, q)), 0
 
 
 def _chunk_pairs(q: int, lane, inv_rows, a_rows, first, counts, inv_m, b_units):
@@ -385,8 +372,7 @@ def _charge_cells(rows: int, groups: int, columns: int, held: int) -> None:
                   f"{rows} x {groups} grouped terms need")
 
 
-def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held: int = 0,
-             size: int | None = None):
+def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held: int = 0):
     """The form grouped by the l side (by_l) or the m side, in chunks: per
     chunk, the residues twist * inv(l*m) mod q, the coefficients
     alpha_l * beta_m and the multiplicities of its distinct terms, as three
@@ -404,13 +390,14 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
     sorts its (value, class) keys stably by column, and counts by two
     searches per row and group.
 
-    The grouped side is built once.  A chunk is size entries of the rows'
-    window (None: as many as fit _CELLS cells) against at most _CELLS
+    The grouped side is built once.  A chunk is as many entries of the
+    rows' window as fit _CELLS cells against a span of at most _CELLS
     groups: rows that would meet more groups than that take them a span
-    at a time.  Only a chunk's slice of the rows and of their
-    coefficients (an array or SlicedCoefficients) is built.  The byte
-    budget is charged, with held bytes besides, for one chunk's cells and
-    the grouped side, before any chunk is built.
+    at a time.  Only a chunk's slice of the rows, of their inverses and
+    of their coefficients (an array or SlicedCoefficients) is built.  The
+    byte budget is charged, with held bytes besides, for one chunk's
+    cells, the grouped side and any inverse table of the rows
+    (arith.inverter), before any chunk or table is built.
     """
     rs, rc, cs, cc = (ms, beta, ls, alpha) if by_l else (ls, alpha, ms, beta)
     if cc is None:
@@ -436,9 +423,8 @@ def _grouped(q: int, twist: int, ls, alpha, ms, beta, restrict, by_l: bool, held
         marks = (np.cumsum(first) - 1) * len(cs) + cols
         base = np.arange(len(values)) * len(cs)
     span = max(1, min(groups, _CELLS))
-    if size is None:
-        size = max(1, _CELLS // span)
-    invert, table_bytes = _inverter(q, len(rs))
+    size = max(1, _CELLS // span)
+    invert, table_bytes = inverter(q, len(rs))
     _charge_cells(min(len(rs), size), span, columns, held + table_bytes)
     lane = _lanes(q)
     inv_c = inv_c.astype(lane)

@@ -2,8 +2,10 @@
 
 import cmath
 import functools
+import gc
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -647,10 +649,23 @@ def _stream_sums(q, a, ls, alpha, ms, beta, restrict):
     return _terms_value(iv, coeff, q), len(coeff), exact_sum(np.abs(coeff))
 
 
+def _groups(q, ls, alpha, ms, beta, by_l):
+    """The groups of the grouped side, at least one: its distinct
+    (coefficient, unit class mod q) pairs, with nonzero alpha only when l
+    is grouped."""
+    ns, cc = (ls, alpha) if by_l else (ms, beta)
+    cc = None if cc is None else cc[:]
+    keys = {(1.0 if cc is None else cc[j], n % q) for j, n in enumerate(map(int, ns))
+            if math.gcd(n, q) == 1 and not (by_l and cc is not None and cc[j] == 0)}
+    return max(1, len(keys))
+
+
 def _grouped_whole(q, a, ls, alpha, ms, beta, restrict, by_l):
     """The grouped route's three arrays with every row in one chunk."""
     rows = len(ms) if by_l else len(ls)
-    chunks = list(_grouped(q, a, ls, alpha, ms, beta, restrict, by_l, size=max(rows, 1)))
+    cells = max(rows, 1) * _groups(q, ls, alpha, ms, beta, by_l)
+    with mock.patch.object(bilinear, "_CELLS", cells):
+        chunks = list(_grouped(q, a, ls, alpha, ms, beta, restrict, by_l))
     assert len(chunks) <= 1
     if not chunks:
         return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
@@ -687,31 +702,35 @@ def test_grouped_sums_bitwise_equal_the_pair_stream(form, a):
 
 @_PROPERTY
 @given(_grouped_forms(st.sampled_from([2, 7, 30, 101])), st.sampled_from([0, 1, 3, 5, 10 ** 6 + 1]),
-       st.sampled_from([1, 3, 2, 4, 16, 64]), st.sampled_from([1, 5, 1 << 20]))
-# a unit side against q = 2 and 7, counts past one base-2**13 digit, in chunks of 3 rows and 5 groups
-@example((2, dyadic_window(1), None, dyadic_window(30000), None, None), 1, 3, 5)
+       st.sampled_from([1, 3, 2, 4, 16, 64]), st.sampled_from([None, 1, 5]))
+# a unit side against q = 2 and 7, counts past one base-2**13 digit, in chunks of 3 rows, and of one
+# row against spans of 5 groups
+@example((2, dyadic_window(1), None, dyadic_window(30000), None, None), 1, 3, None)
 @example((7, dyadic_window(3), np.array([1.0, -0.5, 0.0]), dyadic_window(30000), None, 45000.5), 5, 1, 5)
-def test_chunked_grouped_route_bitwise_the_whole_block_and_the_stream(form, a, size, cells):
-    # chunks of size rows and at most cells groups, their counted sums
-    # carried: the value, term count and weight sum of the whole block in
-    # one chunk, and of the pair stream, bit for bit
+def test_chunked_grouped_route_bitwise_the_whole_block_and_the_stream(form, a, rows, span):
+    # _CELLS set to rows times the groups makes chunks of that many rows
+    # against every group, and set to a span below the groups, chunks of
+    # one row against that many; their counted sums carried: the value,
+    # term count and weight sum of the whole block in one chunk, and of
+    # the pair stream, bit for bit
     q, ls, alpha, ms, beta, restrict = form
     want = _sums_bits(_stream_sums(q, a, ls, alpha, ms, beta, restrict))
     for by_l in (False, True):
         iv, coeff, counts = _grouped_whole(q, a, ls, alpha, ms, beta, restrict, by_l)
         whole = _sums_bits((_terms_value(iv, coeff, q, counts), int(counts.sum()),
                             exact_sums(np.abs(coeff).reshape(1, -1), counts)[0]))
+        cells = rows * _groups(q, ls, alpha, ms, beta, by_l) if span is None else span
         with mock.patch.object(bilinear, "_CELLS", cells):
-            chunks = list(_grouped(q, a, ls, alpha, ms, beta, restrict, by_l, size=size))
+            chunks = list(_grouped(q, a, ls, alpha, ms, beta, restrict, by_l))
         carried, count = CarriedSums(3), 0
         for iv, coeff, counts in chunks:
-            assert len(iv) == len(coeff) == len(counts) <= size * cells
+            assert len(iv) == len(coeff) == len(counts) <= cells
             carried.add(np.vstack((_term_parts(iv, coeff, q), np.abs(coeff))), counts)
             count += int(counts.sum())
         sums = carried.sums()
         assert _sums_bits((complex(sums[0], sums[1]), count, sums[2])) == whole == want, by_l
-    with mock.patch.object(bilinear, "_CELLS", cells):
-        assert _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True)) == want
+        with mock.patch.object(bilinear, "_CELLS", cells):
+            assert _sums_bits(_evaluate(q, a, ls, alpha, ms, beta, restrict, weigh=True)) == want
 
 
 def test_grouping_takes_the_cheaper_route_on_decomposition_blocks():
@@ -731,7 +750,7 @@ def test_routes_charge_the_byte_budget_before_building(monkeypatch):
     # at q = 10**6 + 3 every pair is its own group, so the form streams; a
     # unit side at q = 2 is one group, the odd m, so one row is one cell
     spec = BilinearSpec(L=1, M=2 ** 20, a=1, q=10 ** 6 + 3)
-    # the stream is charged one chunk: 2**16 pairs, 2**16 m and one row
+    # the stream is charged one chunk: _CHUNK pairs, _CHUNK m and one row
     chunk = bilinear._CHUNK_BYTES + bilinear._COLUMN_BYTES
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(chunk - 1))
     with pytest.raises(CapacityError, match=r"a stream of 1048576 \(l, m\) pairs needs"):
@@ -745,6 +764,56 @@ def test_routes_charge_the_byte_budget_before_building(monkeypatch):
     monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(bilinear._CELL_BYTES - 1))
     with pytest.raises(CapacityError, match="grouped terms need"):
         bilinear_sum(grouped)
+
+
+def _recorded_tables(monkeypatch):
+    """Weak references to the inverse tables arith builds from here on,
+    inverse_table's cached ones among them: its cache is emptied first."""
+    arith.inverse_table.cache_clear()
+    tables = []
+    build = arith._build_inverse_table
+
+    def recorded(q, *rest):
+        table = build(q, *rest)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(arith, "_build_inverse_table", recorded)
+    return tables
+
+
+#: A window of 6,000 against q = 10007 asks for q/2 inverses or more: the
+#: m of the stream (one l), or the rows of a block grouped by its m.
+_DENSE_FORMS = [(None, 1, 6000, r"a stream of 6000 \(l, m\) pairs needs"),
+                (False, 6000, 1, "grouped terms need")]
+
+
+@pytest.mark.parametrize("route,L,M,refusal", _DENSE_FORMS)
+def test_inverse_table_is_built_once_and_goes_with_the_form(monkeypatch, route, L, M, refusal):
+    # the slices or chunks, six or more, gather from one table, which no
+    # cache keeps once the form is evaluated
+    q, ls, ms = 10007, dyadic_window(L), dyadic_window(M)
+    want = _evaluate(q, 3, ls, None, ms, None, None)
+    tables = _recorded_tables(monkeypatch)
+    monkeypatch.setattr(bilinear, "_grouping", lambda *form: route)
+    monkeypatch.setattr(bilinear, "_CHUNK", 1000)
+    monkeypatch.setattr(bilinear, "_CELLS", 1000)
+    assert _evaluate(q, 3, ls, None, ms, None, None) == want
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
+
+
+@pytest.mark.parametrize("route,L,M,refusal", _DENSE_FORMS)
+def test_refused_form_builds_no_inverse_table(monkeypatch, route, L, M, refusal):
+    # the budget fits the table's build, which batch_inverses' rule asks
+    # of a dense route, but not the table beside a chunk
+    q = 10007
+    tables = _recorded_tables(monkeypatch)
+    monkeypatch.setattr(bilinear, "_grouping", lambda *form: route)
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(q * arith._TABLE_BYTES))
+    with pytest.raises(CapacityError, match=refusal):
+        _evaluate(q, 3, dyadic_window(L), None, dyadic_window(M), None, None)
+    assert tables == []
 
 
 def _stream_key(iv, coeff):
