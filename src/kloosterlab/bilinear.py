@@ -62,7 +62,6 @@ from .arith import (
     charge_budget,
     factor_spans,
     inverter,
-    memory_budget,
 )
 from .errors import CapacityError
 from .expsums import _SCAN_BYTES, ExpSumValue, _row_starts, _twist_error_bound, _twist_max, moduli_blocks
@@ -501,8 +500,9 @@ def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False
     level sums carried (with their multiplicities on the grouped route),
     so it never holds more than a chunk of terms, nor, where q exceeds
     twice the product window's pair count or the table would not fit the
-    byte budget, a length-q table of unit roots.  The byte charges add
-    held bytes, which the caller holds meanwhile.
+    byte budget beside the route's largest chunk, a length-q table of unit
+    roots.  The byte charges add held bytes, which the caller holds
+    meanwhile, and the table's.
     """
     ls = _ints(ls)
     start, stop = _row_ranges(ls, ms, restrict)
@@ -510,15 +510,29 @@ def _evaluate(q: int, a: int, ls, alpha, ms, beta, restrict, weigh: bool = False
     if pairs > _TERM_CAP:
         raise CapacityError(f"bilinear form has {pairs} pairs in its product window, cap is {_TERM_CAP}")
     by_l = _grouping(q, ls, alpha, ms, beta, restrict)
-    if by_l is not None:
-        chunks = _grouped(q, a, ls, alpha, ms, beta, restrict, by_l, held)
-    else:
-        chunks = ((iv, coeff, None) for iv, coeff in _pair_chunks(q, ls, alpha, ms, beta, restrict, a, _CHUNK, held))
+
+    def route(table_bytes: int):
+        if by_l is not None:
+            return _grouped(q, a, ls, alpha, ms, beta, restrict, by_l, held + table_bytes)
+        return ((iv, coeff, None) for iv, coeff in
+                _pair_chunks(q, ls, alpha, ms, beta, restrict, a, _CHUNK, held + table_bytes))
+
     # a product window of q/2 pairs or more shares one table of unit roots
-    # among its chunks, which costs about what q/2 roots taken alone do; a
-    # shorter window, or a table over the byte budget, takes each chunk's
-    # roots by unit_roots_at
-    table = unit_roots(q) if q <= 2 * pairs and q * _ROOTS_BYTES <= memory_budget() else None
+    # among its chunks, which costs about what q/2 roots taken alone do.
+    # The table is held beside every chunk, so the route is charged for it
+    # first; a shorter window, or a table that does not fit the budget
+    # beside the route's largest chunk and the held bytes, takes each
+    # chunk's roots by unit_roots_at, bitwise the table's
+    table = None
+    if q > 2 * pairs:
+        chunks = route(0)
+    else:
+        try:
+            chunks = route(q * _ROOTS_BYTES)
+        except CapacityError:
+            chunks = route(0)
+        else:
+            table = unit_roots(q)
     carried = CarriedSums(3 if weigh else 2)
     count = 0
     for iv, coeff, counts in chunks:

@@ -25,7 +25,10 @@ only the command argv names; help, --version and unknown commands take
 the full one, and both print the same bytes.
 
 Exit codes: 0 on success, 2 on bad parameters, 3 when a computation is
-refused because it would blow the capacity or memory budget.
+refused.  A refusal comes from the byte budget (KLOOSTERLAB_MAX_BYTES),
+which every sieve, table and twist scan is charged against before it
+allocates, or from a hard cap: arith.HARD_SIEVE_CAP on the top of any
+sieved range and arith.MODULUS_CAP on moduli.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -44,9 +46,8 @@ import numpy as np
 import kloosterlab as kl
 
 from . import __version__
-from .arith import MEMORY_ENV_VAR
+from .arith import DEFAULT_MEMORY_BYTES, MEMORY_ENV_VAR
 from .errors import CapacityError, KloosterlabError
-from .expsums import DEFAULT_SCAN_LIMIT
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -57,30 +58,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="threads for the sweeps of avg-max and fixed-a-avg; "
                         "other commands run serially (default 1)")
-    p.add_argument("--max-sieve", type=int, default=10 ** 8, dest="max_sieve",
-                   help="largest sieve the command may build (default 1e8)")
-    p.add_argument("--max-q-scan", type=int, default=DEFAULT_SCAN_LIMIT, dest="max_q_scan",
-                   help="largest modulus an exhaustive numerator scan may take")
-
-
-def _sieve_top(args, need: float) -> int:
-    """need rounded up: the top of a sieved range, a table's or a window's,
-    which --max-sieve bounds."""
-    if not math.isfinite(need):
-        raise ValueError(f"sieve size {need} is not finite")
-    need = int(math.ceil(need))
-    if need > args.max_sieve:
-        raise CapacityError(f"needs a sieve to {need}, over --max-sieve {args.max_sieve}")
-    return need
-
-
-def _window(run: Callable) -> Callable:
-    """The run of a command over the window [x, 2x), whose top 2x
-    --max-sieve bounds before anything runs."""
-    def bounded(args):
-        _sieve_top(args, 2 * args.x)
-        return run(args)
-    return bounded
 
 
 # --- result columns -----------------------------------------------------------
@@ -116,9 +93,6 @@ def _vaughan_check(args):
     # the resolved truncation replaces None, so params and row both carry it
     args.U = args.U if args.U is not None else args.x ** (1 / 3)
     params = kl.vaughan.VaughanParams(x=args.x, U=args.U)
-    # mu and Lambda are tabled to the decomposition's limit, which passes 2x
-    # for small U
-    _sieve_top(args, kl.vaughan.decomposition_limit(params))
     chk = kl.vaughan.compare_decomposition(params, args.a, args.q)
     return {"direct_real": chk.direct.real, "direct_imag": chk.direct.imag,
             "decomposed_real": chk.decomposed.real, "decomposed_imag": chk.decomposed.imag,
@@ -137,7 +111,6 @@ def _baker_root(args):
 
 
 def _garaev(args):
-    _sieve_top(args, args.x + 1)
     count, pi_x = kl.experiments.garaev_counts(args.x, args.q, args.lam)
     return {"count": count, "pi_x": pi_x}
 
@@ -181,19 +154,17 @@ COMMANDS = (
     Command("sum", "one prime sum S_q(a; x) over [x, 2x)",
             (("a", int), ("q", int), ("x", float),
              ("--weight", {"choices": ("unit", "von_mangoldt"), "default": "unit"})),
-            _window(lambda args: _value(kl.expsums.prime_sum(
-                kl.expsums.ExpSumQuery(a=args.a, q=args.q, x=args.x), weight=args.weight)))),
+            lambda args: _value(kl.expsums.prime_sum(
+                kl.expsums.ExpSumQuery(a=args.a, q=args.q, x=args.x), weight=args.weight))),
     Command("max-sum", "max over numerators a of |S_q(a; x)|",
             (("q", int), ("x", float)),
-            _window(lambda args: dict(zip(("a_star", "magnitude"), kl.expsums.max_prime_sum(
-                args.q, args.x, scan_limit=args.max_q_scan))))),
+            lambda args: dict(zip(("a_star", "magnitude"), kl.expsums.max_prime_sum(args.q, args.x)))),
     Command("avg-max", "sum over q ~ Q of max_a |S_q(a; x)| vs envelope",
             (("Q", int), ("x", float)),
-            _window(lambda args: _report(kl.experiments.avg_max_report(
-                args.Q, args.x, workers=args.workers, scan_limit=args.max_q_scan)))),
+            lambda args: _report(kl.experiments.avg_max_report(args.Q, args.x, workers=args.workers))),
     Command("fixed-a-avg", "sum over q ~ Q of |S_q(a; x)| vs envelope",
             (("a", int), ("Q", int), ("x", float)),
-            _window(_fixed_a_avg)),
+            _fixed_a_avg),
     Command("kloosterman", "complete sum K(a, b; q), real-valued",
             (("a", int), ("b", int), ("q", int)),
             lambda args: {"value": kl.expsums.kloosterman(args.a, args.b, args.q)}),
@@ -227,11 +198,11 @@ COMMANDS = (
             (("a", int), ("q", int), ("x", float),
              ("--truncation", {"type": float, "default": None, "metavar": "U", "dest": "U",
                                "help": "identity truncation (default x^(1/3))"})),
-            _window(_vaughan_check)),
+            _vaughan_check),
     Command("prime-power-gap", "Lambda-weighted vs prime-only window sums",
             (("a", int), ("q", int), ("x", float)),
-            _window(lambda args: _attrs(kl.vaughan.prime_power_gap(args.a, args.q, args.x),
-                                        "gap", "envelope", "prime_power_terms"))),
+            lambda args: _attrs(kl.vaughan.prime_power_gap(args.a, args.q, args.x),
+                                "gap", "envelope", "prime_power_terms")),
     Command("theorem2-root", "exponent threshold root, near 1.188",
             (_TOL,),
             lambda args: _attrs(kl.experiments.ternary_exponent_root(tol=args.tol),
@@ -243,8 +214,8 @@ COMMANDS = (
             _baker_root, repeat=0),
     Command("ternary", "prime triples p ~ x with a rough pairwise-product sum",
             (("x", int), ("theta", float)),
-            _window(lambda args: _attrs(kl.experiments.ternary_rough_count(args.x, args.theta),
-                                        "threshold", "count", "total", "fraction", "scaled"))),
+            lambda args: _attrs(kl.experiments.ternary_rough_count(args.x, args.theta),
+                                "threshold", "count", "total", "fraction", "scaled")),
     Command("garaev", "prime triples p <= x with p1 p2 p3 = lam (mod q)",
             (("x", int), ("q", int), ("lam", int)),
             _garaev),
@@ -269,7 +240,7 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kloosterlab",
         description="exponential sums over primes with modular-inverse phases",
-        epilog=f"The sieve memory budget can be capped with {MEMORY_ENV_VAR}.",
+        epilog=f"{MEMORY_ENV_VAR} is every command's byte budget (default {DEFAULT_MEMORY_BYTES}).",
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")

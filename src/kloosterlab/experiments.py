@@ -30,7 +30,6 @@ from .arith import (
 )
 from .errors import ConsistencyError
 from .expsums import (
-    DEFAULT_SCAN_LIMIT,
     check_twist_scan,
     max_prime_sum_block,
     moduli_blocks,
@@ -42,15 +41,14 @@ from .reports import BoundReport, make_report
 _REL_SLACK = 1 + 1e-9
 
 
-def avg_max_report(
-    Q: int, x: float, workers: int = 1, scan_limit: int = DEFAULT_SCAN_LIMIT
-) -> BoundReport:
+def avg_max_report(Q: int, x: float, workers: int = 1) -> BoundReport:
     """sum_{q ~ Q} max_a |S_q(a; x)| against its three-term envelope.
 
-    Every modulus is checked against scan_limit and the byte budget before
-    any work; then the window's primes are fetched once, and the moduli are
-    factored a span at a time (arith.factor_spans) and scanned a block at a
-    time (expsums.max_prime_sum_block), each maximum bitwise max_prime_sum's.
+    Every modulus's twist scan is charged to the byte budget
+    (expsums.check_twist_scan) before any work; then the window's primes
+    are fetched once, and the moduli are factored a span at a time
+    (arith.factor_spans) and scanned a block at a time
+    (expsums.max_prime_sum_block), each maximum bitwise max_prime_sum's.
     The envelope Q^(5/4) x^(5/8) + Q x^(9/10) + Q^(7/6) x^(13/18) is
     calibrated for Q^(2/3) <= x <= Q^(3/2); outside that window the report
     is still produced but a warning is issued.
@@ -65,13 +63,13 @@ def avg_max_report(
             f"[{Q ** (2/3):.4g}, {Q ** 1.5:.4g}]; the envelope is uncalibrated there",
             stacklevel=2,
         )
-    check_twist_scan(range(Q, 2 * Q), scan_limit)
+    check_twist_scan(range(Q, 2 * Q))
     primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     pi_range = len(primes)
     per_block = []
     for factors in factor_spans(Q, 2 * Q):
         per_block += pmap(
-            lambda qs: max_prime_sum_block(qs, primes, scan_limit, factors.divisors(qs)),
+            lambda qs: max_prime_sum_block(qs, primes, factors.divisors(qs)),
             moduli_blocks(factors.lo, factors.hi, pi_range, scan=True),
             workers=workers,
         )

@@ -55,9 +55,6 @@ from .arith import (
 from .errors import CapacityError, ConsistencyError
 from .reports import BoundReport, make_report
 
-#: Largest modulus a full twist scan (max over a) will attempt by default.
-DEFAULT_SCAN_LIMIT = 10 ** 6
-
 #: Longest interval upper - lower a short inverse sum will walk.
 _INTERVAL_CAP = 10 ** 7
 
@@ -107,10 +104,16 @@ _BLOCK_MODULI = 32
 _BLOCK_CELLS = 1 << 15
 
 #: Bytes per residue charged to a twist scan (histogram, spectrum and FFT
-#: work arrays; a block of max_prime_sum_block peaked at 17-20 under
-#: tracemalloc), and the most residues a block of twist scans may take:
+#: work arrays), and the most residues a block of twist scans may take:
 #: 2**17 keeps a block near 2.5 MB, and 32 moduli per block up to Q = 2048.
-_SCAN_BYTES = 64
+#: At a prime q pocketfft pads the transform (Bluestein), and its buffers,
+#: which tracemalloc does not see, are most of the scan.  Peak RSS over the
+#: interpreter's, in fresh children running max_prime_sum(q, 1e5) (2-core
+#: VM): 177.2 bytes per residue at the prime q = 200,003, 172.9 at
+#: 999,983, 168.2 at 3,000,017; 92.9 at q = 2 * 499,979 (a padded length
+#: q/2) and 28.8 at q = 10**6, a smooth length.  _twist_max over one
+#: complex row at q = 999,983 peaked at 182.9.
+_SCAN_BYTES = 192
 _SCAN_RESIDUES = 1 << 17
 
 
@@ -476,13 +479,12 @@ def _twist_max(
     return list(zip(twists[won].tolist(), mags[won].tolist()))
 
 
-def check_twist_scan(moduli, scan_limit: int = DEFAULT_SCAN_LIMIT) -> None:
-    """Refuse the first of the moduli that exceeds scan_limit, or whose twist
-    scan would exceed the byte budget, which is read once for them all."""
+def check_twist_scan(moduli) -> None:
+    """Refuse the first of the moduli whose twist scan, at _SCAN_BYTES per
+    residue, would exceed the byte budget, which is read once for them all,
+    or that is not below arith.MODULUS_CAP."""
     budget = memory_budget()
     for q in moduli:
-        if q > scan_limit:
-            raise CapacityError(f"modulus {q} exceeds the twist-scan limit {scan_limit}")
         check_modulus(q, bytes_per_entry=_SCAN_BYTES, budget=budget)
 
 
@@ -498,7 +500,7 @@ def _prime_twist_max(
     return _twist_max(h, qs, invs, counts, None, err, divisors, held + h.nbytes + invs.nbytes)
 
 
-def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, float]:
+def max_prime_sum(q: int, x: float) -> tuple[int, float]:
     """Maximum of |prime_sum| over twists a coprime to q, with its argmax.
 
     Scans only 1 <= a <= q/2 and relies on exact conjugate symmetry for
@@ -508,38 +510,36 @@ def max_prime_sum(q: int, x: float, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tup
     and re-scores the survivors by the direct sum, so the result is
     bitwise the full direct scan's.  A block of one modulus: its inverses
     come from batch_inverses, which beats the lanes of block_inverses at
-    one modulus.  The modulus is checked against scan_limit and the byte
-    budget before the window is fetched from arith.prime_window.
+    one modulus.  The scan is charged to the byte budget (check_twist_scan)
+    before the window is fetched from arith.prime_window.
     """
     if q < 2:
         raise ValueError(f"need modulus >= 2, got {q}")
     if not (x >= 2 and math.isfinite(x)):
         raise ValueError(f"need x >= 2, got {x}")
-    check_twist_scan([q], scan_limit)
+    check_twist_scan([q])
     ps = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     invs = batch_inverses(ps[q % ps != 0], q)
     qs = np.array([q], dtype=np.int64)
     return _prime_twist_max(qs, invs, np.array([len(invs)]), [_prime_divisors(q)], ps.nbytes)[0]
 
 
-def max_prime_sum_block(
-    moduli, primes, scan_limit: int = DEFAULT_SCAN_LIMIT, divisors=None
-) -> list[tuple[int, float]]:
+def max_prime_sum_block(moduli, primes, divisors=None) -> list[tuple[int, float]]:
     """max_prime_sum(q, x) at every modulus q of a block, each bitwise the
     per-q result, from one pass of _twist_max over the block; primes are
     those of the window, prime_window(ceil(x), ceil(2x)).primes, and
     divisors, when given, the primes of each modulus (a sweep's
     FactorWindow.divisors).
 
-    Every modulus is checked against scan_limit and the byte budget before
-    any work.  block_inverses takes the inverses of the window's primes mod
-    every q at once; a prime dividing q has inverse 0 and is left out of
-    its row.  Each modulus is factored once, for block_inverses and the
+    Every modulus's scan is charged to the byte budget (check_twist_scan)
+    before any work.  block_inverses takes the inverses of the window's
+    primes mod every q at once; a prime dividing q has inverse 0 and is
+    left out of its row.  Each modulus is factored once, for block_inverses and the
     unit mask of _twist_max alike.  moduli_blocks(..., scan=True) bounds
     the block's residues.
     """
     qs = np.asarray(moduli, dtype=np.int64)
-    check_twist_scan(qs.tolist(), scan_limit)
+    check_twist_scan(qs.tolist())
     if divisors is None:
         divisors = [_prime_divisors(q) for q in qs.tolist()]
     invs = block_inverses(primes, qs, divisors)

@@ -66,6 +66,8 @@ ERRORS = [
     "sum one 7 10",
     "choose-u bogus 64 64",
     "",
+    # --max-sieve and --max-q-scan are gone, the byte budget being the one
+    # ceiling: each former invocation is now a usage error
     "sum 1 7 1000000 --max-sieve 1000",
     "max-sum 50000 10 --max-q-scan 1000",
     # --method is gone: each former --method invocation is now a usage error

@@ -866,15 +866,25 @@ def test_complex_stream_value_bitwise_whatever_the_chunk_size(monkeypatch):
     assert len(values) == 1
 
 
-@pytest.mark.parametrize("q,budget,tables", [(97, None, [97]), (256, None, [256]), (257, None, []),
-                                             (97, 97 * 32, [97]), (97, 97 * 32 - 1, [])])
-def test_evaluate_decides_its_roots_table_once_per_stream(monkeypatch, q, budget, tables):
+#: The charge of the stream below for its largest chunk, without the table:
+#: 5 pairs, and 5 m and 8 l.
+_STREAM_BYTES = 5 * bilinear._PAIR_BYTES + (5 + 8) * bilinear._COLUMN_BYTES
+
+
+@pytest.mark.parametrize("q,spare,tables", [(97, None, [97]), (256, None, [256]), (257, None, []),
+                                            (97, 97 * 32, [97]), (97, 97 * 32 - 1, [])])
+def test_evaluate_decides_its_roots_table_once_per_stream(monkeypatch, q, spare, tables):
     # 8 x 16 = 128 pairs in chunks of 5: a stream of at least q/2 pairs
-    # builds one table for every chunk, if it fits the budget; otherwise no
-    # chunk builds one, and both give the correctly rounded sums of the
-    # table's terms
-    if budget is not None:
-        monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(budget))
+    # builds one table for every chunk, if the table (32 bytes a residue)
+    # fits the budget beside the stream's largest chunk, so spare bytes over
+    # the stream's own charge; otherwise no chunk builds one, and both give
+    # the correctly rounded sums of the table's terms
+    if spare is not None:
+        monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", str(_STREAM_BYTES + spare))
+    charges = []
+    charge = bilinear.charge_budget
+    monkeypatch.setattr(bilinear, "charge_budget",
+                        lambda need, subject, budget=None: charges.append(need) or charge(need, subject, budget))
     built = []
     monkeypatch.setattr(bilinear, "unit_roots", lambda q: built.append(q) or unit_roots(q))
     monkeypatch.setattr(bilinear, "_grouping", lambda *args: None)
@@ -883,6 +893,8 @@ def test_evaluate_decides_its_roots_table_once_per_stream(monkeypatch, q, budget
     alpha, beta = np.linspace(-1, 2, len(ls)), np.sqrt(np.arange(1.0, len(ms) + 1))
     value, count, _ = _evaluate(q, 3, ls, alpha, ms, beta, None)
     assert built == tables
+    # the stream is charged for the table it holds beside every chunk
+    assert charges[-1] == _STREAM_BYTES + 32 * len(tables) * q
     monkeypatch.delenv("KLOOSTERLAB_MAX_BYTES", raising=False)
     iv, coeff = _twin_pairs(q, ls, alpha, ms, beta, None, twist=3)
     table = unit_roots(q)

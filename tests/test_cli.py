@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from kloosterlab import arith, cli, experiments, vaughan
+from kloosterlab import arith, cli, experiments, expsums, vaughan
 from kloosterlab.cli import build_parser, main
 from kloosterlab.expsums import moduli_blocks
 
@@ -113,12 +113,14 @@ def test_parameter_errors_exit_2(capsys):
     assert run(capsys, "sum", "1", "7")[0] == 2                # missing argument
 
 
-@pytest.mark.parametrize("argv", [("sum", "1", "7", "inf"), ("max-sum", "7", "inf")])
+@pytest.mark.parametrize("argv", [("sum", "1", "7", "inf"), ("max-sum", "7", "inf"),
+                                  ("avg-max", "16", "inf"), ("fixed-a-avg", "1", "16", "inf"),
+                                  ("prime-power-gap", "1", "7", "inf"), ("vaughan-check", "1", "7", "inf")])
 def test_infinite_window_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: sieve size inf is not finite\n"
+    assert err == "error: need x >= 2, got inf\n"
 
 
 def test_infinite_bilinear_range_exits_2(capsys):
@@ -157,7 +159,7 @@ def test_modulus_at_or_above_2_31_exits_3(capsys, argv):
     # 800 units give 5.12e8 triple sums, over the enumeration cap: the FFT route
     ("jcount", "3", "2000", "2000000000"),
     ("garaev", "100", "2000000000", "3"),
-    ("max-sum", "2000000000", "10", "--max-q-scan", "2000000000"),
+    ("max-sum", "2000000000", "10"),
 ])
 def test_length_q_tables_over_budget_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -244,11 +246,15 @@ def test_one_command_parser_prints_the_full_parsers_bytes(name, capsys, monkeypa
         assert _parse_output(one, argv, capsys) == want
 
 
-def test_capacity_errors_exit_3(capsys):
-    code, _, err = run(capsys, "sum", "1", "7", "1000000", "--max-sieve", "1000")
-    assert code == 3
-    assert "capacity" in err
-    assert run(capsys, "max-sum", "50000", "10", "--max-q-scan", "1000")[0] == 3
+def test_capacity_errors_exit_3(capsys, monkeypatch):
+    # a window past the hard sieve cap, and a twist scan over the byte budget
+    code, out, err = run(capsys, "sum", "1", "7", "1e9")
+    assert (code, out) == (3, "")
+    assert err == f"capacity: prime window limit 1999999999 exceeds hard cap {arith.HARD_SIEVE_CAP}\n"
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(50000 * expsums._SCAN_BYTES - 1))
+    code, out, err = run(capsys, "max-sum", "50000", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"capacity: tables mod 50000 need about {50000 * expsums._SCAN_BYTES} bytes")
 
 
 def test_help_and_version_exit_0(capsys):
@@ -371,22 +377,6 @@ def _table_builds(monkeypatch):
     return limits
 
 
-def test_fresh_table_stops_at_max_sieve(capsys):
-    # the primes up to x are sieved per call, and refused when x + 1 passes
-    # --max-sieve
-    assert run(capsys, "garaev", "500", "7", "3", "--max-sieve", "1000")[0] == 0
-    code, out, err = run(capsys, "garaev", "1000", "7", "3", "--max-sieve", "1000")
-    assert code == 3 and out == ""
-    assert "needs a sieve to 1001, over --max-sieve 1000" in err
-
-
-def test_table_growth_stops_at_max_sieve(capsys):
-    assert run(capsys, "garaev", "70000", "7", "3", "--max-sieve", "75000")[0] == 0
-    code, out, err = run(capsys, "garaev", "75000", "7", "3", "--max-sieve", "75000")
-    assert code == 3 and out == ""
-    assert "needs a sieve to 75001, over --max-sieve 75000" in err
-
-
 def test_garaev_sieves_once(capsys, monkeypatch):
     # pi_x and the count come from the same primes
     window = mock.Mock(wraps=arith.prime_window)
@@ -413,18 +403,30 @@ def test_window_commands_build_no_table(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("sum", "1", "7", "1000000"),
-    ("vaughan-check", "1", "7", "1000000"),
-    ("prime-power-gap", "1", "7", "1000000"),
-    ("max-sum", "7", "1000000"),
-    ("avg-max", "16", "1000000"),
-    ("fixed-a-avg", "1", "16", "1000000"),
-    ("ternary", "1000000", "1.1"),
+    ("sum", "1", "7", "100000"),
+    ("vaughan-check", "1", "7", "100000"),
+    ("prime-power-gap", "1", "7", "100000"),
+    ("max-sum", "7", "100000"),
+    ("avg-max", "64", "500"),
+    ("fixed-a-avg", "1", "64", "200"),
+    ("ternary", "50", "1.1"),
+    ("garaev", "100000", "7", "3"),
 ])
-def test_max_sieve_still_bounds_the_window_top(capsys, argv):
-    code, out, err = run(capsys, *argv, "--max-sieve", "1000")
-    assert code == 3 and out == ""
-    assert "needs a sieve to 2000000, over --max-sieve 1000" in err
+def test_byte_budget_below_the_window_charge_exits_3(capsys, monkeypatch, argv):
+    # the byte budget is the one ceiling on a sieved window: one byte below
+    # the window's charge, the command is refused before any block is sieved
+    charges = []
+    charge = arith.charge_budget
+    monkeypatch.setattr(arith, "charge_budget", lambda need, subject, budget=None:
+                        charges.append((need, subject)) or charge(need, subject, budget))
+    assert run(capsys, *argv)[0] == 0
+    window = max(need for need, subject in charges if subject.startswith("prime window"))
+    sieved = []
+    monkeypatch.setattr(arith, "_sieve_window", lambda *args: sieved.append(args))
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(int(window) - 1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, sieved) == (3, "", [])
+    assert err.startswith("capacity: ")
 
 
 def test_vaughan_check_tables_stop_below_2x(capsys, monkeypatch):

@@ -2,9 +2,13 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from kloosterlab.experiments import avg_max_report, fixed_a_avg_report
 from kloosterlab.expsums import (
     _BLOCK_MODULI,
     _CHUNK_CELLS,
+    _SCAN_BYTES,
     _SCAN_RESIDUES,
     ExpSumQuery,
     _row_spectrum,
@@ -244,11 +249,13 @@ def test_even_row_with_a_term_at_an_even_residue_is_refused():
     assert got[0][0] == max(mags, key=mags.get) and got[0][1] == pytest.approx(max(mags.values()))
 
 
-def test_max_prime_sum_capacity():
-    with pytest.raises(CapacityError):
-        max_prime_sum(10 ** 6 + 1, 100.0)
-    with pytest.raises(CapacityError):
-        max_prime_sum(5000, 100.0, scan_limit=100)
+def test_max_prime_sum_capacity(monkeypatch):
+    # the modulus cap, then the byte budget at _SCAN_BYTES per residue
+    with pytest.raises(CapacityError, match=f"modulus {2 ** 31} is not below {2 ** 31}"):
+        max_prime_sum(2 ** 31, 100.0)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(5000 * _SCAN_BYTES - 1))
+    with pytest.raises(CapacityError, match=f"tables mod 5000 need about {5000 * _SCAN_BYTES} bytes"):
+        max_prime_sum(5000, 100.0)
 
 
 def test_kloosterman_known_value():
@@ -661,38 +668,75 @@ def test_scan_blocks_cap_their_residues(monkeypatch):
     assert all(sum(b) <= _SCAN_RESIDUES for b in moduli_blocks(10 ** 4, 2 * 10 ** 4, 1, scan=True))
     assert {len(b) for b in moduli_blocks(10 ** 5, 2 * 10 ** 5, 1, scan=True)} == {1}
     # a small byte budget cuts blocks down to one modulus, never to none
-    monkeypatch.setenv(MEMORY_ENV_VAR, str(64 * 3000))
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(_SCAN_BYTES * 3000))
     assert {len(b) for b in moduli_blocks(2048, 4096, 1, scan=True)} == {1}
 
 
 def test_max_prime_sum_block_checks_every_modulus_first(monkeypatch):
-    # the first modulus past the limit is named, before any inverse is taken
+    # the first modulus past the budget is named, before any inverse is taken
     monkeypatch.setattr(expsums, "block_inverses", None)
-    with pytest.raises(CapacityError, match="modulus 101 exceeds the twist-scan limit 100"):
-        max_prime_sum_block([99, 100, 101, 102], _window_primes(50.0), scan_limit=100)
-    with pytest.raises(CapacityError, match="modulus 101 exceeds"):
-        avg_max_report(60, 50.0, scan_limit=100)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(100 * _SCAN_BYTES))
+    with pytest.raises(CapacityError, match="tables mod 101 need about"):
+        max_prime_sum_block([99, 100, 101, 102], _window_primes(50.0))
+    with pytest.raises(CapacityError, match="tables mod 101 need about"):
+        avg_max_report(60, 50.0)
 
 
 def test_twist_scan_refuses_over_a_small_budget_reading_it_once(monkeypatch):
-    # 64 bytes per residue: moduli up to 150 fit 9,600 bytes, 151 does not
-    monkeypatch.setenv(MEMORY_ENV_VAR, str(64 * 150))
+    # _SCAN_BYTES per residue: moduli up to 150 fit 150 residues' bytes, 151 does not
+    budget, need = 150 * _SCAN_BYTES, 151 * _SCAN_BYTES
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(budget))
     reads = []
-    budget = expsums.memory_budget
+    read = expsums.memory_budget
     for module in (arith, expsums):
-        monkeypatch.setattr(module, "memory_budget", lambda: reads.append(1) or budget())
+        monkeypatch.setattr(module, "memory_budget", lambda: reads.append(1) or read())
     check_twist_scan(range(100, 151))
     assert len(reads) == 1
     with pytest.raises(CapacityError) as refused:
-        check_twist_scan(range(100, 200), scan_limit=175)
+        check_twist_scan(range(100, 200))
     assert str(refused.value) == (
-        f"tables mod 151 need about 9664 bytes, budget is 9600 (set {MEMORY_ENV_VAR} to raise it)"
+        f"tables mod 151 need about {need} bytes, budget is {budget} (set {MEMORY_ENV_VAR} to raise it)"
     )
-    # the limit is still checked first, modulus by modulus
-    with pytest.raises(CapacityError, match="modulus 141 exceeds the twist-scan limit 140"):
-        check_twist_scan(range(100, 200), scan_limit=140)
-    with pytest.raises(CapacityError, match="tables mod 151 need about 9664 bytes"):
+    with pytest.raises(CapacityError, match=f"tables mod 151 need about {need} bytes"):
         avg_max_report(100, 100.0)
+
+
+_PEAK_CHILD = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c", sys.argv[1]])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_peak(code: str, budget: int) -> int:
+    """Peak RSS in bytes of a fresh interpreter running code under the byte budget."""
+    src = str(Path(expsums.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env[MEMORY_ENV_VAR] = str(budget)
+    out = subprocess.run([sys.executable, "-c", _PEAK_CHILD, code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout.split()
+    assert out[0] == "0"
+    return int(out[1]) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+@pytest.mark.parametrize("q", [999983, 2 * 499979])
+def test_twist_scan_peaks_within_its_charge_as_a_fresh_child(monkeypatch, q):
+    # pocketfft's Bluestein buffers at the prime length q (or q/2 for this
+    # even q), which tracemalloc does not see, are most of the scan: under a
+    # budget of just its charge, it peaks within the charge over an
+    # interpreter that has only imported it (173 and 93 bytes per residue
+    # measured on a 2-core VM)
+    charge = q * _SCAN_BYTES
+    base = _child_peak("import kloosterlab.expsums", charge)
+    peak = _child_peak(f"from kloosterlab.expsums import max_prime_sum; max_prime_sum({q}, 1e5)", charge)
+    assert peak - base <= charge
+    # one byte below the charge refuses the scan before its window is sieved
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(charge - 1))
+    monkeypatch.setattr(arith, "_sieve_window", None)
+    with pytest.raises(CapacityError, match=f"tables mod {q} need about {charge} bytes, budget is {charge - 1}"):
+        max_prime_sum(q, 1e5)
 
 
 def test_kloosterman_grid_index_stays_within_its_bytes():
