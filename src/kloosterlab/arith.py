@@ -1,8 +1,9 @@
 """Integer and multiplicative-function infrastructure.
 
-Sieves (smallest and largest prime factor), modular inverses (single and
-vectorized over int64 arrays), Mobius and von Mangoldt tables with the
-prime-power structure kept exact, square-full testing and counting support.
+Sieves (smallest prime factors, and rough flags over a window), modular
+inverses (single and vectorized over int64 arrays), Mobius and von Mangoldt
+tables with the prime-power structure kept exact, square-full testing and
+counting support.
 
 Vectorized inverses take one of two routes, by how densely a request
 covers the residues mod q (batch_inverses):
@@ -63,10 +64,6 @@ MEMORY_ENV_VAR = "KLOOSTERLAB_MAX_BYTES"
 #: Bytes a prime sieve charges per entry on top of its spf entry.
 _SIEVE_SCRATCH_BYTES = 1.5
 
-#: Bytes per entry of largest_prime_factor_table: its own entry and the
-#: sieve's spf entry, both int32 below HARD_SIEVE_CAP, and the sieve scratch.
-LPF_TABLE_BYTES = 2 * 4 + _SIEVE_SCRATCH_BYTES
-
 #: Moduli must stay below this, so that a product of two residues fits in
 #: int64.
 MODULUS_CAP = 2 ** 31
@@ -122,16 +119,20 @@ _FACTOR_BYTES = 80
 #: length of the sweep.
 _FACTOR_SPAN = 1 << 16
 
-#: Flags per block of prime_window's segmented sieve: 1 MB of bools.
+#: Flags per block of prime_window's segmented sieve and of rough_window: 1 MB.
 _WINDOW_BLOCK = 1 << 20
+
+#: Peak bytes per n of a rough_window block beside its flags: at most 14.1 by
+#: tracemalloc, one and two blocks from lo = 2 to 5 * 10**8, bounds 0 to 1e12.
+_ROUGH_BYTES = 15
 
 #: mallopt parameters (glibc's malloc.h) and the values pin_malloc_thresholds
 #: sets.  Below 8 MiB an array is reused from the heap, and up to 16 MiB of
 #: freed heap is kept: the 0.1-8 MB work arrays of one block are then not
-#: page-faulted back in by the next.  32/64 MiB raised the peak RSS of
-#: `ternary 2000 0.5` from 399.2 to 441.5 MB; 4/8 MiB maps the complex
-#: p x p arrays of kloosterman_grid (7.6 MB at p = 691) again, and the
-#: grid sweep of the benchmark then took 22-27k minor faults against 7.7k.
+#: page-faulted back in by the next.  4/8 MiB maps the complex p x p
+#: arrays of kloosterman_grid (7.6 MB at p = 691) again, and the grid sweep
+#: of the benchmark then took 22-27k minor faults against 7.7k.  At 32/64
+#: MiB `ternary 2000 0.5` keeps its 78.9 MB peak RSS (fresh children).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 8 << 20
 _TRIM_THRESHOLD = 16 << 20
@@ -587,16 +588,30 @@ class FactorWindow:
         return [primes[a - cut[0] : b - cut[0]] for a, b in zip(cut[:-1], cut[1:])]
 
 
+def _cofactors(lo: int, hi: int, base) -> np.ndarray:
+    """Every n of [lo, hi), 1 <= lo, as int64, with every power of each prime
+    p of base divided out: p is taken at its multiples, then at those it still divides."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    for p in base:
+        cof = rest[(-lo) % p :: p]
+        cof //= p
+        again = np.flatnonzero(cof % p == 0)
+        while len(again):
+            cof[again] //= p
+            again = again[cof[again] % p == 0]
+    return rest
+
+
 def factor_window(lo: int, hi: int) -> FactorWindow:
     """The distinct primes of every n in [lo, hi), 1 <= lo, by one sieve over
     the window.
 
-    Every prime p up to sqrt(hi - 1) is taken at its multiples in [lo, hi),
-    whose cofactors drop every power of p; what is left above 1 is the one
-    prime factor above sqrt(hi - 1).  The cost is O((hi - lo) log log hi)
-    in array passes, with no trial division per n.  A sweep over the moduli
-    q ~ Q factors them a span at a time here (factor_spans).
-    _prime_divisors is the twin in the tests.
+    Every prime p up to sqrt(hi - 1) is divided out of its multiples in
+    [lo, hi) (_cofactors); what is left above 1 is the one prime factor
+    above sqrt(hi - 1).  The cost is O((hi - lo) log log hi) in array
+    passes, with no trial division per n.  A sweep over the moduli q ~ Q
+    factors them a span at a time here (factor_spans).  _prime_divisors is
+    the twin in the tests.
     """
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
@@ -607,18 +622,11 @@ def factor_window(lo: int, hi: int) -> FactorWindow:
     small = _small_primes(max(2, 1 << root.bit_length()))
     base = small[: int(np.searchsorted(small, root, side="right"))].tolist()
     # first pass: how many primes each n has, and its cofactor free of them
-    rest = np.arange(lo, lo + size, dtype=np.int64)
-    count = np.zeros(size, dtype=np.int64)
+    rest = _cofactors(lo, lo + size, base)
+    count = (rest > 1).astype(np.int64)
+    big = np.flatnonzero(count)
     for p in base:
         count[(-lo) % p :: p] += 1
-        cof = rest[(-lo) % p :: p]
-        cof //= p
-        again = np.flatnonzero(cof % p == 0)
-        while len(again):
-            cof[again] //= p
-            again = again[cof[again] % p == 0]
-    big = np.flatnonzero(rest > 1)
-    count[big] += 1
     big_primes = rest[big]
     del rest
     bounds = np.zeros(size + 1, dtype=np.int64)
@@ -670,22 +678,6 @@ def is_squarefull(n: int) -> bool:
         d += 1
     # A leftover factor would be prime to the first power only.
     return n == 1
-
-
-def largest_prime_factor_table(limit: int) -> np.ndarray:
-    """Array g with g[n] = largest prime factor of n for 2 <= n <= limit.
-
-    g[0] = g[1] = 0.  Memory use is checked against the byte budget.  Built
-    by recursion on the cofactor c = n / p, p = spf(n): g[n] = max(g[c], p).
-    """
-    if limit < 2:
-        raise ValueError(f"need limit >= 2, got {limit}")
-    _check_capacity(limit, bytes_per_entry=LPF_TABLE_BYTES, what="largest-factor table")
-    spf = sieve_primes(limit).spf
-    g = np.zeros(limit + 1, dtype=spf.dtype)
-    for lo, hi, p, cof in _cofactor_chunks(spf, limit):
-        np.maximum(g[cof], p, out=g[lo:hi])
-    return g
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -986,3 +978,26 @@ def prime_window(lo: int, hi: int) -> PrimeWindow:
     small = _small_primes(max(2, 1 << root.bit_length()))
     base = small[: int(np.searchsorted(small, root, side="right"))]
     return PrimeWindow(lo, hi, _sieve_window(lo, hi, base), base)
+
+
+def rough_window(lo: int, hi: int, bound: float) -> np.ndarray:
+    """One bool per n of [lo, hi), 1 <= lo: whether n has a prime factor
+    above bound.  The flags and one block's work are charged first.
+
+    Each block of _WINDOW_BLOCK n has the primes up to P = min(bound,
+    sqrt(hi - 1)) divided out (_cofactors, over prime_window(2, P + 1)).
+    What is left is 1, a product of primes above bound, or (past the root)
+    the one prime above it: above max(bound, 1) just when n is so rough.
+    """
+    if lo < 1:
+        raise ValueError(f"need lo >= 1, got {lo}")
+    _check_capacity(hi - 1, 0, "rough window")
+    size = max(hi - lo, 0)
+    charge_budget(size + min(size, _WINDOW_BLOCK) * _ROUGH_BYTES, f"rough window [{lo}, {hi}) needs")
+    base = prime_window(2, math.floor(min(math.isqrt(max(hi - 1, 1)), max(bound, 0))) + 1).primes
+    flags = np.empty(size, dtype=bool)
+    for start in range(lo, lo + size, _WINDOW_BLOCK):
+        stop = min(start + _WINDOW_BLOCK, hi)
+        # n = 1 has no prime factor, and is left as 1 whatever the bound
+        np.greater(_cofactors(start, stop, base), max(bound, 1), out=flags[start - lo : stop - lo])
+    return flags

@@ -5,7 +5,8 @@ down a constant (a root, an exponent) that the size predictions use.
 
 The sweeps over q ~ Q and the ternary counts take the primes of [x, 2x)
 from arith.prime_window, once per call; so does the Garaev count, a
-prefix question, for the primes up to x: prime_window(2, x + 1).
+prefix question, for the primes up to x: prime_window(2, x + 1).  The
+ternary counts flag their rough values with arith.rough_window.
 """
 
 from __future__ import annotations
@@ -18,16 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accumulate import exact_sum
-from .arith import (
-    HARD_SIEVE_CAP,
-    LPF_TABLE_BYTES,
-    check_modulus,
-    factor_spans,
-    largest_prime_factor,
-    largest_prime_factor_table,
-    memory_budget,
-    prime_window,
-)
+from .arith import charge_budget, check_modulus, factor_spans, prime_window, rough_window
 from .errors import ConsistencyError
 from .expsums import (
     check_twist_scan,
@@ -39,6 +31,10 @@ from .parallel import pmap
 from .reports import BoundReport, make_report
 
 _REL_SLACK = 1 + 1e-9
+
+#: Peak bytes per pair (p2, p3) of ternary_rough_count beside its flags, in
+#: three int64 arrays and one of bools: 25.0-25.2 by tracemalloc, x = 1,000-3,000.
+_PAIR_BYTES = 25
 
 
 def avg_max_report(Q: int, x: float, workers: int = 1) -> BoundReport:
@@ -259,44 +255,30 @@ def ternary_rough_count(x: int, theta: float) -> TernaryCount:
     """Count ordered prime triples p1, p2, p3 ~ x with
     P(p1 p2 + p1 p3 + p2 p3) > x^theta, P = largest prime factor.
 
-    Exhaustive over all pi(2x)-ish cubed triples, so x is expected to be
-    small; a largest-prime-factor table up to 12 x^2 is used when memory
-    allows, with per-value factorization as the fallback.
+    Exhaustive over all pi(2x)-ish cubed triples, one p1 at a time over the
+    pairs (p2, p3), each value looked up in arith.rough_window's flags over
+    [3 p_min^2, 3 p_max^2], p_min and p_max the least and largest primes of
+    [x, 2x).  Past arith.HARD_SIEVE_CAP, from x = 9,135 on, it is refused.
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if theta < 0:
         raise ValueError(f"need theta >= 0, got {theta}")
+    # [x, 2x) holds a prime for every x >= 2 (Bertrand's postulate)
     primes = prime_window(math.ceil(x), math.ceil(2 * x)).primes
     n = len(primes)
     threshold = float(x) ** theta
-    if n == 0:
-        return TernaryCount(x=x, theta=theta, threshold=threshold, count=0, total=0)
-
-    # pairwise-product sums are below 3*(2x)^2 = 12 x^2
-    top = 12 * x * x
+    lo, hi = 3 * int(primes[0]) ** 2, 3 * int(primes[-1]) ** 2 + 1
+    charge_budget(hi - lo + n * n * _PAIR_BYTES, f"ternary count at x = {x} needs")
+    rough = rough_window(lo, hi, threshold)
+    # p1 (p2 + p3) + p2 p3 - lo, one p1 at a time
+    pair_sums, offsets = np.add.outer(primes, primes), np.multiply.outer(primes, primes) - lo
+    at = np.empty_like(offsets)
     count = 0
-    if top <= HARD_SIEVE_CAP and top * LPF_TABLE_BYTES <= memory_budget():
-        lpf = largest_prime_factor_table(int(top))
-        pair_sums = primes[:, None] + primes[None, :]
-        prods = primes[:, None] * primes[None, :]
-        for p1 in primes:
-            vals = p1 * pair_sums + prods
-            count += int((lpf[vals] > threshold).sum())
-    else:
-        plist = primes.tolist()
-        cache: dict[int, int] = {}
-        for p1 in plist:
-            for p2 in plist:
-                s, pr = p1 + p2, p1 * p2
-                for p3 in plist:
-                    v = p3 * s + pr
-                    big = cache.get(v)
-                    if big is None:
-                        big = largest_prime_factor(v)
-                        cache[v] = big
-                    if big > threshold:
-                        count += 1
+    for p1 in primes:
+        np.multiply(pair_sums, p1, out=at)
+        at += offsets
+        count += int(np.count_nonzero(rough[at]))
     return TernaryCount(x=x, theta=theta, threshold=threshold, count=count, total=n ** 3)
 
 

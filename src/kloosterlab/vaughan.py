@@ -41,6 +41,7 @@ import numpy as np
 from .accumulate import CarriedSums, exact_sum, fsum_complex
 from .arith import (
     MultiplicativeTables,
+    _check_capacity,
     _prime_divisors,
     build_multiplicative_tables,
     charge_budget,
@@ -460,9 +461,10 @@ def compare_decomposition(params: VaughanParams, a: int, q: int) -> Decompositio
     it up artificially.  The blocks are those of decompose, streamed: each
     is checked and evaluated as _blocks yields it, and only its value is
     kept, so the decomposed total is bitwise evaluate_decomposition's.
-    The direct sum takes its window from arith.prime_window.
+    The direct sum's window (arith.prime_window) is capped before any block.
     """
     query = ExpSumQuery(a=a, q=q, x=params.x)
+    _check_capacity(math.ceil(2 * params.x) - 1, 0, "prime window")
     vals = []
     for i, (block, held) in enumerate(_blocks(params, keep=False)):
         # streamed arrays are freed and their ids reused: check every block's

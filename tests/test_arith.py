@@ -28,9 +28,9 @@ from kloosterlab.arith import (
     is_prime_deterministic,
     is_squarefull,
     largest_prime_factor,
-    largest_prime_factor_table,
     memory_budget,
     mod_inverse,
+    rough_window,
     sieve_primes,
 )
 from kloosterlab.errors import CapacityError, ConsistencyError, NotInvertibleError
@@ -473,10 +473,9 @@ def test_is_squarefull_brute():
     assert got == expected
 
 
-def test_largest_prime_factor_table_and_direct(prime_table):
-    g = largest_prime_factor_table(2000)
+def test_largest_prime_factor_direct(prime_table):
     for n in range(2, 2001):
-        assert int(g[n]) == max(p for p, _ in prime_table.factorize(n))
+        assert largest_prime_factor(n) == max(p for p, _ in prime_table.factorize(n))
     for n in (2, 97, 1024, 3 * 5 * 7 * 11, 10 ** 9 + 7):
         direct = largest_prime_factor(n)
         assert is_prime_deterministic(direct)
@@ -491,11 +490,34 @@ def twin_largest_prime_factor_table(limit):
     return g
 
 
-@pytest.mark.parametrize("limit", [2, 3, 2 ** 17 - 1, 2 ** 17 + 1, 3 * 2 ** 16 + 5, 10 ** 6])
-def test_largest_prime_factor_table_matches_twin(limit):
-    g = largest_prime_factor_table(limit)
-    assert g.dtype == np.int32
-    assert np.array_equal(g, twin_largest_prime_factor_table(limit))
+@pytest.mark.parametrize("limit", [2, 3, 2 ** 17 - 1, 2 ** 17 + 1, 3 * 2 ** 16 + 5, 10 ** 6, 1025 ** 2])
+def test_rough_window_matches_twin(limit):
+    # windows ending at limit, 1025**2 across a block boundary from lo = 1;
+    # 10**6 and 1025**2 are squares, so the bounds meet the root exactly
+    largest = twin_largest_prime_factor_table(limit)
+    root = math.isqrt(limit)
+    for lo in (1, 2, max(limit // 3, 1), limit, limit + 1):
+        for bound in (0, 1.9, 2, 10.5, root - 0.5, root, math.sqrt(limit), root + 0.5, 1e12):
+            flags = rough_window(lo, limit + 1, bound)
+            assert flags.dtype == bool and len(flags) == limit + 1 - lo
+            assert np.array_equal(flags, largest[lo:] > bound), (lo, bound)
+
+
+def test_rough_window_charges_its_flags_and_one_block_first(monkeypatch):
+    with pytest.raises(CapacityError, match=f"rough window limit {HARD_SIEVE_CAP + 1} exceeds hard cap"):
+        rough_window(HARD_SIEVE_CAP - 5, HARD_SIEVE_CAP + 2, 10)
+    size = 3 * 10 ** 5
+    need = size + size * arith._ROUGH_BYTES
+    cofactors = mock.Mock(wraps=arith._cofactors)
+    monkeypatch.setattr(arith, "_cofactors", cofactors)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(need - 1))
+    with pytest.raises(CapacityError, match=rf"rough window \[{10 ** 6}, {10 ** 6 + size}\) needs about {need} bytes"):
+        rough_window(10 ** 6, 10 ** 6 + size, 50)
+    assert not cofactors.called
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(need))
+    flags, peak = _traced_peak(lambda: rough_window(10 ** 6, 10 ** 6 + size, 50))
+    assert cofactors.called and peak <= need
+    assert np.array_equal(flags, rough_window(10 ** 6, 10 ** 6 + size, 50.5))
 
 
 def test_is_prime_deterministic_vs_sieve(prime_table):

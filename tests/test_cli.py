@@ -312,13 +312,45 @@ def test_ternary_command(capsys):
 
 @pytest.mark.parametrize("budget", ["1000000", "900000"])
 def test_ternary_route_fits_a_small_budget(capsys, monkeypatch, budget):
-    # the largest-factor table to 12 * 100**2 would take 1.14e6 bytes, so
-    # both budgets take the per-value route, with the same bytes
-    argv = ("ternary", "100", "1.2", "--format", "csv")
+    # the rough window over [3 * 71**2, 3 * 139**2] and one block's work
+    # take about 0.69e6 bytes, so both budgets keep the same bytes
+    argv = ("ternary", "70", "1.2", "--format", "csv")
     want = run(capsys, *argv)
     assert want[0] == 0
     monkeypatch.setenv("KLOOSTERLAB_MAX_BYTES", budget)
     assert run(capsys, *argv) == want
+
+
+def test_ternary_fits_a_budget_of_its_largest_charge(capsys, monkeypatch):
+    # the same bytes under a budget of exactly the largest charge; one byte
+    # below, the rough window over the values, from 3 * 101**2 to
+    # 3 * 199**2, is refused before any block is divided
+    charges = []
+    charge = arith.charge_budget
+    for module in (arith, experiments):
+        monkeypatch.setattr(module, "charge_budget", lambda need, subject, budget=None:
+                            charges.append(int(need)) or charge(need, subject, budget))
+    argv = ("ternary", "100", "1.2", "--format", "csv")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(max(charges)))
+    assert run(capsys, *argv) == want
+    cofactors = []
+    monkeypatch.setattr(arith, "_cofactors", lambda *args: cofactors.append(args))
+    monkeypatch.setenv(arith.MEMORY_ENV_VAR, str(max(charges) - 1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, cofactors) == (3, "", [])
+    assert err.startswith("capacity: rough window [30603, 118804) needs about ")
+
+
+@pytest.mark.parametrize("x,p_max", [("9135", 18269), ("10000", 19997)])
+def test_ternary_past_the_hard_cap_exits_3_before_its_window(capsys, monkeypatch, x, p_max):
+    # 3 * p_max**2, the top of the values, is past 10**9 from x = 9,135 on
+    cofactors = []
+    monkeypatch.setattr(arith, "_cofactors", lambda *args: cofactors.append(args))
+    code, out, err = run(capsys, "ternary", x, "1.1")
+    assert (code, out, cofactors) == (3, "", [])
+    assert err == f"capacity: rough window limit {3 * p_max ** 2} exceeds hard cap {arith.HARD_SIEVE_CAP}\n"
 
 
 def test_worker_flag_does_not_change_bytes(tmp_path, capsys):
@@ -427,6 +459,14 @@ def test_byte_budget_below_the_window_charge_exits_3(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out, sieved) == (3, "", [])
     assert err.startswith("capacity: ")
+
+
+def test_vaughan_check_past_the_hard_cap_exits_3_before_any_table(capsys, monkeypatch):
+    # the direct sum's window would end at 2 * 10**10 - 1
+    limits = _table_builds(monkeypatch)
+    code, out, err = run(capsys, "vaughan-check", "1", "7", "1e10")
+    assert (code, out, limits) == (3, "", [])
+    assert err == f"capacity: prime window limit 19999999999 exceeds hard cap {arith.HARD_SIEVE_CAP}\n"
 
 
 def test_vaughan_check_tables_stop_below_2x(capsys, monkeypatch):

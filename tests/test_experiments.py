@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kloosterlab import arith, counting, experiments, expsums
 from kloosterlab.arith import largest_prime_factor
@@ -107,6 +109,27 @@ def test_ternary_exhaustive(x):
         prev = res.count
     everything = ternary_rough_count(x, 0.0)
     assert everything.count == everything.total
+
+
+def _theta_at(x, p_max, shift):
+    """theta with x**theta about shift past isqrt(3 * p_max**2), the root of
+    the values' top, where rough_window's base primes stop at the root."""
+    return math.log(math.isqrt(3 * p_max ** 2) + shift) / math.log(x)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(x=st.integers(2, 60), thetas=st.lists(st.floats(0, 2.5), min_size=2, max_size=2))
+@example(x=50, thetas=[_theta_at(50, 97, -0.01), _theta_at(50, 97, 0.01)])
+@example(x=50, thetas=[_theta_at(50, 97, 0), _theta_at(50, 97, 1)])
+@example(x=60, thetas=[_theta_at(60, 113, -0.5), _theta_at(60, 113, 0.5)])
+def test_ternary_matches_brute_force_and_falls_with_theta(x, thetas):
+    low, high = sorted(thetas)
+    counts = []
+    for theta in (low, high):
+        res = ternary_rough_count(x, theta)
+        assert (res.count, res.total) == _brute_ternary(x, theta)
+        counts.append(res.count)
+    assert counts[0] >= counts[1]
 
 
 def test_ternary_scaled_normalization():
